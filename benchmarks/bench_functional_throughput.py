@@ -9,7 +9,7 @@ and the statistical layers.
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
+from repro.blis.gemm import bit_gemm, bit_gemm_blocked
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
@@ -28,7 +28,9 @@ def packed_mid():
 
 @pytest.mark.artifact("functional")
 def bench_fast_path_gemm(benchmark, packed_mid):
-    result = benchmark(bit_gemm_fast, packed_mid, packed_mid, ComparisonOp.AND)
+    result = benchmark(
+        bit_gemm, packed_mid, packed_mid, ComparisonOp.AND, backend="blas"
+    )
     assert result.shape == (256, 256)
 
 

@@ -50,8 +50,8 @@ WORKERS = 4
 SPEEDUP_FLOOR = 1.5
 
 #: Counter timings/plan shapes must not depend on a host tuning cache,
-#: so every engine in this bench pins the GEMM shard strategy.
-STRATEGY = "gemm"
+#: so every engine in this bench pins the BLAS kernel backend.
+BACKEND = "blas"
 
 
 def make_operand(m, k_words, rng=0):
@@ -88,7 +88,7 @@ def collect_counters(problem):
     a = make_operand(**problem)
     tracer = Tracer()
     previous = set_tracer(tracer)
-    engine = ParallelEngine(workers=WORKERS, strategy=STRATEGY)
+    engine = ParallelEngine(workers=WORKERS, backend=BACKEND)
     try:
         engine.run(a, a, ComparisonOp.AND, force_parallel=True)
     finally:
@@ -108,9 +108,9 @@ def run_bench(problem, repeats=3):
     expected = bit_gemm_reference(a, a, ComparisonOp.AND)
     full_ops = problem["m"] * problem["m"] * problem["k_words"]
 
-    serial = ParallelEngine(workers=1, strategy=STRATEGY)
-    gram = ParallelEngine(workers=WORKERS, strategy=STRATEGY)
-    full = ParallelEngine(workers=WORKERS, strategy=STRATEGY)
+    serial = ParallelEngine(workers=1, backend=BACKEND)
+    gram = ParallelEngine(workers=WORKERS, backend=BACKEND)
+    full = ParallelEngine(workers=WORKERS, backend=BACKEND)
     try:
         serial_s, serial_table, _ = time_run(serial, a, False, repeats)
         gram_s, gram_table, gram_report = time_run(gram, a, None, repeats)
@@ -181,7 +181,7 @@ if pytest is not None:
     def bench_gram_workers4(benchmark):
         """Time one workers=4 Gram run on the full problem."""
         a = make_operand(**FULL_PROBLEM)
-        engine = ParallelEngine(workers=WORKERS, strategy=STRATEGY)
+        engine = ParallelEngine(workers=WORKERS, backend=BACKEND)
         try:
             table, report = benchmark(
                 engine.run, a, a, ComparisonOp.AND, force_parallel=True

@@ -6,10 +6,9 @@ one LD-shaped problem and demonstrates two properties:
 * **bit-exactness** -- every worker count returns a table byte-identical
   to :func:`repro.blis.gemm.bit_gemm_reference`;
 * **speedup** -- at ``workers=4`` the sharded engine beats the best
-  serial driver by at least 1.5x.  On a single-core host the win comes
-  from the engine's GEMM shard strategy (one float32 BLAS call per
-  ``k_c`` panel over cached unpacked-bit panels); on multicore hosts
-  thread overlap stacks on top of it.
+  serial driver by at least 1.5x.  The shards run the ``blas`` kernel
+  backend (float32 BLAS GEMMs over unpacked bits), as does the serial
+  baseline; on multicore hosts thread overlap is the win.
 
 Runs two ways:
 
@@ -21,9 +20,9 @@ Runs two ways:
 
       PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --smoke --json timings.json
 
-A third mode races the kernel-ABI backends (:mod:`repro.kernels`)
-single-threaded against the reference panel and gates every *compiled*
-backend at :data:`COMPILED_SPEEDUP_FLOOR`::
+A third mode races every available kernel-ABI backend
+(:mod:`repro.kernels`) single-threaded against the reference panel and
+gates every *compiled* backend at :data:`COMPILED_SPEEDUP_FLOOR`::
 
       PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --backends --json backend-race.json
 
@@ -52,7 +51,7 @@ from repro.util.bitops import pack_bits
 
 #: The benchmark problem: an LD-shaped table (m queries x n database
 #: rows over k packed words).  Chosen so the serial fallback takes the
-#: fast driver, giving the parallel engine its hardest baseline.
+#: blas backend, giving the parallel engine its hardest baseline.
 FULL_PROBLEM = dict(m=512, n=2048, k_words=128)
 
 #: The CI smoke problem: same shape family, small enough for a
@@ -63,7 +62,7 @@ WORKER_SWEEP = (1, 2, 4)
 SPEEDUP_FLOOR = 1.5
 
 #: Full-mode floor for the process executor at ``workers=4`` vs the
-#: serial baseline (numpy backend).  Worker processes sidestep the GIL,
+#: serial baseline (blas backend).  Worker processes sidestep the GIL,
 #: so on a multicore host the sharded bit-GEMM must scale; single-core
 #: hosts (and CI smoke) skip the floor the same way the thread tier's
 #: :data:`SPEEDUP_FLOOR` is full-mode only.
@@ -164,12 +163,9 @@ def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
         "executor": "thread",
         "seconds": serial_best,
         "speedup": 1.0,
-        "strategy": _report.strategy,
+        "backend": _report.backend,
         "n_shards": _report.n_shards,
         "bit_exact": bool((_table == expected).all()),
-        "cache_hit_rate": (
-            _report.cache_stats.hit_rate if _report.cache_stats else 0.0
-        ),
     })
     for executor in executors:
         for workers in workers_sweep[1:]:
@@ -181,12 +177,9 @@ def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
                 "executor": executor,
                 "seconds": best,
                 "speedup": serial_best / best,
-                "strategy": report.strategy,
+                "backend": report.backend,
                 "n_shards": report.n_shards,
                 "bit_exact": bool((table == expected).all()),
-                "cache_hit_rate": (
-                    report.cache_stats.hit_rate if report.cache_stats else 0.0
-                ),
             })
     result = {
         "problem": dict(problem),
@@ -208,18 +201,18 @@ def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
 
 
 def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
-    """Race every tunable kernel backend single-thread vs the reference.
+    """Race every available kernel backend single-thread vs the reference.
 
     Times the reference panel (:func:`bit_gemm_reference`) as the
-    baseline, then each registered backend that is available and
-    tunable through :func:`repro.blis.gemm.bit_gemm_backend`.  Every
-    table is checked bit-exact, and one untimed instrumented pass per
-    backend asserts the word-op accounting is backend-invariant.
+    baseline, then each available registered backend through
+    :func:`repro.blis.gemm.bit_gemm`.  Every table is checked
+    bit-exact, and one untimed instrumented pass per backend asserts
+    the word-op accounting is backend-invariant.
     """
-    from repro.blis.gemm import bit_gemm_backend
+    from repro.blis.gemm import bit_gemm
     from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
     from repro.observability.tracer import Tracer, set_tracer
-    from repro.kernels import registered_backends
+    from repro.kernels import available_backends
 
     pa, pb = make_operands(**problem)
     ref_best = float("inf")
@@ -233,7 +226,7 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            bit_gemm_backend(pa, pb, op, backend=name)
+            bit_gemm(pa, pb, op, backend=name)
         finally:
             set_tracer(previous)
         snapshot = tracer.counters.snapshot()
@@ -244,15 +237,13 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
 
     rows = []
     counters = None
-    for be in registered_backends():
+    for be in available_backends():
         info = be.info
-        if not info.available or not info.tunable:
-            continue
         best = float("inf")
         table = None
         for _ in range(repeats):
             start = time.perf_counter()
-            table = bit_gemm_backend(pa, pb, op, backend=info.name)
+            table = bit_gemm(pa, pb, op, backend=info.name)
             best = min(best, time.perf_counter() - start)
         backend_counters = counted(info.name)
         if counters is None:
@@ -326,14 +317,14 @@ def render(result):
             **result["problem"]
         ),
         f"{'executor':>9} {'workers':>8} {'seconds':>9} {'speedup':>8} "
-        f"{'shards':>7} {'hit rate':>9} {'bit-exact':>10}",
+        f"{'shards':>7} {'backend':>8} {'bit-exact':>10}",
     ]
     for row in result["rows"]:
         lines.append(
             f"{row.get('executor', 'thread'):>9} "
             f"{row['workers']:>8} {row['seconds']:>9.4f} "
             f"{row['speedup']:>7.2f}x {row['n_shards']:>7} "
-            f"{row['cache_hit_rate']:>8.0%} "
+            f"{row['backend']:>8} "
             f"{'yes' if row['bit_exact'] else 'NO':>10}"
         )
     if "counters_match" in result:

@@ -35,8 +35,8 @@ Package map::
     repro.cpu     CPU baseline of Alachiotis et al. [11]
     repro.model   peak / end-to-end / scaling performance models
     repro.bench   experiment harness regenerating every table & figure
-    repro.parallel host-side sharded execution engine (thread pool,
-                  packed-panel cache; the ``workers=`` entry points)
+    repro.parallel host-side sharded execution engine (thread or
+                  process pool; the ``workers=`` entry points)
 """
 
 from repro.core import (

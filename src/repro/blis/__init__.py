@@ -13,8 +13,9 @@ implements that shared structure once:
 * :mod:`repro.blis.microkernel` -- the comparison micro-kernel registry
   (AND / XOR / AND-NOT combined with POPC and ADD) with per-word
   instruction mixes used by the performance models.
-* :mod:`repro.blis.gemm` -- reference and blocked drivers for the
-  popcount-GEMM ``C[i,j] = sum_k POPC(op(A[i,k], B[j,k]))``.
+* :mod:`repro.blis.gemm` -- the reference driver, the one five-loop
+  walk and the counted serial driver for the popcount-GEMM
+  ``C[i,j] = sum_k POPC(op(A[i,k], B[j,k]))``.
 """
 
 from repro.blis.blocking import BlockingPlan, tile_ranges, split_evenly
@@ -25,12 +26,7 @@ from repro.blis.microkernel import (
     MICROKERNELS,
 )
 from repro.blis.packing import pack_a_panel, pack_b_panel, unpack_a_panel
-from repro.blis.gemm import (
-    bit_gemm_reference,
-    bit_gemm_blocked,
-    bit_gemm_fast,
-    bit_gemm_backend,
-)
+from repro.blis.gemm import bit_gemm, bit_gemm_reference, bit_gemm_blocked
 
 __all__ = [
     "BlockingPlan",
@@ -43,8 +39,7 @@ __all__ = [
     "pack_a_panel",
     "pack_b_panel",
     "unpack_a_panel",
+    "bit_gemm",
     "bit_gemm_reference",
     "bit_gemm_blocked",
-    "bit_gemm_fast",
-    "bit_gemm_backend",
 ]

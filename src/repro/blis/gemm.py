@@ -1,23 +1,16 @@
 """Popcount-GEMM drivers: ``C[i, j] = sum_k POPC(op(A[i, k], B[j, k]))``.
 
-Three functionally identical drivers with different purposes:
-
 * :func:`bit_gemm_reference` -- the transparent oracle: a literal
-  word-broadcast evaluation.  O(m*n*k) popcounts with an (m, n, k)
-  temporary per row block; used by tests.
-* :func:`bit_gemm_blocked` -- the BLIS-structured driver: packs panels,
-  iterates the five loops, calls the micro-kernel per tile.  This is
-  the code path whose *structure* matches the paper's kernel; the GPU
-  executor reuses its tile walk.
-* :func:`bit_gemm_fast` -- the high-throughput functional path using
-  the algebraic identities
-
-      POPC(a & b)  summed over words  =  <bits(a), bits(b)>
-      POPC(a ^ b)                      =  |a| + |b| - 2 <a, b>
-      POPC(a & ~b)                     =  |a| - <a, b>
-
-  evaluated as one integer GEMM over the unpacked bits.  Used to verify
-  large problems where the word-walk would be too slow in Python.
+  word-broadcast evaluation (the ``numpy`` kernel backend).  O(m*n*k)
+  popcounts with an (m, n, k) temporary per row block; used by tests.
+* :func:`bit_gemm_blocked` -- the BLIS five-loop walk: packs panels,
+  iterates the loops, calls the micro-kernel per tile.  This is the
+  code path whose *structure* matches the paper's kernel; the ``blis``
+  kernel backend runs the same walk.
+* :func:`bit_gemm` -- the counted serial driver every layer shares: it
+  picks a kernel backend by the one size rule
+  (:func:`repro.kernels.pick_backend`) and runs either the walk or the
+  backend's panel.
 
 All drivers take *row-major packed* operands: A is ``(m, k)`` words,
 B is ``(n, k)`` words (note B is stored row-per-output-column, i.e.
@@ -45,15 +38,27 @@ from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.blis.packing import pack_a_panel, pack_b_panel
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.tracer import get_tracer
-from repro.util.bitops import popcount, unpack_bits
+from repro.util.bitops import popcount
 
 __all__ = [
+    "HOST_BLOCKING",
+    "bit_gemm",
     "bit_gemm_reference",
     "bit_gemm_blocked",
-    "bit_gemm_fast",
-    "bit_gemm_backend",
+    "blis_walk",
+    "check_symmetric",
+    "host_plan",
     "same_operand",
 ]
+
+#: Host-default blocking parameters: small ``lcm(m_r, n_r)`` so
+#: triangular Gram plans can band finely.
+HOST_BLOCKING = {"m_c": 32, "k_c": 256, "m_r": 4, "n_r": 64}
+
+
+def host_plan(m: int, n: int, k: int) -> BlockingPlan:
+    """The host-default :class:`BlockingPlan` for an ``(m, n, k)`` GEMM."""
+    return BlockingPlan(m=m, n=n, k=k, **HOST_BLOCKING)
 
 
 def same_operand(a: np.ndarray, b: np.ndarray) -> bool:
@@ -74,7 +79,7 @@ def same_operand(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _check_symmetric(
+def check_symmetric(
     fn: str, a: np.ndarray, b: np.ndarray, op: ComparisonOp
 ) -> None:
     """Validate a ``symmetric=True`` hint (Gram mode preconditions).
@@ -98,23 +103,6 @@ def _check_symmetric(
         )
 
 
-def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for name, arr in (("A", a), ("B", b)):
-        if arr.ndim != 2:
-            raise PackingError(f"bit_gemm: {name} must be 2-D packed words")
-        if arr.dtype not in (np.uint8, np.uint16, np.uint32, np.uint64):
-            raise PackingError(f"bit_gemm: {name} has non-word dtype {arr.dtype}")
-    if a.dtype != b.dtype:
-        raise PackingError(f"bit_gemm: dtype mismatch ({a.dtype} vs {b.dtype})")
-    if a.shape[1] != b.shape[1]:
-        raise PackingError(
-            f"bit_gemm: k mismatch (A has {a.shape[1]} words, B has {b.shape[1]})"
-        )
-    return a, b
-
-
 def bit_gemm_reference(
     a: np.ndarray,
     b: np.ndarray,
@@ -132,48 +120,47 @@ def bit_gemm_reference(
     """
     # Lazy import: repro.kernels registers backends that reach back
     # into this module, so the module-level edge must stay one-way.
+    from repro.kernels.abi import check_panel_operands
     from repro.kernels.numpy_backend import reference_panel
 
-    a, b = _check_operands(a, b)
-    kernel = get_microkernel(op)
-    return reference_panel(a, b, kernel, row_block)
+    a, b, op = check_panel_operands(a, b, op)
+    return reference_panel(a, b, get_microkernel(op), row_block)
 
 
-def bit_gemm_backend(
+def bit_gemm(
     a: np.ndarray,
     b: np.ndarray,
     op: ComparisonOp | str = ComparisonOp.AND,
     backend: str = "auto",
+    plan: BlockingPlan | None = None,
     symmetric: bool = False,
 ) -> np.ndarray:
-    """Evaluate the popcount-GEMM through a registered kernel backend.
+    """Serial popcount-GEMM through the backend the size rule picks.
 
-    ``backend`` resolves per :func:`repro.kernels.resolve_backend`
-    (``"auto"`` honours ``REPRO_BACKEND`` and defaults to the
-    reference backend).  ``symmetric=True`` is accepted (and
-    validated) for API uniformity with the other drivers, but panel
-    backends compute the full product -- the triangular savings live
-    in the shard plan above this layer -- so the word-op counter
-    records the full ``m * n * k``, matching :func:`bit_gemm_fast`.
+    :func:`repro.kernels.pick_backend` names the backend from the
+    problem's word-ops, the Gram hint and ``backend`` (an explicit
+    name, or ``"auto"``).  The ``blis`` choice runs
+    :func:`bit_gemm_blocked` on ``plan`` (Gram runs skip the
+    below-diagonal tiles and count only the computed ones); every
+    other backend computes the full panel, so the word-op counter
+    records the full ``m * n * k``.  One :data:`GEMM_CALLS` either way.
     """
-    from repro.kernels import resolve_backend
+    from repro.kernels.abi import check_panel_operands, get_backend, pick_backend
 
-    a, b = _check_operands(a, b)
-    kernel = get_microkernel(op)
+    a, b, op = check_panel_operands(a, b, op)
     if symmetric:
-        _check_symmetric("bit_gemm_backend", a, b, kernel.op)
-    be = resolve_backend(backend)
+        check_symmetric("bit_gemm", a, b, op)
+        b = a  # equal content, now one operand (blas: one a @ a.T)
+    m, k = a.shape
+    n = b.shape[0]
+    name = pick_backend(m * n * k, symmetric, backend)
+    if name == "blis":
+        return bit_gemm_blocked(a, b, op, plan, symmetric=symmetric)
     obs = get_tracer()
     obs.counters.add(GEMM_CALLS)
-    obs.counters.add(GEMM_WORD_OPS, a.shape[0] * b.shape[0] * a.shape[1])
-    with obs.span(
-        "gemm.backend",
-        backend=be.info.name,
-        m=a.shape[0],
-        n=b.shape[0],
-        k=a.shape[1],
-    ):
-        return be.bit_gemm_panel(a, b, kernel.op)
+    obs.counters.add(GEMM_WORD_OPS, m * n * k)
+    with obs.span("gemm.backend", backend=name, m=m, n=n, k=k):
+        return get_backend(name).bit_gemm_panel(a, b, op)
 
 
 def bit_gemm_blocked(
@@ -183,7 +170,7 @@ def bit_gemm_blocked(
     plan: BlockingPlan | None = None,
     symmetric: bool = False,
 ) -> np.ndarray:
-    """BLIS five-loop evaluation with packed panels.
+    """BLIS five-loop evaluation with packed panels (counted).
 
     The loop nest (outside-in) is: k_c panels -> core assignments
     (m_c x n_r C tiles) -> micro-tiles -> micro-kernel.  Cores are
@@ -195,14 +182,15 @@ def bit_gemm_blocked(
     after the walk.  Requires a symmetric op, ``a`` and ``b`` the same
     matrix, and a square output.
     """
-    a, b = _check_operands(a, b)
-    kernel = get_microkernel(op)
+    from repro.kernels.abi import check_panel_operands
+
+    a, b, op = check_panel_operands(a, b, op)
     m, k = a.shape
     n = b.shape[0]
     if symmetric:
-        _check_symmetric("bit_gemm_blocked", a, b, kernel.op)
+        check_symmetric("bit_gemm_blocked", a, b, op)
     if plan is None:
-        plan = BlockingPlan(m=m, n=n, k=k, m_c=32, k_c=256, m_r=4, n_r=64)
+        plan = host_plan(m, n, k)
     if (plan.m, plan.n, plan.k) != (m, n, k):
         raise PackingError(
             f"bit_gemm_blocked: plan extents {(plan.m, plan.n, plan.k)} do not "
@@ -213,30 +201,45 @@ def bit_gemm_blocked(
     obs.counters.add(GEMM_CALLS)
     skipped_ops = _below_diagonal_ops(plan) if symmetric else 0
     obs.counters.add(GEMM_WORD_OPS, plan.total_ops() - skipped_ops)
-    c = np.zeros((m, n), dtype=np.int64)
     with obs.span("gemm.blocked", m=m, n=n, k=k):
-        for k0, k1 in plan.k_panels():
-            for assign in plan.core_assignments():
-                if assign.is_empty:
-                    continue
-                m0, m1 = assign.m_range
-                n0, n1 = assign.n_range
-                # Loop 3: walk m_c panels of A inside this core's M range,
-                # packing each into the shared-memory layout.
-                for pm0, pm1 in _panel_ranges(m0, m1, plan.m_c):
-                    a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
-                    # Loops 2/1: n_r micro-panels of B, micro-tiles of C.
-                    for pn0, pn1 in _panel_ranges(n0, n1, plan.n_r):
-                        if symmetric and pm0 >= pn1:
-                            # Every micro-tile in this panel pairing lies
-                            # below the diagonal; skip the B pack too.
-                            continue
-                        b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
-                        _micro_update(
-                            c, a_packed, b_packed, kernel.combine,
-                            pm0, pm1, pn0, pn1, plan.m_r,
-                            symmetric=symmetric,
-                        )
+        return blis_walk(a, b, op, plan, symmetric)
+
+
+def blis_walk(
+    a: np.ndarray,
+    b: np.ndarray,
+    op: ComparisonOp,
+    plan: BlockingPlan,
+    symmetric: bool = False,
+) -> np.ndarray:
+    """The uncounted five-loop walk over pre-validated operands.
+
+    Shared by :func:`bit_gemm_blocked` and the ``blis`` kernel backend.
+    """
+    combine = get_microkernel(op).combine
+    c = np.zeros((plan.m, plan.n), dtype=np.int64)
+    for k0, k1 in plan.k_panels():
+        for assign in plan.core_assignments():
+            if assign.is_empty:
+                continue
+            m0, m1 = assign.m_range
+            n0, n1 = assign.n_range
+            # Loop 3: walk m_c panels of A inside this core's M range,
+            # packing each into the shared-memory layout.
+            for pm0, pm1 in _panel_ranges(m0, m1, plan.m_c):
+                a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
+                # Loops 2/1: n_r micro-panels of B, micro-tiles of C.
+                for pn0, pn1 in _panel_ranges(n0, n1, plan.n_r):
+                    if symmetric and pm0 >= pn1:
+                        # Every micro-tile in this panel pairing lies
+                        # below the diagonal; skip the B pack too.
+                        continue
+                    b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
+                    _micro_update(
+                        c, a_packed, b_packed, combine,
+                        pm0, pm1, pn0, pn1, plan.m_r,
+                        symmetric=symmetric,
+                    )
     if symmetric:
         _mirror_fill(c, plan)
     return c
@@ -319,45 +322,3 @@ def _micro_update(
             )
             c[rows0:rows1, cols0:cols1] += popcount(combined).sum(axis=0)
     return c
-
-
-def bit_gemm_fast(
-    a: np.ndarray,
-    b: np.ndarray,
-    op: ComparisonOp | str = ComparisonOp.AND,
-    symmetric: bool = False,
-) -> np.ndarray:
-    """Identity-based evaluation via one integer GEMM over unpacked bits.
-
-    Bit-exact with the other drivers; used for large functional runs.
-    Note XOR/ANDNOT identities act on the *stored words*, so padding
-    bits (always 0 in both operands by construction) contribute 0.
-
-    ``symmetric=True`` is accepted (and validated) for API uniformity
-    with :func:`bit_gemm_blocked`, but the BLAS path computes the full
-    product either way -- one dense GEMM beats a triangular walk in
-    NumPy -- so the word-op counter records the full ``m * n * k``.
-    """
-    a, b = _check_operands(a, b)
-    op = get_microkernel(op).op
-    if symmetric:
-        _check_symmetric("bit_gemm_fast", a, b, op)
-    obs = get_tracer()
-    obs.counters.add(GEMM_CALLS)
-    obs.counters.add(GEMM_WORD_OPS, a.shape[0] * b.shape[0] * a.shape[1])
-    with obs.span("gemm.fast", m=a.shape[0], n=b.shape[0], k=a.shape[1]):
-        # float64 GEMM hits BLAS (orders of magnitude faster than integer
-        # matmul) and is exact here: dot products are bounded by the bit
-        # count k * word_bits, far below 2**53.
-        bits_a = unpack_bits(a).astype(np.float64)
-        bits_b = unpack_bits(b).astype(np.float64)
-        dots = np.rint(bits_a @ bits_b.T).astype(np.int64)
-        if op in (ComparisonOp.AND, ComparisonOp.AND_PRENEGATED):
-            return dots
-        pop_a = popcount(a).sum(axis=1)
-        if op is ComparisonOp.XOR:
-            pop_b = popcount(b).sum(axis=1)
-            return pop_a[:, None] + pop_b[None, :] - 2 * dots
-        if op is ComparisonOp.ANDNOT:
-            return pop_a[:, None] - dots
-        raise PackingError(f"bit_gemm_fast: unhandled op {op!r}")

@@ -22,9 +22,9 @@ The sweep is exhaustive but small (tens to a few hundred candidates)
 and each candidate costs one closed-form evaluation.
 
 :func:`host_tune` is the measured counterpart for the *host* engine:
-it bridges to :mod:`repro.parallel.tuner`, which benchmarks real
-strategy candidates ({gemm, blocked} x {full, triangular}) on this
-machine and persists the winner for ``strategy="auto"`` to consult.
+it bridges to :mod:`repro.parallel.tuner`, which benchmarks the
+kernel backends x {full, triangular} plan shapes on this machine and
+persists the winner for ``backend="auto"`` to consult.
 """
 
 from __future__ import annotations
@@ -180,10 +180,10 @@ def host_tune(
     repeats: int = 1,
     persist: bool = True,
 ):
-    """Measure-and-persist host strategy tuning for ``problem``.
+    """Measure-and-persist host backend tuning for ``problem``.
 
     Unlike :func:`autotune` (closed-form device model), this actually
-    *runs* the candidate strategies on synthetic operands of the
+    *runs* the candidate backends on synthetic operands of the
     problem's shape and stores the winner in the persisted host tuning
     cache (see :mod:`repro.parallel.tuner`).  Returns the
     :class:`~repro.parallel.tuner.TuningRecord` recorded.

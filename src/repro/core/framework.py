@@ -76,14 +76,12 @@ class SNPComparisonFramework:
         op compute only the upper triangle and mirror the rest (see
         ``docs/PERF.md``).  ``False`` forces the full-output path
         (useful for benchmarking the symmetry win).
-    strategy:
-        Host shard strategy: ``"auto"`` (consults the persisted host
-        tuning cache), ``"gemm"``, or ``"blocked"``.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the functional
         tables: ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
-        per-machine winner, then the reference backend) or an explicit
-        registered name such as ``"numpy"`` or ``"numba"``.
+        per-machine winner on sharded runs, then ``blis``/``blas`` by
+        the size rule) or an explicit registered name such as
+        ``"blas"``, ``"blis"`` or ``"cnative"``.
     """
 
     def __init__(
@@ -95,7 +93,6 @@ class SNPComparisonFramework:
         double_buffering: bool = True,
         workers: int | None = None,
         gram: bool = True,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
     ) -> None:
@@ -107,7 +104,6 @@ class SNPComparisonFramework:
         self.double_buffering = double_buffering
         self.workers = workers
         self.gram = gram
-        self.strategy = strategy
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.backend = backend
@@ -230,7 +226,6 @@ class SNPComparisonFramework:
                 double_buffering=self.double_buffering,
                 workers=self.workers,
                 symmetric=None if self.gram else False,
-                strategy=self.strategy,
                 backend=self.backend,
                 executor=self.executor,
             )
@@ -290,7 +285,6 @@ class SNPComparisonFramework:
     def __repr__(self) -> str:
         workers = f", workers={self.workers}" if self.workers else ""
         gram = "" if self.gram else ", gram=False"
-        strategy = "" if self.strategy == "auto" else f", strategy={self.strategy!r}"
         backend = "" if self.backend == "auto" else f", backend={self.backend!r}"
         executor = (
             "" if self.executor == "auto" else f", executor={self.executor!r}"
@@ -299,5 +293,5 @@ class SNPComparisonFramework:
             f"SNPComparisonFramework(device={self.arch.name!r}, "
             f"algorithm={self.algorithm.value!r}, op={self.config.op.value!r}, "
             f"grid={self.config.grid_rows}x{self.config.grid_cols}"
-            f"{workers}{gram}{strategy}{backend}{executor})"
+            f"{workers}{gram}{backend}{executor})"
         )

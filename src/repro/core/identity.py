@@ -65,7 +65,6 @@ def identity_search(
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> IdentityResult:
@@ -84,9 +83,6 @@ def identity_search(
     gram:
         Allow the symmetric (Gram) fast path when queries *are* the
         database (an all-pairs self-scan -- XOR is symmetric).
-        Ignored when ``framework`` is supplied.
-    strategy:
-        Host shard strategy (``"auto"``/``"gemm"``/``"blocked"``).
         Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
@@ -107,8 +103,7 @@ def identity_search(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
-            gram=gram, strategy=strategy, backend=backend,
-            executor=executor,
+            gram=gram, backend=backend, executor=executor,
         )
     distances, report = framework.run(q, db)
     return IdentityResult(distances=distances, report=report)

@@ -290,7 +290,6 @@ class LDPruner:
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
         gram: bool = True,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -300,7 +299,7 @@ class LDPruner:
         self.r2 = r2
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            strategy=strategy, backend=backend, executor=executor,
+            backend=backend, executor=executor,
         )
         self._gram = _WindowGram(window, self.framework)
         self._kept: list[int] = []
@@ -465,7 +464,6 @@ class LDClumper:
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
         gram: bool = True,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -484,7 +482,7 @@ class LDClumper:
         self.scores = score_arr
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            strategy=strategy, backend=backend, executor=executor,
+            backend=backend, executor=executor,
         )
         self._gram = _WindowGram(window, self.framework)
         self._pending: dict[int, _PendingSite] = {}
@@ -674,7 +672,6 @@ def ld_prune(
     device: str | GPUArchitecture = "Titan V",
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
@@ -688,8 +685,7 @@ def ld_prune(
     """
     pruner = LDPruner(
         window, r2, device=device, workers=workers, gram=gram,
-        strategy=strategy, backend=backend, executor=executor,
-        framework=framework,
+        backend=backend, executor=executor, framework=framework,
     )
     stats = _drive(pruner, source, chunk_rows, prefetch, "ld-prune")
     result = pruner.finalize()
@@ -707,7 +703,6 @@ def ld_clump(
     device: str | GPUArchitecture = "Titan V",
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
@@ -720,8 +715,7 @@ def ld_clump(
     """
     clumper = LDClumper(
         window, r2, scores, device=device, workers=workers, gram=gram,
-        strategy=strategy, backend=backend, executor=executor,
-        framework=framework,
+        backend=backend, executor=executor, framework=framework,
     )
     stats = _drive(clumper, source, chunk_rows, prefetch, "clump")
     if clumper.sites_seen != clumper.scores.shape[0]:

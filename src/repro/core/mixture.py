@@ -84,7 +84,6 @@ def mixture_analysis(
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> MixtureResult:
@@ -108,9 +107,6 @@ def mixture_analysis(
         ANDNOT kernel is asymmetric; the pre-negated variant packs the
         right operand negated), so the Gram path can never engage.
         Ignored when ``framework`` is supplied.
-    strategy:
-        Host shard strategy (``"auto"``/``"gemm"``/``"blocked"``).
-        Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
@@ -129,8 +125,7 @@ def mixture_analysis(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_MIXTURE, prenegate=prenegate,
-            workers=workers, gram=gram, strategy=strategy, backend=backend,
-            executor=executor,
+            workers=workers, gram=gram, backend=backend, executor=executor,
         )
     scores, report = framework.run(r, m)
     return MixtureResult(

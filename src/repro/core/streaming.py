@@ -211,7 +211,6 @@ class StreamingIdentitySearch:
         k: int = 5,
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -233,7 +232,7 @@ class StreamingIdentitySearch:
         self.k = k
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
-            strategy=strategy, backend=backend, executor=executor,
+            backend=backend, executor=executor,
         )
         self._states = [_QueryState(k=k) for _ in range(q.shape[0])]
         self.rows_seen = 0
@@ -365,14 +364,13 @@ class StreamingLD:
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
         gram: bool = True,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            strategy=strategy, backend=backend, executor=executor,
+            backend=backend, executor=executor,
         )
 
     def run(
@@ -449,7 +447,6 @@ class StreamingMixture:
         device: str | GPUArchitecture = "Titan V",
         prenegate: bool | None = None,
         workers: int | None = None,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -465,7 +462,6 @@ class StreamingMixture:
             Algorithm.FASTID_MIXTURE,
             prenegate=prenegate,
             workers=workers,
-            strategy=strategy,
             backend=backend,
             executor=executor,
         )

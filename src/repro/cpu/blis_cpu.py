@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
+from repro.blis.gemm import bit_gemm
 from repro.blis.microkernel import ComparisonOp
 from repro.cpu.arch import CPUArchitecture, XEON_E5_2620_V2
 from repro.errors import PackingError
@@ -66,7 +66,7 @@ def cpu_snp_comparison(
     b_words: np.ndarray,
     op: ComparisonOp | str = ComparisonOp.AND,
     arch: CPUArchitecture = XEON_E5_2620_V2,
-    use_blocked_path: bool | None = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Compute the comparison table on the CPU baseline.
 
@@ -78,10 +78,12 @@ def cpu_snp_comparison(
         Comparison micro-kernel to apply.
     arch:
         CPU description (only ``word_bits`` is semantically relevant).
-    use_blocked_path:
-        Force the blocked 5-loop walk (True) or the fast identity path
-        (False).  Default: blocked for small problems (exercises the
-        real structure), fast for large ones.
+    backend:
+        Kernel-ABI backend (:mod:`repro.kernels`), e.g. ``"blis"`` for
+        the blocked 5-loop walk on this CPU's blocking or ``"blas"``
+        for the identity GEMM.  Default: the size rule of
+        :func:`repro.kernels.pick_backend` (the walk for small
+        problems, exercising the real structure; BLAS for large ones).
 
     Returns
     -------
@@ -96,11 +98,5 @@ def cpu_snp_comparison(
             f"cpu_snp_comparison: operands must be {expected_dtype.__name__} "
             f"words for {arch.name}, got {a.dtype}/{b.dtype}"
         )
-    m, k = a.shape
-    n = b.shape[0]
-    if use_blocked_path is None:
-        use_blocked_path = m * n * max(k, 1) <= 2_000_000
-    if use_blocked_path:
-        plan = default_cpu_blocking(m, n, k, arch)
-        return bit_gemm_blocked(a, b, op, plan)
-    return bit_gemm_fast(a, b, op)
+    plan = default_cpu_blocking(a.shape[0], b.shape[0], a.shape[1], arch)
+    return bit_gemm(a, b, op, backend=backend, plan=plan)

@@ -3,12 +3,12 @@
 ``execute_kernel`` is where the two halves of the simulation meet:
 
 * the **functional path** computes the exact comparison table with the
-  shared :mod:`repro.blis` drivers -- the blocked five-loop walk for
-  small problems (exercising the genuine tile structure the kernel
-  implements) and the identity-based fast path for large ones (bit
-  exact, see :func:`repro.blis.gemm.bit_gemm_fast`); with
-  ``workers > 1`` it routes through the sharded host engine
-  (:mod:`repro.parallel.engine`) instead, which partitions the same
+  shared serial driver :func:`repro.blis.gemm.bit_gemm` -- by the one
+  size rule, the ``blis`` five-loop walk for small problems
+  (exercising the genuine tile structure the kernel implements) and
+  the ``blas`` identity GEMM for large ones; with ``workers > 1`` it
+  routes through the sharded host engine (:mod:`repro.parallel.engine`)
+  instead, which partitions the same
   :class:`~repro.blis.blocking.BlockingPlan` across a thread pool;
 * the **timing path** prices the launch with the analytical cycle
   model (:mod:`repro.gpu.cycles`).
@@ -23,16 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blis.gemm import (
-    bit_gemm_backend,
-    bit_gemm_blocked,
-    bit_gemm_fast,
-    same_operand,
-)
+from repro.blis.gemm import bit_gemm, same_operand
 from repro.errors import KernelLaunchError, ReproError
 from repro.gpu.cycles import CycleBreakdown, kernel_cycles
 from repro.gpu.kernel import KernelArgs, SnpKernel
-from repro.kernels import DEFAULT_BACKEND_NAME, resolve_backend_name
+from repro.kernels import pick_backend
 from repro.observability.counters import KERNEL_LAUNCHES, KERNEL_RETRIES
 from repro.observability.tracer import get_tracer
 from repro.parallel.engine import ParallelReport, get_engine
@@ -43,29 +38,25 @@ __all__ = [
     "KernelProfile",
     "execute_kernel",
     "price_kernel",
-    "BLOCKED_PATH_OP_LIMIT",
 ]
-
-#: Problems up to this many word-ops run the genuine blocked tile walk;
-#: larger ones switch to the bit-exact identity path to keep the Python
-#: functional simulation tractable.
-BLOCKED_PATH_OP_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
 class KernelProfile:
     """Timing and accounting for one simulated kernel launch.
 
-    ``parallel`` carries the host-engine report (shard profiles, cache
-    stats) when the functional path ran sharded; ``None`` for serial
-    and timing-only launches.  ``retries`` counts launch re-attempts
-    after transient (injected) kernel-launch faults.
+    ``backend`` names the kernel backend that computed the functional
+    table (``""`` for timing-only launches).  ``parallel`` carries the
+    host-engine report (shard profiles) when the functional path ran
+    on the engine; ``None`` for serial and timing-only launches.
+    ``retries`` counts launch re-attempts after transient (injected)
+    kernel-launch faults.
     """
 
     kernel_name: str
     device: str
     breakdown: CycleBreakdown
-    used_blocked_path: bool
+    backend: str
     parallel: ParallelReport | None = None
     retries: int = 0
 
@@ -96,7 +87,7 @@ def price_kernel(kernel: SnpKernel, args: KernelArgs) -> KernelProfile:
         kernel_name=f"snp_{kernel.op.value}",
         device=kernel.arch.name,
         breakdown=breakdown,
-        used_blocked_path=False,
+        backend="",
     )
 
 
@@ -105,10 +96,8 @@ def execute_kernel(
     a_words: np.ndarray,
     b_words: np.ndarray,
     args: KernelArgs | None = None,
-    force_blocked_path: bool | None = None,
     workers: int | None = None,
     symmetric: bool | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> tuple[np.ndarray, KernelProfile]:
@@ -123,31 +112,24 @@ def execute_kernel(
         device's word width.
     args:
         Explicit extents; default derives them from the operands.
-    force_blocked_path:
-        Override the functional-path size heuristic (tests use this).
     workers:
         With ``workers > 1`` the functional table is computed by the
         sharded host engine on a shared thread pool (bit-exact; the
-        engine falls back to the serial drivers below its crossover).
-        ``None``/``1`` keeps the serial paths.  Ignored when
-        ``force_blocked_path`` pins the serial blocked walk.
+        engine falls back to the serial driver below its crossover).
+        ``None``/``1`` keeps the serial driver.
     symmetric:
         Gram-mode hint.  ``None`` auto-detects (same packed matrix on
         both sides + symmetric op); ``True`` requires it (validated);
         ``False`` disables the triangular path even for
         self-comparisons.
-    strategy:
-        Host-engine shard strategy (``"auto"``/``"gemm"``/
-        ``"blocked"``); ``"auto"`` consults the persisted host tuning
-        cache.  Only used when the engine path runs.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the functional
-        table.  ``"auto"`` defers to ``REPRO_BACKEND`` / the tuner /
-        the reference backend; an explicit name is validated.  On the
-        serial path a non-default backend computes the table through
-        :func:`repro.blis.gemm.bit_gemm_backend` (bit-exact); Gram-mode
-        serial runs and pinned blocked walks stay on the reference
-        drivers so their counters and tile structure are unchanged.
+        table; an explicit name is validated.  On the serial path the
+        size rule of :func:`repro.kernels.pick_backend` applies:
+        Gram-mode runs up to its limit walk the ``blis`` triangle on
+        the kernel's own plan, ``"auto"`` defers to ``REPRO_BACKEND``
+        and then to ``blis``/``blas`` by size.  The engine path
+        additionally consults the tuner.
     executor:
         Host-engine shard executor (``"auto"``/``"thread"``/
         ``"process"``): where the engine path runs its shards (see
@@ -175,11 +157,6 @@ def execute_kernel(
         )
 
     plan = kernel.blocking_plan(args.m, args.n, args.k)
-    use_blocked = (
-        plan.total_ops() <= BLOCKED_PATH_OP_LIMIT
-        if force_blocked_path is None
-        else force_blocked_path
-    )
     obs = get_tracer()
     res = get_resilience()
     obs.counters.add(KERNEL_LAUNCHES)
@@ -202,37 +179,24 @@ def execute_kernel(
         while True:
             try:
                 res.injector.check("kernel", attempt=attempt)
-                if (
-                    workers is not None
-                    and workers > 1
-                    and force_blocked_path is None
-                ):
+                if workers is not None and workers > 1:
                     c, parallel_report = get_engine(
-                        workers, strategy, backend, executor
+                        workers, backend, executor
                     ).run(a, b, kernel.op, plan=plan, symmetric=symmetric)
-                    use_blocked = False
+                    ran = parallel_report.backend
                 else:
                     serial_symmetric = (
                         kernel.op.is_symmetric and same_operand(a, b)
                         if symmetric is None
                         else symmetric
                     )
-                    resolved = resolve_backend_name(backend)
-                    if (
-                        resolved != DEFAULT_BACKEND_NAME
-                        and not serial_symmetric
-                        and force_blocked_path is None
-                    ):
-                        c = bit_gemm_backend(a, b, kernel.op, backend=resolved)
-                        use_blocked = False
-                    elif use_blocked:
-                        c = bit_gemm_blocked(
-                            a, b, kernel.op, plan, symmetric=serial_symmetric
-                        )
-                    else:
-                        c = bit_gemm_fast(
-                            a, b, kernel.op, symmetric=serial_symmetric
-                        )
+                    ran = pick_backend(
+                        plan.total_ops(), serial_symmetric, backend
+                    )
+                    c = bit_gemm(
+                        a, b, kernel.op, backend=ran, plan=plan,
+                        symmetric=serial_symmetric,
+                    )
                 break
             except ReproError as exc:
                 if (
@@ -250,7 +214,7 @@ def execute_kernel(
         kernel_name=f"snp_{kernel.op.value}",
         device=kernel.arch.name,
         breakdown=breakdown,
-        used_blocked_path=use_blocked,
+        backend=ran,
         parallel=parallel_report,
         retries=launch_retries,
     )

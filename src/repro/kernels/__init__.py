@@ -4,19 +4,19 @@ See :mod:`repro.kernels.abi` for the contract and resolution rules,
 and ``docs/KERNELS.md`` for the narrative.  Importing this package
 registers the built-in backends:
 
-* ``numpy``   -- the reference word-walk (always available);
-* ``numba``   -- ``@njit`` compiled panel, pure-python fallback when
-  Numba is absent;
+* ``numpy``   -- the reference word-walk (the oracle; never tuned);
+* ``blas``    -- the popcount identities as float32 BLAS GEMMs;
+* ``blis``    -- the BLIS five-loop walk the simulated device runs;
 * ``cnative`` -- C panel compiled with the host toolchain (unavailable
   without a C compiler);
-* ``sim``     -- the simulated-device BLIS tile walk.
+* ``numba``   -- ``@njit`` compiled panel (unavailable without Numba).
 
 Registration is import-side-effect only; nothing is JIT- or
 C-compiled until a backend is actually probed or used.
 """
 
 from repro.kernels.abi import (
-    DEFAULT_BACKEND_NAME,
+    BLIS_OP_LIMIT,
     OPCODES,
     REPRO_BACKEND_ENV,
     BackendInfo,
@@ -29,27 +29,29 @@ from repro.kernels.abi import (
     check_panel_operands,
     env_backend_name,
     get_backend,
+    pick_backend,
     register_backend,
     registered_backends,
-    resolve_backend,
     resolve_backend_name,
 )
+from repro.kernels.blas_backend import BlasBackend
+from repro.kernels.blis_backend import BlisBackend
 from repro.kernels.cnative_backend import CNativeBackend
 from repro.kernels.numba_backend import HAVE_NUMBA, NumbaBackend
 from repro.kernels.numpy_backend import NumPyBackend
-from repro.kernels.sim_backend import SimulatedDeviceBackend
 
 __all__ = [
-    "DEFAULT_BACKEND_NAME",
+    "BLIS_OP_LIMIT",
     "OPCODES",
     "REPRO_BACKEND_ENV",
     "HAVE_NUMBA",
     "BackendInfo",
     "KernelBackend",
     "NumPyBackend",
+    "BlasBackend",
+    "BlisBackend",
     "NumbaBackend",
     "CNativeBackend",
-    "SimulatedDeviceBackend",
     "available_backends",
     "backend_available",
     "backend_fingerprint",
@@ -58,9 +60,9 @@ __all__ = [
     "check_panel_operands",
     "env_backend_name",
     "get_backend",
+    "pick_backend",
     "register_backend",
     "registered_backends",
-    "resolve_backend",
     "resolve_backend_name",
 ]
 
@@ -68,6 +70,7 @@ __all__ = [
 # the registry lives in repro.kernels.abi, which is imported once).
 if "numpy" not in backend_names():
     register_backend(NumPyBackend())
-    register_backend(NumbaBackend())
+    register_backend(BlasBackend())
+    register_backend(BlisBackend())
     register_backend(CNativeBackend())
-    register_backend(SimulatedDeviceBackend())
+    register_backend(NumbaBackend())

@@ -19,10 +19,13 @@ Resolution rules (shared by every layer):
 * an explicit backend name must exist and be available, else
   :class:`~repro.errors.ConfigurationError`;
 * ``"auto"`` honours the ``REPRO_BACKEND`` environment variable when
-  set (the CI backend matrix forces legs this way), otherwise it
-  defaults to the reference backend -- the persisted host autotuner
-  (:mod:`repro.parallel.tuner`) is what upgrades ``"auto"`` to a
-  measured per-machine winner;
+  set (the CI backend matrix forces legs this way); the persisted host
+  autotuner (:mod:`repro.parallel.tuner`) upgrades ``"auto"`` to a
+  measured per-machine winner on sharded engine runs;
+* otherwise :func:`pick_backend` applies the one size rule: a Gram run
+  of at most :data:`BLIS_OP_LIMIT` word-ops takes the ``blis``
+  triangle walk, a named backend runs as named, and ``"auto"`` picks
+  ``blis`` up to the limit and ``blas`` above it;
 * :func:`backend_fingerprint` summarises the installed backend set
   (names + versions) so tuning records are invalidated when a backend
   appears, disappears, or changes version.
@@ -49,7 +52,7 @@ from repro.util.bitops import WORD_BITS_32, pack_bits, popcount
 
 __all__ = [
     "REPRO_BACKEND_ENV",
-    "DEFAULT_BACKEND_NAME",
+    "BLIS_OP_LIMIT",
     "OPCODES",
     "BackendInfo",
     "KernelBackend",
@@ -62,8 +65,8 @@ __all__ = [
     "get_backend",
     "backend_available",
     "env_backend_name",
-    "resolve_backend",
     "resolve_backend_name",
+    "pick_backend",
     "backend_fingerprint",
 ]
 
@@ -71,9 +74,10 @@ __all__ = [
 #: (the CI backend matrix sets it per leg).
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: What ``"auto"`` resolves to absent an environment override and a
-#: tuning record: the reference backend, always available.
-DEFAULT_BACKEND_NAME = "numpy"
+#: Serial GEMMs of at most this many packed-word operations run the
+#: ``blis`` walk -- always for Gram runs (its triangle skip carries the
+#: word-op accounting), and for ``"auto"``, which picks ``blas`` above.
+BLIS_OP_LIMIT = 2_000_000
 
 #: Stable integer codes compiled backends dispatch the comparison op
 #: on (AND_PRENEGATED is AND on pre-negated words by construction).
@@ -90,17 +94,16 @@ class BackendInfo:
     """Capability/availability descriptor of one registered backend.
 
     ``available`` means the backend can compute *at all* on this host
-    (the Numba backend stays available through its pure-python
-    fallback; the native-C backend goes unavailable when no C compiler
-    is found).  ``compiled`` marks a machine-code inner loop -- the
-    bench-regression speedup gate applies only to compiled backends.
-    ``tunable`` backends are raced by the persisted host autotuner;
-    the simulated-device registration opts out (it exists for ABI
-    uniformity, not throughput).
+    (the Numba backend goes unavailable without Numba, the native-C
+    backend without a C compiler).  ``compiled`` marks a machine-code
+    inner loop -- the bench-regression speedup gate applies only to
+    compiled backends.  ``tunable`` backends are raced by the persisted
+    host autotuner; the reference word-walk opts out (it is the oracle,
+    not a candidate).
     """
 
     name: str
-    kind: str  # "reference" | "jit" | "native" | "simulated"
+    kind: str  # "reference" | "blas" | "walk" | "jit" | "native"
     version: str
     available: bool
     compiled: bool
@@ -114,8 +117,8 @@ def check_panel_operands(
 ) -> tuple[np.ndarray, np.ndarray, ComparisonOp]:
     """Validate one panel call; returns normalised ``(a, b, op)``.
 
-    Same contract as the :mod:`repro.blis.gemm` drivers: 2-D packed
-    words of a shared unsigned dtype with matching k extents.
+    The one operand check every driver, backend and the engine share:
+    2-D packed words of a shared unsigned dtype with matching k extents.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -174,12 +177,18 @@ def canonicalize_words(words: np.ndarray) -> np.ndarray:
 class KernelBackend(ABC):
     """One implementation of the three-primitive compute contract.
 
-    Subclasses must provide :attr:`info` and :meth:`bit_gemm_panel`;
-    :meth:`pack` and :meth:`popcount_reduce` have reference defaults
-    (NumPy) that backends may override with compiled equivalents.
-    ``bit_gemm_panel`` must be thread-safe and release the GIL where it
-    can -- the parallel engine calls it concurrently from pool threads.
+    Subclasses must provide :attr:`name`, :attr:`info` and
+    :meth:`bit_gemm_panel`; :meth:`pack` and :meth:`popcount_reduce`
+    have reference defaults (NumPy) that backends may override with
+    compiled equivalents.  ``bit_gemm_panel`` must be thread-safe and
+    release the GIL where it can -- the parallel engine calls it
+    concurrently from pool threads.
     """
+
+    #: The registry name.  A plain attribute, unlike :attr:`info`:
+    #: registering or naming a backend never probes its availability
+    #: (which for ``cnative`` means compiling the kernel).
+    name: str
 
     @property
     @abstractmethod
@@ -234,10 +243,10 @@ def register_backend(
 ) -> KernelBackend:
     """Add ``backend`` to the process-wide registry (returns it).
 
-    Registration is by descriptor name; duplicate names raise unless
-    ``replace=True`` (tests use replacement to shadow a backend).
+    Registration is by :attr:`KernelBackend.name`; duplicate names raise
+    unless ``replace=True`` (tests use replacement to shadow a backend).
     """
-    name = backend.info.name
+    name = backend.name
     with _REGISTRY_LOCK:
         if name in _REGISTRY and not replace:
             raise ConfigurationError(
@@ -307,16 +316,15 @@ def env_backend_name() -> str | None:
     return name
 
 
-def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve a backend spec to a concrete registered name.
+def resolve_backend_name(name: str | None = None) -> str | None:
+    """Resolve a backend spec to a named, available backend, or ``None``.
 
-    ``None``/``"auto"`` resolves to the ``REPRO_BACKEND`` override or
-    the reference default; explicit names are validated for existence
-    and availability.  (The parallel engine layers the autotuner's
-    per-machine choice on top of this for untuned ``"auto"`` runs.)
+    ``None``/``"auto"`` resolves to the ``REPRO_BACKEND`` override, or
+    ``None`` when unset (the caller's size rule decides); explicit
+    names are validated for existence and availability.
     """
     if name is None or name == "auto":
-        return env_backend_name() or DEFAULT_BACKEND_NAME
+        return env_backend_name()
     backend = get_backend(name)
     if not backend.info.available:
         raise ConfigurationError(
@@ -326,9 +334,22 @@ def resolve_backend_name(name: str | None = None) -> str:
     return name
 
 
-def resolve_backend(name: str | None = None) -> KernelBackend:
-    """:func:`resolve_backend_name`, returning the backend object."""
-    return get_backend(resolve_backend_name(name))
+def pick_backend(
+    total_ops: int, symmetric: bool = False, backend: str | None = "auto"
+) -> str:
+    """The one size rule naming the backend a serial GEMM runs on.
+
+    A Gram run (``symmetric``) of at most :data:`BLIS_OP_LIMIT`
+    word-ops takes the ``blis`` triangle walk; otherwise a named
+    backend (explicit, or ``REPRO_BACKEND`` for ``"auto"``) runs;
+    otherwise ``blis`` runs up to the limit and ``blas`` above it.
+    """
+    name = resolve_backend_name(backend)  # validates even when unused
+    if symmetric and total_ops <= BLIS_OP_LIMIT:
+        return "blis"
+    if name is not None:
+        return name
+    return "blis" if total_ops <= BLIS_OP_LIMIT else "blas"
 
 
 def backend_fingerprint() -> str:

@@ -154,6 +154,8 @@ def _build_library(cc: str) -> Path:
 class CNativeBackend(KernelBackend):
     """ctypes-loaded C implementation of the kernel ABI."""
 
+    name = "cnative"
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._probed = False
@@ -201,7 +203,7 @@ class CNativeBackend(KernelBackend):
         available = lib is not None
         cc_name = os.path.basename(self._cc) if self._cc else "none"
         return BackendInfo(
-            name="cnative",
+            name=self.name,
             kind="native",
             version=f"cc-{cc_name}",
             available=available,

@@ -7,13 +7,10 @@ parallel engine's pool threads genuinely overlap panel calls.  The JIT
 is built lazily on first use, so importing the package never pays
 compilation time.
 
-When Numba is *absent* the backend stays importable and computable
-through a pure-python fallback (``int.bit_count`` over python-int
-rows).  The fallback is orders of magnitude slower -- it exists so the
-import path, the ABI conformance suite and the ``no-optional-deps`` CI
-job work without the optional dependency, and its descriptor reports
-``compiled=False``/``tunable=False`` so neither the autotuner nor the
-bench speedup gate ever treats it as an accelerated path.
+Without Numba the backend stays registered but unavailable -- like
+``cnative`` without a C compiler -- with the reason in its descriptor,
+so ``--backend numba`` fails loudly while ``"auto"`` and the registry
+iteration keep working.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.blis.microkernel import ComparisonOp
+from repro.errors import ConfigurationError
 from repro.kernels.abi import (
     OPCODES,
     BackendInfo,
@@ -110,61 +108,25 @@ def _get_jit() -> tuple[_PanelFn, _PopsumFn]:  # pragma: no cover - numba only
         return _JIT_PANEL, _JIT_POPSUM
 
 
-def _python_panel(a: np.ndarray, b: np.ndarray, opcode: int) -> np.ndarray:
-    """Pure-python fallback: ``int.bit_count`` over python-int rows.
-
-    Bit-exact with the jit path by construction (same canonical words,
-    same op semantics); only suitable for small panels.
-    """
-    mask = (1 << 64) - 1
-    a_rows: list[list[int]] = a.tolist()
-    b_rows: list[list[int]] = b.tolist()
-    out = np.zeros((len(a_rows), len(b_rows)), dtype=np.int64)
-    for i, row_a in enumerate(a_rows):
-        for j, row_b in enumerate(b_rows):
-            acc = 0
-            if opcode == 0:
-                for x, y in zip(row_a, row_b):
-                    acc += (x & y).bit_count()
-            elif opcode == 1:
-                for x, y in zip(row_a, row_b):
-                    acc += (x ^ y).bit_count()
-            else:
-                for x, y in zip(row_a, row_b):
-                    acc += (x & (~y & mask)).bit_count()
-            out[i, j] = acc
-    return out
-
-
 class NumbaBackend(KernelBackend):
-    """``@njit`` popcount bit-GEMM with a pure-python fallback."""
+    """``@njit`` popcount bit-GEMM (unavailable without Numba)."""
+
+    name = "numba"
 
     @property
     def info(self) -> BackendInfo:
-        if HAVE_NUMBA:  # pragma: no cover - numba only
-            return BackendInfo(
-                name="numba",
-                kind="jit",
-                version=NUMBA_VERSION,
-                available=True,
-                compiled=True,
-                tunable=True,
-                description=(
-                    "Numba @njit word-level SWAR popcount panel "
-                    "(nogil, lazily compiled)"
-                ),
-            )
         return BackendInfo(
-            name="numba",
+            name=self.name,
             kind="jit",
             version=NUMBA_VERSION,
-            available=True,
-            compiled=False,
-            tunable=False,
+            available=HAVE_NUMBA,
+            compiled=HAVE_NUMBA,
+            tunable=HAVE_NUMBA,
             description=(
-                "numba not installed: pure-python int.bit_count fallback "
-                "(correct but slow; install numba for the compiled path)"
+                "Numba @njit word-level SWAR popcount panel "
+                "(nogil, lazily compiled)"
             ),
+            unavailable_reason=None if HAVE_NUMBA else "numba is not installed",
         )
 
     def bit_gemm_panel(
@@ -174,18 +136,15 @@ class NumbaBackend(KernelBackend):
         op: ComparisonOp | str = ComparisonOp.AND,
     ) -> np.ndarray:
         a, b, op = check_panel_operands(a, b, op)
+        if not HAVE_NUMBA:
+            raise ConfigurationError("numba backend unavailable: numba is not installed")
         m, n = a.shape[0], b.shape[0]
+        out = np.zeros((m, n), dtype=np.int64)
         if m == 0 or n == 0 or a.shape[1] == 0:
-            return np.zeros((m, n), dtype=np.int64)
-        opcode = OPCODES[op]
-        ca = canonicalize_words(a)
-        cb = canonicalize_words(b)
-        if HAVE_NUMBA:  # pragma: no cover - numba only
-            panel, _ = _get_jit()
-            out = np.zeros((m, n), dtype=np.int64)
-            panel(ca, cb, opcode, out)
             return out
-        return _python_panel(ca, cb, opcode)
+        panel, _ = _get_jit()  # pragma: no cover - numba only
+        panel(canonicalize_words(a), canonicalize_words(b), OPCODES[op], out)
+        return out
 
     def popcount_reduce(
         self, words: np.ndarray, axis: int | None = None

@@ -42,21 +42,23 @@ def reference_panel(
 class NumPyBackend(KernelBackend):
     """The always-available reference implementation of the ABI."""
 
+    name = "numpy"
+
     def __init__(self, row_block: int = DEFAULT_ROW_BLOCK) -> None:
         self.row_block = row_block
 
     @property
     def info(self) -> BackendInfo:
         return BackendInfo(
-            name="numpy",
+            name=self.name,
             kind="reference",
             version=np.__version__,
             available=True,
             compiled=False,
-            tunable=True,
+            tunable=False,
             description=(
                 "pure-NumPy popcount word-walk (the bit-exact oracle "
-                "every other backend is gated against)"
+                "every other backend is gated against; never tuned)"
             ),
         )
 

@@ -30,9 +30,6 @@ Turn it on around a region of interest::
 """
 
 from repro.observability.counters import (
-    CACHE_EVICTIONS,
-    CACHE_HITS,
-    CACHE_MISSES,
     COUNTER_CATALOGUE,
     GEMM_CALLS,
     GEMM_WORD_OPS,
@@ -41,8 +38,6 @@ from repro.observability.counters import (
     NULL_COUNTERS,
     PACK_BYTES,
     PACK_OPERANDS,
-    PANEL_BUILDS,
-    PANEL_BYTES,
     SHARDS_EXECUTED,
     SIM_DEVICE_SECONDS,
     CounterRegistry,
@@ -68,9 +63,6 @@ from repro.observability.trace_export import (
 )
 
 __all__ = [
-    "CACHE_EVICTIONS",
-    "CACHE_HITS",
-    "CACHE_MISSES",
     "COUNTER_CATALOGUE",
     "GEMM_CALLS",
     "GEMM_WORD_OPS",
@@ -79,8 +71,6 @@ __all__ = [
     "NULL_COUNTERS",
     "PACK_BYTES",
     "PACK_OPERANDS",
-    "PANEL_BUILDS",
-    "PANEL_BYTES",
     "SHARDS_EXECUTED",
     "SIM_DEVICE_SECONDS",
     "CounterRegistry",

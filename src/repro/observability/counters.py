@@ -6,7 +6,7 @@ below names every counter the instrumented layers emit; values are
 plain integers (byte counts, operation counts) or floats (seconds), so
 tests can assert them against closed-form expectations -- e.g. the
 POPC word-op count of a bit-GEMM is exactly ``m * n * k_words``
-regardless of worker count or shard strategy.
+regardless of worker count or kernel backend.
 
 The registry follows the tracer's null-object pattern
 (:mod:`repro.observability.tracer`): the disabled default is
@@ -26,15 +26,9 @@ __all__ = [
     "COUNTER_CATALOGUE",
     "PACK_OPERANDS",
     "PACK_BYTES",
-    "PANEL_BUILDS",
-    "PANEL_BYTES",
     "GEMM_CALLS",
     "GEMM_WORD_OPS",
     "KERNEL_LAUNCHES",
-    "CACHE_HITS",
-    "CACHE_MISSES",
-    "CACHE_EVICTIONS",
-    "PANEL_DEDUP_HITS",
     "SHARDS_EXECUTED",
     "SHARDS_MIRRORED",
     "HOST_ENGINE_SECONDS",
@@ -81,27 +75,13 @@ __all__ = [
 PACK_OPERANDS = "pack.operands"
 #: Bytes of packed words produced by operand packing.
 PACK_BYTES = "pack.bytes_packed"
-#: BLIS pack-buffer builds (A/B panels) inserted into a panel cache.
-PANEL_BUILDS = "pack.panel_builds"
-#: Bytes of BLIS pack buffers built (cache misses only).
-PANEL_BYTES = "pack.panel_bytes"
 #: Bit-GEMM driver invocations (serial drivers and sharded runs alike).
 GEMM_CALLS = "gemm.calls"
 #: POPC word operations executed: ``m * n * k_words`` per logical GEMM,
-#: counted exactly once whichever driver or shard strategy ran it.
+#: counted exactly once whichever driver or kernel backend ran it.
 GEMM_WORD_OPS = "gemm.popc_word_ops"
 #: Simulated kernel launches through :func:`repro.gpu.executor.execute_kernel`.
 KERNEL_LAUNCHES = "kernel.launches"
-#: Panel-cache hits.
-CACHE_HITS = "cache.hits"
-#: Panel-cache misses.
-CACHE_MISSES = "cache.misses"
-#: Panel-cache LRU evictions.
-CACHE_EVICTIONS = "cache.evictions"
-#: Panel-cache hits served across operand sides: the requester asked
-#: for the A-side (or B-side) of a panel another side already built.
-#: Non-zero only in Gram mode, where both sides are the same matrix.
-PANEL_DEDUP_HITS = "cache.dedup_hits"
 #: Shards executed by the parallel engine (serial fallback counts 1).
 SHARDS_EXECUTED = "shards.executed"
 #: Shards filled by reflecting a computed shard into its transpose
@@ -212,15 +192,9 @@ LDOPS_WINDOW_PEAK_SITES = "ldops.window_peak_sites"
 COUNTER_CATALOGUE: dict[str, str] = {
     PACK_OPERANDS: "operands packed for the device (pack_operand calls)",
     PACK_BYTES: "bytes of packed words produced by operand packing",
-    PANEL_BUILDS: "BLIS pack-buffer builds (panel-cache misses)",
-    PANEL_BYTES: "bytes of BLIS pack buffers built",
     GEMM_CALLS: "bit-GEMM driver invocations",
     GEMM_WORD_OPS: "POPC word operations (m*n*k_words per GEMM, exact)",
     KERNEL_LAUNCHES: "simulated kernel launches",
-    CACHE_HITS: "panel-cache hits",
-    CACHE_MISSES: "panel-cache misses",
-    CACHE_EVICTIONS: "panel-cache LRU evictions",
-    PANEL_DEDUP_HITS: "panel-cache hits served across operand sides (Gram mode)",
     SHARDS_EXECUTED: "shards executed by the parallel engine",
     SHARDS_MIRRORED: "shards filled by transpose reflection (Gram mode)",
     HOST_ENGINE_SECONDS: "host wall seconds inside the parallel engine",

@@ -6,9 +6,6 @@ tiles; this package shards them across a host thread pool:
 * :mod:`repro.parallel.plan` -- :class:`ShardPlan`, derived from the
   device :class:`~repro.blis.blocking.BlockingPlan` so host sharding
   and device blocking share one partitioning arithmetic;
-* :mod:`repro.parallel.cache` -- the byte-budgeted LRU
-  :class:`PanelCache` that lets shards sharing a ``k_c`` panel pack it
-  once;
 * :mod:`repro.parallel.engine` -- :class:`ParallelEngine`,
   :func:`bit_gemm_parallel`, and the process-wide :func:`get_engine`
   pool registry (one pool shared across simulated devices);
@@ -16,13 +13,13 @@ tiles; this package shards them across a host thread pool:
   the ``executor="process"`` tier: worker processes with operands
   published through shared memory / mmap (``docs/DISTRIBUTED.md``);
 * :mod:`repro.parallel.tuner` -- the persisted host autotuner that
-  ``strategy="auto"`` (and ``executor="auto"``) consults
+  ``backend="auto"`` (and ``executor="auto"``) consults
   (:func:`tune_problem`, :func:`lookup_tuned`).
 
+Every shard is one kernel-ABI panel call (:mod:`repro.kernels`).
 Self-comparisons with a symmetric op take the Gram path: triangular
 shard plans (:meth:`ShardPlan.triangular`) compute only the diagonal
-and upper triangle and mirror the rest by transposition, and the
-panel cache deduplicates A-side/B-side entries of the same matrix.
+and upper triangle and mirror the rest by transposition.
 
 Entry points that accept ``workers`` --
 :func:`repro.gpu.executor.execute_kernel`, the framework/pipeline, the
@@ -32,7 +29,6 @@ through this package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 
 from typing import TYPE_CHECKING, Any
 
-from repro.parallel.cache import CacheStats, PanelCache
 from repro.parallel.engine import (
     EXECUTORS,
     PARALLEL_CROSSOVER_OPS,
@@ -54,9 +50,7 @@ from repro.parallel.tuner import (
 )
 
 __all__ = [
-    "CacheStats",
     "EXECUTORS",
-    "PanelCache",
     "PARALLEL_CROSSOVER_OPS",
     "ProcessShardExecutor",
     "REPRO_EXECUTOR_ENV",

@@ -8,75 +8,51 @@ overlap on multicore hosts -- and every shard writes its disjoint
 block of the shared output array (the partial-``gamma`` reduction is
 race-free by construction).
 
-Two shard strategies, both bit-exact with
-:func:`repro.blis.gemm.bit_gemm_reference`:
+The engine has three axes:
 
-* ``"blocked"`` -- the genuine BLIS walk: per ``k_c`` panel, pack A/B
-  micro-panels (through the shared :class:`~repro.parallel.cache.PanelCache`)
-  and run the popcount micro-kernel over batched groups of micro-tiles.
-* ``"gemm"`` -- the throughput path: per ``k_c`` panel, unpack the
-  shard's rows to float32 bit matrices (cached, so shards sharing a
-  panel unpack it once) and evaluate the popcount identities
-  (``POPC(a & b)`` summed = ``<bits(a), bits(b)>`` etc.) as one BLAS
-  GEMM.  Exact: per-panel dot products are bounded by
-  ``k_c * word_bits``, far below float32's 2**24 integer limit (panels
-  beyond that bound fall back to float64).
+* **Backend** -- every shard runs one kernel-ABI panel call,
+  ``backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)``
+  (:mod:`repro.kernels`): ``blas`` (float32 BLAS identities), ``blis``
+  (the five-loop walk), ``numpy`` (the reference word-walk) or a
+  compiled ``cnative``/``numba`` panel.  ``backend="auto"`` resolves,
+  in order: the ``REPRO_BACKEND`` environment variable, the tuning
+  record's measured winner (:mod:`repro.parallel.tuner`), then the
+  size rule of :func:`repro.kernels.pick_backend` (``blis`` up to
+  :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops, ``blas`` above).
+  Deterministic counters are backend-invariant: every shard records
+  the same ``SHARDS_EXECUTED`` and ``GEMM_WORD_OPS`` whichever backend
+  computes its block.
+* **Executor** -- *where* shards run: ``executor="thread"`` (the pool
+  above), ``"process"`` (a
+  :class:`~repro.parallel.procpool.ProcessShardExecutor` pool of
+  worker processes with operands published through shared memory /
+  mmap), or ``"auto"`` which honours the ``REPRO_EXECUTOR``
+  environment variable, then the tuning cache's measured winner, then
+  threads.  Worker processes ship per-shard counter deltas that the
+  parent merges, so counters match across executors; lost workers'
+  shards re-run on survivors and the run's
+  :class:`~repro.resilience.report.ResilienceReport` carries
+  ``workers_lost``.
+* **Plan shape** -- full or triangular.  When both operands are the
+  *same* packed matrix (``same_operand``) and the op is symmetric, the
+  output satisfies ``C == C.T`` and the engine switches to a
+  triangular shard plan (:meth:`~repro.parallel.plan.ShardPlan.triangular`):
+  only diagonal and upper-triangular shards are computed; each
+  off-diagonal shard also reflects its block into the transpose slot
+  (``mirror=True``, counted by :data:`SHARDS_MIRRORED`).  The
+  :data:`GEMM_WORD_OPS` counter records only *computed* word-ops, so
+  Gram runs show roughly ``(g + 1) / (2 g)`` of the full-path count.
 
-``"auto"`` (the default) consults the persisted host tuning cache
-(:mod:`repro.parallel.tuner`) for a strategy measured on this host;
-absent a record it picks ``"gemm"``.  Problems below the crossover
-threshold -- or ``workers=1`` -- take the serial fallback through the
-existing :mod:`repro.blis.gemm` drivers, so the engine is safe to
-leave enabled everywhere.
+Problems below the crossover threshold -- or ``workers=1`` -- take the
+serial driver :func:`repro.blis.gemm.bit_gemm` (the same size rule;
+its Gram form walks the ``blis`` triangle), so the engine is safe to
+leave enabled everywhere.  Serial, threaded and process runs execute
+through the same :func:`execute_shard` retry/quarantine/verify
+ladder, so results are bit-exact across all of them.
 
-**Kernel backends.**  Orthogonally to the shard strategy, the engine
-accepts a kernel-ABI backend (:mod:`repro.kernels`).  A non-reference
-backend (``"numba"``, ``"cnative"``, ``"sim"``) replaces the shard
-compute with the backend's ``bit_gemm_panel`` (reported as strategy
-``"panel"``) and the serial fallback with the
-:func:`~repro.blis.gemm.bit_gemm_backend` driver; the reference
-``"numpy"`` backend keeps the strategies above.  ``backend="auto"``
-resolves, in order: the ``REPRO_BACKEND`` environment variable, the
-tuning record's measured winner (the tuner races backends exactly as
-it races strategies), then the reference backend.  Deterministic
-counters are backend-invariant: shard kernels record the same
-``GEMM_WORD_OPS``/``SHARDS_EXECUTED`` whichever backend computes the
-block, and symmetric *serial* runs always keep the triangular
-reference walk so Gram-mode accounting never drifts.
-
-**Gram mode.**  When both operands are the *same* packed matrix
-(``same_operand``) and the op is symmetric, the output satisfies
-``C == C.T`` and the engine switches to a triangular shard plan
-(:meth:`~repro.parallel.plan.ShardPlan.triangular`): only diagonal and
-upper-triangular shards are computed; each off-diagonal shard also
-reflects its block into the transpose slot (``mirror=True``,
-counted by :data:`SHARDS_MIRRORED`).  The :data:`GEMM_WORD_OPS`
-counter records only *computed* word-ops, so Gram runs show roughly
-``(g + 1) / (2 g)`` of the full-path count.  Self-comparisons also
-deduplicate panel cache entries across operand sides: the A-side and
-B-side unpacked panels of the same row range share one entry
-(:data:`~repro.observability.counters.PANEL_DEDUP_HITS`).
-
-**Executors.**  A third axis, orthogonal to strategy and backend,
-selects *where* shards run: ``executor="thread"`` (the default pool
-above), ``"process"`` (a :class:`~repro.parallel.procpool.ProcessShardExecutor`
-pool of worker processes with operands published through
-shared memory / mmap -- see :mod:`repro.parallel.procpool`), or
-``"auto"`` which honours the ``REPRO_EXECUTOR`` environment variable,
-then the tuning cache's measured winner, then threads.  All three
-paths -- serial, threaded, process -- execute shards through the same
-:meth:`ParallelEngine._execute_shard` retry/quarantine/verify ladder,
-so results are bit-exact across executors and the deterministic
-counters match (worker processes ship per-shard counter deltas that
-the parent merges).  Worker-process loss generalizes the resilience
-ladder's device-loss rung: lost workers' shards re-run on survivors
-and the run's :class:`~repro.resilience.report.ResilienceReport`
-carries ``workers_lost``.
-
-Per-shard timing and cache accounting surface as
-:class:`ShardProfile` records (the host-side analogue of
-:class:`repro.gpu.executor.KernelProfile`) inside a
-:class:`ParallelReport`.
+Per-shard timing surfaces as :class:`ShardProfile` records (the
+host-side analogue of :class:`repro.gpu.executor.KernelProfile`)
+inside a :class:`ParallelReport`.
 """
 
 from __future__ import annotations
@@ -93,26 +69,27 @@ import numpy as np
 
 from repro.blis.blocking import BlockingPlan
 from repro.blis.gemm import (
-    bit_gemm_backend,
-    bit_gemm_blocked,
-    bit_gemm_fast,
+    HOST_BLOCKING,
+    bit_gemm,
     bit_gemm_reference,
+    check_symmetric,
+    host_plan,
     same_operand,
 )
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    KernelBackend,
-    backend_available,
-    env_backend_name,
-    get_backend,
-)
-from repro.blis.microkernel import ComparisonOp, get_microkernel
-from repro.blis.packing import pack_a_panel, pack_b_panel
+from repro.blis.microkernel import ComparisonOp
 from repro.errors import (
     ConfigurationError,
     PackingError,
     ReproError,
     ShardExecutionError,
+)
+from repro.kernels import (
+    KernelBackend,
+    backend_available,
+    check_panel_operands,
+    env_backend_name,
+    get_backend,
+    pick_backend,
 )
 from repro.observability.counters import (
     GEMM_CALLS,
@@ -127,22 +104,19 @@ from repro.observability.counters import (
 )
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
-from repro.parallel.cache import DEFAULT_BUDGET_BYTES, CacheStats, PanelCache
 from repro.parallel.plan import TRIANGULAR_MIN_BANDS, Shard, ShardPlan
 from repro.resilience.faults import FiredFault
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import ResilienceContext, get_resilience
-from repro.util.bitops import popcount, unpack_bits
 from repro.util.validation import check_workers
 
 if TYPE_CHECKING:
     from repro.parallel.procpool import ProcessShardExecutor
     from repro.parallel.tuner import TuningRecord
 
-#: Shard kernel contract: (shard, a, b, op, plan, cache, dedup) ->
-#: (output block, cache hits, cache misses).
-ShardCompute = Callable[..., "tuple[np.ndarray, int, int]"]
+#: Shard kernel contract: (shard, a, b, op, plan) -> output block.
+ShardCompute = Callable[[Shard, np.ndarray, np.ndarray, ComparisonOp, BlockingPlan], np.ndarray]
 
 __all__ = [
     "EXECUTORS",
@@ -152,7 +126,9 @@ __all__ = [
     "ParallelReport",
     "ParallelEngine",
     "bit_gemm_parallel",
+    "execute_shard",
     "get_engine",
+    "shard_compute",
 ]
 
 #: Environment variable selecting the shard executor when an engine is
@@ -165,23 +141,8 @@ REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
 EXECUTORS = ("auto", "thread", "process")
 
 #: Problems below this many packed-word operations run the serial
-#: fallback: pool dispatch and panel-cache bookkeeping cost more than
-#: they save on small tables.
+#: driver: pool dispatch costs more than it saves on small tables.
 PARALLEL_CROSSOVER_OPS = 1 << 21
-
-#: Serial fallback stays on the genuine blocked walk up to this many
-#: word-ops (mirrors the GPU executor's functional-path heuristic),
-#: then switches to the identity-based fast driver.
-SERIAL_BLOCKED_OP_LIMIT = 2_000_000
-
-#: float32 dot products are exact below 2**24; wider k_c panels use
-#: float64 for the GEMM strategy.
-_FLOAT32_EXACT_BITS = 1 << 24
-
-#: Host-default blocking parameters (also the ``plan=None`` default in
-#: :meth:`ParallelEngine.run`): small ``lcm(m_r, n_r)`` so triangular
-#: Gram plans can band finely.
-_HOST_BLOCKING = {"m_c": 32, "k_c": 256, "m_r": 4, "n_r": 64}
 
 
 def _gram_blocking(plan: BlockingPlan) -> BlockingPlan:
@@ -197,23 +158,14 @@ def _gram_blocking(plan: BlockingPlan) -> BlockingPlan:
     unaffected (it is priced off the kernel's own plan upstream).
     """
     given_unit = math.lcm(plan.m_r, plan.n_r)
-    host_unit = math.lcm(_HOST_BLOCKING["m_r"], _HOST_BLOCKING["n_r"])
+    host_unit = math.lcm(HOST_BLOCKING["m_r"], HOST_BLOCKING["n_r"])
     if given_unit <= host_unit:
         return plan
     given_bands = max(1, plan.m // given_unit)
     host_bands = max(1, plan.m // host_unit)
     if given_bands >= min(TRIANGULAR_MIN_BANDS, host_bands):
         return plan
-    return BlockingPlan(m=plan.m, n=plan.n, k=plan.k, **_HOST_BLOCKING)
-
-
-#: A micro-panels are batched in groups through the micro-kernel so
-#: one NumPy dispatch covers ``group * n_panels`` micro-tiles.
-_BLOCKED_GROUP = 4
-
-#: The batched micro-kernel chunks the k dimension to bound the
-#: broadcast temporary (words).
-_BLOCKED_K_CHUNK = 64
+    return host_plan(plan.m, plan.n, plan.k)
 
 
 @dataclass(frozen=True)
@@ -238,9 +190,6 @@ class ShardProfile:
     n_range: tuple[int, int]
     word_ops: int
     seconds: float
-    strategy: str
-    cache_hits: int
-    cache_misses: int
     mirrored: bool = False
     retries: int = 0
     quarantined: bool = False
@@ -255,8 +204,9 @@ class ShardProfile:
 
 @dataclass
 class ParallelReport:
-    """What one engine run did: plan, per-shard records, cache stats.
+    """What one engine run did: backend, plan and per-shard records.
 
+    ``backend`` names the kernel backend that computed the table.
     ``metrics`` carries the run-scoped observability delta (counters
     plus span aggregates) when tracing was enabled; ``None`` otherwise.
     ``resilience`` carries the fault-tolerance accounting when a
@@ -271,13 +221,11 @@ class ParallelReport:
     """
 
     workers: int
-    strategy: str
     used_parallel: bool
     seconds: float
-    backend: str = DEFAULT_BACKEND_NAME
+    backend: str
     shard_plan: ShardPlan | None = None
     shard_profiles: list[ShardProfile] = field(default_factory=list)
-    cache_stats: CacheStats | None = None
     metrics: MetricsReport | None = None
     symmetric: bool = False
     resilience: ResilienceReport | None = None
@@ -318,74 +266,23 @@ class ParallelReport:
         return self.total_word_ops / self.seconds if self.seconds > 0 else 0.0
 
 
-def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for name, arr in (("A", a), ("B", b)):
-        if arr.ndim != 2:
-            raise PackingError(f"bit_gemm_parallel: {name} must be 2-D packed words")
-        if arr.dtype not in (np.uint8, np.uint16, np.uint32, np.uint64):
-            raise PackingError(
-                f"bit_gemm_parallel: {name} has non-word dtype {arr.dtype}"
-            )
-    if a.dtype != b.dtype:
-        raise PackingError(
-            f"bit_gemm_parallel: dtype mismatch ({a.dtype} vs {b.dtype})"
-        )
-    if a.shape[1] != b.shape[1]:
-        raise PackingError(
-            f"bit_gemm_parallel: k mismatch (A has {a.shape[1]} words, "
-            f"B has {b.shape[1]})"
-        )
-    return a, b
-
-
-def _check_symmetric_run(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None:
-    """Validate an explicit ``symmetric=True`` Gram request.
-
-    Equal-content copies are accepted alongside views -- the device
-    pipeline stages operands through buffer copies, so a
-    self-comparison reaches the engine as two arrays with identical
-    words.  The content check is O(m*k), noise next to the GEMM.
-    """
-    if not op.is_symmetric:
-        raise PackingError(
-            f"ParallelEngine.run: symmetric=True is invalid for asymmetric "
-            f"op {op.value!r}"
-        )
-    if not same_operand(a, b) and not (
-        a.shape == b.shape and bool(np.array_equal(a, b))
-    ):
-        raise PackingError(
-            "ParallelEngine.run: symmetric=True requires a self-comparison "
-            "(operands must hold the same packed matrix)"
-        )
-
-
 class ParallelEngine:
-    """Shards one bit-GEMM across a host thread pool.
+    """Shards one bit-GEMM across a host thread or process pool.
 
     Parameters
     ----------
     workers:
         Pool threads.  Default: ``os.cpu_count()``.  ``1`` always takes
-        the serial fallback.
-    cache_bytes:
-        Byte budget of the per-run packed-panel cache.
-    strategy:
-        ``"auto"`` (= ``"gemm"``), ``"gemm"``, or ``"blocked"``.
+        the serial driver.
     oversubscribe:
         Shards per worker the plan aims for (see :class:`ShardPlan`).
     crossover_ops:
         Problems below this many word-ops run serially.
     backend:
-        Kernel-ABI backend (:mod:`repro.kernels`).  ``"auto"`` honours
-        the ``REPRO_BACKEND`` environment variable, then the persisted
-        tuning record for the problem's size class, then the reference
-        backend.  A non-reference backend swaps the shard compute for
-        its :meth:`~repro.kernels.KernelBackend.bit_gemm_panel`
-        (word-op accounting unchanged -- shards record the same counts
-        whichever backend computes them).
+        Kernel-ABI backend (:mod:`repro.kernels`) every shard calls.
+        ``"auto"`` honours the ``REPRO_BACKEND`` environment variable,
+        then the persisted tuning record for the problem's size class,
+        then the size rule of :func:`repro.kernels.pick_backend`.
     executor:
         Where shards run: ``"thread"`` (in-process pool),
         ``"process"`` (worker processes with shared-memory operands,
@@ -398,13 +295,9 @@ class ParallelEngine:
     every simulated device, so a multi-GPU run shares a single pool.
     """
 
-    STRATEGIES = ("auto", "gemm", "blocked")
-
     def __init__(
         self,
         workers: int | None = None,
-        cache_bytes: int = DEFAULT_BUDGET_BYTES,
-        strategy: str = "auto",
         oversubscribe: int = 2,
         crossover_ops: int = PARALLEL_CROSSOVER_OPS,
         backend: str = "auto",
@@ -418,11 +311,6 @@ class ParallelEngine:
             # ConfigurationError subclasses ValueError, so callers
             # catching either see the shared validator's message.
             raise ConfigurationError(str(exc)) from None
-        if strategy not in self.STRATEGIES:
-            raise ConfigurationError(
-                f"ParallelEngine: unknown strategy {strategy!r} "
-                f"(valid: {', '.join(self.STRATEGIES)})"
-            )
         if executor not in EXECUTORS:
             raise ConfigurationError(
                 f"ParallelEngine: unknown executor {executor!r} "
@@ -431,8 +319,6 @@ class ParallelEngine:
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.workers = workers
-        self.cache_bytes = cache_bytes
-        self.strategy = strategy
         self.oversubscribe = oversubscribe
         self.crossover_ops = crossover_ops
         self.backend = backend
@@ -492,16 +378,16 @@ class ParallelEngine:
         (default) auto-detects (same matrix on both sides + symmetric
         op), ``True`` requires and validates it, ``False`` disables it.
         """
-        a, b = _check_operands(a, b)
-        op = get_microkernel(op).op
+        a, b, op = check_panel_operands(a, b, op)
         m, k = a.shape
         n = b.shape[0]
         if symmetric is None:
             symmetric = op.is_symmetric and same_operand(a, b)
         elif symmetric:
-            _check_symmetric_run(a, b, op)
+            check_symmetric("ParallelEngine.run", a, b, op)
+            b = a  # equal content, now one operand to share and publish
         if plan is None:
-            plan = BlockingPlan(m=m, n=n, k=k, **_HOST_BLOCKING)
+            plan = host_plan(m, n, k)
         if (plan.m, plan.n, plan.k) != (m, n, k):
             raise PackingError(
                 f"ParallelEngine.run: plan extents {(plan.m, plan.n, plan.k)} "
@@ -509,14 +395,10 @@ class ParallelEngine:
             )
         if symmetric:
             plan = _gram_blocking(plan)
-        total_ops = plan.total_ops()
-        strategy = self.strategy
         crossover = self.crossover_ops
         backend_name = self.backend
         if backend_name == "auto":
-            env_name = env_backend_name()
-            if env_name is not None:
-                backend_name = env_name
+            backend_name = env_backend_name() or "auto"
         executor = self.executor
         if executor == "auto":
             env_executor = os.environ.get(REPRO_EXECUTOR_ENV, "").strip()
@@ -527,34 +409,19 @@ class ParallelEngine:
                         f"{env_executor!r} (valid: thread, process)"
                     )
                 executor = env_executor
-        tuned: TuningRecord | None = None
-        if strategy == "auto" or backend_name == "auto" or executor == "auto":
+        if backend_name == "auto" or executor == "auto":
             tuned, executor = self._consult_tuner(
                 op, m, n, k, a.dtype.itemsize * 8, executor
             )
-        if strategy == "auto":
             if tuned is not None:
-                # "panel" records belong to a backend run; the numpy
-                # strategies fall back to the default in that case.
-                if tuned.strategy in ("gemm", "blocked"):
-                    strategy = tuned.strategy
-                else:
-                    strategy = "gemm"
                 if symmetric and not tuned.triangular:
                     symmetric = False
                 if tuned.crossover_ops is not None:
                     crossover = tuned.crossover_ops
-            else:
-                strategy = "gemm"
-        if backend_name == "auto":
-            # Untuned auto stays on the reference backend; the tuner's
-            # measured per-machine winner upgrades it.
-            if tuned is not None and backend_available(tuned.backend):
-                backend_name = tuned.backend
-            else:
-                backend_name = DEFAULT_BACKEND_NAME
+                if backend_name == "auto" and backend_available(tuned.backend):
+                    backend_name = tuned.backend
         use_parallel = (
-            self.workers > 1 and total_ops >= crossover
+            self.workers > 1 and plan.total_ops() >= crossover
             if force_parallel is None
             else force_parallel and self.workers >= 1
         )
@@ -568,12 +435,11 @@ class ParallelEngine:
         ).set(parallel=use_parallel, symmetric=symmetric):
             if not use_parallel:
                 c, report = self._run_serial(
-                    a, b, op, plan, total_ops, symmetric, backend_name
+                    a, b, op, plan, symmetric, backend_name
                 )
             else:
                 c, report = self._run_sharded(
-                    a, b, op, plan, strategy, symmetric, backend_name,
-                    executor,
+                    a, b, op, plan, symmetric, backend_name, executor
                 )
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
@@ -654,7 +520,7 @@ class ParallelEngine:
         except Exception:  # pragma: no cover - defensive degradation
             return None, fallback
 
-    # -- serial fallback ---------------------------------------------------------
+    # -- serial driver -----------------------------------------------------------
 
     def _run_serial(
         self,
@@ -662,35 +528,10 @@ class ParallelEngine:
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        total_ops: int,
-        symmetric: bool = False,
-        backend_name: str = DEFAULT_BACKEND_NAME,
+        symmetric: bool,
+        backend_name: str,
     ) -> tuple[np.ndarray, ParallelReport]:
-        res = get_resilience()
-        if backend_name != DEFAULT_BACKEND_NAME and not symmetric:
-            # Non-reference backends compute whole panels; symmetric
-            # serial runs stay on the triangular reference walk so
-            # Gram-mode word-op accounting is identical across
-            # backends (the panel ABI has no triangular form -- the
-            # savings live in the shard plan, which serial runs skip).
-            strategy = "serial-panel"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_backend(a, b, op, backend=backend_name)
-
-        elif total_ops <= SERIAL_BLOCKED_OP_LIMIT:
-            backend_name = DEFAULT_BACKEND_NAME
-            strategy = "serial-blocked"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_blocked(a, b, op, plan, symmetric=symmetric)
-
-        else:
-            backend_name = DEFAULT_BACKEND_NAME
-            strategy = "serial-fast"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_fast(a, b, op, symmetric=symmetric)
+        name = pick_backend(plan.total_ops(), symmetric, backend_name)
 
         def compute(
             shard: Shard,
@@ -698,11 +539,11 @@ class ParallelEngine:
             b_: np.ndarray,
             op_: ComparisonOp,
             plan_: BlockingPlan,
-            cache_: PanelCache | None,
-            dedup_: bool,
-        ) -> tuple[np.ndarray, int, int]:
+        ) -> np.ndarray:
             get_tracer().counters.add(SHARDS_EXECUTED)
-            return driver(), 0, 0
+            return bit_gemm(
+                a_, b_, op_, backend=name, plan=plan_, symmetric=symmetric
+            )
 
         # The serial run goes through the same resilient wrapper as
         # pool shards, addressed as shard 0 -- one fault model whether
@@ -716,16 +557,14 @@ class ParallelEngine:
         )
         start = time.perf_counter()
         c = np.zeros((plan.m, plan.n), dtype=np.int64)
-        profile = self._execute_shard(
-            compute, whole, a, b, op, plan, None, c, False, strategy, res
+        profile = execute_shard(
+            compute, whole, a, b, op, plan, c, get_resilience()
         )
-        elapsed = time.perf_counter() - start
         report = ParallelReport(
             workers=1,
-            strategy=strategy,
             used_parallel=False,
-            seconds=elapsed,
-            backend=backend_name,
+            seconds=time.perf_counter() - start,
+            backend=name,
             shard_profiles=[profile],
             symmetric=symmetric,
         )
@@ -733,421 +572,82 @@ class ParallelEngine:
 
     # -- sharded execution ---------------------------------------------------------
 
-    def _resolve_shard_compute(
-        self, strategy: str, backend_name: str
-    ) -> tuple[ShardCompute, str]:
-        """Pick the shard kernel for a (strategy, backend) pair.
-
-        Shared by the threaded path and by worker processes (each
-        worker resolves its *own* backend -- see
-        :mod:`repro.parallel.procpool`), so every executor runs the
-        identical compute for identical inputs.  Returns the kernel and
-        the effective strategy label (non-reference backends report
-        ``"panel"``).
-        """
-        if backend_name != DEFAULT_BACKEND_NAME:
-            return _make_backend_compute(get_backend(backend_name)), "panel"
-        if strategy == "gemm":
-            return self._compute_shard_gemm, strategy
-        return self._compute_shard_blocked, strategy
-
     def _run_sharded(
         self,
         a: np.ndarray,
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        strategy: str,
-        symmetric: bool = False,
-        backend_name: str = DEFAULT_BACKEND_NAME,
-        executor: str = "thread",
+        symmetric: bool,
+        backend_name: str,
+        executor: str,
     ) -> tuple[np.ndarray, ParallelReport]:
         shard_plan = ShardPlan.from_blocking(
             plan, self.workers, oversubscribe=self.oversubscribe,
             symmetric=symmetric,
         )
+        # The triangle lives in the shard plan, so shards take the full
+        # size rule's choice, never the serial Gram walk.
+        name = pick_backend(plan.total_ops(), False, backend_name)
         # One logical GEMM however many shards execute it; per-shard
         # word-ops sum to plan.total_ops() because shards partition C
         # (Gram plans: to the computed triangle's share of it).
         get_tracer().counters.add(GEMM_CALLS)
-        compute, strategy = self._resolve_shard_compute(strategy, backend_name)
-        # Cross-side panel dedup is valid whenever both operands hold
-        # the same matrix -- even for asymmetric ops (full plans).
-        # symmetric=True implies equal content (validated upstream).
-        dedup = symmetric or same_operand(a, b)
         res = get_resilience()
-
-        if executor == "process" and shard_plan.n_shards > 1:
-            start = time.perf_counter()
-            result = self._get_procpool().execute(
-                a, b, op, plan, shard_plan, strategy, backend_name, dedup,
-                res, self.cache_bytes,
-            )
-            elapsed = time.perf_counter() - start
-            report = ParallelReport(
-                workers=self.workers,
-                strategy=strategy,
-                used_parallel=True,
-                seconds=elapsed,
-                backend=backend_name,
-                shard_plan=shard_plan,
-                shard_profiles=result.profiles,
-                symmetric=symmetric,
-                executor="process",
-                worker_events=result.worker_events,
-                workers_lost=result.workers_lost,
-            )
-            return result.c, report
-
-        cache = PanelCache(self.cache_bytes)
-        c = np.zeros((plan.m, plan.n), dtype=np.int64)
-        start = time.perf_counter()
-        if shard_plan.n_shards <= 1:
-            profiles = [
-                self._execute_shard(
-                    compute, shard, a, b, op, plan, cache, c, dedup,
-                    strategy, res,
-                )
-                for shard in shard_plan.shards
-            ]
-        else:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    self._execute_shard,
-                    compute, shard, a, b, op, plan, cache, c, dedup,
-                    strategy, res,
-                )
-                for shard in shard_plan.shards
-            ]
-            profiles = [f.result() for f in futures]
-        elapsed = time.perf_counter() - start
-
-        profiles.sort(key=lambda p: p.shard_id)
         report = ParallelReport(
             workers=self.workers,
-            strategy=strategy,
             used_parallel=True,
-            seconds=elapsed,
-            backend=backend_name,
+            seconds=0.0,
+            backend=name,
             shard_plan=shard_plan,
-            shard_profiles=profiles,
-            cache_stats=cache.stats(),
             symmetric=symmetric,
-            # A single-shard "process" request degrades to in-thread
-            # execution above; report the tier that actually ran.
-            executor="thread" if executor == "process" else executor,
+            executor="thread",
         )
+        start = time.perf_counter()
+        if executor == "process" and shard_plan.n_shards > 1:
+            result = self._get_procpool().execute(
+                a, b, op, plan, shard_plan, name, res
+            )
+            c = result.c
+            report.shard_profiles = result.profiles
+            report.executor = "process"
+            report.worker_events = result.worker_events
+            report.workers_lost = result.workers_lost
+        else:
+            # A single-shard "process" request degrades to in-thread
+            # execution; the report names the tier that actually ran.
+            compute = shard_compute(get_backend(name))
+            c = np.zeros((plan.m, plan.n), dtype=np.int64)
+            if shard_plan.n_shards <= 1:
+                profiles = [
+                    execute_shard(compute, shard, a, b, op, plan, c, res)
+                    for shard in shard_plan.shards
+                ]
+            else:
+                pool = self._get_pool()
+                futures = [
+                    pool.submit(
+                        execute_shard, compute, shard, a, b, op, plan, c, res
+                    )
+                    for shard in shard_plan.shards
+                ]
+                profiles = [f.result() for f in futures]
+            report.shard_profiles = sorted(profiles, key=lambda p: p.shard_id)
+        report.seconds = time.perf_counter() - start
         return c, report
 
-    # -- resilient shard execution -----------------------------------------------
 
-    def _reference_block(
-        self, shard: Shard, a: np.ndarray, b: np.ndarray, op: ComparisonOp
-    ) -> np.ndarray:
-        """Serial popcount oracle for one shard's output block.
-
-        Used for quarantine recompute and spot verification; bit-exact
-        with both shard strategies by the engine's correctness
-        contract.
-        """
-        m0, m1 = shard.m_range
-        n0, n1 = shard.n_range
-        return bit_gemm_reference(a[m0:m1], b[n0:n1], op)
-
-    def _execute_shard(
-        self,
-        compute: ShardCompute,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache | None,
-        c: np.ndarray,
-        dedup: bool,
-        strategy: str,
-        res: ResilienceContext,
-    ) -> ShardProfile:
-        """Run one shard under the active resilience context.
-
-        The degradation ladder (docs/RESILIENCE.md): retryable faults
-        are re-attempted under the policy's backoff budget; an
-        exhausted budget quarantines the shard onto the serial
-        reference recompute (bit-exact) or, with quarantine disabled,
-        raises :class:`~repro.errors.ShardExecutionError`.  FATAL and
-        DEGRADE errors propagate unchanged.  After a successful
-        compute, sampled shards are spot-verified against the
-        reference; a mismatch (e.g. an injected bit flip) adopts the
-        reference block, so corrupt tiles never reach the caller.
-        """
-        obs = get_tracer()
-        injector = res.injector
-        start = time.perf_counter()
-        attempt = 0
-        retries = 0
-        quarantined = False
-        while True:
-            try:
-                injector.check_shard(shard.shard_id, attempt)
-                block, hits, misses = compute(
-                    shard, a, b, op, plan, cache, dedup
-                )
-                block = injector.corrupt_block(block, shard.shard_id)
-                break
-            except ReproError as exc:
-                if classify(exc) is not Disposition.RETRY:
-                    raise
-                if attempt + 1 < res.policy.max_attempts:
-                    retries += 1
-                    obs.counters.add(SHARD_RETRIES)
-                    res.policy.wait(retries - 1)
-                    attempt += 1
-                    continue
-                if res.policy.quarantine:
-                    obs.counters.add(SHARDS_QUARANTINED)
-                    quarantined = True
-                    with obs.span(
-                        "resilience.quarantine", shard=shard.shard_id
-                    ):
-                        block = self._reference_block(shard, a, b, op)
-                    hits = misses = 0
-                    break
-                raise ShardExecutionError(
-                    f"shard {shard.shard_id} failed after {attempt + 1} "
-                    f"attempt(s): {exc}",
-                    shard_id=shard.shard_id,
-                ) from exc
-        verified = False
-        mismatched = False
-        if not quarantined and res.should_verify(shard.shard_id):
-            verified = True
-            obs.counters.add(TILES_VERIFIED)
-            with obs.span("resilience.verify", shard=shard.shard_id):
-                reference = self._reference_block(shard, a, b, op)
-            if not np.array_equal(block, reference):
-                mismatched = True
-                obs.counters.add(VERIFY_MISMATCHES)
-                block = reference
-        m0, m1 = shard.m_range
-        n0, n1 = shard.n_range
-        c[m0:m1, n0:n1] = block
-        if shard.mirror:
-            # Transpose slot is strictly below the computed band grid:
-            # disjoint from every computed slot, race-free.
-            mm0, mm1 = shard.mirror_m_range
-            mn0, mn1 = shard.mirror_n_range
-            c[mm0:mm1, mn0:mn1] = block.T
-            obs.counters.add(SHARDS_MIRRORED)
-        return ShardProfile(
-            shard_id=shard.shard_id,
-            m_range=shard.m_range,
-            n_range=shard.n_range,
-            word_ops=shard.word_ops(plan.k),
-            seconds=time.perf_counter() - start,
-            strategy=strategy,
-            cache_hits=hits,
-            cache_misses=misses,
-            mirrored=shard.mirror,
-            retries=retries,
-            quarantined=quarantined,
-            verified=verified,
-            mismatched=mismatched,
-        )
-
-    # -- shard kernels ---------------------------------------------------------
-
-    def _compute_shard_gemm(
-        self,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache,
-        dedup: bool = False,
-    ) -> tuple[np.ndarray, int, int]:
-        """Identity-based shard kernel: one BLAS GEMM per k_c panel.
-
-        With ``dedup=True`` (self-comparison) the A-side and B-side
-        panels of the same row range share one cache key, so whichever
-        side unpacks a range first serves the other side's requests.
-        Returns ``(block, cache_hits, cache_misses)``; the resilient
-        wrapper owns the C write and the profile.
-        """
-        obs = get_tracer()
-        obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span("parallel.shard", shard=shard.shard_id, strategy="gemm"):
-            hits = misses = 0
-            m0, m1 = shard.m_range
-            n0, n1 = shard.n_range
-            word_bits = a.dtype.itemsize * 8
-            dots = np.zeros((shard.m_size, shard.n_size), dtype=np.int64)
-            for k0, k1 in plan.k_panels():
-                dtype = (
-                    np.float32
-                    if (k1 - k0) * word_bits < _FLOAT32_EXACT_BITS
-                    else np.float64
-                )
-
-                def build_a(k0=k0, k1=k1, dtype=dtype):
-                    return unpack_bits(a[m0:m1, k0:k1]).astype(dtype)
-
-                def build_b(k0=k0, k1=k1, dtype=dtype):
-                    return unpack_bits(b[n0:n1, k0:k1]).astype(dtype)
-
-                key_a = (
-                    ("bits", m0, m1, k0, k1, dtype)
-                    if dedup
-                    else ("Abits", m0, m1, k0, k1, dtype)
-                )
-                key_b = (
-                    ("bits", n0, n1, k0, k1, dtype)
-                    if dedup
-                    else ("Bbits", n0, n1, k0, k1, dtype)
-                )
-                bits_a, hit_a = cache.get_or_build_flag(key_a, build_a, side="A")
-                bits_b, hit_b = cache.get_or_build_flag(key_b, build_b, side="B")
-                hits += hit_a + hit_b
-                misses += (not hit_a) + (not hit_b)
-                dots += np.rint(bits_a @ bits_b.T).astype(np.int64)
-
-            if op in (ComparisonOp.AND, ComparisonOp.AND_PRENEGATED):
-                block = dots
-            else:
-                pop_a, hit = cache.get_or_build_flag(
-                    ("pop", m0, m1) if dedup else ("Apop", m0, m1),
-                    lambda: popcount(a[m0:m1]).sum(axis=1),
-                    side="A",
-                )
-                hits += hit
-                misses += not hit
-                if op is ComparisonOp.XOR:
-                    pop_b, hit = cache.get_or_build_flag(
-                        ("pop", n0, n1) if dedup else ("Bpop", n0, n1),
-                        lambda: popcount(b[n0:n1]).sum(axis=1),
-                        side="B",
-                    )
-                    hits += hit
-                    misses += not hit
-                    block = pop_a[:, None] + pop_b[None, :] - 2 * dots
-                elif op is ComparisonOp.ANDNOT:
-                    block = pop_a[:, None] - dots
-                else:  # pragma: no cover - ops are exhaustive above
-                    raise PackingError(
-                        f"_compute_shard_gemm: unhandled op {op!r}"
-                    )
-
-            return block, hits, misses
-
-    def _compute_shard_blocked(
-        self,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache,
-        dedup: bool = False,
-    ) -> tuple[np.ndarray, int, int]:
-        """BLIS-structured shard kernel: packed panels, batched tiles.
-
-        ``dedup`` is accepted for signature uniformity with
-        :meth:`_compute_shard_gemm`; the blocked strategy's A and B
-        pack layouts differ (``m_r`` row panels vs ``n_r`` column
-        panels), so its cache keys stay side-specific.  Returns
-        ``(block, cache_hits, cache_misses)``.
-        """
-        obs = get_tracer()
-        obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span("parallel.shard", shard=shard.shard_id, strategy="blocked"):
-            hits = misses = 0
-            kernel = get_microkernel(op)
-            m0, m1 = shard.m_range
-            n0, n1 = shard.n_range
-            m_r, n_r, m_c = plan.m_r, plan.n_r, plan.m_c
-            block = np.zeros((shard.m_size, shard.n_size), dtype=np.int64)
-            for k0, k1 in plan.k_panels():
-
-                def build_b(k0=k0, k1=k1):
-                    return pack_b_panel(b[n0:n1, k0:k1].T, n_r)
-
-                b_packed, hit = cache.get_or_build_flag(
-                    ("B", n_r, n0, n1, k0, k1), build_b
-                )
-                hits += hit
-                misses += not hit
-                # Loop 3: m_c panels of A inside this shard's M range.
-                for pm0 in range(m0, m1, m_c):
-                    pm1 = min(pm0 + m_c, m1)
-
-                    def build_a(pm0=pm0, pm1=pm1, k0=k0, k1=k1):
-                        return pack_a_panel(a[pm0:pm1, k0:k1], m_r)
-
-                    a_packed, hit = cache.get_or_build_flag(
-                        ("A", m_r, pm0, pm1, k0, k1), build_a
-                    )
-                    hits += hit
-                    misses += not hit
-                    _batched_micro_update(
-                        block, a_packed, b_packed, kernel.combine,
-                        pm0 - m0, shard.m_size, shard.n_size, m_r, n_r,
-                    )
-            return block, hits, misses
+# -- shard execution ---------------------------------------------------------------
 
 
-def _batched_micro_update(
-    block: np.ndarray,
-    a_packed: np.ndarray,
-    b_packed: np.ndarray,
-    combine,
-    row_offset: int,
-    m_size: int,
-    n_size: int,
-    m_r: int,
-    n_r: int,
-) -> None:
-    """Rank-k_c update of ``block`` from packed panels, micro-tiles batched.
+def shard_compute(backend: KernelBackend) -> ShardCompute:
+    """The shard kernel every executor runs: one backend panel call.
 
-    Identical arithmetic to :func:`repro.blis.gemm._micro_update`, but
-    each NumPy dispatch covers a *group* of A micro-panels against all
-    B micro-panels of the shard, with the k dimension chunked to bound
-    the broadcast temporary.
+    Counter accounting is backend-invariant (``SHARDS_EXECUTED`` plus
+    the shard's word-ops), so the deterministic counters the
+    regression gate compares do not depend on which backend ran.
     """
-    n_a_panels, k_len, _ = a_packed.shape
-    n_b_panels = b_packed.shape[0]
-    padded_cols = n_b_panels * n_r
-    for g0 in range(0, n_a_panels, _BLOCKED_GROUP):
-        g1 = min(g0 + _BLOCKED_GROUP, n_a_panels)
-        group = a_packed[g0:g1]  # (g, k, m_r)
-        acc = None
-        for kc0 in range(0, k_len, _BLOCKED_K_CHUNK):
-            kc1 = min(kc0 + _BLOCKED_K_CHUNK, k_len)
-            # (g, pb, k_chunk, m_r, n_r) broadcast micro-kernel batch.
-            combined = combine(
-                group[:, None, kc0:kc1, :, None],
-                b_packed[None, :, kc0:kc1, None, :],
-            )
-            partial = popcount(combined).sum(axis=2)
-            acc = partial if acc is None else acc + partial
-        # (g, pb, m_r, n_r) -> (g * m_r, pb * n_r), crop padding.
-        tiles = acc.transpose(0, 2, 1, 3).reshape((g1 - g0) * m_r, padded_cols)
-        r0 = row_offset + g0 * m_r
-        r1 = min(row_offset + g1 * m_r, m_size)
-        block[r0:r1, :n_size] += tiles[: r1 - r0, :n_size]
-
-
-def _make_backend_compute(backend: KernelBackend) -> ShardCompute:
-    """Shard kernel delegating to a kernel-ABI backend panel.
-
-    Counter accounting is identical to the built-in shard kernels
-    (``SHARDS_EXECUTED`` + the shard's word-ops), so the deterministic
-    counters the regression gate compares are backend-invariant.  The
-    panel cache is unused: backends consume packed words directly.
-    """
-    name = backend.info.name
+    name = backend.name
 
     def compute(
         shard: Shard,
@@ -1155,36 +655,134 @@ def _make_backend_compute(backend: KernelBackend) -> ShardCompute:
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        cache: PanelCache | None,
-        dedup: bool,
-    ) -> tuple[np.ndarray, int, int]:
+    ) -> np.ndarray:
         obs = get_tracer()
         obs.counters.add(SHARDS_EXECUTED)
         obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span(
-            "parallel.shard", shard=shard.shard_id, strategy=f"panel:{name}"
-        ):
+        with obs.span("parallel.shard", shard=shard.shard_id, backend=name):
             m0, m1 = shard.m_range
             n0, n1 = shard.n_range
-            block = backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)
-        return block, 0, 0
+            return backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)
 
     return compute
 
 
+def _reference_block(
+    shard: Shard, a: np.ndarray, b: np.ndarray, op: ComparisonOp
+) -> np.ndarray:
+    """Serial popcount oracle for one shard's output block.
+
+    Used for quarantine recompute and spot verification; bit-exact
+    with every backend by the ABI contract.
+    """
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    return bit_gemm_reference(a[m0:m1], b[n0:n1], op)
+
+
+def execute_shard(
+    compute: ShardCompute,
+    shard: Shard,
+    a: np.ndarray,
+    b: np.ndarray,
+    op: ComparisonOp,
+    plan: BlockingPlan,
+    c: np.ndarray,
+    res: ResilienceContext,
+) -> ShardProfile:
+    """Run one shard under the active resilience context.
+
+    The degradation ladder (docs/RESILIENCE.md): retryable faults
+    are re-attempted under the policy's backoff budget; an
+    exhausted budget quarantines the shard onto the serial
+    reference recompute (bit-exact) or, with quarantine disabled,
+    raises :class:`~repro.errors.ShardExecutionError`.  FATAL and
+    DEGRADE errors propagate unchanged.  After a successful
+    compute, sampled shards are spot-verified against the
+    reference; a mismatch (e.g. an injected bit flip) adopts the
+    reference block, so corrupt tiles never reach the caller.
+    """
+    obs = get_tracer()
+    injector = res.injector
+    start = time.perf_counter()
+    attempt = 0
+    retries = 0
+    quarantined = False
+    while True:
+        try:
+            injector.check_shard(shard.shard_id, attempt)
+            block = compute(shard, a, b, op, plan)
+            block = injector.corrupt_block(block, shard.shard_id)
+            break
+        except ReproError as exc:
+            if classify(exc) is not Disposition.RETRY:
+                raise
+            if attempt + 1 < res.policy.max_attempts:
+                retries += 1
+                obs.counters.add(SHARD_RETRIES)
+                res.policy.wait(retries - 1)
+                attempt += 1
+                continue
+            if res.policy.quarantine:
+                obs.counters.add(SHARDS_QUARANTINED)
+                quarantined = True
+                with obs.span(
+                    "resilience.quarantine", shard=shard.shard_id
+                ):
+                    block = _reference_block(shard, a, b, op)
+                break
+            raise ShardExecutionError(
+                f"shard {shard.shard_id} failed after {attempt + 1} "
+                f"attempt(s): {exc}",
+                shard_id=shard.shard_id,
+            ) from exc
+    verified = False
+    mismatched = False
+    if not quarantined and res.should_verify(shard.shard_id):
+        verified = True
+        obs.counters.add(TILES_VERIFIED)
+        with obs.span("resilience.verify", shard=shard.shard_id):
+            reference = _reference_block(shard, a, b, op)
+        if not np.array_equal(block, reference):
+            mismatched = True
+            obs.counters.add(VERIFY_MISMATCHES)
+            block = reference
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    c[m0:m1, n0:n1] = block
+    if shard.mirror:
+        # Transpose slot is strictly below the computed band grid:
+        # disjoint from every computed slot, race-free.
+        mm0, mm1 = shard.mirror_m_range
+        mn0, mn1 = shard.mirror_n_range
+        c[mm0:mm1, mn0:mn1] = block.T
+        obs.counters.add(SHARDS_MIRRORED)
+    return ShardProfile(
+        shard_id=shard.shard_id,
+        m_range=shard.m_range,
+        n_range=shard.n_range,
+        word_ops=shard.word_ops(plan.k),
+        seconds=time.perf_counter() - start,
+        mirrored=shard.mirror,
+        retries=retries,
+        quarantined=quarantined,
+        verified=verified,
+        mismatched=mismatched,
+    )
+
+
 # -- module-level conveniences ---------------------------------------------------
 
-_ENGINES: dict[tuple[int, str, str, str], ParallelEngine] = {}
+_ENGINES: dict[tuple[int, str, str], ParallelEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
 def get_engine(
     workers: int | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> ParallelEngine:
-    """Process-wide engine per (workers, strategy, backend, executor).
+    """Process-wide engine per (workers, backend, executor).
 
     Every caller asking for the same worker count shares one pool --
     this is how the multi-GPU executor runs all simulated devices on a
@@ -1193,13 +791,12 @@ def get_engine(
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    key = (workers, strategy, backend, executor)
+    key = (workers, backend, executor)
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None:
             engine = ParallelEngine(
-                workers=workers, strategy=strategy, backend=backend,
-                executor=executor,
+                workers=workers, backend=backend, executor=executor
             )
             _ENGINES[key] = engine
         return engine
@@ -1213,12 +810,11 @@ def bit_gemm_parallel(
     plan: BlockingPlan | None = None,
     force_parallel: bool | None = None,
     symmetric: bool | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> np.ndarray:
     """One-shot parallel bit-GEMM (drop-in for the serial drivers)."""
-    c, _ = get_engine(workers, strategy, backend, executor).run(
+    c, _ = get_engine(workers, backend, executor).run(
         a, b, op, plan=plan, force_parallel=force_parallel, symmetric=symmetric
     )
     return c

@@ -1,15 +1,14 @@
 """Process-level shard execution with shared-memory packed panels.
 
 The thread pool in :mod:`repro.parallel.engine` scales until the
-Python-side orchestration (shard dispatch, cache bookkeeping, NumPy
-dispatch overhead) serializes on the GIL -- with the compiled
-``cnative``/``numba`` backends the kernels themselves are fast enough
-that this ceiling arrives at a handful of cores.
-:class:`ProcessShardExecutor` is the next tier: the same
-:class:`~repro.parallel.plan.ShardPlan` shards, executed by a pool of
-worker *processes*, each running the identical
-:meth:`~repro.parallel.engine.ParallelEngine._execute_shard`
-retry/quarantine/verify ladder the threaded and serial paths use.
+Python-side orchestration (shard dispatch, NumPy dispatch overhead)
+serializes on the GIL -- with the compiled ``cnative``/``numba``
+backends the kernels themselves are fast enough that this ceiling
+arrives at a handful of cores.  :class:`ProcessShardExecutor` is the
+next tier: the same :class:`~repro.parallel.plan.ShardPlan` shards,
+executed by a pool of worker *processes*, each running the identical
+:func:`~repro.parallel.engine.execute_shard` retry/quarantine/verify
+ladder the threaded and serial paths use.
 
 **Operand transport is zero-copy where it can be.**  Packed operands
 are published once per run:
@@ -28,30 +27,31 @@ The int64 output C lives in one preallocated shared segment; every
 shard writes its disjoint block (and, in Gram mode, its transpose
 mirror slot) directly, so results need no per-shard pickling either.
 
-**Scheduling and worker loss.**  Shards go through one shared task
-queue (dynamic load balancing, like the thread pool).  A worker sends
-a durable ``claim`` message before computing a shard and a ``done``
-message -- carrying the :class:`~repro.parallel.engine.ShardProfile`,
-the shard's observability-counter delta, and any injector events --
-after.  The parent merges counter deltas into its own tracer, so the
-deterministic counters the regression gate compares are identical to a
-threaded run's.  When a worker process dies, the parent re-enqueues
-its claimed-but-unfinished shards onto the survivors (block writes are
+**Scheduling and worker loss.**  Every worker has its own task queue,
+and the parent hands shards out: one to each live worker first, then
+one more, then a fresh shard whenever a worker reports one done
+(dynamic load balancing, at most :data:`_PREFETCH` held per worker).
+A worker's ``done`` message carries the
+:class:`~repro.parallel.engine.ShardProfile`, the shard's
+observability-counter delta, and any injector events; the parent
+merges counter deltas into its own tracer, so the deterministic
+counters the regression gate compares are identical to a threaded
+run's.  Because the parent knows which shards each worker holds, a
+worker death loses nothing: the parent re-queues exactly the dead
+worker's unfinished shards onto the survivors (block writes are
 idempotent: a re-executed shard overwrites the same disjoint slots),
 counts :data:`~repro.observability.counters.WORKERS_LOST` (plus
 :data:`~repro.observability.counters.FAULTS_INJECTED` only when the
 death was scheduled by the fault plan), and surfaces a ``worker-lost``
-event in the run's
-:class:`~repro.resilience.report.ResilienceReport`.  A genuine crash
-can additionally swallow a task the worker dequeued before its claim
-reached the parent; after a death, a stall of the result queue
-triggers a redispatch of every shard neither finished nor claimed by a
-live worker, so the run recovers instead of hanging.  Only a completed
-``done`` message merges counters -- and only the first per shard -- so
-re-execution and redispatch never double-count.  Runs on one executor
-are serialized behind a run lock: the pool's single result queue
-admits one consumer at a time, and concurrent ``engine.run`` calls on
-a shared engine queue up rather than stealing each other's messages.
+event in the run's :class:`~repro.resilience.report.ResilienceReport`.
+Since each live worker is handed its first shard directly, a scheduled
+``worker-lost@W`` fires deterministically whenever the plan has at
+least as many shards as there are workers.  Only the first ``done``
+per shard merges counters, so re-execution never double-counts.  Runs
+on one executor are serialized behind a run lock: the pool's single
+result queue admits one consumer at a time, and concurrent
+``engine.run`` calls on a shared engine queue up rather than stealing
+each other's messages.
 
 **Start method.**  Workers use the ``spawn`` start method by default
 (portable to macOS/Windows semantics, safe with compiled backends and
@@ -71,8 +71,8 @@ import os
 import pickle
 import queue as queue_mod
 import threading
-import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any
 
@@ -83,18 +83,13 @@ from repro.blis.gemm import same_operand
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.io_stream.format import map_packed_words, packed_words_ref
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    backend_available,
-    backend_fingerprint,
-)
+from repro.kernels import backend_available, backend_fingerprint, get_backend
 from repro.observability.counters import (
     FAULTS_INJECTED,
     WORKERS_LOST,
     CounterRegistry,
 )
 from repro.observability.tracer import get_tracer
-from repro.parallel.cache import PanelCache
 from repro.parallel.plan import Shard, ShardPlan
 from repro.resilience.faults import (
     NULL_INJECTOR,
@@ -132,18 +127,13 @@ _DEFAULT_START_METHOD = "spawn"
 _POLL_SECONDS = 0.05
 
 #: Exit code a worker uses when an injected ``worker-lost`` fault kills
-#: it (the parent and tests distinguish the injected death -- which
-#: flushes its claim before exiting -- from a genuine crash).
+#: it (the parent counts only such scheduled deaths as injected faults;
+#: a genuine crash is a loss, not an injection).
 _KILLED_EXIT_CODE = 86
 
-#: Seconds of result-queue silence after a worker death before the
-#: parent re-enqueues every shard that is neither completed nor claimed
-#: by a live worker.  A genuine crash between ``task_q.get()`` and the
-#: claim reaching the parent swallows a shard without a trace; once the
-#: survivors drain the queue and go quiet, this redispatch recovers it
-#: (duplicate executions are safe: block writes are idempotent and only
-#: the first ``done`` per shard merges counters).
-_STALL_TIMEOUT = 1.0
+#: Shards the parent keeps queued per worker: the one it computes plus
+#: one more, so a worker never idles waiting for the parent's reply.
+_PREFETCH = 2
 
 #: Run states one worker keeps attached at a time.  Each state holds
 #: shared-memory attachments, so the cache is small; an evicted state
@@ -220,13 +210,11 @@ class _RunState:
 
     def __init__(self, spec: dict[str, Any]) -> None:
         from repro.observability.tracer import Tracer, set_tracer
-        from repro.parallel.engine import ParallelEngine
+        from repro.parallel.engine import shard_compute
 
-        # A fresh per-run tracer, installed before anything that
-        # captures the active counter registry (the PanelCache binds it
-        # at construction): counters feed the per-shard deltas shipped
-        # back to the parent, and re-installing per run bounds span
-        # accumulation over a long-lived pool.
+        # A fresh per-run tracer: counters feed the per-shard deltas
+        # shipped back to the parent, and re-installing per run bounds
+        # span accumulation over a long-lived pool.
         self.tracer = Tracer()
         set_tracer(self.tracer)
         self._shm: list[shared_memory.SharedMemory] = []
@@ -240,26 +228,17 @@ class _RunState:
         )
         self.op: ComparisonOp = get_microkernel(spec["op"]).op
         self.plan: BlockingPlan = spec["plan"]
-        self.dedup: bool = spec["dedup"]
         backend: str = spec["backend"]
-        strategy: str = spec["strategy"]
-        if backend != DEFAULT_BACKEND_NAME and (
-            spec["fingerprint"] != backend_fingerprint()
-            or not backend_available(backend)
+        if spec["fingerprint"] != backend_fingerprint() or not backend_available(
+            backend
         ):
             # Per-process backend resolution: this worker's view of the
             # tunable backend set differs from the parent's (partial
-            # install, version skew).  Degrade to the reference backend
-            # -- bit-exact by the ABI contract, and the word-op
-            # counters are backend-invariant so accounting holds.
-            backend, strategy = DEFAULT_BACKEND_NAME, "gemm"
-        self.engine = ParallelEngine(
-            workers=1, cache_bytes=spec["cache_bytes"], executor="thread"
-        )
-        self.compute, self.strategy = self.engine._resolve_shard_compute(
-            strategy, backend
-        )
-        self.cache = PanelCache(spec["cache_bytes"])
+            # install, version skew).  Degrade to ``blas`` -- bit-exact
+            # by the ABI contract, and the word-op counters are
+            # backend-invariant so accounting holds.
+            backend = "blas"
+        self.compute = shard_compute(get_backend(backend))
         fault_spec = spec["fault_spec"]
         injector: FaultInjector | Any = NULL_INJECTOR
         if fault_spec:
@@ -274,6 +253,7 @@ class _RunState:
             verify_sample=spec["verify_sample"],
             verify_seed=spec["verify_seed"],
         )
+
     def _attach_operand(self, ref: OperandRef) -> np.ndarray:
         if ref.kind == "mmap":
             return map_packed_words(ref.name, ref.offset, ref.shape, ref.dtype)
@@ -282,10 +262,12 @@ class _RunState:
         return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
 
     def execute(self, shard: Shard) -> "ShardProfile":
+        from repro.parallel.engine import execute_shard
+
         assert self.c is not None
-        return self.engine._execute_shard(
+        return execute_shard(
             self.compute, shard, self.a, self.b, self.op, self.plan,
-            self.cache, self.c, self.dedup, self.strategy, self.res,
+            self.c, self.res,
         )
 
     def close(self) -> None:
@@ -301,7 +283,7 @@ class _RunState:
 
 
 def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
-    """Worker process loop: claim, execute, report; die on command."""
+    """Worker process loop: execute, report; die on command."""
     states: dict[int, _RunState] = {}
     order: list[int] = []
     while True:
@@ -309,10 +291,6 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
         if msg[0] == "stop":
             break
         _, run_id, shard, spec = msg
-        # The claim must be durable before any work (or injected
-        # death): the parent re-enqueues claimed-but-unfinished shards
-        # of a dead worker, so an unflushed claim would strand a shard.
-        result_q.put(("claim", worker_id, run_id, shard.shard_id))
         try:
             state = states.get(run_id)
             if state is None:
@@ -323,7 +301,8 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
                     states.pop(order.pop(0)).close()
             if state.injector.check_worker(worker_id):
                 # Injected worker loss: flush the queue feeder so the
-                # claim reaches the parent, then die like a crash.
+                # results already sent reach the parent, then die like
+                # a crash.
                 result_q.close()
                 result_q.join_thread()
                 os._exit(_KILLED_EXIT_CODE)
@@ -376,7 +355,7 @@ class ProcessShardExecutor:
         self.workers = workers
         self._ctx: "BaseContext | None" = None
         self._procs: dict[int, "BaseProcess"] = {}
-        self._task_q: Any = None
+        self._task_qs: dict[int, Any] = {}
         self._result_q: Any = None
         self._run_counter = 0
         self._lock = threading.Lock()
@@ -390,45 +369,45 @@ class ProcessShardExecutor:
 
     def _ensure_workers(self) -> None:
         ctx = self._context()
-        if self._task_q is None:
-            self._task_q = ctx.Queue()
+        if self._result_q is None:
             self._result_q = ctx.Queue()
         for worker_id in range(self.workers):
             proc = self._procs.get(worker_id)
             if proc is not None and proc.is_alive():
                 continue
             if proc is not None:
+                # A dead worker's backlog dies with its queue.
                 proc.join(timeout=1.0)
+                _close_queue(self._task_qs[worker_id])
+            task_q = ctx.Queue()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, self._task_q, self._result_q),
+                args=(worker_id, task_q, self._result_q),
                 name=f"repro-shard-proc-{worker_id}",
                 daemon=True,
             )
             proc.start()
             self._procs[worker_id] = proc
+            self._task_qs[worker_id] = task_q
 
     def shutdown(self) -> None:
         """Stop every worker and release the queues."""
         with self._lock:
             if not self._procs:
                 return
-            for _ in self._procs:
-                try:
-                    self._task_q.put(("stop",))
-                except Exception:  # pragma: no cover - queue already dead
-                    break
+            for worker_id, proc in self._procs.items():
+                if proc.is_alive():
+                    self._task_qs[worker_id].put(("stop",))
             for proc in self._procs.values():
                 proc.join(timeout=5.0)
                 if proc.is_alive():  # pragma: no cover - hung worker
                     proc.terminate()
                     proc.join(timeout=1.0)
             self._procs = {}
-            for q in (self._task_q, self._result_q):
-                if q is not None:
-                    q.close()
-                    q.cancel_join_thread()
-            self._task_q = self._result_q = None
+            for q in (*self._task_qs.values(), self._result_q):
+                _close_queue(q)
+            self._task_qs = {}
+            self._result_q = None
 
     @property
     def alive_workers(self) -> int:
@@ -471,17 +450,14 @@ class ProcessShardExecutor:
         op: ComparisonOp,
         plan: BlockingPlan,
         shard_plan: ShardPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
     ) -> ProcessRunResult:
         """Run every shard of ``shard_plan`` across the worker pool.
 
         Runs are serialized: the pool has one shared result queue, and
         a second concurrent consumer would steal (and discard as stale)
-        the first run's claim/done messages, hanging both.  Concurrent
+        the first run's done messages, hanging both.  Concurrent
         callers -- :func:`~repro.parallel.engine.get_engine` shares
         engines process-wide, and pipelined serving dispatches batches
         concurrently -- queue up on the run lock instead.
@@ -493,8 +469,8 @@ class ProcessShardExecutor:
             handles: list[shared_memory.SharedMemory] = []
             try:
                 return self._execute_locked(
-                    run_id, handles, a, b, op, plan, shard_plan, strategy,
-                    backend_name, dedup, res, cache_bytes,
+                    run_id, handles, a, b, op, plan, shard_plan,
+                    backend_name, res,
                 )
             finally:
                 for shm in handles:
@@ -511,11 +487,8 @@ class ProcessShardExecutor:
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
         handles: list[shared_memory.SharedMemory],
     ) -> tuple[dict[str, Any], np.ndarray]:
         ref_a = self._publish_operand(a, handles)
@@ -548,11 +521,8 @@ class ProcessShardExecutor:
             "c_shape": (plan.m, plan.n),
             "op": op.value,
             "plan": plan,
-            "strategy": strategy,
             "backend": backend_name,
             "fingerprint": backend_fingerprint(),
-            "cache_bytes": cache_bytes,
-            "dedup": dedup,
             "fault_spec": fault_spec,
             "slow_delay_s": slow_delay_s,
             "policy": {
@@ -578,34 +548,44 @@ class ProcessShardExecutor:
         op: ComparisonOp,
         plan: BlockingPlan,
         shard_plan: ShardPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
     ) -> ProcessRunResult:
         spec, c_view = self._build_spec(
-            run_id, a, b, op, plan, strategy, backend_name, dedup, res,
-            cache_bytes, handles,
+            run_id, a, b, op, plan, backend_name, res, handles,
         )
         shards = {shard.shard_id: shard for shard in shard_plan.shards}
-        for shard in shard_plan.shards:
-            self._task_q.put(("shard", run_id, shard, spec))
-
+        pending = deque(shard_plan.shards)
+        # Shards handed to each worker and not yet reported done.
+        held: dict[int, set[int]] = {worker_id: set() for worker_id in self._procs}
         obs = get_tracer()
         profiles: dict[int, "ShardProfile"] = {}
-        claims: dict[int, int] = {}
         dead: set[int] = set()
         events: list[FiredFault] = []
         workers_lost = 0
-        # Armed by reap() on each death: if the result queue then stays
-        # silent past the deadline, shards a dying worker swallowed
-        # before its claim reached the parent are redispatched.
-        stall_deadline: float | None = None
+
+        def dispatch() -> None:
+            """Top every live worker up to ``_PREFETCH`` held shards.
+
+            Round-robin, so every live worker receives its first shard
+            before any worker receives a second.
+            """
+            while pending:
+                open_workers = [
+                    worker_id for worker_id, shard_ids in held.items()
+                    if worker_id not in dead and len(shard_ids) < _PREFETCH
+                ]
+                if not open_workers:
+                    return
+                for worker_id in open_workers:
+                    if not pending:
+                        return
+                    shard = pending.popleft()
+                    held[worker_id].add(shard.shard_id)
+                    self._task_qs[worker_id].put(("shard", run_id, shard, spec))
 
         def reap() -> int:
-            """Detect dead workers; fail their claimed shards over."""
-            nonlocal stall_deadline
+            """Detect dead workers; re-queue the shards they held."""
             lost = 0
             for worker_id, proc in self._procs.items():
                 if worker_id in dead or proc.is_alive():
@@ -625,66 +605,44 @@ class ProcessShardExecutor:
                     # injection, and must not skew the deterministic
                     # fired/injected accounting CI compares.
                     obs.counters.add(FAULTS_INJECTED)
-            for shard_id, worker_id in list(claims.items()):
-                if shard_id in profiles or worker_id not in dead:
-                    continue
-                del claims[shard_id]
-                self._task_q.put(("shard", run_id, shards[shard_id], spec))
+                pending.extendleft(
+                    shards[shard_id]
+                    for shard_id in sorted(held[worker_id], reverse=True)
+                    if shard_id not in profiles
+                )
+                held[worker_id].clear()
             if len(dead) >= len(self._procs):
                 raise ShardExecutionError(
                     f"process executor: all {len(self._procs)} worker "
                     f"processes were lost",
                     shard_id=-1,
                 )
-            if lost:
-                stall_deadline = time.monotonic() + _STALL_TIMEOUT
             return lost
 
+        dispatch()
         while len(profiles) < len(shards):
             try:
                 msg = self._result_q.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
-                workers_lost += reap()
-                if (
-                    stall_deadline is not None
-                    and time.monotonic() >= stall_deadline
-                ):
-                    # A worker died and the queue has gone quiet, yet
-                    # shards are still outstanding: any shard neither
-                    # finished nor claimed by a live worker may have
-                    # been swallowed by the dying worker before its
-                    # claim got out.  Redispatch them all -- a shard
-                    # that was merely still queued runs twice, which is
-                    # harmless (idempotent writes, first ``done`` wins).
-                    stall_deadline = None
-                    for shard_id, shard in shards.items():
-                        if shard_id in profiles or shard_id in claims:
-                            continue
-                        self._task_q.put(("shard", run_id, shard, spec))
+                lost = reap()
+                if lost:
+                    workers_lost += lost
+                    dispatch()
                 continue
-            kind = msg[0]
-            if msg[2] != run_id:
+            kind, worker_id, msg_run, shard_id = msg[:4]
+            if msg_run != run_id:
                 continue  # stale message from an aborted earlier run
-            if kind == "claim":
-                _, worker_id, _, shard_id = msg
-                if shard_id in profiles:
-                    continue
-                claims[shard_id] = worker_id
-                if worker_id in dead:
-                    # The claim outlived its worker; fail over now.
-                    del claims[shard_id]
-                    self._task_q.put(("shard", run_id, shards[shard_id], spec))
-            elif kind == "done":
-                _, worker_id, _, shard_id, profile, delta, shard_events = msg
-                if shard_id in profiles:
-                    continue  # re-executed shard already reported
-                profiles[shard_id] = profile
-                claims.pop(shard_id, None)
-                for name, value in delta.items():
-                    obs.counters.add(name, value)
-                events.extend(shard_events)
+            held[worker_id].discard(shard_id)
+            if kind == "done":
+                profile, delta, shard_events = msg[4:]
+                if shard_id not in profiles:  # first report wins
+                    profiles[shard_id] = profile
+                    for name, value in delta.items():
+                        obs.counters.add(name, value)
+                    events.extend(shard_events)
+                dispatch()
             elif kind == "error":
-                _, worker_id, _, shard_id, payload, message = msg
+                payload, message = msg[4:]
                 if payload is not None:
                     try:
                         raise pickle.loads(payload)
@@ -710,3 +668,9 @@ class ProcessShardExecutor:
             worker_events=tuple(events),
             workers_lost=workers_lost,
         )
+
+
+def _close_queue(q: Any) -> None:
+    """Release a queue without waiting on its feeder thread."""
+    q.close()
+    q.cancel_join_thread()

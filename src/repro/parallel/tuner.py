@@ -1,28 +1,24 @@
-"""Persisted host autotuner: measured strategy choice for ``"auto"``.
+"""Persisted host autotuner: the measured backend choice for ``"auto"``.
 
 The model-driven sweep in :mod:`repro.core.autotune` prices *device*
-configurations analytically.  Host-side strategy choice -- identity
-GEMM vs the blocked walk, full vs triangular Gram plans, and where the
-serial/parallel crossover sits -- depends on things no closed form
+configurations analytically.  Host-side choices -- which kernel
+backend computes the shards, full vs triangular Gram plans, and where
+the serial/parallel crossover sits -- depend on things no closed form
 captures (BLAS build, core count, NumPy version), so this module
-closes that loop empirically: :func:`tune_problem` benchmarks the
-candidate grid ``{gemm, blocked} x {full, triangular}`` -- plus every
-available tunable kernel-ABI backend (:mod:`repro.kernels`), raced the
-same way -- on synthetic operands of the requested shape, times a
-serial baseline for the crossover decision, and persists the winner to
-a small JSON cache.  A backend winner is recorded with strategy
-``"panel"`` and its backend name, which ``backend="auto"`` then
-applies per-machine.
+closes that loop empirically: :func:`tune_problem` races every
+available tunable kernel-ABI backend (:mod:`repro.kernels`) in full
+and, where eligible, triangular plan shape on synthetic operands of
+the requested shape, times a serial baseline for the crossover
+decision, and persists the winner to a small JSON cache, which
+``backend="auto"`` then applies per machine.
 
 The tuner also races the engine's *executor* axis: on problems large
 enough for the process tier to plausibly pay off, the whole candidate
 grid is re-timed on the process executor
 (:mod:`repro.parallel.procpool`) and the per-executor winners are
 stored as separate records, distinguished by an ``|ex<executor>`` key
-suffix (thread records keep the legacy unsuffixed key, so records
-persisted before the executor axis existed keep matching -- and keep
-meaning "thread").  ``executor="auto"`` then compares the two records'
-``best_seconds`` per size class.
+suffix (thread records carry no suffix).  ``executor="auto"`` then
+compares the two records' ``best_seconds`` per size class.
 
 The cache is keyed by ``(op, shape bucket, workers, word_bits, numpy
 version, backend fingerprint)`` -- shapes are bucketed to the next
@@ -31,20 +27,24 @@ version is in the key because the winner may flip across BLAS builds,
 and the backend fingerprint (names + versions of the tunable backend
 set, :func:`repro.kernels.backend_fingerprint`) is in the key so
 installing, removing, or upgrading a backend invalidates records
-measured against the old set instead of pinning a stale winner.  The engine's
-``strategy="auto"`` consults the cache through :func:`lookup_tuned`
-(a lazy singleton + dict lookup, cheap enough for every run); a
-missing, corrupt, or foreign-format cache degrades to "no record"
-rather than erroring, so a stale file can never break execution.
+measured against the old set instead of pinning a stale winner.  The
+engine's ``"auto"`` resolution consults the cache through
+:func:`lookup_tuned` (a lazy singleton + dict lookup, cheap enough for
+every run; an empty cache answers before any key -- and so any
+backend probe -- is built).  A missing, corrupt, or foreign-format
+cache degrades to "no record" rather than erroring, so a stale file
+can never break execution; files of the earlier
+``repro-host-tuning/1`` format (which raced shard strategies) read as
+empty this way.
 
-File format (``repro-host-tuning/1``)::
+File format (``repro-host-tuning/2``)::
 
     {
-      "format": "repro-host-tuning/1",
+      "format": "repro-host-tuning/2",
       "records": {
-        "<key>": {"strategy": "gemm", "triangular": true,
+        "<key>": {"backend": "blas", "triangular": true,
                    "crossover_ops": null, "best_seconds": 0.012,
-                   "candidates": 4, "backend": "numpy"}
+                   "candidates": 4, "executor": "thread"}
       }
     }
 
@@ -62,18 +62,17 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    backend_fingerprint,
-    registered_backends,
-)
+from repro.kernels import available_backends, backend_fingerprint
 from repro.util.cachedir import repro_cache_dir
+
+if TYPE_CHECKING:
+    from repro.parallel.engine import ParallelEngine
 
 __all__ = [
     "TUNING_FORMAT",
@@ -91,7 +90,7 @@ __all__ = [
 ]
 
 #: On-disk format tag; unknown tags are treated as "no cache".
-TUNING_FORMAT = "repro-host-tuning/1"
+TUNING_FORMAT = "repro-host-tuning/2"
 
 #: Environment variable overriding the cache file location.
 TUNING_CACHE_ENV = "REPRO_TUNING_CACHE"
@@ -109,13 +108,6 @@ def default_tuning_path() -> Path:
     if override:
         return Path(override).expanduser()
     return repro_cache_dir() / "host-tuning.json"
-
-#: Reference-backend strategies tune_problem races against each other.
-_STRATEGIES = ("gemm", "blocked")
-
-#: Strategies a persisted record may carry: the reference pair plus
-#: ``"panel"``, which marks a non-reference kernel-backend winner.
-_RECORD_STRATEGIES = ("gemm", "blocked", "panel")
 
 #: Executors a record (and a tuning key) may name.
 _RECORD_EXECUTORS = ("thread", "process")
@@ -146,10 +138,7 @@ def tuning_key(
     Numba was installed -- or against a different backend version --
     stops matching instead of silently pinning the old winner.
 
-    Non-thread executors append an ``|ex<executor>`` suffix; thread
-    records keep the unsuffixed legacy form so caches written before
-    the executor axis existed still resolve -- and resolve as thread
-    records, which is what they measured.
+    Non-thread executors append an ``|ex<executor>`` suffix.
     """
     if executor not in _RECORD_EXECUTORS:
         raise ConfigurationError(
@@ -168,32 +157,29 @@ def tuning_key(
 class TuningRecord:
     """One persisted tuning decision.
 
-    ``crossover_ops`` overrides the engine's serial/parallel crossover
-    for this size class when not ``None`` (recorded when the serial
-    baseline beat every parallel candidate).  ``triangular`` is the
-    measured preference for Gram plans; the engine only honours it
-    when the run is actually a symmetric self-comparison.
-    ``executor`` names the shard executor the record was measured on;
-    records persisted before the executor axis existed lack the field
-    and degrade to ``"thread"`` (which is what they measured).
+    ``backend`` names the winning kernel backend.  ``crossover_ops``
+    overrides the engine's serial/parallel crossover for this size
+    class when not ``None`` (recorded when the serial baseline beat
+    every parallel candidate).  ``triangular`` is the measured
+    preference for Gram plans; the engine only honours it when the run
+    is actually a symmetric self-comparison.  ``executor`` names the
+    shard executor the record was measured on.
     """
 
-    strategy: str
+    backend: str
     triangular: bool
     crossover_ops: int | None
     best_seconds: float
     candidates: int
-    backend: str = DEFAULT_BACKEND_NAME
     executor: str = "thread"
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "strategy": self.strategy,
+            "backend": self.backend,
             "triangular": self.triangular,
             "crossover_ops": self.crossover_ops,
             "best_seconds": self.best_seconds,
             "candidates": self.candidates,
-            "backend": self.backend,
             "executor": self.executor,
         }
 
@@ -202,10 +188,7 @@ class TuningRecord:
         """Parse one record; raises ``ValueError`` on any shape problem."""
         if not isinstance(data, Mapping):
             raise ValueError(f"tuning record must be an object, got {type(data)}")
-        strategy = data.get("strategy")
-        if strategy not in _RECORD_STRATEGIES:
-            raise ValueError(f"tuning record has unknown strategy {strategy!r}")
-        backend = data.get("backend", DEFAULT_BACKEND_NAME)
+        backend = data.get("backend")
         if not isinstance(backend, str) or not backend:
             raise ValueError("tuning record: backend must be a non-empty string")
         triangular = data.get("triangular")
@@ -228,14 +211,40 @@ class TuningRecord:
                 f"tuning record has unknown executor {executor!r}"
             )
         return cls(
-            strategy=strategy,
+            backend=backend,
             triangular=triangular,
             crossover_ops=crossover,
             best_seconds=float(best_seconds),
             candidates=candidates,
-            backend=backend,
             executor=executor,
         )
+
+
+def _parse_records(raw: str) -> tuple[dict[str, TuningRecord], str | None]:
+    """The records in a cache file's text, and why any were dropped.
+
+    Invalid JSON, a foreign ``format`` tag or a missing records object
+    yield no records; a malformed record is skipped and the good ones
+    kept.
+    """
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return {}, f"corrupt JSON: {exc}"
+    if not isinstance(data, dict) or data.get("format") != TUNING_FORMAT:
+        found = data.get("format") if isinstance(data, dict) else data
+        return {}, f"unrecognised format {found!r}"
+    records = data.get("records")
+    if not isinstance(records, dict):
+        return {}, "missing records object"
+    parsed: dict[str, TuningRecord] = {}
+    error = None
+    for key, value in records.items():
+        try:
+            parsed[str(key)] = TuningRecord.from_json(value)
+        except ValueError as exc:
+            error = f"skipped record {key!r}: {exc}"
+    return parsed, error
 
 
 class TuningCache:
@@ -273,27 +282,7 @@ class TuningCache:
             except OSError as exc:
                 self.load_error = f"unreadable: {exc}"
                 return
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                self.load_error = f"corrupt JSON: {exc}"
-                return
-            if not isinstance(data, dict) or data.get("format") != TUNING_FORMAT:
-                self.load_error = (
-                    f"unrecognised format "
-                    f"{data.get('format') if isinstance(data, dict) else data!r}"
-                )
-                return
-            records = data.get("records")
-            if not isinstance(records, dict):
-                self.load_error = "missing records object"
-                return
-            for key, value in records.items():
-                try:
-                    self._records[str(key)] = TuningRecord.from_json(value)
-                except ValueError as exc:
-                    # Skip the bad record, keep the good ones.
-                    self.load_error = f"skipped record {key!r}: {exc}"
+            self._records, self.load_error = _parse_records(raw)
 
     def lookup(self, key: str) -> TuningRecord | None:
         """The record stored under ``key``, or ``None``."""
@@ -316,21 +305,10 @@ class TuningCache:
         file never blocks a save.
         """
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            raw = path.read_text()
+        except OSError:
             return {}
-        if not isinstance(data, dict) or data.get("format") != TUNING_FORMAT:
-            return {}
-        records = data.get("records")
-        if not isinstance(records, dict):
-            return {}
-        out: dict[str, TuningRecord] = {}
-        for key, value in records.items():
-            try:
-                out[str(key)] = TuningRecord.from_json(value)
-            except ValueError:
-                continue
-        return out
+        return _parse_records(raw)[0]
 
     def save(self) -> None:
         """Persist atomically, merging concurrent writers' records.
@@ -404,12 +382,15 @@ def lookup_tuned(
     workers: int,
     executor: str = "thread",
 ) -> TuningRecord | None:
-    """Cheap cache consultation used by ``strategy="auto"``.
+    """Cheap cache consultation used by the engine's ``"auto"`` axes.
 
-    Thread lookups hit the legacy unsuffixed key, so records persisted
-    before the executor axis existed still apply (as thread records).
+    An empty cache answers ``None`` before the key is built: the key
+    embeds the backend fingerprint, whose availability probe would
+    compile the ``cnative`` kernel on an untuned host.
     """
     cache = get_tuning_cache()
+    if not len(cache):
+        return None
     return cache.lookup(
         tuning_key(op, m, n, k_words, word_bits, workers, executor=executor)
     )
@@ -432,15 +413,13 @@ def tune_problem(
 ) -> TuningRecord:
     """Benchmark the candidate grid for one shape and persist the winner.
 
-    Races ``{gemm, blocked}`` reference strategies and every available
-    tunable kernel backend -- each in full-plan form and, when the
-    problem is a square self-comparison with a symmetric op, also in
-    triangular Gram form -- on synthetic random operands, plus a
-    serial baseline.  The fastest parallel candidate becomes the
-    record (backend winners carry strategy ``"panel"`` and their
-    backend name); if the serial baseline beat it, ``crossover_ops``
-    is raised above this size class so ``"auto"`` keeps such problems
-    serial.
+    Races every available tunable kernel backend -- each in full-plan
+    form and, when the problem is a square self-comparison with a
+    symmetric op, also in triangular Gram form -- on synthetic random
+    operands, plus a serial baseline.  The fastest parallel candidate
+    becomes the record; if the serial baseline beat it,
+    ``crossover_ops`` is raised above this size class so ``"auto"``
+    keeps such problems serial.
 
     ``executors`` selects which shard executors race (default:
     ``("thread",)``, widened to ``("thread", "process")`` when the
@@ -468,7 +447,7 @@ def tune_problem(
     b = a if m == n else rng.integers(
         0, np.iinfo(np.uint64).max, size=(n, k_words), dtype=np.uint64
     )
-    gram_eligible = m == n and op.is_symmetric
+    shapes = (False, True) if m == n and op.is_symmetric else (False,)
     word_bits = 64
     total_ops = m * n * k_words
     if executors is None:
@@ -481,71 +460,37 @@ def tune_problem(
                 f"tune_problem: unknown executor {ex!r} "
                 f"(valid: {', '.join(_RECORD_EXECUTORS)})"
             )
+    backends = [be.info.name for be in available_backends() if be.info.tunable]
 
     def best_of(
-        strategy: str,
-        triangular: bool,
-        backend: str = DEFAULT_BACKEND_NAME,
-        executor: str = "thread",
+        engine: "ParallelEngine", force_parallel: bool, symmetric: bool | None
     ) -> float:
-        engine = get_engine(workers, strategy, backend, executor)
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            engine.run(a, b, op, force_parallel=True, symmetric=triangular)
+            engine.run(a, b, op, force_parallel=force_parallel, symmetric=symmetric)
             best = min(best, time.perf_counter() - start)
         return best
 
     def race_executor(executor: str) -> TuningRecord:
-        # The candidate grid: reference strategies, then every
-        # available tunable kernel backend raced the same way (full
-        # and, where eligible, triangular Gram plans).
-        candidates: list[tuple[str, str, bool, float]] = []
-        for strategy in _STRATEGIES:
-            candidates.append(
-                (DEFAULT_BACKEND_NAME, strategy, False,
-                 best_of(strategy, False, executor=executor))
-            )
-            if gram_eligible:
-                candidates.append(
-                    (DEFAULT_BACKEND_NAME, strategy, True,
-                     best_of(strategy, True, executor=executor))
-                )
-        for be in registered_backends():
-            info = be.info
-            if not info.tunable or not info.available:
-                continue
-            if info.name == DEFAULT_BACKEND_NAME:
-                continue
-            candidates.append(
-                (info.name, "panel", False,
-                 best_of("gemm", False, info.name, executor=executor))
-            )
-            if gram_eligible:
-                candidates.append(
-                    (info.name, "panel", True,
-                     best_of("gemm", True, info.name, executor=executor))
-                )
-        backend, strategy, triangular, best_seconds = min(
-            candidates, key=lambda c: c[3]
-        )
+        candidates = [
+            (backend, triangular,
+             best_of(get_engine(workers, backend, executor), True, triangular))
+            for backend in backends
+            for triangular in shapes
+        ]
+        backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
         crossover_ops = 2 * total_ops if serial_best < best_seconds else None
         return TuningRecord(
-            strategy=strategy,
+            backend=backend,
             triangular=triangular,
             crossover_ops=crossover_ops,
             best_seconds=best_seconds,
             candidates=len(candidates),
-            backend=backend,
             executor=executor,
         )
 
-    serial_engine = get_engine(1, "gemm")
-    serial_best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        serial_engine.run(a, b, op, force_parallel=False)
-        serial_best = min(serial_best, time.perf_counter() - start)
+    serial_best = best_of(get_engine(1), False, None)
 
     if cache is None:
         cache = get_tuning_cache()

@@ -39,7 +39,7 @@ class CheckResult:
 
 
 def _check_functional_agreement() -> CheckResult:
-    from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+    from repro.blis.gemm import bit_gemm, bit_gemm_reference
     from repro.core.config import Algorithm
     from repro.core.framework import SNPComparisonFramework
     from repro.gpu.arch import ALL_GPUS
@@ -54,8 +54,8 @@ def _check_functional_agreement() -> CheckResult:
     packed = pack_bits(bits, 32)
     tables = [
         bit_gemm_reference(packed, packed),
-        bit_gemm_blocked(packed, packed),
-        bit_gemm_fast(packed, packed),
+        bit_gemm(packed, packed, backend="blis"),
+        bit_gemm(packed, packed, backend="blas"),
         sparse_comparison(SparseSNPMatrix.from_dense(bits)),
     ]
     for arch in ALL_GPUS:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blis.gemm import bit_gemm_fast
+from repro.blis.gemm import bit_gemm
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import DatasetError
 from repro.sparse.cost import SparseCostModel
@@ -86,5 +86,5 @@ def auto_comparison(
     else:
         pa = pack_bits(a, 32)
         pb = pa if b_bits is None else pack_bits(b, 32)
-        table = bit_gemm_fast(pa, pb, op)
+        table = bit_gemm(pa, pb, op, backend="blas")
     return table, choice

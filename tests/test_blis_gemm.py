@@ -1,10 +1,10 @@
-"""Tests for repro.blis.gemm: the three popcount-GEMM drivers."""
+"""Tests for repro.blis.gemm: the reference, walk and serial drivers."""
 
 import numpy as np
 import pytest
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+from repro.blis.gemm import bit_gemm, bit_gemm_blocked, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import PackingError
 from repro.snp.stats import (
@@ -47,7 +47,8 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("op", OPS)
     def test_fast(self, operands, op):
         bits_a, bits_b, pa, pb = operands
-        assert (bit_gemm_fast(pa, pb, op) == oracle(op, bits_a, bits_b)).all()
+        got = bit_gemm(pa, pb, op, backend="blas")
+        assert (got == oracle(op, bits_a, bits_b)).all()
 
     def test_uint64_operands(self):
         rng = np.random.default_rng(1)
@@ -55,7 +56,7 @@ class TestAgainstOracle:
         p64 = pack_bits(bits, 64)
         expected = ld_counts_naive(bits)
         assert (bit_gemm_reference(p64, p64) == expected).all()
-        assert (bit_gemm_fast(p64, p64) == expected).all()
+        assert (bit_gemm(p64, p64, backend="blas") == expected).all()
 
 
 class TestBlockedPlans:
@@ -89,7 +90,7 @@ class TestOperandValidation:
         a = np.zeros((2, 3), dtype=np.uint32)
         b = np.zeros((2, 3), dtype=np.uint64)
         with pytest.raises(PackingError):
-            bit_gemm_fast(a, b)
+            bit_gemm(a, b)
 
     def test_k_mismatch_rejected(self):
         a = np.zeros((2, 3), dtype=np.uint32)
@@ -99,7 +100,7 @@ class TestOperandValidation:
 
     def test_non_2d_rejected(self):
         with pytest.raises(PackingError):
-            bit_gemm_fast(np.zeros(3, dtype=np.uint32), np.zeros((2, 3), dtype=np.uint32))
+            bit_gemm(np.zeros(3, dtype=np.uint32), np.zeros((2, 3), dtype=np.uint32))
 
     def test_signed_dtype_rejected(self):
         a = np.zeros((2, 3), dtype=np.int32)
@@ -114,7 +115,7 @@ class TestEdgeShapes:
         bits_b = (rng.random((1, 40)) < 0.5).astype(np.uint8)
         pa, pb = pack_bits(bits_a, 32), pack_bits(bits_b, 32)
         expected = ld_counts_naive(bits_a, bits_b)
-        for fn in (bit_gemm_reference, bit_gemm_blocked, bit_gemm_fast):
+        for fn in (bit_gemm_reference, bit_gemm_blocked, bit_gemm):
             assert (fn(pa, pb) == expected).all()
 
     def test_asymmetric_fastid_shape(self):

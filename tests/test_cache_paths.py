@@ -91,3 +91,37 @@ class TestKernelCachePath:
         root = repro_cache_dir()
         assert TuningCache().path.parent == root
         assert cnative_backend._cache_dir().parent == root
+
+
+class TestUntunedRunsProbeNothing:
+    def test_untuned_engine_run_creates_no_kernels_dir(self, tmp_path):
+        # A fresh process with an empty cache root: the engine's "auto"
+        # resolution consults the (empty) tuning cache, which must
+        # answer before building a key -- the key's backend fingerprint
+        # would compile the C kernel into <cache>/kernels.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro.parallel import ParallelEngine\n"
+            "a = np.random.default_rng(0).integers(\n"
+            "    0, 2**32, size=(512, 64), dtype=np.uint32)\n"
+            "engine = ParallelEngine(workers=2, executor='thread')\n"
+            "c, report = engine.run(a, a, force_parallel=True)\n"
+            "engine.shutdown()\n"
+            "serial, _ = ParallelEngine(workers=1).run(a, a)\n"
+            "assert report.backend == 'blas' and (c == serial).all()\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["XDG_CACHE_HOME"] = str(tmp_path)
+        src = Path(cnative_backend.__file__).resolve().parents[2]
+        env["PYTHONPATH"] = str(src)
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120
+        )
+        assert not (tmp_path / "repro" / "kernels").exists()
+        assert not (tmp_path / "repro" / "host-tuning.json").exists()

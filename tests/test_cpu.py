@@ -49,18 +49,18 @@ class TestCpuBlis:
 
     def test_blocked_path_matches_oracle(self, data):
         bits_a, bits_b, pa, pb = data
-        out = cpu_snp_comparison(pa, pb, ComparisonOp.AND, use_blocked_path=True)
+        out = cpu_snp_comparison(pa, pb, ComparisonOp.AND, backend="blis")
         assert (out == ld_counts_naive(bits_a, bits_b)).all()
 
     def test_fast_path_matches_oracle(self, data):
         bits_a, bits_b, pa, pb = data
-        out = cpu_snp_comparison(pa, pb, ComparisonOp.XOR, use_blocked_path=False)
+        out = cpu_snp_comparison(pa, pb, ComparisonOp.XOR, backend="blas")
         assert (out == identity_distances_naive(bits_a, bits_b)).all()
 
     def test_paths_agree(self, data):
         _, _, pa, pb = data
-        blocked = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, use_blocked_path=True)
-        fast = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, use_blocked_path=False)
+        blocked = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, backend="blis")
+        fast = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, backend="blas")
         assert (blocked == fast).all()
 
     def test_wrong_word_width_rejected(self, data):

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
+from repro.blis.gemm import bit_gemm, bit_gemm_blocked
 from repro.core.framework import SNPComparisonFramework
 from repro.observability import (
     GEMM_CALLS,
@@ -175,7 +175,7 @@ class TestNullPath:
         # The process default is the null tracer; run real instrumented
         # work and confirm nothing sticks anywhere.
         pa, pb = make_packed(16, 32, 4)
-        bit_gemm_fast(pa, pb, "and")
+        bit_gemm(pa, pb, "and", backend="blas")
         assert get_tracer().counters.snapshot() == {}
         assert get_tracer().n_spans() == 0
 
@@ -192,7 +192,7 @@ class TestCounterExactness:
     def test_serial_fast_driver(self):
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        bit_gemm_fast(pa, pb, "and")
+        bit_gemm(pa, pb, "and", backend="blas")
         assert tracer.counters.get(GEMM_WORD_OPS) == self.expected_word_ops()
         assert tracer.counters.get(GEMM_CALLS) == 1
 
@@ -204,12 +204,15 @@ class TestCounterExactness:
         assert tracer.counters.get(GEMM_CALLS) == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("strategy", ["gemm", "blocked"])
-    def test_sharded_engine_all_paths(self, workers, strategy):
+    @pytest.mark.parametrize(
+        "backend",
+        [pytest.param("blas", id="gemm"), pytest.param("blis", id="blocked")],
+    )
+    def test_sharded_engine_all_paths(self, workers, backend):
         """Word-ops are exact however the work is partitioned."""
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        engine = ParallelEngine(workers=workers, strategy=strategy)
+        engine = ParallelEngine(workers=workers, backend=backend)
         try:
             _, report = engine.run(pa, pb, "and", force_parallel=workers > 1)
         finally:
@@ -346,10 +349,9 @@ def _sweep_payload(scale=1.0, word_ops=128 * 512 * 32):
                 "workers": w,
                 "seconds": 0.01 * scale / w,
                 "speedup": float(w),
-                "strategy": "gemm",
+                "backend": "blas",
                 "n_shards": 2 * w,
                 "bit_exact": True,
-                "cache_hit_rate": 0.5,
             }
             for w in (1, 4)
         ],
@@ -357,7 +359,7 @@ def _sweep_payload(scale=1.0, word_ops=128 * 512 * 32):
             "gemm.popc_word_ops": word_ops,
             "gemm.calls": 1,
             "shards.executed": 8,
-            "cache.hits": 3,  # nondeterministic: must NOT be gated
+            "time.host_engine_s": 0.3,  # nondeterministic: must NOT be gated
         },
     }
 
@@ -380,8 +382,8 @@ class TestRegressionGate:
         fresh = self._record(tmp_path)
         names = {m.name for m in load_metrics([fresh])}
         assert "sweep:counter.gemm.popc_word_ops" in names
-        assert not any("cache.hits" in n for n in names)
-        assert "cache.hits" not in DETERMINISTIC_COUNTERS
+        assert not any("time.host_engine_s" in n for n in names)
+        assert "time.host_engine_s" not in DETERMINISTIC_COUNTERS
 
     def test_synthetic_2x_slowdown_fails(self, tmp_path):
         baseline = record_baseline("test", load_metrics([self._record(tmp_path)]))

@@ -243,10 +243,10 @@ class TestWorkloads:
 
 
 class TestWorkerLoss:
-    """Targeted worker kills fire when the victim *claims* a shard, so
-    these tests warm the pool (both workers booted and blocked on the
-    task queue) and use a problem large enough that every worker claims
-    work before the queue drains."""
+    """Targeted worker kills fire when the victim receives a shard.  The
+    parent hands every live worker one shard before any worker gets a
+    second, so a kill fires on every run whose plan has at least one
+    shard per worker, however the workers race."""
 
     @pytest.fixture(scope="class")
     def loss_operands(self):
@@ -277,7 +277,7 @@ class TestWorkerLoss:
                     [(e.target, e.site) for e in fired]
                     == [(1, "procpool")]
                 )
-                # Survivors re-executed the dead worker's claimed
+                # Survivors re-executed the dead worker's unfinished
                 # shards; every shard still landed exactly once.
                 assert len(report.shard_profiles) == report.n_shards
             # Outside the fault scope the pool self-heals: the next
@@ -330,6 +330,27 @@ class TestWorkerLoss:
         }
         assert lossy == clean
         assert tracer.counters.snapshot()["resilience.workers_lost"] == 1
+
+    def test_targeted_loss_fires_with_more_workers_than_cores(
+        self, loss_operands
+    ):
+        # Four workers outnumber the cores of a small host, and no run
+        # is warmed: the victim is still handed a shard on every run.
+        pa, pb = loss_operands
+        expected = bit_gemm_reference(pa, pb, OP)
+        engine = ParallelEngine(workers=4, executor="process")
+        try:
+            for _ in range(3):
+                with resilient("worker-lost@3"):
+                    table, report = engine.run(
+                        pa, pb, OP, force_parallel=True
+                    )
+                assert report.n_shards >= 4
+                assert report.workers_lost == 1
+                assert len(report.shard_profiles) == report.n_shards
+                assert (table == expected).all()
+        finally:
+            engine.shutdown()
 
 
 class TestEnvResolution:
@@ -472,14 +493,14 @@ class TestTunerExecutorAxis:
 
     def test_record_roundtrip_keeps_executor(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4, executor="process",
         )
         assert TuningRecord.from_json(record.to_json()).executor == "process"
 
     def test_stale_record_degrades_to_thread(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4,
         )
         payload = record.to_json()
@@ -488,7 +509,7 @@ class TestTunerExecutorAxis:
 
     def test_record_rejects_unknown_executor(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4,
         )
         payload = record.to_json()
@@ -501,7 +522,7 @@ class TestTunerExecutorAxis:
 
         cache = tuner.configure_tuning(tmp_path / "tuning.json")
         record = TuningRecord(
-            strategy="blocked", triangular=False, crossover_ops=None,
+            backend="blis", triangular=False, crossover_ops=None,
             best_seconds=0.25, candidates=2, executor="process",
         )
         cache.store(

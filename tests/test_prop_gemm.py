@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+from repro.blis.gemm import bit_gemm, bit_gemm_blocked, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 
 ops = st.sampled_from(
@@ -50,7 +50,7 @@ class TestDriverAgreement:
     @given(packed_pairs(), ops)
     def test_fast_equals_reference(self, pair, op):
         a, b = pair
-        assert (bit_gemm_fast(a, b, op) == bit_gemm_reference(a, b, op)).all()
+        assert (bit_gemm(a, b, op, backend="blas") == bit_gemm_reference(a, b, op)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(packed_pairs(), ops, st.data())
@@ -67,18 +67,18 @@ class TestAlgebraicProperties:
     @given(packed_pairs())
     def test_and_symmetric(self, pair):
         a, b = pair
-        c_ab = bit_gemm_fast(a, b, ComparisonOp.AND)
-        c_ba = bit_gemm_fast(b, a, ComparisonOp.AND)
+        c_ab = bit_gemm(a, b, ComparisonOp.AND, backend="blas")
+        c_ba = bit_gemm(b, a, ComparisonOp.AND, backend="blas")
         assert (c_ab == c_ba.T).all()
 
     @settings(max_examples=40, deadline=None)
     @given(packed_pairs())
     def test_xor_distance_axioms(self, pair):
         a, b = pair
-        d = bit_gemm_fast(a, b, ComparisonOp.XOR)
+        d = bit_gemm(a, b, ComparisonOp.XOR, backend="blas")
         assert (d >= 0).all()
         # Self-distance along matching rows is zero.
-        d_self = bit_gemm_fast(a, a, ComparisonOp.XOR)
+        d_self = bit_gemm(a, a, ComparisonOp.XOR, backend="blas")
         assert (np.diag(d_self) == 0).all()
         # Symmetry.
         assert (d_self == d_self.T).all()
@@ -88,7 +88,7 @@ class TestAlgebraicProperties:
     def test_mixture_simplification_identity(self, pair):
         """popc((r^m) & r) == popc(r & ~m), the Section II-C identity."""
         r, m = pair
-        fused = bit_gemm_fast(r, m, ComparisonOp.ANDNOT)
+        fused = bit_gemm(r, m, ComparisonOp.ANDNOT, backend="blas")
         # Direct evaluation of the unsimplified form.
         from repro.util.bitops import popcount
 
@@ -104,8 +104,8 @@ class TestAlgebraicProperties:
         """AND against ~m equals ANDNOT against m (Section II-C)."""
         r, m = pair
         assert (
-            bit_gemm_fast(r, np.bitwise_not(m), ComparisonOp.AND_PRENEGATED)
-            == bit_gemm_fast(r, m, ComparisonOp.ANDNOT)
+            bit_gemm(r, np.bitwise_not(m), ComparisonOp.AND_PRENEGATED, backend="blas")
+            == bit_gemm(r, m, ComparisonOp.ANDNOT, backend="blas")
         ).all()
 
     @settings(max_examples=40, deadline=None)
@@ -115,9 +115,9 @@ class TestAlgebraicProperties:
         if a.shape[0] < 2:
             return
         x, y = a[0:1], a[1:2]
-        d_xy = bit_gemm_fast(x, y, ComparisonOp.XOR)[0, 0]
+        d_xy = bit_gemm(x, y, ComparisonOp.XOR, backend="blas")[0, 0]
         for j in range(b.shape[0]):
             z = b[j : j + 1]
-            d_xz = bit_gemm_fast(x, z, ComparisonOp.XOR)[0, 0]
-            d_zy = bit_gemm_fast(z, y, ComparisonOp.XOR)[0, 0]
+            d_xz = bit_gemm(x, z, ComparisonOp.XOR, backend="blas")[0, 0]
+            d_zy = bit_gemm(z, y, ComparisonOp.XOR, backend="blas")[0, 0]
             assert d_xy <= d_xz + d_zy

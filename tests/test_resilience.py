@@ -374,7 +374,7 @@ class TestEngineResilience:
     def test_transient_shard_faults_retry_to_bit_exact(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="shard@0:2,slow@1:1", policy=fast_policy()):
             c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert np.array_equal(c, reference)
@@ -388,7 +388,7 @@ class TestEngineResilience:
     def test_exhausted_budget_quarantines_bit_exact(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.XOR)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(
             plan="shard@0:3", policy=fast_policy(max_attempts=2)
         ):
@@ -401,7 +401,7 @@ class TestEngineResilience:
 
     def test_quarantine_disabled_raises_shard_error(self, operands):
         a, b = operands
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(
             plan="shard@0:3",
             policy=fast_policy(max_attempts=2, quarantine=False),
@@ -414,7 +414,7 @@ class TestEngineResilience:
     def test_bitflip_caught_by_spot_verification(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="bitflip@0,seed=3", verify_sample=1.0):
             c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert np.array_equal(c, reference)
@@ -427,7 +427,7 @@ class TestEngineResilience:
         # proving the guard (not luck) restores bit-exactness above.
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="bitflip@0,seed=3"):
             c, _ = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert not np.array_equal(c, reference)
@@ -446,7 +446,7 @@ class TestEngineResilience:
 
     def test_inactive_context_reports_no_resilience(self, operands):
         a, b = operands
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert report.resilience is None
         assert np.array_equal(c, bit_gemm_reference(a, b, ComparisonOp.AND))
@@ -627,7 +627,7 @@ class TestStreamingValidation:
 
 def make_record(best_seconds: float) -> TuningRecord:
     return TuningRecord(
-        strategy="gemm",
+        backend="blas",
         triangular=False,
         crossover_ops=None,
         best_seconds=best_seconds,
