@@ -129,11 +129,11 @@ def collect_counters(problem, sites, scores):
     try:
         ld_prune(
             sites, problem["window"], problem["prune_r2"],
-            chunk_rows=problem["chunk_rows"], workers=1,
+            chunk_rows=problem["chunk_rows"],
         )
         ld_clump(
             sites, scores, problem["window"], problem["clump_r2"],
-            chunk_rows=problem["chunk_rows"], workers=1,
+            chunk_rows=problem["chunk_rows"],
         )
     finally:
         set_tracer(previous)
@@ -153,23 +153,23 @@ def run_bench(problem):
     start = time.perf_counter()
     prune_chunked = ld_prune(
         sites, window, problem["prune_r2"],
-        chunk_rows=problem["chunk_rows"], workers=1,
+        chunk_rows=problem["chunk_rows"],
     )
     prune_wall = time.perf_counter() - start
     prune_whole = ld_prune(
         sites, window, problem["prune_r2"],
-        chunk_rows=in_memory_rows, workers=1,
+        chunk_rows=in_memory_rows,
     )
 
     start = time.perf_counter()
     clump_chunked = ld_clump(
         sites, scores, window, problem["clump_r2"],
-        chunk_rows=problem["chunk_rows"], workers=1,
+        chunk_rows=problem["chunk_rows"],
     )
     clump_wall = time.perf_counter() - start
     clump_whole = ld_clump(
         sites, scores, window, problem["clump_r2"],
-        chunk_rows=in_memory_rows, workers=1,
+        chunk_rows=in_memory_rows,
     )
 
     chunked_matches_inmemory = (
@@ -265,7 +265,7 @@ if pytest is not None:
         result = benchmark(
             ld_prune, sites, FULL_PROBLEM["window"],
             FULL_PROBLEM["prune_r2"],
-            chunk_rows=FULL_PROBLEM["chunk_rows"], workers=1,
+            chunk_rows=FULL_PROBLEM["chunk_rows"],
         )
         assert result.peak_window_sites <= FULL_PROBLEM["window"]
 

@@ -11,6 +11,10 @@
   picks a kernel backend by the one size rule
   (:func:`repro.kernels.pick_backend`) and runs either the walk or the
   backend's panel.
+* :func:`bit_gemm_band` -- the counted band driver for windowed LD: only
+  the ``width`` sub-diagonals of a self-comparison, walked diagonal by
+  diagonal over the packed words (no backend axis; see
+  ``docs/KERNELS.md``).
 
 All drivers take *row-major packed* operands: A is ``(m, k)`` words,
 B is ``(n, k)`` words (note B is stored row-per-output-column, i.e.
@@ -43,6 +47,7 @@ from repro.util.bitops import popcount
 __all__ = [
     "HOST_BLOCKING",
     "bit_gemm",
+    "bit_gemm_band",
     "bit_gemm_reference",
     "bit_gemm_blocked",
     "blis_walk",
@@ -161,6 +166,53 @@ def bit_gemm(
     obs.counters.add(GEMM_WORD_OPS, m * n * k)
     with obs.span("gemm.backend", backend=name, m=m, n=n, k=k):
         return get_backend(name).bit_gemm_panel(a, b, op)
+
+
+def bit_gemm_band(
+    a: np.ndarray,
+    width: int,
+    op: ComparisonOp | str = ComparisonOp.AND,
+    start: int = 0,
+) -> np.ndarray:
+    """The first ``width`` sub-diagonals of ``a``'s self-comparison.
+
+    Returns the ``(m - start, width)`` band of rows ``q = start .. m-1``:
+    ``band[q - start, d-1] = sum_k POPC(op(a[q, k], a[q-d, k]))`` for
+    ``d = 1 .. width``, i.e. ``C[q, q-d]`` of the full popcount-GEMM;
+    cells with ``q < d`` have no partner row and stay 0.  Rows above
+    ``start`` serve only as partners.  The walk combines each
+    diagonal's row pairs in one vectorized pass over the packed words,
+    so the work is the band's ``sum_{q >= start} min(q, width) * k``
+    word-ops -- exactly what :data:`GEMM_WORD_OPS` records -- instead
+    of the ``m * m * k`` a Gram block costs.  One :data:`GEMM_CALLS`.
+    """
+    from repro.kernels.abi import canonicalize_words, check_panel_operands
+
+    a, _, op = check_panel_operands(a, a, op)
+    m, k = a.shape
+    if width < 0:
+        raise PackingError(f"bit_gemm_band: width must be >= 0, got {width}")
+    if not 0 <= start <= m:
+        raise PackingError(
+            f"bit_gemm_band: start must be in [0, {m}], got {start}"
+        )
+    diagonals = range(1, min(width, m - 1) + 1)
+    obs = get_tracer()
+    obs.counters.add(GEMM_CALLS)
+    obs.counters.add(
+        GEMM_WORD_OPS, sum(max(0, m - max(start, d)) for d in diagonals) * k
+    )
+    combine = get_microkernel(op).combine
+    band = np.zeros((m - start, width), dtype=np.int64)
+    with obs.span("gemm.backend", backend="band", m=m - start, n=width, k=k):
+        # Whole uint64 words popcount the same bits in fewer steps.
+        words = canonicalize_words(a)
+        for d in diagonals:
+            lo = max(start, d)
+            band[lo - start :, d - 1] = popcount(
+                combine(words[lo:], words[lo - d : m - d])
+            ).sum(axis=1)
+    return band
 
 
 def bit_gemm_blocked(

@@ -428,31 +428,22 @@ def _ldops_source(args: argparse.Namespace) -> np.ndarray | str:
 
 
 def _emit_ldops_footer(
-    args: argparse.Namespace,
-    tracer: Tracer | None,
-    framework: SNPComparisonFramework | None,
-    stats: StreamStats | None,
+    args: argparse.Namespace, tracer: Tracer | None, stats: StreamStats | None
 ) -> None:
     if stats is not None:
         _emit_stream_stats(stats)
-    _emit_streaming_observability(args, tracer, framework)
+    _emit_streaming_observability(args, tracer, None)
 
 
 def _cmd_ld_prune(args: argparse.Namespace) -> int:
     """Windowed greedy LD pruning over a streamed site-major input."""
-    with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.LD)
+    with _observability(args) as tracer:
         result = ld_prune(
             _ldops_source(args),
             window=args.window,
             r2=args.r2,
             chunk_rows=args.chunk_rows or 4096,
             device=args.device,
-            workers=_resolve_workers(args),
-            gram=not args.no_gram,
-            backend=args.backend,
-            executor=args.executor,
-            framework=framework,
         )
         print(render_kv([
             ("sites scanned", result.n_sites),
@@ -463,9 +454,9 @@ def _cmd_ld_prune(args: argparse.Namespace) -> int:
             ("pairs tested", result.pairs_tested),
             ("peak window sites", result.peak_window_sites),
             ("simulated end-to-end",
-             f"{result.simulated_seconds * 1e3:.1f} ms"),
+             f"{result.simulated_seconds * 1e3:.3g} ms"),
         ], title=f"LD pruning on {args.device}"))
-        _emit_ldops_footer(args, tracer, framework, result.stream_stats)
+        _emit_ldops_footer(args, tracer, result.stream_stats)
     _save_table(
         args.output,
         kept=result.kept, pruned=result.pruned, blocker=result.blocker,
@@ -476,8 +467,7 @@ def _cmd_ld_prune(args: argparse.Namespace) -> int:
 def _cmd_clump(args: argparse.Namespace) -> int:
     """Index-variant clumping over a streamed site-major input."""
     scores = _load_scores(args.scores)
-    with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.LD)
+    with _observability(args) as tracer:
         result = ld_clump(
             _ldops_source(args),
             scores,
@@ -485,11 +475,6 @@ def _cmd_clump(args: argparse.Namespace) -> int:
             r2=args.r2,
             chunk_rows=args.chunk_rows or 4096,
             device=args.device,
-            workers=_resolve_workers(args),
-            gram=not args.no_gram,
-            backend=args.backend,
-            executor=args.executor,
-            framework=framework,
         )
         n_absorbed = int((result.assignment != np.arange(result.n_sites)).sum())
         print(render_kv([
@@ -501,7 +486,7 @@ def _cmd_clump(args: argparse.Namespace) -> int:
             ("pairs tested", result.pairs_tested),
             ("peak window sites", result.peak_window_sites),
             ("simulated end-to-end",
-             f"{result.simulated_seconds * 1e3:.1f} ms"),
+             f"{result.simulated_seconds * 1e3:.3g} ms"),
         ], title=f"LD clumping on {args.device}"))
         top = result.clumps[:10]
         if top:
@@ -517,7 +502,7 @@ def _cmd_clump(args: argparse.Namespace) -> int:
             ))
             if len(result.clumps) > 10:
                 print(f"... and {len(result.clumps) - 10} more")
-        _emit_ldops_footer(args, tracer, framework, result.stream_stats)
+        _emit_ldops_footer(args, tracer, result.stream_stats)
     _save_table(
         args.output,
         index_sites=result.index_sites,
@@ -823,6 +808,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(out-of-core; see docs/STREAMING.md)"
     )
 
+    def add_chunk_rows_flag(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument(
+            "--chunk-rows", type=int, default=None, metavar="N",
+            help=chunk_help,
+        )
+
     def add_compute_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--workers", type=int, default=None, help=workers_help)
         cmd.add_argument(
@@ -844,10 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--verify-sample", type=float, default=0.0, metavar="RATE",
             help=verify_help,
         )
-        cmd.add_argument(
-            "--chunk-rows", type=int, default=None, metavar="N",
-            help=chunk_help,
-        )
+        add_chunk_rows_flag(cmd)
 
     ld = sub.add_parser("ld", help="all-pairs linkage disequilibrium")
     ld.add_argument(
@@ -889,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune a site when r2 with a kept window site exceeds this",
     )
     prune.add_argument("--transpose", action="store_true", help=transpose_help)
-    add_compute_flags(prune)
+    add_chunk_rows_flag(prune)
     prune.add_argument(
         "--output", help="write kept/pruned/blocker tables to this .npz"
     )
@@ -919,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         "above this",
     )
     clump.add_argument("--transpose", action="store_true", help=transpose_help)
-    add_compute_flags(clump)
+    add_chunk_rows_flag(clump)
     clump.add_argument(
         "--output", help="write index_sites/assignment tables to this .npz"
     )

@@ -19,27 +19,26 @@ operators over block-rows* of that Gram output:
 Neither operator ever materializes the full ``sites x sites`` LD
 matrix.  Each consumes the streamed site-major input chunk by chunk
 (the block-row decomposition :class:`~repro.core.streaming.StreamingLD`
-uses) and asks the comparison framework for exactly the two count
-blocks a block-row of the Gram output contributes to the active
-window: the chunk's diagonal block (a self-comparison -- the
-symmetric/triangular Gram machinery engages as usual) and one
-rectangular block against the buffered window sites.  Resident LD
-state is therefore ``O(window^2)`` regardless of panel size: at most
-``window`` buffered site vectors plus the current count blocks (see
+uses), stacks the chunk under the buffered window rows, packs the
+stack once and counts only the *window band* of its self-comparison
+with :func:`~repro.blis.gemm.bit_gemm_band`: the joint counts of every
+chunk row with the (at most ``window - 1``) stack rows above it.
+Resident LD state is therefore ``O(chunk * window)`` counts plus at most
+``window - 1`` buffered site vectors, regardless of panel size (see
 ``docs/LDOPS.md`` for the precise bound and the clump bookkeeping
 caveat).
 
-Decisions are made from *exact integer joint counts* (the bit-GEMM
+Decisions are made from *exact integer joint counts* (the band
 output), via the shared predicate :func:`r2_exceeds`:
 
     r^2 = (n c_ab - c_a c_b)^2 / (c_a (n - c_a) c_b (n - c_b))
 
-evaluated as an arbitrary-precision integer numerator/denominator pair,
-so results are bit-identical between chunked streaming and in-memory
-execution for every chunk size -- a property the tests pin down
-against a naive dense reference.  A site with zero variance
-(monomorphic) has an undefined r^2; it is treated as 0 (never prunes,
-never absorbs, never is absorbed), matching
+evaluated as an exact integer numerator/denominator pair (a whole band
+at a time by :func:`r2_exceeds_array`), so results are bit-identical
+between chunked streaming and in-memory execution for every chunk size
+-- a property the tests pin down against a naive dense reference.  A
+site with zero variance (monomorphic) has an undefined r^2; it is
+treated as 0 (never prunes, never absorbs, never is absorbed), matching
 :attr:`~repro.core.ld.LDResult.r_squared`.
 
 Rows of the streamed source are the *sites* being pruned/clumped
@@ -51,15 +50,20 @@ reads its entities.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro.blis.gemm import bit_gemm_band
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.errors import DatasetError
+from repro.core.packing import pack_operand
+from repro.errors import ConfigurationError, DatasetError
 from repro.gpu.arch import GPUArchitecture
+from repro.gpu.executor import price_kernel
+from repro.gpu.kernel import KernelArgs
 from repro.io_stream.prefetch import ChunkStream, StreamStats
 from repro.io_stream.sources import ChunkSource, as_chunk_source
 from repro.observability.counters import (
@@ -82,7 +86,14 @@ __all__ = [
     "ld_clump",
     "ld_prune",
     "r2_exceeds",
+    "r2_exceeds_array",
 ]
+
+#: Largest observation count :func:`r2_exceeds_array` evaluates in
+#: int64: for realizable counts the numerator and the denominator are
+#: each at most ``n^4 / 16``, which stays below ``2^53`` up to here, so
+#: every int64 -> float64 cast is exact.
+INT64_EXACT_MAX_OBS = 19_000
 
 
 def r2_exceeds(
@@ -114,6 +125,38 @@ def r2_exceeds(
         return False
     bound = threshold * den
     return num > bound if strict else num >= bound
+
+
+def r2_exceeds_array(
+    c_ab: np.ndarray,
+    c_a: np.ndarray,
+    c_b: np.ndarray,
+    n_obs: int,
+    threshold: float,
+    strict: bool,
+) -> np.ndarray:
+    """Element-wise :func:`r2_exceeds` over broadcast count arrays.
+
+    Counts must be realizable (``max(0, c_a + c_b - n) <= c_ab <=
+    min(c_a, c_b)``, as joint popcounts are).  Up to
+    :data:`INT64_EXACT_MAX_OBS` observations the numerator and the
+    denominator are exact int64 values below ``2^53``, so casting them
+    to float64 and comparing against ``threshold * denominator`` gives
+    exactly the decision of the scalar predicate's int/float
+    comparison.  Above that bound the same arithmetic runs on Python
+    integers (object arrays).
+    """
+    small = n_obs <= INT64_EXACT_MAX_OBS
+    dtype = np.int64 if small else object
+    c_ab, c_a, c_b = (np.asarray(c, dtype=dtype) for c in (c_ab, c_a, c_b))
+    num_root = n_obs * c_ab - c_a * c_b
+    num = num_root * num_root
+    den = c_a * (n_obs - c_a) * c_b * (n_obs - c_b)
+    if small:
+        num, den = num.astype(np.float64), den.astype(np.float64)
+    bound = threshold * den
+    exceeds = num > bound if strict else num >= bound
+    return np.asarray(exceeds, dtype=bool) & (den != 0)
 
 
 def _check_site_chunk(name: str, chunk: np.ndarray, n_sites: int | None) -> np.ndarray:
@@ -151,81 +194,105 @@ def _check_params(name: str, window: int, r2: float) -> None:
         raise DatasetError(f"{name}: r2 threshold must be in [0, 1], got {r2}")
 
 
-class _WindowGram:
-    """Shared block-row machinery: buffered window sites + count blocks.
+def _ld_framework(
+    name: str,
+    device: str | GPUArchitecture,
+    framework: SNPComparisonFramework | None,
+) -> SNPComparisonFramework:
+    """The LD framework whose device packs and prices the bands."""
+    if framework is None:
+        return SNPComparisonFramework(device, Algorithm.LD)
+    if framework.algorithm is not Algorithm.LD:
+        raise ConfigurationError(
+            f"{name}: framework runs the {framework.algorithm.value!r} "
+            f"algorithm; LD pruning and clumping need an 'ld' framework"
+        )
+    return framework
 
-    Keeps the site vectors of the trailing window (the only input ever
-    re-touched), their per-site allele counts, and computes the two
-    count blocks each new chunk needs through the framework's bit-GEMM:
-    the chunk's diagonal self-comparison block and the rectangle
-    against the buffered rows.  Eviction keeps the buffer at most
-    ``window - 1`` rows between chunks, so resident input state is
-    bounded by the window, never the panel.
+
+@dataclass
+class _Stack:
+    """One chunk stacked under the buffered window rows, plus its band."""
+
+    #: Buffered rows, then the chunk's rows (site vectors).
+    rows: np.ndarray
+    #: Global site index of each stacked row (ascending).
+    indices: np.ndarray
+    #: Allele count of each stacked row.
+    counts: np.ndarray
+    #: How many buffered rows sit above the chunk: chunk row ``local``
+    #: is stack row ``buffered + local``.
+    buffered: int
+    #: ``hits[local, d-1]``: the r^2 test passes between chunk row
+    #: ``local`` and the stack row ``d`` positions above it (False
+    #: where there is no such row).
+    hits: np.ndarray
+
+
+class _WindowBand:
+    """Shared block-row machinery: buffered window rows + count band.
+
+    Keeps the site vectors later sites may still pair with (the only
+    input ever re-touched) and their global indices and allele counts.
+    Each new chunk is stacked under them, packed once, and the chunk
+    rows' first ``min(window, stack rows) - 1`` sub-diagonals are
+    counted by :func:`~repro.blis.gemm.bit_gemm_band`.  Buffered rows
+    are in ascending site order and no two rows are further apart in
+    the stack than in sites, so the band holds every in-window pair of
+    a chunk row; callers still filter by global site index.  Eviction
+    keeps the buffer at most ``window - 1`` rows between chunks.
     """
 
     def __init__(self, window: int, framework: SNPComparisonFramework) -> None:
         self.window = window
         self.framework = framework
-        #: Buffered site vectors (rows) still inside some future window.
         self._rows: np.ndarray | None = None
-        #: Global site index of each buffered row.
-        self._indices: list[int] = []
-        #: Per-site allele count of each buffered row.
-        self._counts: list[int] = []
+        self._indices = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
         self.n_obs: int | None = None
         self.next_site = 0
         self.simulated_seconds = 0.0
 
-    def blocks(
-        self, chunk: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, list[int], list[int], list[int]]:
-        """Count blocks + bookkeeping for one new chunk of site rows.
+    def stack(self, chunk: np.ndarray, r2: float, strict: bool) -> _Stack:
+        """Stack, pack and band one validated chunk; decide r^2 on its band."""
+        self.n_obs = int(chunk.shape[1])
+        buffered = len(self._indices)
+        counts = chunk.sum(axis=1, dtype=np.int64)
+        rows = chunk if self._rows is None else np.concatenate([self._rows, chunk])
+        # No two stack rows are more than len(rows) - 1 apart, so a
+        # window wider than the stack adds no band column.
+        width = min(self.window - 1, len(rows) - 1)
+        indices = np.concatenate(
+            [self._indices, np.arange(self.next_site, self.next_site + len(chunk))]
+        )
+        stack_counts = np.concatenate([self._counts, counts])
+        packed = pack_operand(rows, word_bits=self.framework.arch.word_bits)
+        band = bit_gemm_band(packed.words, width, start=buffered)
+        partner = np.arange(buffered, len(rows))[:, None] - np.arange(1, width + 1)
+        has_partner = partner >= 0
+        hits = has_partner & r2_exceeds_array(
+            band,
+            stack_counts[np.where(has_partner, partner, 0)],
+            counts[:, None],
+            self.n_obs,
+            r2,
+            strict,
+        )
+        if width:
+            args = KernelArgs(m=len(chunk), n=width, k=packed.k_words)
+            self.simulated_seconds += price_kernel(self.framework.kernel, args).seconds
+        return _Stack(rows, indices, stack_counts, buffered, hits)
 
-        Returns ``(rect, diag, buf_indices, buf_counts, chunk_counts)``
-        where ``rect`` is the ``(buffered, chunk)`` joint-count block
-        (``None`` when the buffer is empty), ``diag`` the chunk's
-        self-comparison block, and the lists give global indices and
-        allele counts aligned with the block axes.
+    def retain(self, stack: _Stack, keep: np.ndarray) -> None:
+        """Buffer the ``keep``-masked stack rows still inside a window.
+
+        The next site to arrive is ``self.next_site``; it can only pair
+        with indices ``>= next_site - window + 1``.
         """
-        rect: np.ndarray | None = None
-        if self._rows is not None and len(self._indices):
-            rect, report = self.framework.run(self._rows, chunk)
-            self.simulated_seconds += report.end_to_end_s
-        diag, report = self.framework.run(chunk)
-        self.simulated_seconds += report.end_to_end_s
-        chunk_counts = [int(c) for c in chunk.sum(axis=1)]
-        return rect, diag, list(self._indices), list(self._counts), chunk_counts
-
-    def retain(
-        self, chunk: np.ndarray, keep_local: list[int], base: int
-    ) -> None:
-        """Append the chunk rows worth buffering and evict stale ones.
-
-        ``keep_local`` lists the chunk-local rows that future sites may
-        still need (kept sites for the pruner, every site for the
-        clumper).  Rows whose global index has fallen out of the next
-        site's window are dropped.
-        """
-        if keep_local:
-            fresh = chunk[keep_local]
-            if self._rows is None or not len(self._indices):
-                self._rows = np.array(fresh, copy=True)
-            else:
-                self._rows = np.concatenate([self._rows, fresh], axis=0)
-            counts = chunk.sum(axis=1)
-            for local in keep_local:
-                self._indices.append(base + local)
-                self._counts.append(int(counts[local]))
-        # The next site to arrive is ``self.next_site``; it can only
-        # pair with indices >= next_site - window + 1.
-        horizon = self.next_site - self.window + 1
-        alive = [i for i, g in enumerate(self._indices) if g >= horizon]
-        if len(alive) != len(self._indices):
-            rows = self._rows
-            assert rows is not None
-            self._rows = np.array(rows[alive], copy=True) if alive else None
-            self._indices = [self._indices[i] for i in alive]
-            self._counts = [self._counts[i] for i in alive]
+        alive = keep & (stack.indices >= self.next_site - self.window + 1)
+        self._rows = stack.rows[alive]
+        self._indices = stack.indices[alive]
+        self._counts = stack.counts[alive]
 
 
 @dataclass
@@ -246,14 +313,17 @@ class PruneResult:
     window / r2:
         The parameters the pass ran with.
     pairs_tested:
-        Exact number of (new site, kept window site) pairs whose r^2
-        was evaluated -- invariant under chunking.
+        Exact number of (new site, kept window site) pairs the greedy
+        scan examined, stopping at the first blocker -- invariant under
+        chunking.  The band decides r^2 for more cells than this.
     peak_window_sites:
         Largest number of kept sites simultaneously inside one window
-        (including the site being decided) -- the resident-state bound
-        the O(window^2) claim rests on; invariant under chunking.
+        (including the site being decided), at most ``window``; it
+        bounds the site rows buffered between chunks.  Invariant under
+        chunking.
     simulated_seconds:
-        Simulated device time of every count block computed.
+        Simulated device time of every count band, each priced as one
+        ``(chunk rows, band width, words)`` kernel launch.
     stream_stats:
         I/O accounting when driven by :func:`ld_prune` (else ``None``).
     """
@@ -288,20 +358,13 @@ class LDPruner:
         window: int,
         r2: float,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
-        gram: bool = True,
-        backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         _check_params("LDPruner", window, r2)
         self.window = window
-        self.r2 = r2
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
-        )
-        self._gram = _WindowGram(window, self.framework)
+        self.r2 = float(r2)
+        self.framework = _ld_framework("LDPruner", device, framework)
+        self._band = _WindowBand(window, self.framework)
         self._kept: list[int] = []
         self._pruned: list[int] = []
         self._blocker: list[int] = []
@@ -311,13 +374,13 @@ class LDPruner:
 
     @property
     def sites_seen(self) -> int:
-        return self._gram.next_site
+        return self._band.next_site
 
     def add_chunk(self, chunk: np.ndarray) -> None:
         """Scan one block of site rows (global order = arrival order)."""
         if self._finalized:
             raise DatasetError("LDPruner: add_chunk after finalize")
-        arr = _check_site_chunk("LDPruner.add_chunk", chunk, self._gram.n_obs)
+        arr = _check_site_chunk("LDPruner.add_chunk", chunk, self._band.n_obs)
         if arr.shape[0] == 0:
             return
         if arr.shape[1] == 0:
@@ -325,50 +388,38 @@ class LDPruner:
                 "LDPruner.add_chunk: chunk has zero observation columns; "
                 "r^2 is undefined on zero observations"
             )
-        if self._gram.n_obs is None:
-            self._gram.n_obs = int(arr.shape[1])
-        n_obs = self._gram.n_obs
-        base = self._gram.next_site
-        rect, diag, buf_idx, buf_counts, chunk_counts = self._gram.blocks(arr)
-        # Kept sites of the trailing window: (global index, allele
-        # count, where to find the joint count against a chunk row).
-        window_kept: list[tuple[int, int, bool, int]] = [
-            (g, c, True, i) for i, (g, c) in enumerate(zip(buf_idx, buf_counts))
-        ]
-        keep_local: list[int] = []
-        for local in range(arr.shape[0]):
+        base = self._band.next_site
+        stack = self._band.stack(arr, self.r2, strict=True)
+        # Kept sites of the trailing window, oldest first: (global
+        # index, stack row).  Only kept rows are buffered.
+        window_kept = deque(
+            zip(stack.indices[: stack.buffered].tolist(), range(stack.buffered))
+        )
+        keep = np.zeros(len(stack.indices), dtype=bool)
+        keep[: stack.buffered] = True
+        tested = 0
+        for local, hits in enumerate(stack.hits.tolist()):
             g = base + local
-            horizon = g - self.window + 1
-            window_kept = [item for item in window_kept if item[0] >= horizon]
+            q = stack.buffered + local
+            while window_kept and window_kept[0][0] <= g - self.window:
+                window_kept.popleft()
             blocked_by = -1
-            for other_g, other_count, in_buf, pos in window_kept:
-                if in_buf:
-                    assert rect is not None
-                    joint = int(rect[pos, local])
-                else:
-                    joint = int(diag[pos, local])
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    joint, other_count, chunk_counts[local], n_obs,
-                    self.r2, strict=True,
-                ):
+            for other_g, p in window_kept:
+                tested += 1
+                if hits[q - p - 1]:
                     blocked_by = other_g
                     break
             if blocked_by >= 0:
                 self._pruned.append(g)
                 self._blocker.append(blocked_by)
-                self.peak_window_sites = max(
-                    self.peak_window_sites, len(window_kept)
-                )
             else:
                 self._kept.append(g)
-                keep_local.append(local)
-                window_kept.append((g, chunk_counts[local], False, local))
-                self.peak_window_sites = max(
-                    self.peak_window_sites, len(window_kept)
-                )
-        self._gram.next_site = base + arr.shape[0]
-        self._gram.retain(arr, keep_local, base)
+                keep[q] = True
+                window_kept.append((g, q))
+            self.peak_window_sites = max(self.peak_window_sites, len(window_kept))
+        self.pairs_tested += tested
+        self._band.next_site = base + arr.shape[0]
+        self._band.retain(stack, keep)
 
     def finalize(self) -> PruneResult:
         """Close the stream and return the result (idempotent counters)."""
@@ -389,7 +440,7 @@ class LDPruner:
             r2=self.r2,
             pairs_tested=self.pairs_tested,
             peak_window_sites=self.peak_window_sites,
-            simulated_seconds=self._gram.simulated_seconds,
+            simulated_seconds=self._band.simulated_seconds,
         )
 
 
@@ -462,10 +513,6 @@ class LDClumper:
         r2: float,
         scores: np.ndarray,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
-        gram: bool = True,
-        backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         _check_params("LDClumper", window, r2)
@@ -478,13 +525,10 @@ class LDClumper:
         if not np.all(np.isfinite(score_arr)):
             raise DatasetError("LDClumper: scores must be finite")
         self.window = window
-        self.r2 = r2
+        self.r2 = float(r2)
         self.scores = score_arr
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
-        )
-        self._gram = _WindowGram(window, self.framework)
+        self.framework = _ld_framework("LDClumper", device, framework)
+        self._band = _WindowBand(window, self.framework)
         self._pending: dict[int, _PendingSite] = {}
         #: site -> absorbing index variant (== site for index variants).
         self._assignment: dict[int, int] = {}
@@ -494,7 +538,7 @@ class LDClumper:
 
     @property
     def sites_seen(self) -> int:
-        return self._gram.next_site
+        return self._band.next_site
 
     def _rank(self, site: int) -> tuple[float, int]:
         return (-float(self.scores[site]), site)
@@ -503,7 +547,7 @@ class LDClumper:
         """Fold one block of site rows into the pending clump state."""
         if self._finalized:
             raise DatasetError("LDClumper: add_chunk after finalize")
-        arr = _check_site_chunk("LDClumper.add_chunk", chunk, self._gram.n_obs)
+        arr = _check_site_chunk("LDClumper.add_chunk", chunk, self._band.n_obs)
         if arr.shape[0] == 0:
             return
         if arr.shape[1] == 0:
@@ -511,56 +555,37 @@ class LDClumper:
                 "LDClumper.add_chunk: chunk has zero observation columns; "
                 "r^2 is undefined on zero observations"
             )
-        base = self._gram.next_site
-        if base + arr.shape[0] > self.scores.shape[0]:
+        base = self._band.next_site
+        n_new = arr.shape[0]
+        if base + n_new > self.scores.shape[0]:
             raise DatasetError(
                 f"LDClumper.add_chunk: streamed sites exceed the "
                 f"{self.scores.shape[0]} supplied scores "
-                f"(chunk covers sites {base}..{base + arr.shape[0] - 1})"
+                f"(chunk covers sites {base}..{base + n_new - 1})"
             )
-        if self._gram.n_obs is None:
-            self._gram.n_obs = int(arr.shape[1])
-        n_obs = self._gram.n_obs
-        rect, diag, buf_idx, buf_counts, chunk_counts = self._gram.blocks(arr)
-        for local in range(arr.shape[0]):
+        stack = self._band.stack(arr, self.r2, strict=False)
+        # Every row is buffered, so the stack is contiguous in sites:
+        # hits[local, d-1] pairs site base + local with the site d
+        # earlier.  Edges are listed oldest neighbor first.
+        width = stack.hits.shape[1]
+        edges: list[list[int]] = [[] for _ in range(n_new)]
+        rows, cols = np.nonzero(stack.hits[:, ::-1])
+        for local, col in zip(rows.tolist(), cols.tolist()):
+            edges[local].append(base + local - (width - col))
+        for local in range(n_new):
             g = base + local
-            pending = _PendingSite(site=g)
-            horizon = g - self.window + 1
-            # Earlier neighbors still in the window: buffered rows plus
-            # this chunk's own earlier rows (counts from the diagonal
-            # self-comparison block).
-            for pos, (other_g, other_count) in enumerate(
-                zip(buf_idx, buf_counts)
-            ):
-                if other_g < horizon:
-                    continue
-                assert rect is not None
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    int(rect[pos, local]), other_count, chunk_counts[local],
-                    n_obs, self.r2, strict=False,
-                ):
-                    pending.edges.append(other_g)
-                    other = self._pending.get(other_g)
-                    if other is not None:
-                        other.edges.append(g)
-            for other_local in range(max(0, horizon - base), local):
-                other_g = base + other_local
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    int(diag[other_local, local]), chunk_counts[other_local],
-                    chunk_counts[local], n_obs, self.r2, strict=False,
-                ):
-                    pending.edges.append(other_g)
-                    other = self._pending.get(other_g)
-                    if other is not None:
-                        other.edges.append(g)
-            self._pending[g] = pending
-        self._gram.next_site = base + arr.shape[0]
-        window_rows = min(self._gram.next_site, self.window)
+            for other_g in edges[local]:
+                other = self._pending.get(other_g)
+                if other is not None:
+                    other.edges.append(g)
+            self._pending[g] = _PendingSite(site=g, edges=edges[local])
+        sites = np.arange(base, base + n_new)
+        self.pairs_tested += int(np.minimum(sites, self.window - 1).sum())
+        self._band.next_site = base + n_new
+        window_rows = min(self._band.next_site, self.window)
         self.peak_window_sites = max(self.peak_window_sites, window_rows)
-        self._gram.retain(arr, list(range(arr.shape[0])), base)
-        self._resolve(complete_before=self._gram.next_site - self.window + 1)
+        self._band.retain(stack, np.ones(len(stack.indices), dtype=bool))
+        self._resolve(complete_before=self._band.next_site - self.window + 1)
 
     def _resolve(self, complete_before: int) -> None:
         """Settle every pending site whose dependencies are settled.
@@ -598,18 +623,18 @@ class LDClumper:
     def finalize(self) -> ClumpResult:
         """Close the stream, settle every site, return the result."""
         if not self._finalized:
-            self._resolve(complete_before=self._gram.next_site)
+            self._resolve(complete_before=self._band.next_site)
             assert not self._pending, "clump resolution did not converge"
             self._finalized = True
             counters = get_tracer().counters
-            n = self._gram.next_site
+            n = self._band.next_site
             n_index = sum(1 for s, a in self._assignment.items() if s == a)
             counters.add(LDOPS_SITES_SEEN, n)
             counters.add(LDOPS_CLUMPS_FORMED, n_index)
             counters.add(LDOPS_SITES_ABSORBED, n - n_index)
             counters.add(LDOPS_PAIRS_TESTED, self.pairs_tested)
             counters.add(LDOPS_WINDOW_PEAK_SITES, self.peak_window_sites)
-        n = self._gram.next_site
+        n = self._band.next_site
         assignment = np.array(
             [self._assignment[g] for g in range(n)], dtype=np.int64
         )
@@ -633,7 +658,7 @@ class LDClumper:
             r2=self.r2,
             pairs_tested=self.pairs_tested,
             peak_window_sites=self.peak_window_sites,
-            simulated_seconds=self._gram.simulated_seconds,
+            simulated_seconds=self._band.simulated_seconds,
         )
 
 
@@ -670,10 +695,6 @@ def ld_prune(
     chunk_rows: int = 4096,
     prefetch: bool = True,
     device: str | GPUArchitecture = "Titan V",
-    workers: int | None = None,
-    gram: bool = True,
-    backend: str = "auto",
-    executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
 ) -> PruneResult:
     """Stream a site-major source through :class:`LDPruner` once.
@@ -683,10 +704,7 @@ def ld_prune(
     the sites scanned in order.  Chunk boundaries never change the
     result (bit-identical kept sets for every ``chunk_rows``).
     """
-    pruner = LDPruner(
-        window, r2, device=device, workers=workers, gram=gram,
-        backend=backend, executor=executor, framework=framework,
-    )
+    pruner = LDPruner(window, r2, device=device, framework=framework)
     stats = _drive(pruner, source, chunk_rows, prefetch, "ld-prune")
     result = pruner.finalize()
     result.stream_stats = stats
@@ -701,10 +719,6 @@ def ld_clump(
     chunk_rows: int = 4096,
     prefetch: bool = True,
     device: str | GPUArchitecture = "Titan V",
-    workers: int | None = None,
-    gram: bool = True,
-    backend: str = "auto",
-    executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
 ) -> ClumpResult:
     """Stream a site-major source through :class:`LDClumper` once.
@@ -713,10 +727,7 @@ def ld_clump(
     mismatch raises :class:`~repro.errors.DatasetError` (too few scores
     as soon as a chunk overruns them, too many at finalize).
     """
-    clumper = LDClumper(
-        window, r2, scores, device=device, workers=workers, gram=gram,
-        backend=backend, executor=executor, framework=framework,
-    )
+    clumper = LDClumper(window, r2, scores, device=device, framework=framework)
     stats = _drive(clumper, source, chunk_rows, prefetch, "clump")
     if clumper.sites_seen != clumper.scores.shape[0]:
         raise DatasetError(

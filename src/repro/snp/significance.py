@@ -20,7 +20,6 @@ Two classic calculations downstream of the kernels:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import DatasetError, ModelError
 
@@ -40,6 +39,8 @@ def ld_chi_square_pvalues(r_squared: np.ndarray, n_samples: int) -> np.ndarray:
     comparisons, r^2 = 1) come out effectively zero and should be
     ignored by callers.
     """
+    from scipy import stats  # deferred: scipy costs every ``import repro``
+
     r2 = np.asarray(r_squared, dtype=np.float64)
     if n_samples <= 0:
         raise ModelError("ld_chi_square_pvalues: n_samples must be positive")
@@ -84,6 +85,8 @@ def random_match_probability(
     var = (q * (1.0 - q)).sum()
     if var <= 0:
         return 1.0 if max_distance >= mean else 0.0
+    from scipy import stats  # deferred: scipy costs every ``import repro``
+
     z = (max_distance + 0.5 - mean) / np.sqrt(var)
     return float(stats.norm.cdf(z))
 

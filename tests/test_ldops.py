@@ -2,12 +2,14 @@
 
 Property-tests the central bit-exactness claims (chunked streaming ==
 in-memory == brute-force dense reference, for every chunk size
-including 1 and larger than the input), tie-breaking by site order,
-the O(window) resident-state bound and its exact counters, input
-validation, and the CLI subcommands.  Also carries the regression
-tests for the satellite fixes in the LD/mixture stats layer.
+including 1 and larger than the input), the vectorized r^2 predicate
+against the scalar one, tie-breaking by site order, the O(window)
+resident-state bound and its exact counters, input validation, and the
+CLI subcommands.  Also carries the regression tests for the satellite
+fixes in the LD/mixture stats layer.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,16 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ld import LDResult, linkage_disequilibrium
+from repro.core.config import Algorithm
+from repro.core.framework import SNPComparisonFramework
 from repro.core.ldops import (
+    INT64_EXACT_MAX_OBS,
     LDClumper,
     LDPruner,
     ld_clump,
     ld_prune,
     r2_exceeds,
+    r2_exceeds_array,
 )
 from repro.core.mixture import mixture_analysis
 from repro.core.profiles import RunReport
-from repro.errors import DatasetError
+from repro.errors import ConfigurationError, DatasetError
 from repro.io_stream import write_snpbin
 from repro.observability.tracer import Tracer, set_tracer
 
@@ -149,6 +155,59 @@ def test_r2_exceeds_monomorphic_is_false():
     assert not r2_exceeds(0, 0, 3, 5, 0.0, strict=False)  # c_a == 0
 
 
+def _assert_array_matches_scalar(c_ab, c_a, c_b, n, thresholds):
+    for thr, strict in itertools.product(thresholds, (True, False)):
+        got = r2_exceeds_array(c_ab, c_a, c_b, n, thr, strict)
+        want = [
+            r2_exceeds(int(x), int(y), int(z), n, thr, strict)
+            for x, y, z in zip(c_ab, c_a, c_b)
+        ]
+        assert got.dtype == bool
+        assert got.tolist() == want, (n, thr, strict)
+
+
+def test_r2_exceeds_array_exhaustive_small_n():
+    for n in range(1, 11):
+        triples = np.array(list(itertools.product(range(n + 1), repeat=3)))
+        c_ab, c_a, c_b = triples.T
+        # Every exact r^2 value of the grid is a threshold too, so the
+        # strict/inclusive boundary is hit exactly.
+        exact = {
+            (n * x - y * z) ** 2 / (y * (n - y) * z * (n - z))
+            for x, y, z in triples.tolist()
+            if y * (n - y) * z * (n - z)
+        }
+        thresholds = sorted({0.0, 0.1, 0.2, 0.5, 0.8, 1.0} | exact)
+        _assert_array_matches_scalar(c_ab, c_a, c_b, n, thresholds)
+
+
+@pytest.mark.parametrize(
+    "n", [INT64_EXACT_MAX_OBS, INT64_EXACT_MAX_OBS + 1, 10_000_000]
+)
+def test_r2_exceeds_array_extreme_counts(n):
+    # Allele counts at both ends and the middle, joint counts at the
+    # edges of their realizable range: the largest numerators and
+    # denominators the int64 path (n = 19,000) must keep exact, and
+    # the object-array path beyond it.
+    half = n // 2
+    marginals = [0, 1, 2, half - 1, half, half + 1, n - 2, n - 1, n]
+    rows = []
+    for c_a, c_b in itertools.product(marginals, repeat=2):
+        lo, hi = max(0, c_a + c_b - n), min(c_a, c_b)
+        for c_ab in {lo, lo + 1, (lo + hi) // 2, hi - 1, hi}:
+            if lo <= c_ab <= hi:
+                rows.append((c_ab, c_a, c_b))
+    c_ab, c_a, c_b = np.array(rows, dtype=np.int64).T
+    near_one = [1.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.999999]
+    exact = [
+        (n * x - y * z) ** 2 / (y * (n - y) * z * (n - z))
+        for x, y, z in rows[::7]
+        if y * (n - y) * z * (n - z)
+    ]
+    thresholds = [0.0, 0.2, 0.5, *near_one, *exact]
+    _assert_array_matches_scalar(c_ab, c_a, c_b, n, thresholds)
+
+
 # ---------------------------------------------------------------------------
 # pruning: chunked == in-memory == dense reference
 # ---------------------------------------------------------------------------
@@ -167,7 +226,7 @@ def test_prune_chunked_matches_dense_reference(
     seed, n_sites, n_obs, window, r2, chunk_rows
 ):
     sites = _correlated_panel(n_sites, n_obs, seed=seed)
-    result = ld_prune(sites, window, r2, chunk_rows=chunk_rows, workers=1)
+    result = ld_prune(sites, window, r2, chunk_rows=chunk_rows)
     kept, pruned, blocker = _dense_prune(sites, window, r2)
     assert result.kept.tolist() == kept
     assert result.pruned.tolist() == pruned
@@ -183,8 +242,8 @@ def test_prune_chunked_matches_dense_reference(
 )
 def test_prune_chunking_invariant(seed, chunk_rows):
     sites = _correlated_panel(30, 24, seed=seed)
-    whole = ld_prune(sites, window=8, r2=0.3, chunk_rows=64, workers=1)
-    split = ld_prune(sites, window=8, r2=0.3, chunk_rows=chunk_rows, workers=1)
+    whole = ld_prune(sites, window=8, r2=0.3, chunk_rows=64)
+    split = ld_prune(sites, window=8, r2=0.3, chunk_rows=chunk_rows)
     assert np.array_equal(whole.kept, split.kept)
     assert np.array_equal(whole.pruned, split.pruned)
     assert np.array_equal(whole.blocker, split.blocker)
@@ -195,11 +254,11 @@ def test_prune_chunking_invariant(seed, chunk_rows):
 
 def test_prune_incremental_operator_matches_driver(tracer):
     sites = _correlated_panel(25, 32, seed=3)
-    pruner = LDPruner(window=6, r2=0.25, workers=1)
+    pruner = LDPruner(window=6, r2=0.25)
     for chunk in _chunks(sites, 4):
         pruner.add_chunk(chunk)
     manual = pruner.finalize()
-    driven = ld_prune(sites, window=6, r2=0.25, chunk_rows=4, workers=1)
+    driven = ld_prune(sites, window=6, r2=0.25, chunk_rows=4)
     assert np.array_equal(manual.kept, driven.kept)
     assert driven.stream_stats is not None
     assert driven.stream_stats.chunks == -(-25 // 4)
@@ -226,7 +285,7 @@ def test_clump_chunked_matches_dense_reference(
     sites = _correlated_panel(n_sites, n_obs, seed=seed)
     scores = rng.random(n_sites)
     result = ld_clump(
-        sites, scores, window, r2, chunk_rows=chunk_rows, workers=1
+        sites, scores, window, r2, chunk_rows=chunk_rows
     )
     assignment, index_sites = _dense_clump(sites, scores, window, r2)
     assert result.assignment.tolist() == assignment.tolist()
@@ -246,7 +305,7 @@ def test_clump_tie_break_by_site_order_chunk_invariant(chunk_rows):
     sites = _correlated_panel(22, 24, seed=11, copy_every=2)
     scores = np.full(22, 3.5)
     result = ld_clump(
-        sites, scores, window=6, r2=0.2, chunk_rows=chunk_rows, workers=1
+        sites, scores, window=6, r2=0.2, chunk_rows=chunk_rows
     )
     assignment, index_sites = _dense_clump(sites, scores, window=6, r2=0.2)
     assert result.assignment.tolist() == assignment.tolist()
@@ -260,12 +319,74 @@ def test_clump_tie_break_by_site_order_chunk_invariant(chunk_rows):
 def test_clump_members_are_exhaustive():
     sites = _correlated_panel(20, 30, seed=5, copy_every=2)
     scores = np.random.default_rng(5).random(20)
-    result = ld_clump(sites, scores, window=8, r2=0.15, chunk_rows=7, workers=1)
+    result = ld_clump(sites, scores, window=8, r2=0.15, chunk_rows=7)
     seen = set()
     for clump in result.clumps:
         seen.add(clump.index_site)
         seen.update(clump.members)
     assert seen == set(range(20))
+
+
+@pytest.mark.parametrize("window", [45, 2**60])
+@pytest.mark.parametrize("chunk_rows", [7, 64])
+def test_prune_and_clump_window_far_above_sites(window, chunk_rows, tracer):
+    # A window wider than the panel: the band is as wide as the stack,
+    # not the window (2**60 columns could never be allocated), and the
+    # decisions still equal the dense references.
+    sites = _correlated_panel(30, 24, seed=13)
+    result = ld_prune(sites, window, 0.3, chunk_rows=chunk_rows)
+    kept, pruned, blocker = _dense_prune(sites, window, 0.3)
+    assert result.kept.tolist() == kept
+    assert result.pruned.tolist() == pruned
+    assert result.blocker.tolist() == blocker
+    prune_word_ops = tracer.counters.snapshot()["gemm.popc_word_ops"]
+    scores = np.random.default_rng(13).random(30)
+    clumped = ld_clump(sites, scores, window, 0.3, chunk_rows=chunk_rows)
+    assignment, index_sites = _dense_clump(sites, scores, window, 0.3)
+    assert clumped.assignment.tolist() == assignment.tolist()
+    assert clumped.index_sites.tolist() == index_sites
+    # Every site pairs with every earlier one.  Only chunk rows are
+    # banded (buffered rows are never counted again), so the clump's
+    # contiguous stacks count exactly these pairs, one 24-bit word
+    # each, and the prune's stacks, which skip pruned rows, no more.
+    pairs = 30 * 29 // 2
+    assert clumped.pairs_tested == pairs
+    clump_word_ops = tracer.counters.snapshot()["gemm.popc_word_ops"] - prune_word_ops
+    assert clump_word_ops == pairs
+    assert prune_word_ops <= pairs
+
+
+def test_prune_and_clump_above_int64_bound_match_dense_reference():
+    # More observations than the int64 predicate path covers: the band
+    # is decided on Python integers and must still equal the dense
+    # reference.
+    n_obs = INT64_EXACT_MAX_OBS + 100
+    sites = _correlated_panel(14, n_obs, seed=21)
+    result = ld_prune(sites, window=5, r2=0.3, chunk_rows=4)
+    kept, pruned, blocker = _dense_prune(sites, 5, 0.3)
+    assert result.kept.tolist() == kept
+    assert result.pruned.tolist() == pruned
+    assert result.blocker.tolist() == blocker
+    assert pruned, "panel should prune something"
+    scores = np.random.default_rng(21).random(14)
+    clumped = ld_clump(sites, scores, window=5, r2=0.5, chunk_rows=4)
+    assignment, index_sites = _dense_clump(sites, scores, 5, 0.5)
+    assert clumped.assignment.tolist() == assignment.tolist()
+    assert clumped.index_sites.tolist() == index_sites
+    assert len(index_sites) < 14, "panel should absorb something"
+
+
+@pytest.mark.parametrize(
+    "algorithm", [Algorithm.FASTID_IDENTITY, Algorithm.FASTID_MIXTURE]
+)
+def test_non_ld_framework_rejected(algorithm):
+    framework = SNPComparisonFramework("Titan V", algorithm)
+    with pytest.raises(ConfigurationError, match=algorithm.value):
+        LDPruner(window=10, r2=0.3, framework=framework)
+    with pytest.raises(ConfigurationError, match=algorithm.value):
+        LDClumper(window=10, r2=0.3, scores=np.ones(4), framework=framework)
+    with pytest.raises(ConfigurationError, match=algorithm.value):
+        ld_prune(_correlated_panel(8, 16), 4, 0.3, framework=framework)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +396,7 @@ def test_clump_members_are_exhaustive():
 
 def test_prune_counters_exact(tracer):
     sites = _correlated_panel(24, 24, seed=2)
-    result = ld_prune(sites, window=6, r2=0.3, chunk_rows=5, workers=1)
+    result = ld_prune(sites, window=6, r2=0.3, chunk_rows=5)
     counters = tracer.counters.snapshot()
     assert counters["ldops.sites_seen"] == 24
     assert counters["ldops.sites_kept"] == result.kept.size
@@ -288,7 +409,7 @@ def test_prune_counters_exact(tracer):
 def test_clump_counters_exact(tracer):
     sites = _correlated_panel(24, 24, seed=2)
     scores = np.random.default_rng(2).random(24)
-    result = ld_clump(sites, scores, window=6, r2=0.3, chunk_rows=5, workers=1)
+    result = ld_clump(sites, scores, window=6, r2=0.3, chunk_rows=5)
     counters = tracer.counters.snapshot()
     n_clumps = len(result.clumps)
     assert counters["ldops.sites_seen"] == 24
@@ -300,7 +421,7 @@ def test_clump_counters_exact(tracer):
 
 def test_finalize_counters_emitted_once(tracer):
     sites = _correlated_panel(10, 16, seed=4)
-    pruner = LDPruner(window=4, r2=0.3, workers=1)
+    pruner = LDPruner(window=4, r2=0.3)
     pruner.add_chunk(sites)
     first = pruner.finalize()
     second = pruner.finalize()
@@ -325,7 +446,7 @@ def test_prune_rejects_bad_params():
 
 
 def test_prune_rejects_bad_chunks():
-    pruner = LDPruner(window=4, r2=0.3, workers=1)
+    pruner = LDPruner(window=4, r2=0.3)
     with pytest.raises(DatasetError):
         pruner.add_chunk(np.ones(5, dtype=np.uint8))  # 1-D
     with pytest.raises(DatasetError):
@@ -337,19 +458,19 @@ def test_prune_rejects_bad_chunks():
 
 
 def test_prune_rejects_inconsistent_columns():
-    pruner = LDPruner(window=4, r2=0.3, workers=1)
+    pruner = LDPruner(window=4, r2=0.3)
     pruner.add_chunk(np.ones((2, 6), dtype=np.uint8))
     with pytest.raises(DatasetError):
         pruner.add_chunk(np.ones((2, 5), dtype=np.uint8))
 
 
 def test_add_chunk_after_finalize_raises():
-    pruner = LDPruner(window=4, r2=0.3, workers=1)
+    pruner = LDPruner(window=4, r2=0.3)
     pruner.add_chunk(np.eye(4, dtype=np.uint8))
     pruner.finalize()
     with pytest.raises(DatasetError):
         pruner.add_chunk(np.eye(4, dtype=np.uint8))
-    clumper = LDClumper(window=4, r2=0.3, scores=np.ones(4), workers=1)
+    clumper = LDClumper(window=4, r2=0.3, scores=np.ones(4))
     clumper.add_chunk(np.eye(4, dtype=np.uint8))
     clumper.finalize()
     with pytest.raises(DatasetError):
@@ -369,20 +490,20 @@ def test_clump_score_length_mismatch():
     sites = _correlated_panel(8, 12, seed=9)
     # Too few scores: raises as soon as a chunk overruns them.
     with pytest.raises(DatasetError, match="supplied scores"):
-        ld_clump(sites, np.ones(5), window=4, r2=0.3, chunk_rows=3, workers=1)
+        ld_clump(sites, np.ones(5), window=4, r2=0.3, chunk_rows=3)
     # Too many scores: raises at the end of the stream.
     with pytest.raises(DatasetError, match="streamed 8 sites"):
-        ld_clump(sites, np.ones(12), window=4, r2=0.3, chunk_rows=3, workers=1)
+        ld_clump(sites, np.ones(12), window=4, r2=0.3, chunk_rows=3)
 
 
 def test_empty_chunks_are_noops():
     sites = _correlated_panel(10, 16, seed=6)
-    pruner = LDPruner(window=4, r2=0.3, workers=1)
+    pruner = LDPruner(window=4, r2=0.3)
     pruner.add_chunk(np.empty((0, 16), dtype=np.uint8))
     pruner.add_chunk(sites)
     pruner.add_chunk(np.empty((0, 16), dtype=np.uint8))
     result = pruner.finalize()
-    reference = ld_prune(sites, 4, 0.3, chunk_rows=10, workers=1)
+    reference = ld_prune(sites, 4, 0.3, chunk_rows=10)
     assert np.array_equal(result.kept, reference.kept)
 
 
@@ -412,7 +533,7 @@ def test_cli_ld_prune_and_clump(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "LD pruning" in out and "kept" in out
     saved = np.load(prune_out)
-    reference = ld_prune(sites, 6, 0.3, chunk_rows=7, workers=1)
+    reference = ld_prune(sites, 6, 0.3, chunk_rows=7)
     assert np.array_equal(saved["kept"], reference.kept)
     assert np.array_equal(saved["pruned"], reference.pruned)
     assert np.array_equal(saved["blocker"], reference.blocker)
@@ -430,7 +551,7 @@ def test_cli_ld_prune_and_clump(tmp_path, capsys):
     assert "LD clumping" in out and "clumps formed" in out
     saved = np.load(clump_out)
     reference = ld_clump(
-        sites, np.load(scores), 6, 0.3, chunk_rows=7, workers=1
+        sites, np.load(scores), 6, 0.3, chunk_rows=7
     )
     assert np.array_equal(saved["assignment"], reference.assignment)
     assert np.array_equal(saved["index_sites"], reference.index_sites)
@@ -454,9 +575,37 @@ def test_cli_ld_prune_transpose(tmp_path):
     )
     assert rc == 0
     reference = ld_prune(
-        np.ascontiguousarray(samples.T), 5, 0.4, workers=1
+        np.ascontiguousarray(samples.T), 5, 0.4
     )
     assert np.array_equal(np.load(out)["kept"], reference.kept)
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--workers", "2"],
+        ["--backend", "blas"],
+        ["--executor", "thread"],
+        ["--no-gram"],
+        ["--retries", "1"],
+        ["--inject-faults", "kernel:1"],
+        ["--verify-sample", "0.5"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_cli_ldops_reject_compute_flags_ld_keeps_them(flag, capsys):
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for command in (
+        ["ld-prune", "--input", "x"],
+        ["clump", "--input", "x", "--scores", "s"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*command, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    parser.parse_args(["ld", "--input", "x", *flag])
 
 
 def test_cli_clump_rejects_bad_scores_file(tmp_path, capsys):

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm, bit_gemm_blocked, bit_gemm_reference
+from repro.blis.gemm import (
+    bit_gemm,
+    bit_gemm_band,
+    bit_gemm_blocked,
+    bit_gemm_reference,
+)
 from repro.blis.microkernel import ComparisonOp
+from repro.errors import PackingError
+from repro.observability.tracer import Tracer, set_tracer
 
 ops = st.sampled_from(
     [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT, ComparisonOp.AND_PRENEGATED]
@@ -60,6 +67,45 @@ class TestDriverAgreement:
         assert (
             bit_gemm_blocked(a, b, op, plan) == bit_gemm_reference(a, b, op)
         ).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
+        st.integers(0, 40),
+        st.integers(0, 9),
+        st.sampled_from([ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]),
+        st.data(),
+    )
+    def test_band_equals_reference_diagonals(self, dtype, m, k, op, data):
+        width = data.draw(st.integers(0, m + 3), label="width")
+        start = data.draw(st.integers(0, m), label="start")
+        top = int(np.iinfo(dtype).max)
+        a = data.draw(hnp.arrays(dtype, (m, k), elements=st.integers(0, top)))
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            band = bit_gemm_band(a, width, op, start=start)
+        finally:
+            set_tracer(previous)
+        full = bit_gemm_reference(a, a, op)
+        expected = np.zeros((m - start, width), dtype=np.int64)
+        for q in range(start, m):
+            for d in range(1, min(q, width) + 1):
+                expected[q - start, d - 1] = full[q, q - d]
+        assert band.shape == (m - start, width)
+        assert (band == expected).all()
+        counters = tracer.counters.snapshot()
+        assert counters["gemm.calls"] == 1
+        pairs = sum(min(q, width) for q in range(start, m))
+        assert counters.get("gemm.popc_word_ops", 0) == pairs * k
+
+    def test_band_rejects_bad_width_and_start(self):
+        a = np.zeros((4, 2), dtype=np.uint64)
+        with pytest.raises(PackingError, match="width"):
+            bit_gemm_band(a, -1)
+        for start in (-1, 5):
+            with pytest.raises(PackingError, match="start"):
+                bit_gemm_band(a, 2, start=start)
 
 
 class TestAlgebraicProperties:

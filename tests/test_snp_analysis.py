@@ -137,3 +137,24 @@ class TestRandomMatchProbability:
             panel_sites_for_target_rmp(mean_maf=0.3, target_rmp=1.5)
         with pytest.raises(ModelError):
             random_match_probability(np.full(4, 0.5), max_distance=-1)
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is imported only inside the two functions that use it, so
+    # the package, the CLI and the LD operators start without it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro, repro.cli, repro.core.ldops\n"
+        "assert 'scipy' not in sys.modules, sorted(\n"
+        "    m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
