@@ -25,16 +25,6 @@ A third mode races every available kernel-ABI backend
 gates every *compiled* backend at :data:`COMPILED_SPEEDUP_FLOOR`::
 
       PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --backends --json backend-race.json
-
-``--executor {thread,process,both}`` picks the shard executor tier for
-the sweep (see ``docs/DISTRIBUTED.md``).  ``both`` races the thread
-pool and the shared-memory process pool side by side against the one
-serial baseline and checks their deterministic counters match; in full
-(non-smoke) mode the process tier must additionally clear
-:data:`PROCESS_SPEEDUP_FLOOR` at ``workers=4`` (multicore hosts; the
-thread tier keeps its :data:`SPEEDUP_FLOOR`)::
-
-      PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --executor both --json scaling.json
 """
 
 import argparse
@@ -61,13 +51,6 @@ SMOKE_PROBLEM = dict(m=128, n=512, k_words=32)
 WORKER_SWEEP = (1, 2, 4)
 SPEEDUP_FLOOR = 1.5
 
-#: Full-mode floor for the process executor at ``workers=4`` vs the
-#: serial baseline (blas backend).  Worker processes sidestep the GIL,
-#: so on a multicore host the sharded bit-GEMM must scale; single-core
-#: hosts (and CI smoke) skip the floor the same way the thread tier's
-#: :data:`SPEEDUP_FLOOR` is full-mode only.
-PROCESS_SPEEDUP_FLOOR = 3.0
-
 #: Single-thread floor for compiled kernel backends vs the reference
 #: panel (the issue's >=5x acceptance bar; measured wins are larger).
 COMPILED_SPEEDUP_FLOOR = 5.0
@@ -81,20 +64,14 @@ def make_operands(m, n, k_words, word_bits=32, rng=0):
     return pack_bits(bits_a, word_bits), pack_bits(bits_b, word_bits)
 
 
-def time_workers(pa, pb, workers, repeats=3, op=ComparisonOp.AND,
-                 executor="thread"):
+def time_workers(pa, pb, workers, repeats=3, op=ComparisonOp.AND):
     """Best-of-``repeats`` seconds for one worker count, plus the table.
 
     ``workers=1`` takes the engine's serial fallback (the best serial
     driver for the problem size); ``workers>1`` forces the sharded path.
-    The process executor gets one untimed warmup run first so worker
-    spawn and shared-memory setup are excluded, matching the steady
-    state a long-lived engine amortizes to.
     """
-    engine = ParallelEngine(workers=workers, executor=executor)
+    engine = ParallelEngine(workers=workers)
     try:
-        if executor == "process" and workers > 1:
-            engine.run(pa, pb, op, force_parallel=True)
         best = float("inf")
         table = None
         for _ in range(repeats):
@@ -108,17 +85,13 @@ def time_workers(pa, pb, workers, repeats=3, op=ComparisonOp.AND,
     return best, table, report
 
 
-def collect_counters(problem, workers=WORKER_SWEEP[-1], op=ComparisonOp.AND,
-                     executor="thread"):
+def collect_counters(problem, workers=WORKER_SWEEP[-1], op=ComparisonOp.AND):
     """Deterministic observability counters for one sharded run.
 
     Runs one *untimed* instrumented pass (a fresh tracer installed just
     for its duration) and keeps only the counters the regression gate
     may compare exactly; see
-    :data:`repro.observability.regress.DETERMINISTIC_COUNTERS`.  The
-    process executor ships per-worker counter deltas back to the parent
-    tracer, so the snapshot is executor-invariant by construction --
-    ``--executor both`` asserts exactly that.
+    :data:`repro.observability.regress.DETERMINISTIC_COUNTERS`.
     """
     from repro.observability.regress import DETERMINISTIC_COUNTERS
     from repro.observability.tracer import Tracer, set_tracer
@@ -126,7 +99,7 @@ def collect_counters(problem, workers=WORKER_SWEEP[-1], op=ComparisonOp.AND,
     pa, pb = make_operands(**problem)
     tracer = Tracer()
     previous = set_tracer(tracer)
-    engine = ParallelEngine(workers=workers, executor=executor)
+    engine = ParallelEngine(workers=workers)
     try:
         engine.run(pa, pb, op, force_parallel=workers > 1)
     finally:
@@ -140,64 +113,34 @@ def collect_counters(problem, workers=WORKER_SWEEP[-1], op=ComparisonOp.AND,
     }
 
 
-def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
-              executors=("thread",)):
-    """Sweep worker counts per executor; returns a JSON-ready dict.
+def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP):
+    """Sweep worker counts; returns a JSON-ready dict.
 
-    One serial baseline (``workers=1``) anchors every executor's
-    speedup column.  Thread rows keep the historical shape (regression
-    baselines name them ``workers{N}.*``); process rows additionally
-    carry ``executor="process"`` and flatten to
-    ``process.workers{N}.*``.  With both executors the deterministic
-    counters of one instrumented pass per tier must match exactly
-    (``counters_match``).
+    The serial baseline (``workers=1``) anchors the speedup column;
+    regression baselines name the rows ``workers{N}.*``.
     """
     pa, pb = make_operands(**problem)
     expected = bit_gemm_reference(pa, pb, ComparisonOp.AND)
     rows = []
-    serial_best, _table, _report = time_workers(
-        pa, pb, workers_sweep[0], repeats=repeats
-    )
-    rows.append({
-        "workers": workers_sweep[0],
-        "executor": "thread",
-        "seconds": serial_best,
-        "speedup": 1.0,
-        "backend": _report.backend,
-        "n_shards": _report.n_shards,
-        "bit_exact": bool((_table == expected).all()),
-    })
-    for executor in executors:
-        for workers in workers_sweep[1:]:
-            best, table, report = time_workers(
-                pa, pb, workers, repeats=repeats, executor=executor
-            )
-            rows.append({
-                "workers": workers,
-                "executor": executor,
-                "seconds": best,
-                "speedup": serial_best / best,
-                "backend": report.backend,
-                "n_shards": report.n_shards,
-                "bit_exact": bool((table == expected).all()),
-            })
-    result = {
+    serial_best = None
+    for workers in workers_sweep:
+        best, table, report = time_workers(pa, pb, workers, repeats=repeats)
+        if serial_best is None:
+            serial_best = best
+        rows.append({
+            "workers": workers,
+            "seconds": best,
+            "speedup": serial_best / best,
+            "backend": report.backend,
+            "n_shards": report.n_shards,
+            "bit_exact": bool((table == expected).all()),
+        })
+    return {
         "problem": dict(problem),
         "repeats": repeats,
-        "executors": list(executors),
         "word_ops": problem["m"] * problem["n"] * problem["k_words"],
         "rows": rows,
     }
-    if len(executors) > 1:
-        per_executor = {
-            executor: collect_counters(problem, executor=executor)
-            for executor in executors
-        }
-        reference = per_executor[executors[0]]
-        result["counters_match"] = all(
-            counters == reference for counters in per_executor.values()
-        )
-    return result
 
 
 def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
@@ -316,21 +259,15 @@ def render(result):
         "parallel scaling  (m={m}, n={n}, k={k_words} words)".format(
             **result["problem"]
         ),
-        f"{'executor':>9} {'workers':>8} {'seconds':>9} {'speedup':>8} "
+        f"{'workers':>8} {'seconds':>9} {'speedup':>8} "
         f"{'shards':>7} {'backend':>8} {'bit-exact':>10}",
     ]
     for row in result["rows"]:
         lines.append(
-            f"{row.get('executor', 'thread'):>9} "
             f"{row['workers']:>8} {row['seconds']:>9.4f} "
             f"{row['speedup']:>7.2f}x {row['n_shards']:>7} "
             f"{row['backend']:>8} "
             f"{'yes' if row['bit_exact'] else 'NO':>10}"
-        )
-    if "counters_match" in result:
-        lines.append(
-            "deterministic counters executor-invariant: "
-            + ("yes" if result["counters_match"] else "NO")
         )
     return "\n".join(lines)
 
@@ -370,22 +307,6 @@ if pytest is not None:
         expected = bit_gemm_reference(pa, pb, ComparisonOp.AND)
         assert (table[0] == expected[0]).all()
 
-    @pytest.mark.artifact("parallel-scaling")
-    def bench_process_workers4(benchmark):
-        """Time one workers=4 process-executor run (warm pool)."""
-        pa, pb = make_operands(**FULL_PROBLEM)
-        engine = ParallelEngine(workers=4, executor="process")
-        try:
-            engine.run(pa, pb, ComparisonOp.AND, force_parallel=True)
-            table, report = benchmark(
-                engine.run, pa, pb, ComparisonOp.AND, force_parallel=True
-            )
-        finally:
-            engine.shutdown()
-        expected = bit_gemm_reference(pa, pb, ComparisonOp.AND)
-        assert report.executor == "process"
-        assert (table == expected).all()
-
 
 # -- standalone CLI (CI smoke job) ----------------------------------------------
 
@@ -407,14 +328,6 @@ def main(argv=None):
         "reference panel instead of sweeping worker counts; compiled "
         f"backends must beat {COMPILED_SPEEDUP_FLOOR}x (unless --smoke)",
     )
-    parser.add_argument(
-        "--executor", default="thread",
-        choices=["thread", "process", "both"],
-        help="shard executor tier(s) to sweep; 'both' races the thread "
-        "pool and the shared-memory process pool against one serial "
-        "baseline and checks counter invariance "
-        "(see docs/DISTRIBUTED.md)",
-    )
     args = parser.parse_args(argv)
 
     problem = SMOKE_PROBLEM if args.smoke else FULL_PROBLEM
@@ -433,19 +346,10 @@ def main(argv=None):
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1 if failures else 0
 
-    executors = (
-        ("thread", "process") if args.executor == "both"
-        else (args.executor,)
-    )
-    result = run_sweep(problem, repeats=repeats, executors=executors)
+    result = run_sweep(problem, repeats=repeats)
     result["mode"] = "smoke" if args.smoke else "full"
-    # Deterministic counters for the regression gate (untimed pass);
-    # executor-invariant, so one snapshot per tier gates both exactly.
-    result["counters"] = collect_counters(problem, executor=executors[0])
-    if "process" in executors:
-        result["process_counters"] = collect_counters(
-            problem, executor="process"
-        )
+    # Deterministic counters for the regression gate (untimed pass).
+    result["counters"] = collect_counters(problem)
     print(render(result))
 
     if args.json:
@@ -457,30 +361,14 @@ def main(argv=None):
         print("FAIL: parallel table differs from bit_gemm_reference",
               file=sys.stderr)
         return 1
-    if not result.get("counters_match", True):
-        print(
-            "FAIL: deterministic counters differ between executors",
-            file=sys.stderr,
-        )
-        return 1
     if not args.smoke:
-        floors = {"thread": SPEEDUP_FLOOR, "process": PROCESS_SPEEDUP_FLOOR}
-        failed = False
-        for executor in executors:
-            final = [
-                row for row in result["rows"]
-                if row.get("executor", "thread") == executor
-            ][-1]
-            floor = floors[executor]
-            if final["speedup"] < floor:
-                print(
-                    f"FAIL: {executor} executor workers="
-                    f"{final['workers']} speedup "
-                    f"{final['speedup']:.2f}x below the {floor}x floor",
-                    file=sys.stderr,
-                )
-                failed = True
-        if failed:
+        final = result["rows"][-1]
+        if final["speedup"] < SPEEDUP_FLOOR:
+            print(
+                f"FAIL: workers={final['workers']} speedup "
+                f"{final['speedup']:.2f}x below the {SPEEDUP_FLOOR}x floor",
+                file=sys.stderr,
+            )
             return 1
     return 0
 

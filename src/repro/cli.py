@@ -13,17 +13,15 @@ workloads::
     repro-snp devices
     repro-snp tune      --device "Vega 64" --algorithm ld [--header out.h]
 
-The three comparison commands take ``--workers N`` to shard the
-functional bit-GEMM across N host threads (``--workers 0`` picks a
-sensible default for the machine; see :mod:`repro.parallel`), plus
-``--backend {auto,numpy,blas,blis,...}`` to pick the kernel-ABI
-backend computing the bit-GEMM (``auto`` defers to ``REPRO_BACKEND``,
-the tuner's per-machine winner, then the size rule; see
-``docs/KERNELS.md``),
-``--executor {auto,thread,process}`` to pick the shard executor tier
-(``process`` runs shards in worker processes over shared-memory
-operands; see ``docs/DISTRIBUTED.md``), and ``--no-gram`` to disable
-the symmetric Gram fast path (see ``docs/PERF.md``).
+The three comparison commands run the bit-GEMM on one engine: a
+kernel backend and a plan shape (full or triangular), sharded over one
+host thread pool.  ``--workers N`` sizes that pool (``--workers 0``
+picks a sensible default for the machine; omitted, or below the
+crossover size, the GEMM runs serially; see :mod:`repro.parallel`),
+``--backend {auto,numpy,blas,blis,...}`` picks the kernel-ABI backend
+(``auto`` defers to ``REPRO_BACKEND``, the tuner's per-machine winner,
+then the size rule; see ``docs/KERNELS.md``), and ``--no-gram``
+disables the triangular Gram plan shape (see ``docs/PERF.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
 transient faults up to N times with backoff, ``--verify-sample RATE``
@@ -279,7 +277,6 @@ def _observed_framework(
         workers=_resolve_workers(args),
         gram=not getattr(args, "no_gram", False),
         backend=getattr(args, "backend", "auto"),
-        executor=getattr(args, "executor", "auto"),
     )
 
 
@@ -359,7 +356,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
                 backend=args.backend,
-                executor=args.executor,
                 framework=framework,
             )
             with open_source(args.input) as source:
@@ -374,7 +370,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
                 backend=args.backend,
-                executor=args.executor,
             )
         stat = {
             "r2": result.r_squared, "d": result.d, "dprime": result.d_prime
@@ -523,7 +518,6 @@ def _cmd_identity_streaming(args: argparse.Namespace) -> int:
             device=args.device,
             workers=_resolve_workers(args),
             backend=args.backend,
-            executor=args.executor,
             framework=framework,
         )
         with open_source(args.database) as source:
@@ -575,7 +569,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             workers=_resolve_workers(args),
             gram=not args.no_gram,
             backend=args.backend,
-            executor=args.executor,
         )
         hits = result.matches(args.max_distance)
         print(render_kv([
@@ -626,7 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             device=args.device,
             workers=_resolve_workers(args),
             backend=args.backend,
-            executor=args.executor,
             window_s=args.window_ms / 1e3,
             max_batch_rows=args.max_batch_rows,
         )
@@ -682,7 +674,6 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 device=args.device,
                 workers=_resolve_workers(args),
                 backend=args.backend,
-                executor=args.executor,
                 framework=framework,
             )
             with open_source(args.references) as source:
@@ -698,7 +689,6 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
                 backend=args.backend,
-                executor=args.executor,
             )
             n_references = references.shape[0]
         print(render_kv([
@@ -775,11 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_BACKEND, then the tuner's per-machine winner, then blis "
         "or blas by problem size; see docs/KERNELS.md)"
     )
-    executor_help = (
-        "shard executor tier: thread pool, worker processes over "
-        "shared-memory operands, or auto (tuner-raced winner; see "
-        "docs/DISTRIBUTED.md)"
-    )
     no_gram_help = (
         "disable the symmetric Gram fast path (compute the full table "
         "even for self-comparisons)"
@@ -819,10 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--backend", default="auto",
             choices=["auto", *backend_names()], help=backend_help,
-        )
-        cmd.add_argument(
-            "--executor", default="auto",
-            choices=["auto", "thread", "process"], help=executor_help,
         )
         cmd.add_argument("--no-gram", action="store_true", help=no_gram_help)
         cmd.add_argument(

@@ -94,7 +94,6 @@ class SNPComparisonFramework:
         workers: int | None = None,
         gram: bool = True,
         backend: str = "auto",
-        executor: str = "auto",
     ) -> None:
         self.arch = get_gpu(device) if isinstance(device, str) else device
         self.algorithm = (
@@ -107,7 +106,6 @@ class SNPComparisonFramework:
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.backend = backend
-        self.executor = executor
         self.config = config or derive_config(
             self.arch, self.algorithm, prenegate=prenegate
         )
@@ -227,7 +225,6 @@ class SNPComparisonFramework:
                 workers=self.workers,
                 symmetric=None if self.gram else False,
                 backend=self.backend,
-                executor=self.executor,
             )
             end_to_end = queue.finish()
             busy = queue.busy_summary()
@@ -259,11 +256,6 @@ class SNPComparisonFramework:
                 for p in profiles
                 if p.parallel is not None and p.parallel.resilience is not None
             )
-            # Process-executor runs ship injector events fired inside
-            # worker processes (plus synthesized worker-lost records);
-            # the engine absorbs them into this process's injector log
-            # under an active context, so one slice covers thread,
-            # serial and process runs alike.
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
                 retries=engine_totals.retries
@@ -271,9 +263,12 @@ class SNPComparisonFramework:
                 quarantined=engine_totals.quarantined,
                 tiles_verified=engine_totals.tiles_verified,
                 verify_mismatches=engine_totals.verify_mismatches,
-                workers_lost=engine_totals.workers_lost,
                 events=events,
             )
+        if raw.shape == (a.n_rows, b.n_rows):
+            # No padding to strip, and run_pipeline allocated ``raw``
+            # for this run alone: hand it over without a copy.
+            return raw, report
         return crop_result(raw, a, b), report
 
     # -- baselines ---------------------------------------------------------------
@@ -286,12 +281,9 @@ class SNPComparisonFramework:
         workers = f", workers={self.workers}" if self.workers else ""
         gram = "" if self.gram else ", gram=False"
         backend = "" if self.backend == "auto" else f", backend={self.backend!r}"
-        executor = (
-            "" if self.executor == "auto" else f", executor={self.executor!r}"
-        )
         return (
             f"SNPComparisonFramework(device={self.arch.name!r}, "
             f"algorithm={self.algorithm.value!r}, op={self.config.op.value!r}, "
             f"grid={self.config.grid_rows}x{self.config.grid_cols}"
-            f"{workers}{gram}{backend}{executor})"
+            f"{workers}{gram}{backend})"
         )

@@ -66,7 +66,6 @@ def identity_search(
     workers: int | None = None,
     gram: bool = True,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> IdentityResult:
     """Search ``queries`` against ``database`` on the simulated GPU.
 
@@ -87,9 +86,6 @@ def identity_search(
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
     """
     q = np.asarray(queries)
     db = database.profiles if isinstance(database, ForensicDatabase) else np.asarray(database)
@@ -103,7 +99,7 @@ def identity_search(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
-            gram=gram, backend=backend, executor=executor,
+            gram=gram, backend=backend,
         )
     distances, report = framework.run(q, db)
     return IdentityResult(distances=distances, report=report)

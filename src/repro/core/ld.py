@@ -110,7 +110,6 @@ def linkage_disequilibrium(
     workers: int | None = None,
     gram: bool = True,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> LDResult:
     """Compute all-pairs LD on the simulated GPU framework.
 
@@ -137,9 +136,6 @@ def linkage_disequilibrium(
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
     """
     matrix = data.matrix if isinstance(data, SNPDataset) else np.asarray(data)
     if matrix.ndim != 2:
@@ -163,7 +159,7 @@ def linkage_disequilibrium(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
+            backend=backend,
         )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]

@@ -85,7 +85,6 @@ def mixture_analysis(
     workers: int | None = None,
     gram: bool = True,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> MixtureResult:
     """Score ``references`` against ``mixtures`` on the simulated GPU.
 
@@ -110,9 +109,6 @@ def mixture_analysis(
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
     """
     r = np.asarray(references)
     m = np.asarray(mixtures)
@@ -125,7 +121,7 @@ def mixture_analysis(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_MIXTURE, prenegate=prenegate,
-            workers=workers, gram=gram, backend=backend, executor=executor,
+            workers=workers, gram=gram, backend=backend,
         )
     scores, report = framework.run(r, m)
     return MixtureResult(

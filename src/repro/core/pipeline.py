@@ -122,7 +122,6 @@ def run_pipeline(
     workers: int | None = None,
     symmetric: bool | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> tuple[np.ndarray, list[KernelProfile], TilePlan]:
     """Execute the tiled comparison; returns (raw table, profiles, plan).
 
@@ -138,10 +137,7 @@ def run_pipeline(
     launched with the Gram hint and computes only the upper triangle.
     ``False`` disables the hint; ``True`` requires eligibility and
     raises otherwise.  ``backend`` selects the kernel-ABI backend
-    (:mod:`repro.kernels`) and
-    ``executor`` the shard executor (thread pool or worker processes,
-    :mod:`repro.parallel.procpool`) for each tile's functional
-    table.
+    (:mod:`repro.kernels`) for each tile's functional table.
     """
     context = queue.context
     arch = context.device.arch
@@ -228,7 +224,6 @@ def run_pipeline(
                     workers=workers,
                     symmetric=symmetric,
                     backend=backend,
-                    executor=executor,
                 )
                 profiles.append(profile)
                 tile_out, read_ev = queue.enqueue_read_buffer(

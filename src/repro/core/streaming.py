@@ -212,7 +212,6 @@ class StreamingIdentitySearch:
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         q = _check_binary_matrix("StreamingIdentitySearch: queries", queries)
@@ -232,7 +231,7 @@ class StreamingIdentitySearch:
         self.k = k
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
-            backend=backend, executor=executor,
+            backend=backend,
         )
         self._states = [_QueryState(k=k) for _ in range(q.shape[0])]
         self.rows_seen = 0
@@ -365,12 +364,11 @@ class StreamingLD:
         workers: int | None = None,
         gram: bool = True,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
+            backend=backend,
         )
 
     def run(
@@ -448,7 +446,6 @@ class StreamingMixture:
         prenegate: bool | None = None,
         workers: int | None = None,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         m = _check_binary_matrix("StreamingMixture: mixtures", mixtures)
@@ -463,7 +460,6 @@ class StreamingMixture:
             prenegate=prenegate,
             workers=workers,
             backend=backend,
-            executor=executor,
         )
         self._score_blocks: list[np.ndarray] = []
         self._reports: list[RunReport] = []

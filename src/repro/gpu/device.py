@@ -222,7 +222,6 @@ class CommandQueue:
         workers: int | None = None,
         symmetric: bool | None = None,
         backend: str = "auto",
-        executor: str = "auto",
     ) -> tuple[Event, KernelProfile]:
         """Launch a comparison kernel reading ``a``/``b``, writing ``c``.
 
@@ -231,8 +230,8 @@ class CommandQueue:
         dimension); otherwise ``c`` is overwritten.  ``workers`` routes
         the functional compute through the sharded host engine (the
         simulated timing is unaffected -- it prices the device, not the
-        host).  ``symmetric``/``backend``/``executor`` are the Gram-mode
-        hint, kernel-ABI backend, and shard executor forwarded to
+        host).  ``symmetric``/``backend`` are the Gram-mode hint and
+        kernel-ABI backend forwarded to
         :func:`~repro.gpu.executor.execute_kernel`.
         """
         if kernel.arch is not self.arch:
@@ -246,7 +245,7 @@ class CommandQueue:
         earliest = self._earliest(wait_for)
         result, profile = execute_kernel(
             kernel, a.data, b.data, args, workers=workers,
-            symmetric=symmetric, backend=backend, executor=executor,
+            symmetric=symmetric, backend=backend,
         )
         if accumulate:
             existing = c._data

@@ -99,7 +99,6 @@ def execute_kernel(
     workers: int | None = None,
     symmetric: bool | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> tuple[np.ndarray, KernelProfile]:
     """Run one kernel launch; returns (C table, profile).
 
@@ -130,11 +129,6 @@ def execute_kernel(
         the kernel's own plan, ``"auto"`` defers to ``REPRO_BACKEND``
         and then to ``blis``/``blas`` by size.  The engine path
         additionally consults the tuner.
-    executor:
-        Host-engine shard executor (``"auto"``/``"thread"``/
-        ``"process"``): where the engine path runs its shards (see
-        :mod:`repro.parallel.procpool`).  Only used when the engine
-        path runs.
     """
     a = np.asarray(a_words)
     b = np.asarray(b_words)
@@ -180,9 +174,9 @@ def execute_kernel(
             try:
                 res.injector.check("kernel", attempt=attempt)
                 if workers is not None and workers > 1:
-                    c, parallel_report = get_engine(
-                        workers, backend, executor
-                    ).run(a, b, kernel.op, plan=plan, symmetric=symmetric)
+                    c, parallel_report = get_engine(workers, backend).run(
+                        a, b, kernel.op, plan=plan, symmetric=symmetric
+                    )
                     ran = parallel_report.backend
                 else:
                     serial_symmetric = (

@@ -35,8 +35,6 @@ from repro.io_stream.format import (
     SnpbinHeader,
     PackedDatasetReader,
     PackedDatasetWriter,
-    map_packed_words,
-    packed_words_ref,
     write_snpbin,
 )
 from repro.io_stream.fsck import (
@@ -68,8 +66,6 @@ __all__ = [
     "fsck_directory",
     "PackedDatasetReader",
     "PackedDatasetWriter",
-    "map_packed_words",
-    "packed_words_ref",
     "write_snpbin",
     "ChunkStream",
     "StreamStats",

@@ -14,8 +14,8 @@ little-endian).  Version 1 (``SNPBIN01``, still readable)::
 
 Version 2 (``SNPBIN02``, the writer default) adds integrity checks
 while keeping the data region *contiguous*, so the zero-repack
-residency path (mapping the region directly as a device operand, see
-:func:`packed_words_ref`) is unchanged::
+residency path (mapping the region directly as a packed operand, see
+:meth:`PackedDatasetReader.read_words`) is unchanged::
 
     offset  size  field
     0       8     magic  b"SNPBIN02"
@@ -78,8 +78,6 @@ __all__ = [
     "PackedDatasetWriter",
     "PackedDatasetReader",
     "write_snpbin",
-    "packed_words_ref",
-    "map_packed_words",
 ]
 
 SNPBIN_MAGIC = b"SNPBIN01"
@@ -584,91 +582,6 @@ class PackedDatasetReader:
             f"n_bits={self.n_bits}, word_bits={self.word_bits}, "
             f"version={self.version})"
         )
-
-
-def packed_words_ref(
-    words: np.ndarray,
-) -> tuple[str, int, tuple[int, int], str] | None:
-    """Describe a file-backed packed-word matrix for zero-copy re-attach.
-
-    When ``words`` is a C-contiguous 2-D view of a read-only
-    :class:`numpy.memmap` (the reader's ``.snpbin`` mapping, or any
-    contiguous row slice of it), returns ``(path, byte_offset, shape,
-    dtype_str)`` -- everything another *process* needs to map the same
-    file region itself via :func:`map_packed_words` instead of
-    receiving the bytes over a pipe.  Returns ``None`` for anything
-    that is not file-backed (in-memory operands go through shared
-    memory instead).
-
-    The byte offset is computed from pointer arithmetic against the
-    root memmap, so sliced views resolve to their true position in the
-    file (``np.memmap.offset`` on a slice still reports the root's
-    creation offset).
-    """
-    if not isinstance(words, np.ndarray):
-        return None
-    if words.ndim != 2 or not words.flags["C_CONTIGUOUS"]:
-        return None
-    # Walk the view chain to the root memmap: the reader's read_words
-    # hands out plain-ndarray views of its mapping (ascontiguousarray
-    # strips the subclass), and a copy anywhere breaks the chain with
-    # base=None, falling back to the shared-memory publish path.
-    root: np.ndarray | None = words
-    while root is not None and not isinstance(root, np.memmap):
-        root = getattr(root, "base", None)
-    if not isinstance(root, np.memmap):
-        return None
-    while isinstance(root.base, np.memmap):
-        root = root.base
-    filename = getattr(root, "filename", None)
-    # Only true read-only mappings are file-backed from every process's
-    # point of view.  A copy-on-write mapping (mode="c") can hold parent
-    # modifications that never reach the file, so a worker re-mapping
-    # the file would silently compute against different data; writable
-    # modes can race the re-map.  All of those fall back to the
-    # shared-memory copy path, which publishes the bytes as seen.
-    if filename is None or getattr(root, "mode", None) != "r":
-        return None
-    try:
-        delta = words.ctypes.data - root.ctypes.data
-        if delta + words.nbytes > root.nbytes:
-            return None  # pragma: no cover - view outruns its base
-        offset = int(root.offset) + int(delta)
-    except Exception:  # pragma: no cover - defensive: exotic views
-        return None
-    if delta < 0:
-        return None  # pragma: no cover - views precede their base
-    return (
-        str(filename),
-        offset,
-        (int(words.shape[0]), int(words.shape[1])),
-        words.dtype.str,
-    )
-
-
-def map_packed_words(
-    path: str | os.PathLike[str],
-    offset: int,
-    shape: tuple[int, int],
-    dtype: str | np.dtype,
-) -> np.ndarray:
-    """Re-attach a packed-word file region described by :func:`packed_words_ref`.
-
-    The worker-side half of the zero-copy ``.snpbin`` hand-off: maps
-    rows ``shape[0] x shape[1]`` of packed words read-only at
-    ``offset`` bytes into ``path``.  Raises
-    :class:`~repro.errors.DatasetError` when the file cannot be mapped
-    (vanished or truncated since the parent described it).
-    """
-    try:
-        return np.memmap(
-            path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=shape
-        )
-    except (OSError, ValueError) as exc:
-        raise DatasetError(
-            f"map_packed_words: cannot map {shape} words at offset {offset} "
-            f"of {path}: {exc}"
-        ) from exc
 
 
 def write_snpbin(

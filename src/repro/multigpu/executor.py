@@ -91,7 +91,6 @@ def run_multi_gpu(
     workers: int | None = None,
     gram: bool = True,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> tuple[np.ndarray, MultiGPUReport]:
     """Functional multi-GPU run: bit-exact table plus node timing.
 
@@ -104,8 +103,7 @@ def run_multi_gpu(
     (:func:`repro.parallel.get_engine`), all simulated devices share
     **one** thread pool rather than spawning one per device.
 
-    ``gram``/``backend``/``executor`` forward to each
-    device's framework.  Note a
+    ``gram``/``backend`` forward to each device's framework.  Note a
     partitioned run rarely benefits from Gram mode: each device
     compares the full query against a *slice* of the database, which
     is not a self-comparison (only the degenerate single-device,
@@ -163,7 +161,6 @@ def run_multi_gpu(
                         workers=workers,
                         gram=gram,
                         backend=backend,
-                        executor=executor,
                     )
                     slice_table, run_report = framework.run(
                         a, b[dev_slice.row_start : dev_slice.row_stop]

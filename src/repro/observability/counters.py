@@ -44,7 +44,6 @@ __all__ = [
     "SHARDS_QUARANTINED",
     "KERNEL_RETRIES",
     "DEVICES_DROPPED",
-    "WORKERS_LOST",
     "VERIFY_MISMATCHES",
     "TILES_VERIFIED",
     "SERVE_QUERIES",
@@ -123,9 +122,6 @@ KERNEL_RETRIES = "resilience.kernel_retries"
 #: Devices dropped from a multi-GPU run after being lost mid-run
 #: (their slices were re-partitioned across survivors).
 DEVICES_DROPPED = "resilience.devices_dropped"
-#: Worker processes lost mid-run by the process shard executor (their
-#: claimed shards were re-enqueued onto the surviving workers).
-WORKERS_LOST = "resilience.workers_lost"
 #: Spot-verification mismatches: a sampled output tile disagreed with
 #: the serial popcount reference and was recomputed.
 VERIFY_MISMATCHES = "resilience.verify_mismatches"
@@ -210,7 +206,6 @@ COUNTER_CATALOGUE: dict[str, str] = {
     SHARDS_QUARANTINED: "shards recomputed on the serial reference path",
     KERNEL_RETRIES: "kernel launches retried after transient failures",
     DEVICES_DROPPED: "devices dropped and re-partitioned mid multi-GPU run",
-    WORKERS_LOST: "worker processes lost and re-partitioned mid-run",
     VERIFY_MISMATCHES: "spot-verification mismatches (tiles recomputed)",
     TILES_VERIFIED: "output tiles re-checked against the serial reference",
     SERVE_QUERIES: "query requests accepted by the identity service",

@@ -29,11 +29,7 @@ Supported input formats (auto-detected per file):
   seconds as ``timing`` metrics;
 * ``bench_parallel_scaling.py --json`` sweeps: per-worker seconds
   (``timing``), speedups (``ratio``), word-ops / shard counts /
-  bit-exactness and deterministic observability counters (``exact``).
-  Per-executor rows (``--executor both``) namespace non-thread tiers
-  as ``process.workers{N}.*`` (plus ``process.counter.*`` and the
-  ``counters_match`` invariance flag), so thread-era baselines stay
-  valid;
+  bit-exactness and deterministic observability counters (``exact``);
 * ``bench_parallel_scaling.py --backends --json`` races: per-backend
   seconds (``timing``), speedup vs the reference panel (``ratio``),
   bit-exactness / counter invariance and the word-op counters
@@ -178,15 +174,7 @@ def _flatten_scaling_sweep(data: dict[str, Any], prefix: str) -> list[Metric]:
         Metric(f"{prefix}:word_ops", float(data["word_ops"]), KIND_EXACT)
     ]
     for row in data.get("rows", []):
-        w = row["workers"]
-        # Thread rows keep the historical unprefixed names so existing
-        # baselines stay valid; other executor tiers (the process pool)
-        # namespace theirs as "<executor>.workers{N}.*".
-        executor = row.get("executor", "thread")
-        base = (
-            f"workers{w}" if executor == "thread"
-            else f"{executor}.workers{w}"
-        )
+        base = f"workers{row['workers']}"
         metrics.append(
             Metric(f"{prefix}:{base}.seconds", float(row["seconds"]), KIND_TIMING)
         )
@@ -205,27 +193,10 @@ def _flatten_scaling_sweep(data: dict[str, Any], prefix: str) -> list[Metric]:
                 f"{prefix}:{base}.n_shards", float(row["n_shards"]), KIND_EXACT
             )
         )
-    if "counters_match" in data:
-        metrics.append(
-            Metric(
-                f"{prefix}:counters_match",
-                float(bool(data["counters_match"])),
-                KIND_EXACT,
-            )
-        )
     for name, value in sorted(data.get("counters", {}).items()):
         if name in DETERMINISTIC_COUNTERS:
             metrics.append(
                 Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    for name, value in sorted(data.get("process_counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(
-                    f"{prefix}:process.counter.{name}",
-                    float(value),
-                    KIND_EXACT,
-                )
             )
     return metrics
 

@@ -1,7 +1,10 @@
 """Host-side parallel execution engine for the functional bit-GEMM.
 
 The BLIS five-loop structure exposes independent ``m_r x n_r`` output
-tiles; this package shards them across a host thread pool:
+tiles; this package shards them across one host thread pool.  The
+engine has two axes -- the kernel backend every shard calls and the
+plan shape (full or triangular) -- and runs serially below the
+crossover:
 
 * :mod:`repro.parallel.plan` -- :class:`ShardPlan`, derived from the
   device :class:`~repro.blis.blocking.BlockingPlan` so host sharding
@@ -9,12 +12,9 @@ tiles; this package shards them across a host thread pool:
 * :mod:`repro.parallel.engine` -- :class:`ParallelEngine`,
   :func:`bit_gemm_parallel`, and the process-wide :func:`get_engine`
   pool registry (one pool shared across simulated devices);
-* :mod:`repro.parallel.procpool` -- :class:`ProcessShardExecutor`,
-  the ``executor="process"`` tier: worker processes with operands
-  published through shared memory / mmap (``docs/DISTRIBUTED.md``);
 * :mod:`repro.parallel.tuner` -- the persisted host autotuner that
-  ``backend="auto"`` (and ``executor="auto"``) consults
-  (:func:`tune_problem`, :func:`lookup_tuned`).
+  ``backend="auto"`` consults (:func:`tune_problem`,
+  :func:`lookup_tuned`).
 
 Every shard is one kernel-ABI panel call (:mod:`repro.kernels`).
 Self-comparisons with a symmetric op take the Gram path: triangular
@@ -27,12 +27,8 @@ multi-GPU executor, and the CLI's ``--workers`` flag -- all route
 through this package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 """
 
-from typing import TYPE_CHECKING, Any
-
 from repro.parallel.engine import (
-    EXECUTORS,
     PARALLEL_CROSSOVER_OPS,
-    REPRO_EXECUTOR_ENV,
     ParallelEngine,
     ParallelReport,
     ShardProfile,
@@ -50,10 +46,7 @@ from repro.parallel.tuner import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "PARALLEL_CROSSOVER_OPS",
-    "ProcessShardExecutor",
-    "REPRO_EXECUTOR_ENV",
     "ParallelEngine",
     "ParallelReport",
     "ShardProfile",
@@ -70,20 +63,3 @@ __all__ = [
     "tune_problem",
 ]
 
-
-if TYPE_CHECKING:  # the lazy re-export below, visible to type checkers
-    from repro.parallel.procpool import (
-        ProcessShardExecutor as ProcessShardExecutor,
-    )
-
-
-def __getattr__(name: str) -> Any:
-    # ProcessShardExecutor is re-exported lazily: the process tier
-    # pulls in multiprocessing machinery (shared_memory, spawn context)
-    # most runs never need, and ParallelEngine imports it on first
-    # ``executor="process"`` use for the same reason.
-    if name == "ProcessShardExecutor":
-        from repro.parallel.procpool import ProcessShardExecutor
-
-        return ProcessShardExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

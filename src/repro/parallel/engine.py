@@ -8,7 +8,7 @@ overlap on multicore hosts -- and every shard writes its disjoint
 block of the shared output array (the partial-``gamma`` reduction is
 race-free by construction).
 
-The engine has three axes:
+The engine has two axes:
 
 * **Backend** -- every shard runs one kernel-ABI panel call,
   ``backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)``
@@ -22,17 +22,6 @@ The engine has three axes:
   Deterministic counters are backend-invariant: every shard records
   the same ``SHARDS_EXECUTED`` and ``GEMM_WORD_OPS`` whichever backend
   computes its block.
-* **Executor** -- *where* shards run: ``executor="thread"`` (the pool
-  above), ``"process"`` (a
-  :class:`~repro.parallel.procpool.ProcessShardExecutor` pool of
-  worker processes with operands published through shared memory /
-  mmap), or ``"auto"`` which honours the ``REPRO_EXECUTOR``
-  environment variable, then the tuning cache's measured winner, then
-  threads.  Worker processes ship per-shard counter deltas that the
-  parent merges, so counters match across executors; lost workers'
-  shards re-run on survivors and the run's
-  :class:`~repro.resilience.report.ResilienceReport` carries
-  ``workers_lost``.
 * **Plan shape** -- full or triangular.  When both operands are the
   *same* packed matrix (``same_operand``) and the op is symmetric, the
   output satisfies ``C == C.T`` and the engine switches to a
@@ -46,9 +35,9 @@ The engine has three axes:
 Problems below the crossover threshold -- or ``workers=1`` -- take the
 serial driver :func:`repro.blis.gemm.bit_gemm` (the same size rule;
 its Gram form walks the ``blis`` triangle), so the engine is safe to
-leave enabled everywhere.  Serial, threaded and process runs execute
-through the same :func:`execute_shard` retry/quarantine/verify
-ladder, so results are bit-exact across all of them.
+leave enabled everywhere.  Serial and threaded runs execute through
+the same :func:`execute_shard` retry/quarantine/verify ladder, so
+results are bit-exact across both.
 
 Per-shard timing surfaces as :class:`ShardProfile` records (the
 host-side analogue of :class:`repro.gpu.executor.KernelProfile`)
@@ -105,23 +94,19 @@ from repro.observability.counters import (
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
 from repro.parallel.plan import TRIANGULAR_MIN_BANDS, Shard, ShardPlan
-from repro.resilience.faults import FiredFault
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import ResilienceContext, get_resilience
 from repro.util.validation import check_workers
 
 if TYPE_CHECKING:
-    from repro.parallel.procpool import ProcessShardExecutor
     from repro.parallel.tuner import TuningRecord
 
 #: Shard kernel contract: (shard, a, b, op, plan) -> output block.
 ShardCompute = Callable[[Shard, np.ndarray, np.ndarray, ComparisonOp, BlockingPlan], np.ndarray]
 
 __all__ = [
-    "EXECUTORS",
     "PARALLEL_CROSSOVER_OPS",
-    "REPRO_EXECUTOR_ENV",
     "ShardProfile",
     "ParallelReport",
     "ParallelEngine",
@@ -130,15 +115,6 @@ __all__ = [
     "get_engine",
     "shard_compute",
 ]
-
-#: Environment variable selecting the shard executor when an engine is
-#: constructed with ``executor="auto"`` (values: ``thread``,
-#: ``process``).  CI's process leg sets ``REPRO_EXECUTOR=process`` to
-#: run the whole suite through the process pool.
-REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Valid ``executor=`` arguments.
-EXECUTORS = ("auto", "thread", "process")
 
 #: Problems below this many packed-word operations run the serial
 #: driver: pool dispatch costs more than it saves on small tables.
@@ -211,13 +187,6 @@ class ParallelReport:
     plus span aggregates) when tracing was enabled; ``None`` otherwise.
     ``resilience`` carries the fault-tolerance accounting when a
     resilience context was active during the run; ``None`` otherwise.
-    ``executor`` names the resolved shard executor (``"thread"`` or
-    ``"process"`` -- serial fallbacks report the executor the run
-    *would* have sharded on).  For process runs, ``worker_events``
-    carries injector events that fired inside worker processes plus
-    the parent-synthesized ``worker-lost`` events, and
-    ``workers_lost`` counts worker processes that died mid-run (their
-    shards were re-executed on the survivors).
     """
 
     workers: int
@@ -229,9 +198,6 @@ class ParallelReport:
     metrics: MetricsReport | None = None
     symmetric: bool = False
     resilience: ResilienceReport | None = None
-    executor: str = "thread"
-    worker_events: tuple[FiredFault, ...] = ()
-    workers_lost: int = 0
 
     @property
     def n_shards(self) -> int:
@@ -267,7 +233,7 @@ class ParallelReport:
 
 
 class ParallelEngine:
-    """Shards one bit-GEMM across a host thread or process pool.
+    """Shards one bit-GEMM across a host thread pool.
 
     Parameters
     ----------
@@ -283,12 +249,6 @@ class ParallelEngine:
         ``"auto"`` honours the ``REPRO_BACKEND`` environment variable,
         then the persisted tuning record for the problem's size class,
         then the size rule of :func:`repro.kernels.pick_backend`.
-    executor:
-        Where shards run: ``"thread"`` (in-process pool),
-        ``"process"`` (worker processes with shared-memory operands,
-        :mod:`repro.parallel.procpool`), or ``"auto"`` which resolves,
-        in order: the ``REPRO_EXECUTOR`` environment variable, the
-        tuning record's measured winner, then ``"thread"``.
 
     One engine owns one lazily created pool; it is reused across runs
     and across callers -- :func:`get_engine` hands the same engine to
@@ -301,7 +261,6 @@ class ParallelEngine:
         oversubscribe: int = 2,
         crossover_ops: int = PARALLEL_CROSSOVER_OPS,
         backend: str = "auto",
-        executor: str = "auto",
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -311,20 +270,13 @@ class ParallelEngine:
             # ConfigurationError subclasses ValueError, so callers
             # catching either see the shared validator's message.
             raise ConfigurationError(str(exc)) from None
-        if executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"ParallelEngine: unknown executor {executor!r} "
-                f"(valid: {', '.join(EXECUTORS)})"
-            )
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.workers = workers
         self.oversubscribe = oversubscribe
         self.crossover_ops = crossover_ops
         self.backend = backend
-        self.executor = executor
         self._pool: ThreadPoolExecutor | None = None
-        self._procpool: "ProcessShardExecutor | None" = None
         self._pool_lock = threading.Lock()
 
     # -- pool management -------------------------------------------------------
@@ -338,25 +290,12 @@ class ParallelEngine:
                 )
             return self._pool
 
-    def _get_procpool(self) -> "ProcessShardExecutor":
-        with self._pool_lock:
-            if self._procpool is None:
-                # Imported lazily: the process tier pulls in
-                # multiprocessing machinery most runs never need.
-                from repro.parallel.procpool import ProcessShardExecutor
-
-                self._procpool = ProcessShardExecutor(self.workers)
-            return self._procpool
-
     def shutdown(self) -> None:
-        """Release the pools (a later run recreates them)."""
+        """Release the pool (a later run recreates it)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._procpool is not None:
-                self._procpool.shutdown()
-                self._procpool = None
 
     # -- entry point -----------------------------------------------------------
 
@@ -385,7 +324,7 @@ class ParallelEngine:
             symmetric = op.is_symmetric and same_operand(a, b)
         elif symmetric:
             check_symmetric("ParallelEngine.run", a, b, op)
-            b = a  # equal content, now one operand to share and publish
+            b = a  # equal content, now one operand
         if plan is None:
             plan = host_plan(m, n, k)
         if (plan.m, plan.n, plan.k) != (m, n, k):
@@ -399,27 +338,14 @@ class ParallelEngine:
         backend_name = self.backend
         if backend_name == "auto":
             backend_name = env_backend_name() or "auto"
-        executor = self.executor
-        if executor == "auto":
-            env_executor = os.environ.get(REPRO_EXECUTOR_ENV, "").strip()
-            if env_executor:
-                if env_executor not in ("thread", "process"):
-                    raise ConfigurationError(
-                        f"{REPRO_EXECUTOR_ENV}: unknown executor "
-                        f"{env_executor!r} (valid: thread, process)"
-                    )
-                executor = env_executor
-        if backend_name == "auto" or executor == "auto":
-            tuned, executor = self._consult_tuner(
-                op, m, n, k, a.dtype.itemsize * 8, executor
-            )
-            if tuned is not None:
-                if symmetric and not tuned.triangular:
-                    symmetric = False
-                if tuned.crossover_ops is not None:
-                    crossover = tuned.crossover_ops
-                if backend_name == "auto" and backend_available(tuned.backend):
-                    backend_name = tuned.backend
+        tuned = self._consult_tuner(op, m, n, k, a.dtype.itemsize * 8)
+        if tuned is not None:
+            if symmetric and not tuned.triangular:
+                symmetric = False
+            if tuned.crossover_ops is not None:
+                crossover = tuned.crossover_ops
+            if backend_name == "auto" and backend_available(tuned.backend):
+                backend_name = tuned.backend
         use_parallel = (
             self.workers > 1 and plan.total_ops() >= crossover
             if force_parallel is None
@@ -439,28 +365,15 @@ class ParallelEngine:
                 )
             else:
                 c, report = self._run_sharded(
-                    a, b, op, plan, symmetric, backend_name, executor
+                    a, b, op, plan, symmetric, backend_name
                 )
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
                 obs, counters_before, spans_before
             )
-        if res.active or report.workers_lost:
-            # Worker-process events (injector firings shipped from
-            # workers plus parent-synthesized worker-lost records) join
-            # the parent injector's log, keeping `fired_count` exact
-            # across executors; thread/serial runs ship none.  Without
-            # an active context the null injector drops absorbed
-            # events, so fold them into the report directly instead.
-            if res.active and report.worker_events:
-                res.injector.absorb(report.worker_events)
-                events = tuple(res.injector.fired()[events_before:])
-            else:
-                events = (
-                    tuple(res.injector.fired()[events_before:])
-                    + report.worker_events
-                )
+        if res.active:
+            events = tuple(res.injector.fired()[events_before:])
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
                 retries=report.n_retries,
@@ -471,7 +384,6 @@ class ParallelEngine:
                 verify_mismatches=sum(
                     1 for p in report.shard_profiles if p.mismatched
                 ),
-                workers_lost=report.workers_lost,
                 events=events,
             )
         return c, report
@@ -483,42 +395,20 @@ class ParallelEngine:
         n: int,
         k: int,
         word_bits: int,
-        executor: str,
-    ) -> "tuple[TuningRecord | None, str]":
+    ) -> "TuningRecord | None":
         """Best-effort lookup in the persisted host tuning cache.
 
-        Returns ``(record, executor)``.  With ``executor="auto"`` the
-        thread and process records for the size class are compared and
-        the measured winner picked (``"thread"`` when neither exists
-        -- untuned hosts stay on the in-process pool).  Any failure
-        (missing, corrupt, or stale cache; import problems) degrades to
-        ``(None, ...)`` -- ``"auto"`` then falls back to its built-in
-        default.  Imported lazily to avoid an import cycle (the tuner
-        benchmarks through this engine).
+        Any failure (missing, corrupt, or stale cache; import problems)
+        degrades to ``None`` -- ``"auto"`` then falls back to its
+        built-in default.  Imported lazily to avoid an import cycle (the
+        tuner benchmarks through this engine).
         """
-        fallback = "thread" if executor == "auto" else executor
         try:
             from repro.parallel.tuner import lookup_tuned
 
-            if executor != "auto":
-                record = lookup_tuned(
-                    op, m, n, k, word_bits, self.workers, executor=executor
-                )
-                return record, executor
-            thread_record = lookup_tuned(
-                op, m, n, k, word_bits, self.workers, executor="thread"
-            )
-            process_record = lookup_tuned(
-                op, m, n, k, word_bits, self.workers, executor="process"
-            )
-            if process_record is not None and (
-                thread_record is None
-                or process_record.best_seconds < thread_record.best_seconds
-            ):
-                return process_record, "process"
-            return thread_record, "thread"
+            return lookup_tuned(op, m, n, k, word_bits, self.workers)
         except Exception:  # pragma: no cover - defensive degradation
-            return None, fallback
+            return None
 
     # -- serial driver -----------------------------------------------------------
 
@@ -580,7 +470,6 @@ class ParallelEngine:
         plan: BlockingPlan,
         symmetric: bool,
         backend_name: str,
-        executor: str,
     ) -> tuple[np.ndarray, ParallelReport]:
         shard_plan = ShardPlan.from_blocking(
             plan, self.workers, oversubscribe=self.oversubscribe,
@@ -601,38 +490,25 @@ class ParallelEngine:
             backend=name,
             shard_plan=shard_plan,
             symmetric=symmetric,
-            executor="thread",
         )
         start = time.perf_counter()
-        if executor == "process" and shard_plan.n_shards > 1:
-            result = self._get_procpool().execute(
-                a, b, op, plan, shard_plan, name, res
-            )
-            c = result.c
-            report.shard_profiles = result.profiles
-            report.executor = "process"
-            report.worker_events = result.worker_events
-            report.workers_lost = result.workers_lost
+        compute = shard_compute(get_backend(name))
+        c = np.zeros((plan.m, plan.n), dtype=np.int64)
+        if shard_plan.n_shards <= 1:
+            profiles = [
+                execute_shard(compute, shard, a, b, op, plan, c, res)
+                for shard in shard_plan.shards
+            ]
         else:
-            # A single-shard "process" request degrades to in-thread
-            # execution; the report names the tier that actually ran.
-            compute = shard_compute(get_backend(name))
-            c = np.zeros((plan.m, plan.n), dtype=np.int64)
-            if shard_plan.n_shards <= 1:
-                profiles = [
-                    execute_shard(compute, shard, a, b, op, plan, c, res)
-                    for shard in shard_plan.shards
-                ]
-            else:
-                pool = self._get_pool()
-                futures = [
-                    pool.submit(
-                        execute_shard, compute, shard, a, b, op, plan, c, res
-                    )
-                    for shard in shard_plan.shards
-                ]
-                profiles = [f.result() for f in futures]
-            report.shard_profiles = sorted(profiles, key=lambda p: p.shard_id)
+            pool = self._get_pool()
+            futures = [
+                pool.submit(
+                    execute_shard, compute, shard, a, b, op, plan, c, res
+                )
+                for shard in shard_plan.shards
+            ]
+            profiles = [f.result() for f in futures]
+        report.shard_profiles = sorted(profiles, key=lambda p: p.shard_id)
         report.seconds = time.perf_counter() - start
         return c, report
 
@@ -641,7 +517,7 @@ class ParallelEngine:
 
 
 def shard_compute(backend: KernelBackend) -> ShardCompute:
-    """The shard kernel every executor runs: one backend panel call.
+    """The shard kernel every run executes: one backend panel call.
 
     Counter accounting is backend-invariant (``SHARDS_EXECUTED`` plus
     the shard's word-ops), so the deterministic counters the
@@ -773,31 +649,27 @@ def execute_shard(
 
 # -- module-level conveniences ---------------------------------------------------
 
-_ENGINES: dict[tuple[int, str, str], ParallelEngine] = {}
+_ENGINES: dict[tuple[int, str], ParallelEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
 def get_engine(
     workers: int | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> ParallelEngine:
-    """Process-wide engine per (workers, backend, executor).
+    """Process-wide engine per (workers, backend).
 
     Every caller asking for the same worker count shares one pool --
     this is how the multi-GPU executor runs all simulated devices on a
-    single pool instead of one per device, and how repeated process
-    runs reuse one set of spawned workers.
+    single pool instead of one per device.
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    key = (workers, backend, executor)
+    key = (workers, backend)
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None:
-            engine = ParallelEngine(
-                workers=workers, backend=backend, executor=executor
-            )
+            engine = ParallelEngine(workers=workers, backend=backend)
             _ENGINES[key] = engine
         return engine
 
@@ -811,10 +683,9 @@ def bit_gemm_parallel(
     force_parallel: bool | None = None,
     symmetric: bool | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> np.ndarray:
     """One-shot parallel bit-GEMM (drop-in for the serial drivers)."""
-    c, _ = get_engine(workers, backend, executor).run(
+    c, _ = get_engine(workers, backend).run(
         a, b, op, plan=plan, force_parallel=force_parallel, symmetric=symmetric
     )
     return c

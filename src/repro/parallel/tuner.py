@@ -12,14 +12,6 @@ the requested shape, times a serial baseline for the crossover
 decision, and persists the winner to a small JSON cache, which
 ``backend="auto"`` then applies per machine.
 
-The tuner also races the engine's *executor* axis: on problems large
-enough for the process tier to plausibly pay off, the whole candidate
-grid is re-timed on the process executor
-(:mod:`repro.parallel.procpool`) and the per-executor winners are
-stored as separate records, distinguished by an ``|ex<executor>`` key
-suffix (thread records carry no suffix).  ``executor="auto"`` then
-compares the two records' ``best_seconds`` per size class.
-
 The cache is keyed by ``(op, shape bucket, workers, word_bits, numpy
 version, backend fingerprint)`` -- shapes are bucketed to the next
 power of two so one measurement serves its whole size class, the NumPy
@@ -35,7 +27,10 @@ backend probe -- is built).  A missing, corrupt, or foreign-format
 cache degrades to "no record" rather than erroring, so a stale file
 can never break execution; files of the earlier
 ``repro-host-tuning/1`` format (which raced shard strategies) read as
-empty this way.
+empty this way.  Version-2 files written while a process executor
+existed may also hold records under keys ending ``|exprocess``; no
+lookup builds such a key, and their extra ``executor`` field is
+ignored.
 
 File format (``repro-host-tuning/2``)::
 
@@ -44,7 +39,7 @@ File format (``repro-host-tuning/2``)::
       "records": {
         "<key>": {"backend": "blas", "triangular": true,
                    "crossover_ops": null, "best_seconds": 0.012,
-                   "candidates": 4, "executor": "thread"}
+                   "candidates": 4}
       }
     }
 
@@ -109,9 +104,6 @@ def default_tuning_path() -> Path:
         return Path(override).expanduser()
     return repro_cache_dir() / "host-tuning.json"
 
-#: Executors a record (and a tuning key) may name.
-_RECORD_EXECUTORS = ("thread", "process")
-
 
 def shape_bucket(m: int, n: int, k_words: int) -> str:
     """Bucket a problem shape to its next-power-of-two size class."""
@@ -129,7 +121,6 @@ def tuning_key(
     k_words: int,
     word_bits: int,
     workers: int,
-    executor: str = "thread",
 ) -> str:
     """The cache key one measurement is stored (and looked up) under.
 
@@ -137,19 +128,10 @@ def tuning_key(
     versions of the tunable backend set): a record measured before
     Numba was installed -- or against a different backend version --
     stops matching instead of silently pinning the old winner.
-
-    Non-thread executors append an ``|ex<executor>`` suffix.
     """
-    if executor not in _RECORD_EXECUTORS:
-        raise ConfigurationError(
-            f"tuning_key: unknown executor {executor!r} "
-            f"(valid: {', '.join(_RECORD_EXECUTORS)})"
-        )
-    suffix = "" if executor == "thread" else f"|ex{executor}"
     return (
         f"{op.value}|{shape_bucket(m, n, k_words)}|w{workers}"
         f"|b{word_bits}|np{np.__version__}|be[{backend_fingerprint()}]"
-        f"{suffix}"
     )
 
 
@@ -162,8 +144,7 @@ class TuningRecord:
     class when not ``None`` (recorded when the serial baseline beat
     every parallel candidate).  ``triangular`` is the measured
     preference for Gram plans; the engine only honours it when the run
-    is actually a symmetric self-comparison.  ``executor`` names the
-    shard executor the record was measured on.
+    is actually a symmetric self-comparison.
     """
 
     backend: str
@@ -171,7 +152,6 @@ class TuningRecord:
     crossover_ops: int | None
     best_seconds: float
     candidates: int
-    executor: str = "thread"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -180,7 +160,6 @@ class TuningRecord:
             "crossover_ops": self.crossover_ops,
             "best_seconds": self.best_seconds,
             "candidates": self.candidates,
-            "executor": self.executor,
         }
 
     @classmethod
@@ -205,18 +184,12 @@ class TuningRecord:
         candidates = data.get("candidates")
         if not isinstance(candidates, int) or isinstance(candidates, bool):
             raise ValueError("tuning record: candidates must be an int")
-        executor = data.get("executor", "thread")
-        if executor not in _RECORD_EXECUTORS:
-            raise ValueError(
-                f"tuning record has unknown executor {executor!r}"
-            )
         return cls(
             backend=backend,
             triangular=triangular,
             crossover_ops=crossover,
             best_seconds=float(best_seconds),
             candidates=candidates,
-            executor=executor,
         )
 
 
@@ -380,7 +353,6 @@ def lookup_tuned(
     k_words: int,
     word_bits: int,
     workers: int,
-    executor: str = "thread",
 ) -> TuningRecord | None:
     """Cheap cache consultation used by the engine's ``"auto"`` axes.
 
@@ -391,9 +363,7 @@ def lookup_tuned(
     cache = get_tuning_cache()
     if not len(cache):
         return None
-    return cache.lookup(
-        tuning_key(op, m, n, k_words, word_bits, workers, executor=executor)
-    )
+    return cache.lookup(tuning_key(op, m, n, k_words, word_bits, workers))
 
 
 # -- measurement -----------------------------------------------------------------
@@ -409,7 +379,6 @@ def tune_problem(
     seed: int = 0,
     cache: TuningCache | None = None,
     persist: bool = True,
-    executors: tuple[str, ...] | None = None,
 ) -> TuningRecord:
     """Benchmark the candidate grid for one shape and persist the winner.
 
@@ -420,16 +389,8 @@ def tune_problem(
     becomes the record; if the serial baseline beat it,
     ``crossover_ops`` is raised above this size class so ``"auto"``
     keeps such problems serial.
-
-    ``executors`` selects which shard executors race (default:
-    ``("thread",)``, widened to ``("thread", "process")`` when the
-    problem is at least the parallel crossover size -- the process
-    tier's spawn/shared-memory overheads can't pay off below it).  One
-    record per executor is stored under its executor-qualified key;
-    the overall fastest is returned, so ``executor="auto"`` can later
-    compare records where :func:`lookup_tuned` finds both.
     """
-    from repro.parallel.engine import PARALLEL_CROSSOVER_OPS, get_engine
+    from repro.parallel.engine import get_engine
 
     if m <= 0 or n <= 0 or k_words <= 0:
         raise ConfigurationError(
@@ -450,16 +411,6 @@ def tune_problem(
     shapes = (False, True) if m == n and op.is_symmetric else (False,)
     word_bits = 64
     total_ops = m * n * k_words
-    if executors is None:
-        executors = ("thread",)
-        if total_ops >= PARALLEL_CROSSOVER_OPS:
-            executors = ("thread", "process")
-    for ex in executors:
-        if ex not in _RECORD_EXECUTORS:
-            raise ConfigurationError(
-                f"tune_problem: unknown executor {ex!r} "
-                f"(valid: {', '.join(_RECORD_EXECUTORS)})"
-            )
     backends = [be.info.name for be in available_backends() if be.info.tunable]
 
     def best_of(
@@ -472,38 +423,24 @@ def tune_problem(
             best = min(best, time.perf_counter() - start)
         return best
 
-    def race_executor(executor: str) -> TuningRecord:
-        candidates = [
-            (backend, triangular,
-             best_of(get_engine(workers, backend, executor), True, triangular))
-            for backend in backends
-            for triangular in shapes
-        ]
-        backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
-        crossover_ops = 2 * total_ops if serial_best < best_seconds else None
-        return TuningRecord(
-            backend=backend,
-            triangular=triangular,
-            crossover_ops=crossover_ops,
-            best_seconds=best_seconds,
-            candidates=len(candidates),
-            executor=executor,
-        )
-
     serial_best = best_of(get_engine(1), False, None)
-
+    candidates = [
+        (backend, triangular,
+         best_of(get_engine(workers, backend), True, triangular))
+        for backend in backends
+        for triangular in shapes
+    ]
+    backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
+    record = TuningRecord(
+        backend=backend,
+        triangular=triangular,
+        crossover_ops=2 * total_ops if serial_best < best_seconds else None,
+        best_seconds=best_seconds,
+        candidates=len(candidates),
+    )
     if cache is None:
         cache = get_tuning_cache()
-    best_record: TuningRecord | None = None
-    for ex in executors:
-        record = race_executor(ex)
-        cache.store(
-            tuning_key(op, m, n, k_words, word_bits, workers, executor=ex),
-            record,
-        )
-        if best_record is None or record.best_seconds < best_record.best_seconds:
-            best_record = record
+    cache.store(tuning_key(op, m, n, k_words, word_bits, workers), record)
     if persist:
         cache.save()
-    assert best_record is not None
-    return best_record
+    return record

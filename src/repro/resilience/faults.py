@@ -38,17 +38,6 @@ Fault kinds and their addressing:
     tile has one bit flipped (position drawn from the plan seed) and
     *no error is raised* -- only the spot-verification guard can catch
     it.
-``worker-lost``
-    Worker-addressed process death: a spec ``worker-lost@W`` schedules
-    worker process ``W`` of the process shard executor
-    (:mod:`repro.parallel.procpool`) to die abruptly (``os._exit``)
-    when it next claims a shard.  The *worker-side* injector only
-    decides the death (:meth:`FaultInjector.check_worker` consumes the
-    budget and returns ``True``); the parent records the fired event
-    and the ``resilience.workers_lost`` counter when it detects the
-    dead process, because a dying worker cannot ship its own event
-    log.  Threaded and serial runs have no worker processes, so the
-    kind never fires there.
 ``latency``
     Ordinal-indexed service-tier delay: each serving micro-batch
     consults :meth:`FaultInjector.service_delay` before executing, and
@@ -81,7 +70,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,7 +90,7 @@ __all__ = [
 
 #: Every fault kind the injector understands.
 FAULT_KINDS = (
-    "kernel", "alloc", "device", "shard", "slow", "bitflip", "worker-lost",
+    "kernel", "alloc", "device", "shard", "slow", "bitflip",
     "latency", "disk-corrupt", "client-disconnect",
 )
 
@@ -368,29 +357,6 @@ class FaultInjector:
                 attempt=attempt,
             )
 
-    def check_worker(self, worker_id: int) -> bool:
-        """Worker hook: ``True`` when the plan schedules this worker's death.
-
-        Consumes one firing of the ``worker-lost`` budget for
-        ``worker_id`` per call.  Unlike the raising hooks this one does
-        *not* record a fired event or counter: the caller is a worker
-        process about to ``os._exit``, so its in-memory event log would
-        be lost -- the parent process records the event when it detects
-        the death instead.
-        """
-        with self._lock:
-            key = ("worker-lost", worker_id)
-            used = self._consumed.get(key, 0)
-            budget = sum(
-                s.count
-                for s in self.plan.specs
-                if s.kind == "worker-lost" and s.target == worker_id
-            )
-            if used >= budget:
-                return False
-            self._consumed[key] = used + 1
-        return True
-
     def service_delay(self, site: str = "serve.batch") -> float:
         """Service-tier latency hook: sleep when the plan schedules it.
 
@@ -486,18 +452,6 @@ class FaultInjector:
         with self._lock:
             return sum(1 for f in self._fired if f.kind == kind)
 
-    def absorb(self, events: Iterable[FiredFault]) -> None:
-        """Append faults fired elsewhere to this injector's log.
-
-        The process executor rebuilds injectors from spec inside each
-        worker; their firings ship back with shard results, and the
-        parent absorbs them here so ``fired``/``fired_count`` stay the
-        single source of truth across executors.  Budgets are *not*
-        consumed -- the worker-side clones already consumed theirs.
-        """
-        with self._lock:
-            self._fired.extend(events)
-
 
 class NullInjector:
     """Disabled injector: every hook is a no-op (the process default)."""
@@ -509,9 +463,6 @@ class NullInjector:
 
     def check_shard(self, shard_id: int, attempt: int) -> None:
         pass
-
-    def check_worker(self, worker_id: int) -> bool:
-        return False
 
     def service_delay(self, site: str = "serve.batch") -> float:
         return 0.0
@@ -533,9 +484,6 @@ class NullInjector:
 
     def fired_count(self, kind: str) -> int:
         return 0
-
-    def absorb(self, events: Iterable[FiredFault]) -> None:
-        pass
 
 
 #: The process-wide disabled injector (one attribute check per hook).

@@ -30,7 +30,6 @@ class ResilienceReport:
     tiles_verified: int = 0
     verify_mismatches: int = 0
     devices_dropped: int = 0
-    workers_lost: int = 0
     events: tuple[FiredFault, ...] = field(default_factory=tuple)
 
     @property
@@ -42,7 +41,6 @@ class ResilienceReport:
             and self.quarantined == 0
             and self.verify_mismatches == 0
             and self.devices_dropped == 0
-            and self.workers_lost == 0
         )
 
     def merged(self, other: "ResilienceReport") -> "ResilienceReport":
@@ -54,7 +52,6 @@ class ResilienceReport:
             tiles_verified=self.tiles_verified + other.tiles_verified,
             verify_mismatches=self.verify_mismatches + other.verify_mismatches,
             devices_dropped=self.devices_dropped + other.devices_dropped,
-            workers_lost=self.workers_lost + other.workers_lost,
             events=self.events + other.events,
         )
 
@@ -75,7 +72,6 @@ class ResilienceReport:
             f"tiles verified    : {self.tiles_verified}",
             f"verify mismatches : {self.verify_mismatches}",
             f"devices dropped   : {self.devices_dropped}",
-            f"workers lost      : {self.workers_lost}",
         ]
         if self.events:
             fired = ", ".join(

@@ -131,7 +131,6 @@ class IdentityService:
         device: "str | GPUArchitecture" = "Titan V",
         workers: int | None = None,
         backend: str = "auto",
-        executor: str = "auto",
         window_s: float = 0.005,
         max_batch_rows: int = 512,
         pipeline_depth: int = 1,
@@ -159,7 +158,6 @@ class IdentityService:
             Algorithm.FASTID_IDENTITY,
             workers=workers,
             backend=backend,
-            executor=executor,
         )
         if self.framework.algorithm is not Algorithm.FASTID_IDENTITY:
             raise ConfigurationError(

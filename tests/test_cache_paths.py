@@ -108,7 +108,7 @@ class TestUntunedRunsProbeNothing:
             "from repro.parallel import ParallelEngine\n"
             "a = np.random.default_rng(0).integers(\n"
             "    0, 2**32, size=(512, 64), dtype=np.uint32)\n"
-            "engine = ParallelEngine(workers=2, executor='thread')\n"
+            "engine = ParallelEngine(workers=2)\n"
             "c, report = engine.run(a, a, force_parallel=True)\n"
             "engine.shutdown()\n"
             "serial, _ = ParallelEngine(workers=1).run(a, a)\n"

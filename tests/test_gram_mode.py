@@ -434,6 +434,39 @@ class TestTuningCache:
         finally:
             configure_tuning(tmp_path / "tuning-after.json")
 
+    def test_v2_file_with_process_records_resolves_thread_record(
+        self, tmp_path
+    ):
+        # v2 files written while a process executor existed carry an
+        # "executor" field on every record plus "|exprocess" keys.  The
+        # thread record still resolves; the process record is never
+        # looked up, even though it is faster.
+        path = tmp_path / "tuning.json"
+        key = tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2)
+        thread = {
+            "backend": "blis", "triangular": False, "crossover_ops": None,
+            "best_seconds": 0.5, "candidates": 2, "executor": "thread",
+        }
+        process = dict(
+            thread, backend="blas", best_seconds=0.1, executor="process"
+        )
+        path.write_text(
+            json.dumps(
+                {
+                    "format": TUNING_FORMAT,
+                    "records": {key: thread, key + "|exprocess": process},
+                }
+            )
+        )
+        assert TuningCache(path).load_error is None
+        configure_tuning(path)
+        try:
+            assert lookup_tuned(ComparisonOp.AND, 64, 64, 2, 64, 2) == (
+                TuningRecord("blis", False, None, 0.5, 2)
+            )
+        finally:
+            configure_tuning(tmp_path / "tuning-after.json")
+
     def test_shape_bucketing_shares_size_class(self):
         k1 = tuning_key(ComparisonOp.AND, 100, 100, 8, 64, 4)
         k2 = tuning_key(ComparisonOp.AND, 128, 128, 8, 64, 4)
@@ -470,16 +503,6 @@ class TestTuningCache:
             tune_problem(4, 4, 2, repeats=0, cache=cache, persist=False)
 
 
-def _env_executor() -> str:
-    """The executor an ``executor="auto"`` engine resolves under the
-    current environment -- tuner records must be stored under that
-    executor's key for the engine's lookup to hit (the CI process leg
-    runs this suite with ``REPRO_EXECUTOR=process``)."""
-    import os
-
-    return os.environ.get("REPRO_EXECUTOR", "").strip() or "thread"
-
-
 class TestEngineConsultsTuner:
     def test_auto_honours_tuned_strategy(self, tuning_sandbox):
         a = square_words(64, 2, seed=20)
@@ -491,7 +514,7 @@ class TestEngineConsultsTuner:
             candidates=4,
         )
         tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2, executor=_env_executor()),
+            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
             record,
         )
         engine = get_engine(2, "auto")
@@ -523,7 +546,7 @@ class TestEngineConsultsTuner:
             candidates=4,
         )
         tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2, executor=_env_executor()),
+            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
             record,
         )
         engine = get_engine(2, "auto")

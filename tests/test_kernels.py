@@ -150,10 +150,10 @@ class TestBackendConformance:
         for backend in available_backends():
             assert np.array_equal(backend.pack(bits), reference)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_every_backend_executor_and_plan_shape(self, executor, clean_env):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
+    def test_every_backend_and_plan_shape(self, workers, clean_env):
         # Every available backend x {full, triangular} plan is bit-exact
-        # with equal deterministic counters, on threads and processes.
+        # with equal deterministic counters, serially and on threads.
         a = make_words(96, 6, np.uint32, seed=91)
         b = make_words(80, 6, np.uint32, seed=92)
         cases = {
@@ -163,19 +163,29 @@ class TestBackendConformance:
         seen: dict[str, set] = {shape: set() for shape in cases}
         for backend in available_backends():
             name = backend.name
-            engine = ParallelEngine(workers=2, backend=name, executor=executor)
+            engine = ParallelEngine(workers=workers, backend=name)
             try:
                 for shape, (x, y, op, symmetric) in cases.items():
                     (table, report), counters = traced(
                         lambda: engine.run(
-                            x, y, op, force_parallel=True, symmetric=symmetric
+                            x, y, op, force_parallel=workers > 1,
+                            symmetric=symmetric,
                         )
                     )
                     assert np.array_equal(
                         table, bit_gemm_reference(x, y, op)
                     ), (name, shape)
-                    assert (report.backend, report.executor) == (name, executor)
-                    assert (report.n_mirrored > 0) == symmetric
+                    assert report.used_parallel == (workers > 1)
+                    assert report.symmetric == symmetric
+                    # A serial Gram run this small walks the blis
+                    # triangle whichever backend is named.
+                    assert report.backend == pick_backend(
+                        x.shape[0] * y.shape[0] * x.shape[1],
+                        symmetric and workers == 1,
+                        name,
+                    )
+                    if workers > 1:
+                        assert (report.n_mirrored > 0) == symmetric
                     seen[shape].add(tuple(sorted(deterministic(counters).items())))
             finally:
                 engine.shutdown()
@@ -586,15 +596,18 @@ class TestCliBackendFlag:
         from repro.cli import build_parser
 
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["ld", "--input", "x", "--strategy", "gemm"])
-        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+        for flag, value in (("--strategy", "gemm"), ("--executor", "thread")):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["ld", "--input", "x", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         commands = next(
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
         for name, sub in commands.choices.items():
             flags = {f for action in sub._actions for f in action.option_strings}
             assert "--strategy" not in flags, name
+            assert "--executor" not in flags, name
             assert "--backend" not in flags or "blis" in next(
                 a.choices for a in sub._actions if "--backend" in a.option_strings
             ), name

@@ -585,7 +585,6 @@ def test_cli_ld_prune_transpose(tmp_path):
     [
         ["--workers", "2"],
         ["--backend", "blas"],
-        ["--executor", "thread"],
         ["--no-gram"],
         ["--retries", "1"],
         ["--inject-faults", "kernel:1"],

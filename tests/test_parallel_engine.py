@@ -9,6 +9,9 @@ from repro.blis.microkernel import ComparisonOp
 from repro.cli import main
 from repro.core.framework import SNPComparisonFramework
 from repro.core.config import Algorithm
+from repro.core.identity import identity_search
+from repro.core.ld import linkage_disequilibrium
+from repro.core.mixture import mixture_analysis
 from repro.errors import ConfigurationError, PackingError
 from repro.gpu.arch import GTX_980
 from repro.gpu.executor import execute_kernel
@@ -25,6 +28,7 @@ from repro.parallel import (
 from repro.snp.generator import PopulationModel, generate_population
 from repro.snp.io import write_snptxt
 from repro.util.bitops import pack_bits
+from repro.util.validation import check_workers
 
 OPS = [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
 WORKERS = [1, 2, 4]
@@ -243,6 +247,8 @@ class TestEngineDispatch:
             ParallelEngine(backend="magic")
         with pytest.raises(TypeError):
             ParallelEngine(strategy="gemm")  # no strategy axis
+        with pytest.raises(TypeError):
+            ParallelEngine(executor="thread")  # no executor axis
 
     def test_get_engine_shares_instances(self):
         assert get_engine(2) is get_engine(2)
@@ -300,6 +306,48 @@ class TestIntegration:
         assert par_report.makespan_s == serial_report.makespan_s
 
 
+class TestWorkloads:
+    """All three applications, two threads vs serial, end to end.
+
+    256 x 2,048-site operands put every launch above the 2**21 word-op
+    crossover, so the threaded runs really shard."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        rng = np.random.default_rng(23)
+        a = rng.integers(0, 2, size=(256, 2048), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(256, 2048), dtype=np.uint8)
+        return a, b
+
+    @staticmethod
+    def sharded(report) -> bool:
+        return all(
+            p.parallel is not None and p.parallel.used_parallel
+            for p in report.kernel_profiles
+        )
+
+    def test_ld_bit_exact(self, matrices):
+        a, _ = matrices
+        serial = linkage_disequilibrium(a, compare="samples")
+        threaded = linkage_disequilibrium(a, compare="samples", workers=2)
+        assert self.sharded(threaded.report)
+        assert (threaded.counts == serial.counts).all()
+
+    def test_identity_bit_exact(self, matrices):
+        a, b = matrices
+        serial = identity_search(a, b)
+        threaded = identity_search(a, b, workers=2)
+        assert self.sharded(threaded.report)
+        assert (threaded.distances == serial.distances).all()
+
+    def test_mixture_bit_exact(self, matrices):
+        a, b = matrices
+        serial = mixture_analysis(a, b)
+        threaded = mixture_analysis(a, b, workers=2)
+        assert self.sharded(threaded.report)
+        assert (threaded.scores == serial.scores).all()
+
+
 class TestCliWorkers:
     @pytest.fixture
     def dataset_file(self, tmp_path):
@@ -318,4 +366,47 @@ class TestCliWorkers:
 
     def test_negative_workers_rejected(self, dataset_file, capsys):
         assert main(["ld", "--input", dataset_file, "--workers", "-3"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+class TestWorkersValidation:
+    """One shared validator behind every workers-accepting entry point."""
+
+    def test_check_workers_contract(self):
+        assert check_workers("x", 3) == 3
+        assert check_workers("x", 0, zero_means_default=True) == 0
+        with pytest.raises(ValueError, match="x"):
+            check_workers("x", 0)
+        with pytest.raises(ValueError):
+            check_workers("x", -1, zero_means_default=True)
+        with pytest.raises(ValueError, match="integer"):
+            check_workers("x", 2.0)
+        with pytest.raises(ValueError, match="integer"):
+            check_workers("x", True)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_engine_rejects(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ParallelEngine(workers=workers)
+
+    def test_identity_service_rejects(self):
+        from repro.serve import IdentityService, ProfileIndex
+
+        index = ProfileIndex(n_bits=64)
+        index.append(np.ones((4, 64), dtype=np.uint8))
+        with index:
+            with pytest.raises(ConfigurationError, match="workers"):
+                IdentityService(index, workers=0)
+
+    def test_cli_rejects_negative(self, tmp_path, capsys):
+        from repro.snp.dataset import SNPDataset
+
+        path = tmp_path / "pop.snptxt"
+        matrix = np.ones((8, 32), dtype=np.uint8)
+        write_snptxt(path, SNPDataset(matrix=matrix))
+        code = main([
+            "ld", "--input", str(path), "--compare", "samples",
+            "--workers", "-2",
+        ])
+        assert code == 2
         assert "--workers" in capsys.readouterr().err
