@@ -79,8 +79,9 @@ class SNPComparisonFramework:
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the functional
         tables: ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
-        per-machine winner on sharded runs, then ``blis``/``blas`` by
-        the size rule) or an explicit registered name such as
+        per-machine winner on sharded runs, then the size rule:
+        ``cnative`` once loaded, else ``blis``/``blas`` by size) or an
+        explicit registered name such as
         ``"blas"``, ``"blis"`` or ``"cnative"``.
     """
 

@@ -29,6 +29,10 @@ from repro.snp.dataset import SNPDataset
 
 __all__ = ["LDResult", "linkage_disequilibrium"]
 
+#: Elements per row block of :attr:`LDResult.r_squared` (512 KiB of
+#: float64, so a block and its temporaries stay cache-resident).
+_R2_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass
 class LDResult:
@@ -93,13 +97,28 @@ class LDResult:
 
     @property
     def r_squared(self) -> np.ndarray:
-        """Squared correlation ``r^2`` (0 where a variance vanishes)."""
-        d = self.d
+        """Squared correlation ``r^2`` (0 where a variance vanishes).
+
+        Evaluates ``where(denom > 0, d * d / denom, 0)`` with ``denom =
+        outer(var, var)`` elementwise in the same order, so the result
+        is bit-identical to that closed form; row blocks written into
+        one output table replace its full-table temporaries.
+        """
+        counts = np.asarray(self.counts)
         p = self.frequencies
         var = p * (1 - p)
-        denom = np.outer(var, var)
+        r2 = np.empty(counts.shape, dtype=np.float64)
+        rows = max(1, _R2_BLOCK_ELEMENTS // max(1, counts.shape[1]))
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(denom > 0, d * d / denom, 0.0)
+            for r0 in range(0, counts.shape[0], rows):
+                block = r2[r0 : r0 + rows]
+                np.divide(counts[r0 : r0 + rows], self.n_observations, out=block)
+                block -= np.outer(p[r0 : r0 + rows], p)
+                block *= block
+                denom = np.outer(var[r0 : r0 + rows], var)
+                block /= denom
+                block[~(denom > 0)] = 0.0
+        return r2
 
 
 def linkage_disequilibrium(

@@ -4,9 +4,10 @@
 
 * the **functional path** computes the exact comparison table with the
   shared serial driver :func:`repro.blis.gemm.bit_gemm` -- by the one
-  size rule, the ``blis`` five-loop walk for small problems
-  (exercising the genuine tile structure the kernel implements) and
-  the ``blas`` identity GEMM for large ones; with ``workers > 1`` it
+  size rule, the native ``cnative`` kernel once it has loaded, else the
+  ``blis`` five-loop walk for small problems (exercising the genuine
+  tile structure the kernel implements) and the ``blas`` identity GEMM
+  for large ones; with ``workers > 1`` it
   routes through the sharded host engine (:mod:`repro.parallel.engine`)
   instead, which partitions the same
   :class:`~repro.blis.blocking.BlockingPlan` across a thread pool;
@@ -127,8 +128,8 @@ def execute_kernel(
         size rule of :func:`repro.kernels.pick_backend` applies:
         Gram-mode runs up to its limit walk the ``blis`` triangle on
         the kernel's own plan, ``"auto"`` defers to ``REPRO_BACKEND``
-        and then to ``blis``/``blas`` by size.  The engine path
-        additionally consults the tuner.
+        and then to ``cnative`` once loaded, else ``blis``/``blas`` by
+        size.  The engine path additionally consults the tuner.
     """
     a = np.asarray(a_words)
     b = np.asarray(b_words)

@@ -7,12 +7,12 @@ registers the built-in backends:
 * ``numpy``   -- the reference word-walk (the oracle; never tuned);
 * ``blas``    -- the popcount identities as float32 BLAS GEMMs;
 * ``blis``    -- the BLIS five-loop walk the simulated device runs;
-* ``cnative`` -- C panel compiled with the host toolchain (unavailable
-  without a C compiler);
-* ``numba``   -- ``@njit`` compiled panel (unavailable without Numba).
+* ``cnative`` -- C panel compiled with the host toolchain, its body
+  (portable, ``popcnt``, AVX-512 VPOPCNTDQ) picked at load; ``"auto"``
+  runs it once loaded (unavailable without a C compiler).
 
-Registration is import-side-effect only; nothing is JIT- or
-C-compiled until a backend is actually probed or used.
+Registration is import-side-effect only; nothing is compiled until a
+backend is probed or used.
 """
 
 from repro.kernels.abi import (
@@ -37,20 +37,17 @@ from repro.kernels.abi import (
 from repro.kernels.blas_backend import BlasBackend
 from repro.kernels.blis_backend import BlisBackend
 from repro.kernels.cnative_backend import CNativeBackend
-from repro.kernels.numba_backend import HAVE_NUMBA, NumbaBackend
 from repro.kernels.numpy_backend import NumPyBackend
 
 __all__ = [
     "BLIS_OP_LIMIT",
     "OPCODES",
     "REPRO_BACKEND_ENV",
-    "HAVE_NUMBA",
     "BackendInfo",
     "KernelBackend",
     "NumPyBackend",
     "BlasBackend",
     "BlisBackend",
-    "NumbaBackend",
     "CNativeBackend",
     "available_backends",
     "backend_available",
@@ -73,4 +70,3 @@ if "numpy" not in backend_names():
     register_backend(BlasBackend())
     register_backend(BlisBackend())
     register_backend(CNativeBackend())
-    register_backend(NumbaBackend())

@@ -25,7 +25,8 @@ Resolution rules (shared by every layer):
 * otherwise :func:`pick_backend` applies the one size rule: a Gram run
   of at most :data:`BLIS_OP_LIMIT` word-ops takes the ``blis``
   triangle walk, a named backend runs as named, and ``"auto"`` picks
-  ``blis`` up to the limit and ``blas`` above it;
+  ``cnative`` once its hardware-popcount body is loaded, else ``blis``
+  up to the limit and ``blas`` above it;
 * :func:`backend_fingerprint` summarises the installed backend set
   (names + versions) so tuning records are invalidated when a backend
   appears, disappears, or changes version.
@@ -76,7 +77,8 @@ REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
 #: Serial GEMMs of at most this many packed-word operations run the
 #: ``blis`` walk -- always for Gram runs (its triangle skip carries the
-#: word-op accounting), and for ``"auto"``, which picks ``blas`` above.
+#: word-op accounting), and for ``"auto"`` until ``cnative`` loads
+#: (``blas`` runs above).
 BLIS_OP_LIMIT = 2_000_000
 
 #: Stable integer codes compiled backends dispatch the comparison op
@@ -94,16 +96,15 @@ class BackendInfo:
     """Capability/availability descriptor of one registered backend.
 
     ``available`` means the backend can compute *at all* on this host
-    (the Numba backend goes unavailable without Numba, the native-C
-    backend without a C compiler).  ``compiled`` marks a machine-code
-    inner loop -- the bench-regression speedup gate applies only to
-    compiled backends.  ``tunable`` backends are raced by the persisted
-    host autotuner; the reference word-walk opts out (it is the oracle,
-    not a candidate).
+    (the native-C backend goes unavailable without a C compiler).
+    ``compiled`` marks a machine-code inner loop -- the bench-regression
+    speedup gate applies only to compiled backends.  ``tunable``
+    backends are raced by the persisted host autotuner; the reference
+    word-walk opts out (it is the oracle, not a candidate).
     """
 
     name: str
-    kind: str  # "reference" | "blas" | "walk" | "jit" | "native"
+    kind: str  # "reference" | "blas" | "walk" | "native"
     version: str
     available: bool
     compiled: bool
@@ -342,22 +343,40 @@ def pick_backend(
     A Gram run (``symmetric``) of at most :data:`BLIS_OP_LIMIT`
     word-ops takes the ``blis`` triangle walk; otherwise a named
     backend (explicit, or ``REPRO_BACKEND`` for ``"auto"``) runs;
-    otherwise ``blis`` runs up to the limit and ``blas`` above it.
+    otherwise ``cnative`` runs once a hardware-popcount body is loaded
+    (:meth:`~repro.kernels.cnative_backend.CNativeBackend.auto_ready`,
+    which never compiles on the caller's thread), else ``blis`` up to
+    the limit and ``blas`` above it.  Every choice counts the same
+    word-ops, so answers and counters do not depend on whether the
+    library has loaded yet.
     """
     name = resolve_backend_name(backend)  # validates even when unused
     if symmetric and total_ops <= BLIS_OP_LIMIT:
         return "blis"
     if name is not None:
         return name
+    if _native_ready(total_ops):
+        return "cnative"
     return "blis" if total_ops <= BLIS_OP_LIMIT else "blas"
+
+
+def _native_ready(total_ops: int) -> bool:
+    """Whether the registered ``cnative`` backend takes an ``"auto"`` GEMM."""
+    # Lazy import: the backend module imports this one.
+    from repro.kernels.cnative_backend import CNativeBackend
+
+    with _REGISTRY_LOCK:
+        native = _REGISTRY.get(CNativeBackend.name)
+    return isinstance(native, CNativeBackend) and native.auto_ready(total_ops)
 
 
 def backend_fingerprint() -> str:
     """Name=version summary of the tunable backend set, sorted.
 
-    Part of the tuning-cache key: installing Numba (or losing the C
-    compiler) changes the fingerprint, so records measured against the
-    old backend set stop matching instead of pinning a stale winner.
+    Part of the tuning-cache key: losing the C compiler (or loading
+    another ``cnative`` body) changes the fingerprint, so records
+    measured against the old backend set stop matching instead of
+    pinning a stale winner.
     Unavailable backends contribute their name with an ``!`` marker so
     availability flips alone also invalidate.
     """

@@ -1,27 +1,49 @@
-"""Compiled backend: a C popcount bit-GEMM built with the host toolchain.
+"""``cnative`` backend: the C popcount bit-GEMM, built with the host toolchain.
 
-ROADMAP item 2 names "a Cython/C extension or Numba" as the unlock for
-the inner loop; this is the C-extension half.  A small fixed C source
-(triple loop over canonical ``uint64`` words, ``__builtin_popcountll``
-inner op) is compiled once per host into a per-user cache directory --
-keyed by a hash of the source, the compiler and the flags -- and loaded
-through :mod:`ctypes`.  ctypes calls release the GIL, so panel calls
-from the parallel engine's pool threads overlap.
+One C source (:data:`_SOURCE`) compiles the panel loop three times in
+one translation unit: a portable body, a ``target("popcnt")`` body and
+a ``target("avx512f,avx512vpopcntdq")`` body (the last two on x86-64
+only).  At load the library reports which bodies this CPU runs
+(``__builtin_cpu_supports``) and the most capable one computes every
+panel.  Plain ``-O3`` lowers ``__builtin_popcountll`` to a software
+popcount, so only the x86 bodies use the machine's popcount
+instruction.  ``-march=native`` and ``target_clones`` are not used: gcc
+can misname a virtualised CPU (a KVM host that exposes VPOPCNTDQ reads
+as ``cooperlake``), and ``target_clones`` then runs the plain
+``popcnt`` clone.
 
-No compiler, a failed compile, or a failed load all leave the backend
-*registered but unavailable* with the reason recorded in its
-descriptor: ``--backend cnative`` then fails loudly while ``"auto"``
-and the registry iteration keep working.  Nothing is compiled at
-import time -- the first availability probe (or panel call) pays the
-one-time build.
+The library is cached per user, keyed by a hash of the source, the
+compiler, the flags and ``platform.machine()``; the body is picked at
+run time, so no CPU-feature key is needed.  It is loaded through
+:mod:`ctypes`, whose calls release the GIL, so panel calls from the
+parallel engine's pool threads overlap.
+
+There are two ways in:
+
+* **Explicit use** -- ``backend="cnative"``, ``REPRO_BACKEND=cnative``
+  or :attr:`CNativeBackend.info` -- compiles and loads synchronously.
+  No compiler, a failed compile or a failed load leave the backend
+  registered but unavailable, with the reason in its descriptor.
+* **``"auto"``** asks :meth:`CNativeBackend.auto_ready`, which never
+  compiles on the caller's thread.  A library already in the cache
+  loads at the first ``"auto"`` dispatch (about 0.5 ms).  On a cold
+  cache the word-ops of the GEMMs the fallback serves accumulate, and
+  at :data:`COMPILE_TRIGGER_OPS` one daemon thread compiles and loads
+  the library; ``"auto"`` switches over when the load completes.
+  ``"auto"`` takes ``cnative`` only with a hardware-popcount body
+  (:data:`HARDWARE_BODIES`): the portable body loses to ``blas`` on
+  large tables.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -40,7 +62,13 @@ from repro.kernels.abi import (
 )
 from repro.util.cachedir import repro_cache_dir
 
-__all__ = ["KERNEL_CACHE_ENV", "DEFAULT_KERNEL_CACHE", "CNativeBackend"]
+__all__ = [
+    "KERNEL_CACHE_ENV",
+    "DEFAULT_KERNEL_CACHE",
+    "COMPILE_TRIGGER_OPS",
+    "HARDWARE_BODIES",
+    "CNativeBackend",
+]
 
 #: Environment variable overriding where compiled kernels are cached.
 KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
@@ -51,16 +79,30 @@ KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
 #: name for documentation, resolved per call in :func:`_cache_dir`.
 DEFAULT_KERNEL_CACHE = "~/.cache/repro/kernels"
 
+#: Word-ops the ``"auto"`` fallback serves on a cold cache before the
+#: background compile starts: about one compile's worth of fallback
+#: work.  A cold compile and load takes about 0.18 s, and the fallback
+#: runs at roughly 0.2-3 Gword-op/s on the benchmark workloads (2-vCPU
+#: AVX-512 host, gcc 12), so a process that does little GEMM work never
+#: starts a compiler.  A served search (~6.4M word-ops) stays far below.
+COMPILE_TRIGGER_OPS = 1 << 27
+
+#: Bodies that use a popcount instruction.  ``"auto"`` takes
+#: ``cnative`` only with one of these loaded.
+HARDWARE_BODIES = frozenset({"popcnt", "avx512-vpopcntdq"})
+
 #: Compilers probed in order when ``$CC`` is unset.
 _COMPILERS = ("cc", "gcc", "clang")
 
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 
+_BUILD_TIMEOUT_S = 120
+
 _SOURCE = """\
 #include <stdint.h>
 
 #if defined(__GNUC__) || defined(__clang__)
-static inline int64_t popc64(uint64_t x) { return __builtin_popcountll(x); }
+#define POPC64(x) __builtin_popcountll(x)
 #else
 static inline int64_t popc64(uint64_t x) {
     x = x - ((x >> 1) & 0x5555555555555555ULL);
@@ -68,31 +110,79 @@ static inline int64_t popc64(uint64_t x) {
     x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
     return (int64_t)((x * 0x0101010101010101ULL) >> 56);
 }
+#define POPC64(x) popc64(x)
 #endif
 
-void repro_bit_gemm_panel(const uint64_t *a, const uint64_t *b, int64_t *c,
-                          int64_t m, int64_t n, int64_t k, int32_t opcode) {
-    for (int64_t i = 0; i < m; ++i) {
-        const uint64_t *ar = a + i * k;
-        int64_t *cr = c + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const uint64_t *br = b + j * k;
-            int64_t acc = 0;
-            if (opcode == 0) {
-                for (int64_t t = 0; t < k; ++t) acc += popc64(ar[t] & br[t]);
-            } else if (opcode == 1) {
-                for (int64_t t = 0; t < k; ++t) acc += popc64(ar[t] ^ br[t]);
-            } else {
-                for (int64_t t = 0; t < k; ++t) acc += popc64(ar[t] & ~br[t]);
-            }
-            cr[j] = acc;
-        }
+typedef void (*panel_fn)(const uint64_t *, const uint64_t *, int64_t *,
+                         int64_t, int64_t, int64_t, int32_t);
+
+/* The one panel loop; each body below compiles it for its own ISA. */
+#define PANEL(NAME, ATTR)                                                    \\
+    ATTR static void NAME(const uint64_t *a, const uint64_t *b, int64_t *c,  \\
+                          int64_t m, int64_t n, int64_t k, int32_t opcode) { \\
+        for (int64_t i = 0; i < m; ++i) {                                    \\
+            const uint64_t *ar = a + i * k;                                  \\
+            int64_t *cr = c + i * n;                                         \\
+            for (int64_t j = 0; j < n; ++j) {                                \\
+                const uint64_t *br = b + j * k;                              \\
+                int64_t acc = 0;                                             \\
+                if (opcode == 0) {                                           \\
+                    for (int64_t t = 0; t < k; ++t)                          \\
+                        acc += POPC64(ar[t] & br[t]);                        \\
+                } else if (opcode == 1) {                                    \\
+                    for (int64_t t = 0; t < k; ++t)                          \\
+                        acc += POPC64(ar[t] ^ br[t]);                        \\
+                } else {                                                     \\
+                    for (int64_t t = 0; t < k; ++t)                          \\
+                        acc += POPC64(ar[t] & ~br[t]);                       \\
+                }                                                            \\
+                cr[j] = acc;                                                 \\
+            }                                                                \\
+        }                                                                    \\
     }
+
+PANEL(panel_portable, )
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+PANEL(panel_popcnt, __attribute__((target("popcnt"))))
+PANEL(panel_vpopcntdq, __attribute__((target("avx512f,avx512vpopcntdq"))))
+
+static const panel_fn BODIES[] = {panel_portable, panel_popcnt, panel_vpopcntdq};
+static const char *const BODY_NAMES[] = {"portable", "popcnt", "avx512-vpopcntdq"};
+
+static int32_t body_runs(int32_t body) {
+    __builtin_cpu_init();
+    switch (body) {
+    case 1: return __builtin_cpu_supports("popcnt") != 0;
+    case 2: return __builtin_cpu_supports("avx512vpopcntdq") != 0;
+    default: return 1;
+    }
+}
+#else
+static const panel_fn BODIES[] = {panel_portable};
+static const char *const BODY_NAMES[] = {"portable"};
+
+static int32_t body_runs(int32_t body) { return body == 0; }
+#endif
+
+/* Bodies in order of capability; the caller picks the last that runs. */
+int32_t repro_body_count(void) {
+    return (int32_t)(sizeof(BODIES) / sizeof(BODIES[0]));
+}
+
+const char *repro_body_name(int32_t body) { return BODY_NAMES[body]; }
+
+int32_t repro_body_runs(int32_t body) { return body_runs(body); }
+
+void repro_bit_gemm_panel(int32_t body, const uint64_t *a, const uint64_t *b,
+                          int64_t *c, int64_t m, int64_t n, int64_t k,
+                          int32_t opcode) {
+    BODIES[body](a, b, c, m, n, k, opcode);
 }
 
 int64_t repro_popcount_sum(const uint64_t *w, int64_t n_words) {
     int64_t acc = 0;
-    for (int64_t t = 0; t < n_words; ++t) acc += popc64(w[t]);
+    for (int64_t t = 0; t < n_words; ++t) acc += POPC64(w[t]);
     return acc;
 }
 """
@@ -117,38 +207,19 @@ def _cache_dir() -> Path:
     return repro_cache_dir() / "kernels"
 
 
-def _build_library(cc: str) -> Path:
-    """Compile the kernel source into the cache (idempotent, atomic).
+def _library_path(cc: str) -> Path:
+    """Where the library ``cc`` builds from :data:`_SOURCE` is cached."""
+    key = "\x00".join((_SOURCE, cc, " ".join(_CFLAGS), platform.machine()))
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return _cache_dir() / f"bitgemm-{tag}.so"
 
-    The output name hashes source + compiler + flags, so a toolchain
-    or source change compiles a fresh object instead of reusing a
-    stale one; concurrent builders race benignly through ``os.replace``.
-    """
-    tag = hashlib.sha256(
-        "\x00".join((_SOURCE, cc, " ".join(_CFLAGS))).encode()
-    ).hexdigest()[:16]
-    cache = _cache_dir()
-    target = cache / f"bitgemm-{tag}.so"
-    if target.exists():
-        return target
-    cache.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        src = Path(tmp) / "bitgemm.c"
-        obj = Path(tmp) / "bitgemm.so"
-        src.write_text(_SOURCE)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", str(obj), str(src)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            raise ConfigurationError(
-                f"cnative: {cc} failed ({proc.returncode}): "
-                f"{proc.stderr.strip()[:500]}"
-            )
-        os.replace(obj, target)
-    return target
+
+def _kill_group(proc: subprocess.Popen[str]) -> None:
+    """Kill the compiler and every process it started (its own session)."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass  # already exited
 
 
 class CNativeBackend(KernelBackend):
@@ -157,66 +228,214 @@ class CNativeBackend(KernelBackend):
     name = "cnative"
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._probed = False
+        # Compile and load run one at a time under _build_lock, which a
+        # build holds for its whole duration; _state_lock guards only
+        # short updates, so "auto" never waits on a compiler.
+        self._build_lock = threading.Lock()
+        self._state_lock = threading.Lock()
         self._lib: ctypes.CDLL | None = None
+        # Runnable body name -> index in the C table, least capable first.
+        self._bodies: dict[str, int] = {}
         self._cc: str | None = None
         self._error: str | None = None
+        self._cache_looked = False
+        self._fallback_ops = 0
+        self._builder: threading.Thread | None = None
+        # The build in flight: (compiler process or None, its temp dir).
+        self._running: tuple[subprocess.Popen[str] | None, Path] | None = None
+        self._atexit_registered = False
 
-    # -- lazy toolchain probe --------------------------------------------------
+    # -- build and load ----------------------------------------------------------
 
     def _ensure(self) -> ctypes.CDLL | None:
-        """Compile/load once; failures latch into the descriptor."""
-        with self._lock:
-            if self._probed:
-                return self._lib
-            self._probed = True
-            cc = _find_compiler()
-            if cc is None:
-                self._error = "no C compiler found ($CC, cc, gcc, clang)"
-                return None
-            self._cc = cc
+        """Compile (unless cached) and load once; failures latch."""
+        if self._lib is not None:
+            return self._lib
+        with self._build_lock:
+            if self._lib is None and self._error is None:
+                self._load(compile_missing=True)
+            return self._lib
+
+    def _load(self, compile_missing: bool) -> None:
+        """Load the cached library, compiling it first if allowed.
+
+        The caller holds ``_build_lock``.  A cold cache without
+        ``compile_missing`` leaves the backend unloaded and unfailed.
+        """
+        cc = _find_compiler()
+        if cc is None:
+            self._error = "no C compiler found ($CC, cc, gcc, clang)"
+            return
+        self._cc = cc
+        path = _library_path(cc)
+        try:
+            if not path.exists():
+                if not compile_missing:
+                    return
+                self._compile(cc, path)
+            lib = ctypes.CDLL(str(path))
+        except (ConfigurationError, OSError, subprocess.SubprocessError) as exc:
+            self._error = str(exc)
+            return
+        lib.repro_body_count.argtypes = []
+        lib.repro_body_count.restype = ctypes.c_int32
+        lib.repro_body_name.argtypes = [ctypes.c_int32]
+        lib.repro_body_name.restype = ctypes.c_char_p
+        lib.repro_body_runs.argtypes = [ctypes.c_int32]
+        lib.repro_body_runs.restype = ctypes.c_int32
+        lib.repro_bit_gemm_panel.argtypes = [
+            ctypes.c_int32,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int32,
+        ]
+        lib.repro_bit_gemm_panel.restype = None
+        lib.repro_popcount_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        lib.repro_popcount_sum.restype = ctypes.c_int64
+        self._bodies = {
+            lib.repro_body_name(i).decode(): i
+            for i in range(lib.repro_body_count())
+            if lib.repro_body_runs(i)
+        }
+        self._lib = lib
+
+    def _compile(self, cc: str, target: Path) -> None:
+        """Build the library into ``target`` (atomic, idempotent).
+
+        The compiler writes into a private temp directory beside the
+        cache entry, and only a finished library is renamed into place,
+        so concurrent builders race benignly through ``os.replace``.
+        The compiler runs in its own session: an interpreter exit
+        mid-build kills it and removes the temp directory
+        (:meth:`_abandon_build`) instead of waiting for it.
+        """
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix="build-", dir=target.parent))
+        with self._state_lock:
+            self._running = (None, tmp)
+            if not self._atexit_registered:
+                self._atexit_registered = True
+                atexit.register(self._abandon_build)
+        try:
+            src = tmp / "bitgemm.c"
+            obj = tmp / "bitgemm.so"
+            src.write_text(_SOURCE)
+            proc = subprocess.Popen(
+                [cc, *_CFLAGS, "-o", str(obj), str(src)],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            )
+            with self._state_lock:
+                self._running = (proc, tmp)
             try:
-                path = _build_library(cc)
-                lib = ctypes.CDLL(str(path))
-            except (ConfigurationError, OSError, subprocess.SubprocessError) as exc:
-                self._error = str(exc)
-                return None
-            lib.repro_bit_gemm_panel.argtypes = [
-                ctypes.c_void_p,
-                ctypes.c_void_p,
-                ctypes.c_void_p,
-                ctypes.c_int64,
-                ctypes.c_int64,
-                ctypes.c_int64,
-                ctypes.c_int32,
-            ]
-            lib.repro_bit_gemm_panel.restype = None
-            lib.repro_popcount_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-            lib.repro_popcount_sum.restype = ctypes.c_int64
-            self._lib = lib
-            return lib
+                _, stderr = proc.communicate(timeout=_BUILD_TIMEOUT_S)
+            except BaseException:
+                _kill_group(proc)
+                proc.wait()
+                raise
+            if proc.returncode != 0:
+                raise ConfigurationError(
+                    f"cnative: {cc} failed ({proc.returncode}): "
+                    f"{stderr.strip()[:500]}"
+                )
+            os.replace(obj, target)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+            with self._state_lock:
+                self._running = None
+
+    def _abandon_build(self) -> None:
+        """At interpreter exit: kill a build in flight, drop its temp dir.
+
+        Only a finished library is ever renamed into the cache, so the
+        cache keeps either a complete library or none.
+        """
+        with self._state_lock:
+            running = self._running
+        if running is not None:
+            proc, tmp = running
+            if proc is not None:
+                _kill_group(proc)
+            shutil.rmtree(tmp, ignore_errors=True)
+
+    # -- the "auto" decision -------------------------------------------------------
+
+    @property
+    def body(self) -> str | None:
+        """The body panel calls run (``None`` until the library loads)."""
+        return next(reversed(self._bodies), None)
+
+    def auto_ready(self, total_ops: int) -> bool:
+        """Whether ``"auto"`` runs a ``total_ops`` GEMM here.
+
+        Never compiles on the caller's thread.  The first call loads a
+        library already in the cache.  While the cache is cold, each
+        call adds ``total_ops`` to the fallback's running count; the
+        call that brings it to :data:`COMPILE_TRIGGER_OPS` starts the
+        one background build.
+        """
+        if self._lib is None and self._error is None and not self._cache_looked:
+            # Skipped while a build holds the lock; that build loads.
+            if self._build_lock.acquire(blocking=False):
+                try:
+                    if self._lib is None and self._error is None:
+                        self._load(compile_missing=False)
+                    self._cache_looked = True
+                finally:
+                    self._build_lock.release()
+        if self._lib is not None:
+            return self.body in HARDWARE_BODIES
+        if self._error is not None:
+            return False
+        with self._state_lock:
+            if self._builder is not None:
+                return False
+            self._fallback_ops += total_ops
+            if self._fallback_ops < COMPILE_TRIGGER_OPS:
+                return False
+            builder = self._builder = threading.Thread(
+                target=self._ensure, name="repro-cnative-build", daemon=True
+            )
+        builder.start()
+        return False
+
+    # -- descriptor --------------------------------------------------------------
 
     @property
     def info(self) -> BackendInfo:
         lib = self._ensure()
         available = lib is not None
-        cc_name = os.path.basename(self._cc) if self._cc else "none"
+        version = f"cc-{os.path.basename(self._cc) if self._cc else 'none'}"
+        if self.body is not None:
+            version += f"/{self.body}"
         return BackendInfo(
             name=self.name,
             kind="native",
-            version=f"cc-{cc_name}",
+            version=version,
             available=available,
             compiled=available,
             tunable=available,
             description=(
-                "C popcount bit-GEMM compiled with the host toolchain "
-                "(ctypes, GIL-releasing)"
+                "C popcount bit-GEMM compiled with the host toolchain; "
+                "the body (portable, popcnt, AVX-512 VPOPCNTDQ) is "
+                "picked at load (ctypes, GIL-releasing)"
             ),
             unavailable_reason=self._error,
         )
 
     # -- ABI -------------------------------------------------------------------
+
+    def bodies(self) -> tuple[str, ...]:
+        """Bodies this host runs, least capable first (loads the library)."""
+        self._ensure()
+        return tuple(self._bodies)
 
     def bit_gemm_panel(
         self,
@@ -224,11 +443,31 @@ class CNativeBackend(KernelBackend):
         b: np.ndarray,
         op: ComparisonOp | str = ComparisonOp.AND,
     ) -> np.ndarray:
+        self._ensure()
+        return self.body_panel(self.body or "", a, b, op)
+
+    def body_panel(
+        self,
+        body: str,
+        a: np.ndarray,
+        b: np.ndarray,
+        op: ComparisonOp | str = ComparisonOp.AND,
+    ) -> np.ndarray:
+        """:meth:`bit_gemm_panel` on one named body from :meth:`bodies`.
+
+        The conformance tests race every body this host runs against
+        the reference this way.
+        """
         a, b, op = check_panel_operands(a, b, op)
         lib = self._ensure()
         if lib is None:
             raise ConfigurationError(
                 f"cnative backend unavailable: {self._error}"
+            )
+        if body not in self._bodies:
+            raise ConfigurationError(
+                f"cnative: body {body!r} does not run on this host "
+                f"(runs: {', '.join(self._bodies)})"
             )
         m, n = a.shape[0], b.shape[0]
         out = np.zeros((m, n), dtype=np.int64)
@@ -237,6 +476,7 @@ class CNativeBackend(KernelBackend):
         ca = canonicalize_words(a)
         cb = canonicalize_words(b)
         lib.repro_bit_gemm_panel(
+            self._bodies[body],
             ca.ctypes.data,
             cb.ctypes.data,
             out.ctypes.data,
@@ -251,7 +491,7 @@ class CNativeBackend(KernelBackend):
         self, words: np.ndarray, axis: int | None = None
     ) -> np.ndarray | int:
         w = np.asarray(words)
-        lib = self._lib if self._probed else self._ensure()
+        lib = self._ensure()
         if axis is None and lib is not None and w.size:
             flat = canonicalize_words(w.reshape(1, w.size)).ravel()
             return int(lib.repro_popcount_sum(flat.ctypes.data, flat.size))

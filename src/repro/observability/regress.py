@@ -33,9 +33,10 @@ Supported input formats (auto-detected per file):
 * ``bench_parallel_scaling.py --backends --json`` races: per-backend
   seconds (``timing``), speedup vs the reference panel (``ratio``),
   bit-exactness / counter invariance and the word-op counters
-  (``exact``).  Backends present only in the fresh run (e.g. Numba
-  installed in CI but not where the baseline was recorded) are
-  ignored, so one baseline serves the whole backend matrix;
+  (``exact``).  Backends present only in the fresh run (e.g.
+  ``cnative`` on a runner with a compiler, where the baseline was
+  recorded without one) are ignored, so one baseline serves every
+  runner;
 * metrics-report JSON (:meth:`repro.observability.report.MetricsReport.to_json`):
   deterministic counters as ``exact``, span totals as ``timing``.
 

@@ -13,12 +13,13 @@ The engine has two axes:
 * **Backend** -- every shard runs one kernel-ABI panel call,
   ``backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)``
   (:mod:`repro.kernels`): ``blas`` (float32 BLAS identities), ``blis``
-  (the five-loop walk), ``numpy`` (the reference word-walk) or a
-  compiled ``cnative``/``numba`` panel.  ``backend="auto"`` resolves,
-  in order: the ``REPRO_BACKEND`` environment variable, the tuning
-  record's measured winner (:mod:`repro.parallel.tuner`), then the
-  size rule of :func:`repro.kernels.pick_backend` (``blis`` up to
-  :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops, ``blas`` above).
+  (the five-loop walk), ``numpy`` (the reference word-walk) or the
+  compiled ``cnative`` panel.  ``backend="auto"`` resolves, in order:
+  the ``REPRO_BACKEND`` environment variable, the tuning record's
+  measured winner (:mod:`repro.parallel.tuner`), then the size rule of
+  :func:`repro.kernels.pick_backend` (``cnative`` once loaded, else
+  ``blis`` up to :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and
+  ``blas`` above).
   Deterministic counters are backend-invariant: every shard records
   the same ``SHARDS_EXECUTED`` and ``GEMM_WORD_OPS`` whichever backend
   computes its block.

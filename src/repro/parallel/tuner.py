@@ -125,8 +125,8 @@ def tuning_key(
     """The cache key one measurement is stored (and looked up) under.
 
     The key ends with the kernel-backend fingerprint (names +
-    versions of the tunable backend set): a record measured before
-    Numba was installed -- or against a different backend version --
+    versions of the tunable backend set): a record measured while the
+    C compiler was missing -- or against another ``cnative`` body --
     stops matching instead of silently pinning the old winner.
     """
     return (

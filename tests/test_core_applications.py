@@ -51,6 +51,30 @@ class TestLinkageDisequilibrium:
         result = linkage_disequilibrium(population.matrix, device="Titan V")
         assert result.counts.shape == (120, 120)
 
+    def test_r_squared_bit_identical_to_closed_form(self, monkeypatch):
+        # Zero-variance sites (monomorphic columns), one row block and
+        # several, including a ragged last block.
+        from repro.core import ld as ld_module
+
+        rng = np.random.default_rng(5)
+        matrix = (rng.random((40, 30)) < 0.4).astype(np.uint8)
+        matrix[:, 3] = 0
+        matrix[:, 7] = 1
+        result = linkage_disequilibrium(matrix, device="GTX 980")
+        p = result.frequencies
+        var = p * (1 - p)
+        denom = np.outer(var, var)
+        d = result.counts / result.n_observations - np.outer(p, p)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = np.where(denom > 0, d * d / denom, 0.0)
+        for block in (1 << 16, 64, 7):
+            monkeypatch.setattr(ld_module, "_R2_BLOCK_ELEMENTS", block)
+            got = result.r_squared
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not got[3].any() and not got[:, 7].any()
+
     def test_p_ab_normalization(self, population):
         result = linkage_disequilibrium(population, device="GTX 980")
         assert result.p_ab.max() <= 1.0

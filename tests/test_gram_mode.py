@@ -393,7 +393,8 @@ class TestTuningCache:
         assert cache.lookup("good") is not None
         assert "skipped" in cache.load_error
 
-    def test_v1_file_reads_as_empty_cache(self, tmp_path, monkeypatch):
+    def test_v1_file_reads_as_empty_cache(self, tmp_path, monkeypatch,
+                                          pin_native):
         # Strategy-era (v1) files are a foreign format: no migration,
         # just an empty cache with the reason recorded.
         path = tmp_path / "tuning.json"
@@ -420,17 +421,22 @@ class TestTuningCache:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         configure_tuning(path)
         try:
-            small = square_words(64, 2, seed=23)
-            _, report = get_engine(2).run(
-                small, small, ComparisonOp.AND, force_parallel=True
-            )
-            assert report.backend == "blis"  # the size rule, not the record
-            assert report.symmetric
-            large = square_words(256, 32, seed=24)
-            _, report = get_engine(2).run(
-                large, large, ComparisonOp.AND, force_parallel=True
-            )
-            assert report.backend == "blas"
+            # The size rule, not the record, before and after cnative
+            # loads.
+            for loaded, small_be, large_be in ((False, "blis", "blas"),
+                                               (True, "cnative", "cnative")):
+                pin_native(loaded)
+                small = square_words(64, 2, seed=23)
+                _, report = get_engine(2).run(
+                    small, small, ComparisonOp.AND, force_parallel=True
+                )
+                assert report.backend == small_be
+                assert report.symmetric
+                large = square_words(256, 32, seed=24)
+                _, report = get_engine(2).run(
+                    large, large, ComparisonOp.AND, force_parallel=True
+                )
+                assert report.backend == large_be
         finally:
             configure_tuning(tmp_path / "tuning-after.json")
 
@@ -524,17 +530,24 @@ class TestEngineConsultsTuner:
         assert not report.symmetric
         assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
 
-    def test_auto_without_record_defaults_to_gemm(self, tuning_sandbox):
-        # Untuned "auto" takes the size rule: the BLAS GEMM above
-        # 2,000,000 word-ops (256 x 256 x 32 words), the walk below.
+    def test_auto_without_record_defaults_to_gemm(self, tuning_sandbox,
+                                                  pin_native):
+        # Untuned "auto" takes the size rule: before cnative loads, the
+        # BLAS GEMM above 2,000,000 word-ops (256 x 256 x 32 words) and
+        # the walk below; once loaded, cnative on both sides.
         a = square_words(256, 32, seed=21)
-        engine = get_engine(2, "auto")
-        _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.backend == "blas"
-        assert report.symmetric
         small = square_words(64, 2, seed=21)
-        _, report = engine.run(small, small, ComparisonOp.AND, force_parallel=True)
-        assert report.backend == "blis"
+        engine = get_engine(2, "auto")
+        for loaded, small_be, large_be in ((False, "blis", "blas"),
+                                           (True, "cnative", "cnative")):
+            pin_native(loaded)
+            _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
+            assert report.backend == large_be
+            assert report.symmetric
+            _, report = engine.run(
+                small, small, ComparisonOp.AND, force_parallel=True
+            )
+            assert report.backend == small_be
 
     def test_auto_with_triangular_record_keeps_gram(self, tuning_sandbox):
         a = square_words(64, 2, seed=22)

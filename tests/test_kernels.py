@@ -3,6 +3,12 @@ registry resolution, the one size rule, engine/tuner integration, and
 the CLI flag."""
 
 import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +20,8 @@ from repro.kernels import (
     BLIS_OP_LIMIT,
     REPRO_BACKEND_ENV,
     BackendInfo,
+    CNativeBackend,
     KernelBackend,
-    NumbaBackend,
     available_backends,
     backend_available,
     backend_fingerprint,
@@ -29,8 +35,12 @@ from repro.kernels import (
     registered_backends,
     resolve_backend_name,
 )
-from repro.kernels import blas_backend
-from repro.kernels.numba_backend import HAVE_NUMBA
+from repro.kernels import blas_backend, cnative_backend
+from repro.kernels.cnative_backend import (
+    COMPILE_TRIGGER_OPS,
+    HARDWARE_BODIES,
+    KERNEL_CACHE_ENV,
+)
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.regress import DETERMINISTIC_COUNTERS
 from repro.observability.tracer import Tracer, set_tracer
@@ -80,7 +90,7 @@ def deterministic(counters: dict) -> dict:
 class TestBackendConformance:
     def test_registry_has_builtins(self):
         names = backend_names()
-        for expected in ("numpy", "blas", "blis", "numba", "cnative"):
+        for expected in ("numpy", "blas", "blis", "cnative"):
             assert expected in names
         assert "sim" not in names
 
@@ -89,7 +99,7 @@ class TestBackendConformance:
             info = backend.info
             assert isinstance(info, BackendInfo)
             assert info.name and info.kind and info.version
-            assert info.kind in ("reference", "blas", "walk", "jit", "native")
+            assert info.kind in ("reference", "blas", "walk", "native")
             if not info.available:
                 assert info.unavailable_reason
 
@@ -273,27 +283,6 @@ class TestCanonicalize:
             assert np.array_equal(got, expected), op
 
 
-# -- numba backend without numba ---------------------------------------------
-
-
-class TestNumbaFallback:
-    def test_backend_reports_fallback_capabilities(self):
-        # Without Numba the backend is registered but unavailable, like
-        # cnative without a compiler; there is no pure-python fallback.
-        backend = get_backend("numba")
-        info = backend.info
-        assert info.available == HAVE_NUMBA
-        assert info.compiled == HAVE_NUMBA
-        assert info.tunable == HAVE_NUMBA
-        if not HAVE_NUMBA:
-            assert info.unavailable_reason
-            a = make_words(2, 2, np.uint64)
-            with pytest.raises(ConfigurationError):
-                backend.bit_gemm_panel(a, a)
-            with pytest.raises(ConfigurationError):
-                resolve_backend_name("numba")
-
-
 # -- bit_gemm serial driver and the size rule ------------------------------------
 
 
@@ -329,16 +318,23 @@ class TestBitGemmBackendDriver:
 
 
 class TestSizeRule:
-    def test_rule_at_the_limit(self, clean_env):
+    def test_rule_at_the_limit(self, clean_env, pin_native):
         assert BLIS_OP_LIMIT == 2_000_000
-        for symmetric in (False, True):
-            assert pick_backend(2_000_000, symmetric) == "blis"
-            assert pick_backend(2_000_001, symmetric) == "blas"
-        # A named backend runs as named, except Gram runs up to the
-        # limit, which keep the blis triangle walk.
-        assert pick_backend(2_000_000, False, "numpy") == "numpy"
-        assert pick_backend(2_000_000, True, "numpy") == "blis"
-        assert pick_backend(2_000_001, True, "numpy") == "numpy"
+        # Before cnative loads, "auto" walks blis up to the limit and
+        # runs blas above; once loaded, cnative takes both sides.  Gram
+        # runs up to the limit keep the blis triangle in both states.
+        for loaded, small, large in ((False, "blis", "blas"),
+                                     (True, "cnative", "cnative")):
+            pin_native(loaded)
+            assert pick_backend(2_000_000) == small
+            assert pick_backend(2_000_001) == large
+            assert pick_backend(2_000_000, True) == "blis"
+            assert pick_backend(2_000_001, True) == large
+            # A named backend runs as named, except Gram runs up to the
+            # limit, which keep the blis triangle walk.
+            assert pick_backend(2_000_000, False, "numpy") == "numpy"
+            assert pick_backend(2_000_000, True, "numpy") == "blis"
+            assert pick_backend(2_000_001, True, "numpy") == "numpy"
 
     def test_env_names_the_backend(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy")
@@ -353,44 +349,50 @@ class TestSizeRule:
         return report.backend, counters[GEMM_CALLS], counters[GEMM_WORD_OPS]
 
     def test_full_runs_either_side_of_the_limit(self, clean_env, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, pin_native):
         monkeypatch.setenv("REPRO_TUNING_CACHE", str(tmp_path / "t.json"))
         from repro.parallel.tuner import configure_tuning
 
         configure_tuning()
         try:
-            a = make_words(100, 200, np.uint8, seed=1)
-            b = make_words(100, 200, np.uint8, seed=2)
-            assert self._serial(a, b) == ("blis", 1, 2_000_000)
-            a = make_words(3, 666_667, np.uint8, seed=3)
-            b = make_words(1, 666_667, np.uint8, seed=4)
-            assert self._serial(a, b) == ("blas", 1, 2_000_001)
+            # The counters are the same before and after cnative loads.
+            for loaded, small, large in ((False, "blis", "blas"),
+                                         (True, "cnative", "cnative")):
+                pin_native(loaded)
+                a = make_words(100, 200, np.uint8, seed=1)
+                b = make_words(100, 200, np.uint8, seed=2)
+                assert self._serial(a, b) == (small, 1, 2_000_000)
+                a = make_words(3, 666_667, np.uint8, seed=3)
+                b = make_words(1, 666_667, np.uint8, seed=4)
+                assert self._serial(a, b) == (large, 1, 2_000_001)
         finally:
             configure_tuning()
 
     def test_gram_runs_either_side_of_the_limit(self, clean_env, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, pin_native):
         monkeypatch.setenv("REPRO_TUNING_CACHE", str(tmp_path / "t.json"))
         from repro.parallel.tuner import configure_tuning
 
         configure_tuning()
         try:
-            # 125 x 125 x 128 words = 2,000,000: the blis triangle walk
-            # counts only tiles on or above the diagonal (m_r=4 rows by
-            # n_r=64 columns on the host blocking).
-            a = make_words(125, 128, np.uint8, seed=5)
-            below = sum(
-                (min(r + 4, 125) - r) * (min(c + 64, 125) - c) * 128
-                for r in range(0, 125, 4)
-                for c in range(0, 125, 64)
-                if r >= min(c + 64, 125)
-            )
-            assert below > 0
-            assert self._serial(a, a) == ("blis", 1, 2_000_000 - below)
-            # 126 x 126 x 126 words = 2,000,376: blas computes (and
-            # counts) the full product.
-            a = make_words(126, 126, np.uint8, seed=6)
-            assert self._serial(a, a) == ("blas", 1, 126 ** 3)
+            for loaded, large in ((False, "blas"), (True, "cnative")):
+                pin_native(loaded)
+                # 125 x 125 x 128 words = 2,000,000: the blis triangle
+                # walk counts only tiles on or above the diagonal (m_r=4
+                # rows by n_r=64 columns on the host blocking).
+                a = make_words(125, 128, np.uint8, seed=5)
+                below = sum(
+                    (min(r + 4, 125) - r) * (min(c + 64, 125) - c) * 128
+                    for r in range(0, 125, 4)
+                    for c in range(0, 125, 64)
+                    if r >= min(c + 64, 125)
+                )
+                assert below > 0
+                assert self._serial(a, a) == ("blis", 1, 2_000_000 - below)
+                # 126 x 126 x 126 words = 2,000,376: blas, or cnative
+                # once loaded, computes (and counts) the full product.
+                a = make_words(126, 126, np.uint8, seed=6)
+                assert self._serial(a, a) == (large, 1, 126 ** 3)
         finally:
             configure_tuning()
 
@@ -487,7 +489,7 @@ class TestTunerBackendKeying:
         assert f"|be[{backend_fingerprint()}]" in key
 
     def test_record_roundtrips_backend(self):
-        record = TuningRecord("numba", False, None, 0.25, 6)
+        record = TuningRecord("cnative", False, None, 0.25, 6)
         assert TuningRecord.from_json(record.to_json()) == record
 
     def test_legacy_record_defaults_to_reference(self):
@@ -504,7 +506,7 @@ class TestTunerBackendKeying:
             TuningRecord.from_json(legacy)
 
     def test_stale_backend_record_does_not_pin(self, tmp_path, monkeypatch,
-                                               clean_env):
+                                               clean_env, pin_native):
         # A tuning record naming a backend that is no longer available
         # must degrade to the size rule, not crash or pin.
         from repro.parallel import tuner as tuner_mod
@@ -518,15 +520,18 @@ class TestTunerBackendKeying:
         monkeypatch.setattr(tuner_mod, "get_tuning_cache", lambda: cache)
         engine = ParallelEngine(workers=2)
         try:
-            table, report = engine.run(
-                a, b, ComparisonOp.AND, force_parallel=True
-            )
+            # 16 x 24 x 4 words: the size rule, in both cnative states.
+            for loaded, expected in ((False, "blis"), (True, "cnative")):
+                pin_native(loaded)
+                table, report = engine.run(
+                    a, b, ComparisonOp.AND, force_parallel=True
+                )
+                assert report.backend == expected
+                assert np.array_equal(
+                    table, bit_gemm_reference(a, b, ComparisonOp.AND)
+                )
         finally:
             engine.shutdown()
-        assert report.backend == "blis"  # 16 x 24 x 4 words: the size rule
-        assert np.array_equal(
-            table, bit_gemm_reference(a, b, ComparisonOp.AND)
-        )
 
 
 # -- hypothesis property: all backends bit-exact ---------------------------------
@@ -556,6 +561,269 @@ class TestBackendProperties:
                 assert np.array_equal(got, expected), backend.info.name
 
         check()
+
+
+# -- the native kernel: bodies, the deferred compile, the cache -----------------
+
+
+def _real_compiler():
+    for name in ("cc", "gcc", "clang"):
+        found = shutil.which(name)
+        if found:
+            return found
+    pytest.skip("no C compiler on PATH")
+
+
+def _fake_cc(path, body):
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return path
+
+
+@pytest.fixture
+def native():
+    backend = get_backend("cnative")
+    if not backend.info.available:
+        pytest.skip(f"cnative unavailable: {backend.info.unavailable_reason}")
+    return backend
+
+
+def _panel(m, k, dtype, fill, seed):
+    if fill == "zeros":
+        return np.zeros((m, k), dtype=dtype)
+    if fill == "ones":
+        return np.full((m, k), np.iinfo(dtype).max, dtype=dtype)
+    return make_words(m, k, dtype, seed=seed)
+
+
+class TestNativeBodies:
+    def test_the_most_capable_body_runs(self, native):
+        bodies = native.bodies()
+        assert bodies[0] == "portable"
+        assert native.body == bodies[-1]
+        assert native.info.version.endswith(f"/{native.body}")
+
+    @pytest.mark.parametrize("op", ALL_OPS)
+    @pytest.mark.parametrize("dtype", WORD_DTYPES)
+    def test_every_body_bit_exact(self, native, op, dtype):
+        # Empty extents, ragged tail words (k not a multiple of the
+        # uint64 canonical width) and all-zero / all-one panels.
+        cases = [
+            ((0, 4, 3), "random", "random"),
+            ((4, 0, 3), "random", "random"),
+            ((4, 4, 0), "random", "random"),
+            ((7, 9, 5), "random", "random"),
+            ((6, 4, 1), "random", "random"),
+            ((5, 3, 11), "random", "random"),
+            ((3, 17, 9), "zeros", "ones"),
+            ((3, 17, 9), "ones", "zeros"),
+            ((4, 4, 6), "ones", "ones"),
+        ]
+        for seed, ((m, n, k), fill_a, fill_b) in enumerate(cases):
+            a = _panel(m, k, dtype, fill_a, seed)
+            b = _panel(n, k, dtype, fill_b, seed + 100)
+            expected = bit_gemm_reference(a, b, op)
+            for body in native.bodies():
+                got = native.body_panel(body, a, b, op)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected), (body, m, n, k)
+
+    def test_property_every_body_matches_reference(self, native):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        fills = st.sampled_from(["random", "zeros", "ones"])
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            m=st.integers(min_value=0, max_value=9),
+            n=st.integers(min_value=0, max_value=9),
+            k=st.integers(min_value=0, max_value=19),
+            dtype=st.sampled_from(WORD_DTYPES),
+            op=st.sampled_from(ALL_OPS),
+            fill_a=fills,
+            fill_b=fills,
+            seed=st.integers(min_value=0, max_value=2**16),
+        )
+        def check(m, n, k, dtype, op, fill_a, fill_b, seed):
+            a = _panel(m, k, dtype, fill_a, seed)
+            b = _panel(n, k, dtype, fill_b, seed + 1)
+            expected = bit_gemm_reference(a, b, op)
+            for body in native.bodies():
+                assert np.array_equal(
+                    native.body_panel(body, a, b, op), expected
+                ), body
+
+        check()
+
+    def test_unknown_body_raises(self, native):
+        a = make_words(2, 2, np.uint64)
+        with pytest.raises(ConfigurationError, match="does not run"):
+            native.body_panel("sse9", a, a)
+
+
+class TestNativeDispatch:
+    @pytest.fixture
+    def fresh(self, tmp_path, monkeypatch, clean_env):
+        """A fresh cnative over an empty cache whose compiler logs each run."""
+        log = tmp_path / "cc.log"
+        fake = _fake_cc(
+            tmp_path / "cc",
+            f'echo run >> "{log}"\nexec "{_real_compiler()}" "$@"\n',
+        )
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path / "kernels"))
+        # Nothing on the "auto" path may probe the descriptor: it
+        # compiles on the caller's thread.
+        monkeypatch.setattr(
+            CNativeBackend, "info",
+            property(lambda self: pytest.fail("auto probed cnative.info")),
+        )
+        original = get_backend("cnative")
+
+        def runs():
+            return len(log.read_text().splitlines()) if log.exists() else 0
+
+        def register():
+            backend = register_backend(CNativeBackend(), replace=True)
+            assert isinstance(backend, CNativeBackend)
+            return backend
+
+        yield register, runs
+        register_backend(original, replace=True)
+
+    def test_compile_starts_once_at_the_trigger(self, fresh):
+        register, runs = fresh
+        backend = register()
+        # Below the trigger: today's choice, and no compiler started.
+        assert pick_backend(COMPILE_TRIGGER_OPS - 1) == "blas"
+        assert pick_backend(1, symmetric=True) == "blis"
+        assert backend._builder is None
+        assert runs() == 0
+        # Crossing it starts exactly one background build.
+        assert pick_backend(1) == "blis"
+        builder = backend._builder
+        assert builder is not None
+        builder.join(timeout=120)
+        assert not builder.is_alive()
+        assert runs() == 1
+        native = "cnative" if backend.body in HARDWARE_BODIES else "blis"
+        for _ in range(3):
+            assert pick_backend(1) == native
+            assert pick_backend(COMPILE_TRIGGER_OPS) == (
+                "cnative" if native == "cnative" else "blas"
+            )
+            assert pick_backend(1, symmetric=True) == "blis"
+        assert backend._builder is builder
+        assert runs() == 1
+
+    def test_concurrent_dispatches_count_every_op_and_build_once(self, fresh):
+        # 8 threads x 8 dispatches of trigger/64 word-ops sum to exactly
+        # the trigger: a lost update would leave it uncrossed.
+        register, runs = fresh
+        backend = register()
+        barrier = threading.Barrier(8)
+
+        def dispatch():
+            barrier.wait(timeout=30)
+            for _ in range(8):
+                pick_backend(COMPILE_TRIGGER_OPS // 64)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=dispatch) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert backend._fallback_ops == COMPILE_TRIGGER_OPS
+        builder = backend._builder
+        assert builder is not None
+        builder.join(timeout=120)
+        assert not builder.is_alive()
+        assert runs() == 1
+
+    def test_warm_cache_loads_at_the_first_dispatch(self, fresh):
+        register, runs = fresh
+        register().bodies()  # a synchronous build fills the cache
+        assert runs() == 1
+        backend = register()
+        assert backend.body is None  # nothing loads before a dispatch
+        expected = pick_backend(1)
+        assert backend.body is not None
+        assert expected == (
+            "cnative" if backend.body in HARDWARE_BODIES else "blis"
+        )
+        assert backend._builder is None
+        assert runs() == 1
+
+    def test_failed_build_latches_fallback(self, tmp_path, monkeypatch, clean_env):
+        monkeypatch.setenv("CC", str(_fake_cc(tmp_path / "cc", "exit 1\n")))
+        monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path / "kernels"))
+        original = get_backend("cnative")
+        backend = register_backend(CNativeBackend(), replace=True)
+        try:
+            assert pick_backend(COMPILE_TRIGGER_OPS) == "blas"
+            backend._builder.join(timeout=60)
+            assert pick_backend(COMPILE_TRIGGER_OPS) == "blas"
+            assert not backend.info.available
+            assert "failed" in backend.info.unavailable_reason
+            assert list((tmp_path / "kernels").iterdir()) == []
+        finally:
+            register_backend(original, replace=True)
+
+
+class TestNativeCache:
+    def test_key_includes_the_machine(self, monkeypatch):
+        path = cnative_backend._library_path("/usr/bin/cc")
+        monkeypatch.setattr(
+            cnative_backend.platform, "machine", lambda: "other-arch"
+        )
+        assert cnative_backend._library_path("/usr/bin/cc") != path
+
+    def test_exit_mid_compile_leaves_nothing(self, tmp_path):
+        # The compiler sleeps far longer than the test; the process
+        # exits while it runs.  Exit must not wait for it, and neither a
+        # library nor the build's temp directory may remain.
+        pidfile = tmp_path / "cc.pid"
+        fake = _fake_cc(tmp_path / "cc", f'echo $$ > "{pidfile}"\nsleep 60\n')
+        kernels = tmp_path / "kernels"
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from repro.kernels import pick_backend\n"
+            "from repro.kernels.cnative_backend import COMPILE_TRIGGER_OPS\n"
+            "assert pick_backend(COMPILE_TRIGGER_OPS) == 'blas'\n"
+            "pid = Path(sys.argv[1])\n"
+            "deadline = time.monotonic() + 30\n"
+            "while not (pid.exists() and pid.read_text().strip()):\n"
+            "    assert time.monotonic() < deadline, 'compiler never started'\n"
+            "    time.sleep(0.01)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(
+            CC=str(fake),
+            REPRO_KERNEL_CACHE=str(kernels),
+            PYTHONPATH=str(Path(cnative_backend.__file__).resolve().parents[2]),
+        )
+        start = time.monotonic()
+        subprocess.run(
+            [sys.executable, "-c", script, str(pidfile)],
+            env=env, check=True, timeout=50,
+        )
+        assert time.monotonic() - start < 40  # did not wait out the sleep
+        assert list(kernels.iterdir()) == []
+        pid = int(pidfile.read_text())
+        stat = Path(f"/proc/{pid}/stat")
+        deadline = time.monotonic() + 10
+        while stat.exists() and stat.read_text().split()[2] != "Z":
+            assert time.monotonic() < deadline, "compiler outlived the exit"
+            time.sleep(0.05)
 
 
 # -- CLI flag --------------------------------------------------------------------
@@ -618,5 +886,5 @@ def test_module_exports_are_importable():
 
     for name in kernels.__all__:
         assert hasattr(kernels, name), name
-    assert isinstance(get_backend("numba"), NumbaBackend)
-    assert issubclass(NumbaBackend, KernelBackend)
+    assert isinstance(get_backend("cnative"), CNativeBackend)
+    assert issubclass(CNativeBackend, KernelBackend)

@@ -191,13 +191,17 @@ class TestEngineBitExact:
 
 
 class TestEngineDispatch:
-    def test_single_worker_stays_serial(self, operands, monkeypatch):
+    def test_single_worker_stays_serial(self, operands, monkeypatch,
+                                        pin_native):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         _, _, pa, pb = operands
-        c, report = ParallelEngine(workers=1).run(pa, pb)
-        assert not report.used_parallel
-        assert report.backend == "blis"  # the size rule, small problem
-        assert (c == bit_gemm_reference(pa, pb)).all()
+        # The size rule on a small problem, before and after cnative loads.
+        for loaded, expected in ((False, "blis"), (True, "cnative")):
+            pin_native(loaded)
+            c, report = ParallelEngine(workers=1).run(pa, pb)
+            assert not report.used_parallel
+            assert report.backend == expected
+            assert (c == bit_gemm_reference(pa, pb)).all()
 
     def test_small_problem_below_crossover_stays_serial(self, operands):
         _, _, pa, pb = operands
