@@ -1,9 +1,11 @@
 """Visualizing the double-buffered pipeline (Section VI-A1).
 
-Runs the same tiled FastID problem with and without double buffering on
-a memory-constrained device, renders both schedules as ASCII Gantt
-charts, and exports a Chrome-trace JSON (load it at chrome://tracing or
-ui.perfetto.dev) for the overlapped run.
+Schedules the same tiled FastID problem with and without double
+buffering on a memory-constrained device, renders both schedules as
+ASCII Gantt charts, and exports a Chrome-trace JSON (load it at
+chrome://tracing or ui.perfetto.dev) for the overlapped run.  The
+schedule is timing-only, so it needs the problem's extents, not its
+data.
 
 Run:  python examples/pipeline_visualization.py
 """
@@ -12,11 +14,8 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.blis.microkernel import ComparisonOp
 from repro.bench.gantt import overlap_fraction, render_gantt
-from repro.core.packing import pack_operand
 from repro.core.pipeline import run_pipeline
 from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
@@ -27,20 +26,16 @@ from repro.gpu.tracing import write_chrome_trace
 def build_queue(double_buffering: bool):
     """A GTX-980-like device shrunk so the problem needs many tiles."""
     arch = dataclasses.replace(GTX_980, max_alloc_bytes=96 * 1024)
-    rng = np.random.default_rng(0)
-    queries = pack_operand(
-        (rng.random((32, 1024)) < 0.4).astype(np.uint8), row_multiple=4
-    )
-    database = pack_operand(
-        (rng.random((4608, 1024)) < 0.4).astype(np.uint8), row_multiple=4
-    )
+    # 32 queries x 4,608 database profiles x 1,024 sites (32 words).
+    queries, database, k_words = 32, 4608, 1024 // 32
     kernel = SnpKernel.compile(
         arch, ComparisonOp.XOR, m_c=32, m_r=4, k_c=383, n_r=768,
         grid_rows=1, grid_cols=16,
     )
     queue = Device(arch).create_context().create_queue()
-    _, _, plan = run_pipeline(
-        queue, kernel, queries, database, double_buffering=double_buffering
+    _, plan = run_pipeline(
+        queue, kernel, queries, database, k_words,
+        double_buffering=double_buffering,
     )
     return queue, plan
 

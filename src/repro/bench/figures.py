@@ -3,9 +3,9 @@
 Every builder returns plain data (lists of dicts) so the pytest
 benches, the CLI report renderer and EXPERIMENTS.md generation all
 consume one source of truth.  Paper-scale points are priced through
-the timing-only pipeline (see :mod:`repro.model.endtoend`); the
-functional executor is exercised separately by the test suite at
-reduced scale.
+the timing-only device schedule (see :mod:`repro.model.endtoend`);
+framework runs that also compute the table are exercised separately by
+the test suite at reduced scale.
 """
 
 from __future__ import annotations

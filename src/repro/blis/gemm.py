@@ -90,9 +90,9 @@ def check_symmetric(
     """Validate a ``symmetric=True`` hint (Gram mode preconditions).
 
     The same-matrix check accepts equal-*content* copies as well as
-    views: the simulated device pipeline stages operands through
-    buffer copies, so a self-comparison's A and B buffers are distinct
-    arrays with identical words.  The content comparison is O(m*k)
+    views: it validates symmetry a caller asserts, so two distinct
+    arrays holding identical words qualify, and different content is
+    rejected rather than mirrored.  The content comparison is O(m*k)
     words -- noise next to the O(m*n*k) GEMM it guards.
     """
     if not op.is_symmetric:

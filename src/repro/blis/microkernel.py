@@ -22,7 +22,7 @@ FastID mixture     ``r & ~m``                   Eq. (3) simplified; on
 Each :class:`MicroKernel` carries
 
 * the word-level combiner (a NumPy ufunc expression) used by the
-  functional executors, and
+  host GEMM drivers, and
 * the **instruction mix** per packed word -- how many ALU-class ops
   (AND/XOR/NOT/ADD) and POPC-class ops the comparison costs -- which
   the performance model turns into pipeline occupancies (Section V-D:

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.core.framework.SNPComparisonFramework` -- the
   end-to-end driver (device selection, analytic configuration,
-  packing, double-buffered execution).
+  packing, a double-buffered device schedule that prices the run, one
+  host call that computes the table).
 * :func:`~repro.core.ld.linkage_disequilibrium`,
   :func:`~repro.core.identity.identity_search`,
   :func:`~repro.core.mixture.mixture_analysis` -- the three

@@ -9,9 +9,10 @@ OpenCL implementation does:
    features of the GPU"),
 3. compile the parameterized kernel against the device,
 4. pack the binary operands into padded device bitvectors,
-5. run the tiled, double-buffered transfer/compute/read pipeline,
-6. crop padding and return the comparison table plus an itemized
-   :class:`~repro.core.profiles.RunReport`.
+5. price the tiled, double-buffered transfer/compute/read pipeline on
+   the simulated device (a timing-only schedule),
+6. compute the comparison table once on the host, crop padding and
+   return it plus an itemized :class:`~repro.core.profiles.RunReport`.
 
 The same object also answers "what would the CPU baseline take"
 (:meth:`cpu_reference_seconds`) so callers can reproduce the paper's
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.blis.gemm import bit_gemm, same_operand
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm, KernelConfig
 from repro.core.packing import PackedOperand, crop_result, pack_operand
@@ -29,16 +31,18 @@ from repro.core.pipeline import run_pipeline
 from repro.core.planner import derive_config
 from repro.core.profiles import RunReport
 from repro.cpu.timing import CPUTimingModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError, KernelLaunchError
 from repro.gpu.arch import GPUArchitecture, get_gpu
 from repro.gpu.device import CommandQueue, Context, Device
 from repro.gpu.kernel import SnpKernel
-from repro.kernels import get_backend
+from repro.kernels import get_backend, pick_backend
 from repro.observability.counters import SIM_DEVICE_SECONDS
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
+from repro.parallel.engine import ParallelReport, get_engine
 from repro.resilience.report import ResilienceReport
 from repro.resilience.runtime import get_resilience
+from repro.util.bitops import words_needed
 
 __all__ = ["SNPComparisonFramework"]
 
@@ -66,19 +70,19 @@ class SNPComparisonFramework:
         Overlap transfers with compute (the paper's default); disable
         for the ablation comparison.
     workers:
-        Host threads for the functional compute.  ``workers > 1``
-        shards each kernel launch across the process-wide pool
-        (:mod:`repro.parallel`); results stay bit-exact and the
-        simulated device timing is unchanged.  Default (``None``)
-        keeps the serial functional path.
+        Host threads for the table.  ``workers > 1`` shards the host
+        GEMM across the process-wide pool (:mod:`repro.parallel`);
+        results stay bit-exact and the simulated device timing is
+        unchanged.  Default (``None``) keeps the serial driver.
     gram:
-        Allow Gram mode: single-tile self-comparisons with a symmetric
-        op compute only the upper triangle and mirror the rest (see
-        ``docs/PERF.md``).  ``False`` forces the full-output path
-        (useful for benchmarking the symmetry win).
+        Allow Gram mode: self-comparisons (the same packed operand on
+        both sides) with a symmetric op compute only the upper
+        triangle and mirror the rest (see ``docs/PERF.md``).
+        ``False`` forces the full-output path (useful for benchmarking
+        the symmetry win).
     backend:
-        Kernel-ABI backend (:mod:`repro.kernels`) for the functional
-        tables: ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
+        Kernel-ABI backend (:mod:`repro.kernels`) for the host table:
+        ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
         per-machine winner on sharded runs, then the size rule:
         ``cnative`` once loaded, else ``blis``/``blas`` by size) or an
         explicit registered name such as
@@ -183,11 +187,6 @@ class SNPComparisonFramework:
             b = self.pack(
                 np.asarray(b_bits), negate=self.database_needs_prenegation
             )
-        if a.n_bits != b.n_bits:
-            raise ConfigurationError(
-                f"run: operands cover different site counts "
-                f"({a.n_bits} vs {b.n_bits})"
-            )
         table, report = self.run_packed(a, b)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
@@ -198,7 +197,15 @@ class SNPComparisonFramework:
     def run_packed(
         self, a: PackedOperand, b: PackedOperand
     ) -> tuple[np.ndarray, RunReport]:
-        """Run with pre-packed operands; returns (cropped table, report)."""
+        """Run with pre-packed operands; returns (cropped table, report).
+
+        The simulated device schedule (:func:`run_pipeline`) prices the
+        run first -- its ``alloc``/``kernel`` fault hooks fire at the
+        same ordinals as a device would see them -- then the padded
+        table is computed once on the host on the kernel's blocking
+        plan.
+        """
+        self._check_operands(a, b)
         obs = get_tracer()
         res = get_resilience()
         counters_before = obs.counters.snapshot() if obs.enabled else None
@@ -216,17 +223,15 @@ class SNPComparisonFramework:
             context: Context = device.create_context()
             queue = context.create_queue()
             self.last_queue = queue
-
-            raw, profiles, plan = run_pipeline(
+            profiles, plan = run_pipeline(
                 queue,
                 self.kernel,
-                a,
-                b,
+                a.padded_rows,
+                b.padded_rows,
+                a.k_words,
                 double_buffering=self.double_buffering,
-                workers=self.workers,
-                symmetric=None if self.gram else False,
-                backend=self.backend,
             )
+            raw, backend, parallel = self._compute(a.words, b.words)
             end_to_end = queue.finish()
             busy = queue.busy_summary()
         obs.counters.add(SIM_DEVICE_SECONDS, end_to_end)
@@ -245,6 +250,8 @@ class SNPComparisonFramework:
             n_kernel_launches=len(profiles),
             n_tiles=plan.n_tiles,
             kernel_profiles=profiles,
+            backend=backend,
+            parallel=parallel,
         )
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
@@ -252,25 +259,75 @@ class SNPComparisonFramework:
             )
         if res.active:
             events = tuple(res.injector.fired()[events_before:])
-            engine_totals = ResilienceReport.combine(
-                p.parallel.resilience
-                for p in profiles
-                if p.parallel is not None and p.parallel.resilience is not None
+            engine = (
+                parallel.resilience
+                if parallel is not None and parallel.resilience is not None
+                else ResilienceReport()
             )
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
-                retries=engine_totals.retries
-                + sum(p.retries for p in profiles),
-                quarantined=engine_totals.quarantined,
-                tiles_verified=engine_totals.tiles_verified,
-                verify_mismatches=engine_totals.verify_mismatches,
+                retries=engine.retries + sum(p.retries for p in profiles),
+                quarantined=engine.quarantined,
+                tiles_verified=engine.tiles_verified,
+                verify_mismatches=engine.verify_mismatches,
                 events=events,
             )
         if raw.shape == (a.n_rows, b.n_rows):
-            # No padding to strip, and run_pipeline allocated ``raw``
+            # No padding to strip, and the host call allocated ``raw``
             # for this run alone: hand it over without a copy.
             return raw, report
         return crop_result(raw, a, b), report
+
+    def _check_operands(self, a: PackedOperand, b: PackedOperand) -> None:
+        if a.n_bits != b.n_bits:
+            raise ConfigurationError(
+                f"run_packed: operands cover different site counts "
+                f"({a.n_bits} vs {b.n_bits})"
+            )
+        if a.n_bits == 0:
+            raise DatasetError(
+                "run_packed: operands have zero sites; there is nothing "
+                "to compare"
+            )
+        expected = np.uint32 if self.arch.word_bits == 32 else np.uint64
+        if a.words.dtype != expected or b.words.dtype != expected:
+            raise KernelLaunchError(
+                f"run_packed: operands must be {expected.__name__} on "
+                f"{self.arch.name}, got {a.words.dtype}/{b.words.dtype}"
+            )
+        k = words_needed(a.n_bits, self.arch.word_bits)
+        if a.words.ndim != 2 or b.words.ndim != 2 or (a.k_words, b.k_words) != (k, k):
+            raise KernelLaunchError(
+                f"run_packed: operand shapes {a.words.shape} / "
+                f"{b.words.shape} inconsistent with {a.n_bits} sites "
+                f"({k} words)"
+            )
+
+    def _compute(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, str, ParallelReport | None]:
+        """The padded table on the host: (table, backend, engine report)."""
+        op = self.kernel.op
+        plan = self.kernel.blocking_plan(a.shape[0], b.shape[0], a.shape[1])
+        symmetric = self.gram and op.is_symmetric and same_operand(a, b)
+        with get_tracer().span(
+            "kernel.execute",
+            kernel=f"snp_{op.value}",
+            device=self.arch.name,
+            m=plan.m,
+            n=plan.n,
+            k=plan.k,
+        ):
+            if self.workers is not None and self.workers > 1:
+                c, parallel = get_engine(self.workers, self.backend).run(
+                    a, b, op, plan=plan, symmetric=symmetric
+                )
+                return c, parallel.backend, parallel
+            name = pick_backend(plan.total_ops(), symmetric, self.backend)
+            c = bit_gemm(
+                a, b, op, backend=name, plan=plan, symmetric=symmetric
+            )
+            return c, name, None
 
     # -- baselines ---------------------------------------------------------------
 

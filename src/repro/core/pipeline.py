@@ -21,22 +21,26 @@ then overlap adjacent chunks exactly as the real double-buffered queue
 would.  With ``double_buffering=False`` every stage additionally waits
 for the previous chunk's read-back, serializing the pipeline -- the
 ablation bench's baseline.
+
+:func:`run_pipeline` is a timing-only schedule over padded extents: it
+allocates the device buffers (so memory limits and ``alloc`` faults
+apply) and enqueues byte counts and launch geometries, never data.
+:meth:`~repro.core.framework.SNPComparisonFramework.run_packed` runs it
+before computing the table once on the host, and
+:func:`~repro.model.endtoend.estimate_end_to_end` runs it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from repro.blis.blocking import tile_ranges
-from repro.blis.gemm import same_operand
-from repro.core.packing import PackedOperand
 from repro.errors import AllocationError, ConfigurationError
-from repro.gpu.device import Buffer, CommandQueue, Context
+from repro.gpu.device import Buffer, CommandQueue
 from repro.gpu.executor import KernelProfile
-from repro.gpu.kernel import SnpKernel
+from repro.gpu.kernel import KernelArgs, SnpKernel
 from repro.gpu.event import Event
+from repro.observability.counters import KERNEL_LAUNCHES, KERNEL_RETRIES
 from repro.observability.tracer import get_tracer
 from repro.resilience.retry import call_with_retry
 from repro.resilience.runtime import get_resilience
@@ -47,9 +51,9 @@ __all__ = ["TilePlan", "plan_tiles", "run_pipeline"]
 #: runtime allocations the real driver makes).
 _MEMORY_FILL_FRACTION = 0.90
 
-#: Result element size: the accumulators are 32-bit on device; we
-#: account 4 bytes per output cell for transfer sizing even though the
-#: functional path returns int64 host-side.
+#: Result element size: the accumulators are 32-bit on device (Table
+#: I's 4-byte elements), so each output cell costs 4 bytes to read
+#: back even though the host table is int64.
 _RESULT_BYTES = 4
 
 
@@ -66,27 +70,20 @@ class TilePlan:
         return len(self.ranges)
 
 
-def plan_tiles(
-    context: Context,
-    kernel: SnpKernel,
-    a: PackedOperand,
-    b: PackedOperand,
-) -> TilePlan:
-    """Choose the N-dimension tiling that fits device memory.
+def plan_tiles(kernel: SnpKernel, m: int, n: int, k: int) -> TilePlan:
+    """Choose the N-dimension tiling of an ``(m, n, k)`` launch.
 
-    Honors the per-buffer max-allocation limit and total global memory
-    (with double-buffer duplication).  Raises
+    ``m``/``n`` are padded row counts and ``k`` the word count.  Honors
+    the per-buffer max-allocation limit and total global memory (with
+    double-buffer duplication).  Raises
     :class:`~repro.errors.AllocationError` when even a minimal tile
     cannot fit.
     """
-    arch = context.device.arch
+    arch = kernel.arch
     word_bytes = arch.word_bytes
-    k = b.k_words
-    m_padded = a.padded_rows
-
     budget = int(arch.global_memory_bytes * _MEMORY_FILL_FRACTION)
-    a_bytes = a.nbytes
-    per_row = k * word_bytes + m_padded * _RESULT_BYTES  # B row + C column
+    a_bytes = m * k * word_bytes
+    per_row = k * word_bytes + m * _RESULT_BYTES  # B row + C column
     available = budget - a_bytes
     if available <= 0:
         raise AllocationError(
@@ -97,47 +94,68 @@ def plan_tiles(
     # Per-buffer cap: both the B tile and the C tile must individually
     # respect CL_DEVICE_MAX_MEM_ALLOC_SIZE.
     rows_by_b = arch.max_alloc_bytes // (k * word_bytes)
-    rows_by_c = arch.max_alloc_bytes // max(1, m_padded * _RESULT_BYTES)
+    rows_by_c = arch.max_alloc_bytes // max(1, m * _RESULT_BYTES)
     tile_rows = int(min(rows_by_total, rows_by_b, rows_by_c))
     # Keep tiles aligned to the kernel's n_r so micro-tiles stay whole.
     if tile_rows >= kernel.n_r:
         tile_rows = tile_rows // kernel.n_r * kernel.n_r
     if tile_rows <= 0:
         raise AllocationError(
-            f"plan_tiles: cannot fit any tile of the {b.padded_rows}-row "
-            f"database on {arch.name} (k={k} words, m={m_padded})"
+            f"plan_tiles: cannot fit any tile of the {n}-row database on "
+            f"{arch.name} (k={k} words, m={m})"
         )
-    tile_rows = min(tile_rows, b.padded_rows)
-    ranges = tuple(tile_ranges(b.padded_rows, tile_rows))
-    return TilePlan(n_total=b.padded_rows, tile_rows=tile_rows, ranges=ranges)
+    tile_rows = min(tile_rows, n)
+    ranges = tuple(tile_ranges(n, tile_rows))
+    return TilePlan(n_total=n, tile_rows=tile_rows, ranges=ranges)
+
+
+def _launch(
+    queue: CommandQueue,
+    kernel: SnpKernel,
+    args: KernelArgs,
+    wait_for: list[Event],
+    label: str,
+) -> tuple[Event, KernelProfile]:
+    """One kernel launch: the ``kernel`` fault hook, then its price.
+
+    An injected transient launch fault is re-attempted under the active
+    retry policy; each attempt consumes one kernel ordinal, so
+    ``kernel:c`` specs model c consecutive failed launches before
+    success.
+    """
+    obs = get_tracer()
+    res = get_resilience()
+    obs.counters.add(KERNEL_LAUNCHES)
+    retries = 0
+
+    def attempt() -> None:
+        res.injector.check("kernel", attempt=retries)
+
+    def on_retry(_index: int, _exc: BaseException) -> None:
+        nonlocal retries
+        retries += 1
+        obs.counters.add(KERNEL_RETRIES)
+
+    call_with_retry(attempt, res.policy, on_retry)
+    event, profile = queue.enqueue_kernel_dry(
+        kernel, args, wait_for=wait_for, label=label
+    )
+    return event, replace(profile, retries=retries)
 
 
 def run_pipeline(
     queue: CommandQueue,
     kernel: SnpKernel,
-    a: PackedOperand,
-    b: PackedOperand,
-    plan: TilePlan | None = None,
+    m: int,
+    n: int,
+    k: int,
     double_buffering: bool = True,
-    workers: int | None = None,
-    symmetric: bool | None = None,
-    backend: str = "auto",
-) -> tuple[np.ndarray, list[KernelProfile], TilePlan]:
-    """Execute the tiled comparison; returns (raw table, profiles, plan).
+) -> tuple[list[KernelProfile], TilePlan]:
+    """Schedule the tiled ``(m, n, k)`` comparison; returns (profiles, plan).
 
-    The returned table is *uncropped* (padded extents); callers crop
-    with :func:`repro.core.packing.crop_result`.  ``workers > 1``
-    computes each tile's functional table on the sharded host engine
-    (:mod:`repro.parallel`); simulated device timing is unchanged.
-
-    ``symmetric=None`` auto-detects Gram mode: when both operands are
-    the same packed matrix, the op is symmetric, and the whole
-    database fits one tile (multi-tile launches compare *different*
-    row ranges, so per-tile outputs are not symmetric), the kernel is
-    launched with the Gram hint and computes only the upper triangle.
-    ``False`` disables the hint; ``True`` requires eligibility and
-    raises otherwise.  ``backend`` selects the kernel-ABI backend
-    (:mod:`repro.kernels`) for each tile's functional table.
+    ``m``/``n`` are padded row counts and ``k`` the word count.  One
+    :class:`~repro.gpu.executor.KernelProfile` per launch; the queue
+    holds the events.
     """
     context = queue.context
     arch = context.device.arch
@@ -146,26 +164,8 @@ def run_pipeline(
             f"run_pipeline: kernel compiled for {kernel.arch.name}, queue on "
             f"{arch.name}"
         )
-    if plan is None:
-        plan = plan_tiles(context, kernel, a, b)
-
-    gram_eligible = (
-        kernel.op.is_symmetric
-        and same_operand(a.words, b.words)
-        and plan.n_tiles == 1
-        and a.padded_rows == plan.n_total
-    )
-    if symmetric is None:
-        symmetric = gram_eligible
-    elif symmetric and not gram_eligible:
-        raise ConfigurationError(
-            "run_pipeline: symmetric=True requires a single-tile "
-            "self-comparison with a symmetric op"
-        )
-
+    plan = plan_tiles(kernel, m, n, k)
     word_bytes = arch.word_bytes
-    m_padded = a.padded_rows
-    out = np.zeros((m_padded, plan.n_total), dtype=np.int64)
     profiles: list[KernelProfile] = []
 
     obs = get_tracer()
@@ -187,17 +187,18 @@ def run_pipeline(
         double_buffering=double_buffering,
     ):
         # Resident A upload.
-        a_buf = _alloc(a.nbytes, label="A")
-        a_event = queue.enqueue_write_buffer(a_buf, a.words, label="write:A")
+        a_bytes = m * k * word_bytes
+        a_buf = _alloc(a_bytes, label="A")
+        a_event = queue.enqueue_write_dry(a_bytes, label="write:A")
 
         # Double-buffered B/C rotation (two slots each).
         n_slots = 2 if double_buffering and plan.n_tiles > 1 else 1
         b_bufs = [
-            _alloc(plan.tile_rows * b.k_words * word_bytes, label=f"B{i}")
+            _alloc(plan.tile_rows * k * word_bytes, label=f"B{i}")
             for i in range(n_slots)
         ]
         c_bufs = [
-            _alloc(m_padded * plan.tile_rows * _RESULT_BYTES, label=f"C{i}")
+            _alloc(m * plan.tile_rows * _RESULT_BYTES, label=f"C{i}")
             for i in range(n_slots)
         ]
         # Last events occupying each slot (must complete before reuse).
@@ -206,33 +207,32 @@ def run_pipeline(
 
         for tile_idx, (n0, n1) in enumerate(plan.ranges):
             slot = tile_idx % n_slots
+            rows = n1 - n0
             with obs.span("pipeline.tile", tile=tile_idx, n0=n0, n1=n1):
-                b_tile = np.ascontiguousarray(b.words[n0:n1])
                 deps: list[Event] = list(slot_free[slot])
                 if not double_buffering and prev_read is not None:
                     deps.append(prev_read)
-                write_ev = queue.enqueue_write_buffer(
-                    b_bufs[slot], b_tile, wait_for=deps, label=f"write:B[{tile_idx}]"
+                write_ev = queue.enqueue_write_dry(
+                    rows * k * word_bytes,
+                    wait_for=deps,
+                    label=f"write:B[{tile_idx}]",
                 )
-                kernel_ev, profile = queue.enqueue_kernel(
+                kernel_ev, profile = _launch(
+                    queue,
                     kernel,
-                    a_buf,
-                    b_bufs[slot],
-                    c_bufs[slot],
+                    KernelArgs(m=m, n=rows, k=k),
                     wait_for=[a_event, write_ev],
                     label=f"kernel[{tile_idx}]",
-                    workers=workers,
-                    symmetric=symmetric,
-                    backend=backend,
                 )
                 profiles.append(profile)
-                tile_out, read_ev = queue.enqueue_read_buffer(
-                    c_bufs[slot], wait_for=[kernel_ev], label=f"read:C[{tile_idx}]"
+                read_ev = queue.enqueue_read_dry(
+                    m * rows * _RESULT_BYTES,
+                    wait_for=[kernel_ev],
+                    label=f"read:C[{tile_idx}]",
                 )
-                out[:, n0:n1] = tile_out
                 slot_free[slot] = [read_ev]
                 prev_read = read_ev
 
         for buf in [a_buf, *b_bufs, *c_bufs]:
             buf.release()
-    return out, profiles, plan
+    return profiles, plan

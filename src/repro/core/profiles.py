@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.gpu.executor import KernelProfile
 from repro.observability.report import MetricsReport
+from repro.parallel.engine import ParallelReport
 from repro.resilience.report import ResilienceReport
 from repro.util.units import format_ops, format_percent, format_seconds
 
@@ -42,6 +43,12 @@ class RunReport:
     n_kernel_launches: int = 0
     n_tiles: int = 0
     kernel_profiles: list[KernelProfile] = field(default_factory=list)
+    #: Kernel backend (:mod:`repro.kernels`) that computed the host
+    #: table; ``""`` on aggregated reports.
+    backend: str = ""
+    #: Host-engine report (shard profiles) when the table was computed
+    #: on the sharded engine (``workers > 1``); ``None`` otherwise.
+    parallel: ParallelReport | None = None
     #: Observability capture scoped to this run; ``None`` when the
     #: process tracer was disabled (the default).
     metrics: MetricsReport | None = None

@@ -16,7 +16,8 @@ provides, in layers:
 * :mod:`repro.gpu.event`, :mod:`repro.gpu.transfer`,
   :mod:`repro.gpu.device` -- an OpenCL-flavoured device stack
   (platform/context/queue/buffer/event with event profiling) whose
-  timestamps come from the analytical timing model.
+  timestamps come from the analytical timing model; no data moves
+  through it.
 * :mod:`repro.gpu.coresim` -- a cycle-level simulator of one compute
   core (thread-group scheduler, pipelined functional units) used by the
   microbenchmark procedures of Section V-C/D.
@@ -26,8 +27,8 @@ provides, in layers:
   pipelines, latency hiding, scaling/contention) that prices kernel
   launches.
 * :mod:`repro.gpu.kernel`, :mod:`repro.gpu.executor` -- the
-  parameterized SNP-comparison kernel and its functional+timed
-  execution.
+  parameterized SNP-comparison kernel and the pricing of its launches
+  (the device is a timing model; tables are computed on the host).
 """
 
 from repro.gpu.arch import (
@@ -42,7 +43,7 @@ from repro.gpu.isa import Instruction, PipeClass, pipe_for, units_per_cluster
 from repro.gpu.device import Platform, Device, Context, CommandQueue, Buffer
 from repro.gpu.event import Event, EventStatus
 from repro.gpu.kernel import SnpKernel, KernelArgs
-from repro.gpu.executor import execute_kernel, KernelProfile
+from repro.gpu.executor import KernelProfile
 from repro.gpu.occupancy import OccupancyReport, occupancy_report
 from repro.gpu.tilesim import TileStats, simulate_core_tile
 from repro.gpu.memsim import (
@@ -72,7 +73,6 @@ __all__ = [
     "EventStatus",
     "SnpKernel",
     "KernelArgs",
-    "execute_kernel",
     "KernelProfile",
     "OccupancyReport",
     "occupancy_report",

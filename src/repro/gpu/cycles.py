@@ -3,8 +3,8 @@
 Prices one SNP-comparison kernel launch on a model GPU, following the
 paper's Section V-D bottleneck methodology plus the Section VI
 observations (scaling knee, DVFS, data-reuse ramp).  The model is the
-source of all *simulated device timestamps*; the functional executor
-computes results, this module computes when they would be ready.
+source of all *simulated device timestamps*; the host computes the
+results, this module computes when the device would have them ready.
 
 Decomposition (multiplicative stall factors on the ideal pipe time):
 

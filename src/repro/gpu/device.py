@@ -5,19 +5,21 @@ of the various supported OpenCL devices ... writing data from host
 memory to device memory, compute kernels that operate on said data,
 and reading results from device memory to host memory are handled in a
 platform-independent manner" (Section V).  This module is that layer
-for the simulated devices:
+for the simulated devices, as a timing model only -- no data moves
+through it; the comparison table is computed once on the host:
 
 * :class:`Platform` enumerates the available (simulated) devices.
 * :class:`Context` owns device allocations; creating the first context
   for a device pays the OpenCL initialization overhead the paper's
   end-to-end timings include (Section VI-B).
-* :class:`Buffer` is a device allocation; its contents are a host-side
-  NumPy array (the functional state of device memory).
-* :class:`CommandQueue` enqueues writes, reads and kernel launches.
-  Commands are scheduled on three engines (H2D copy, D2H copy,
-  compute) honouring explicit event dependencies -- the out-of-order +
-  events style the double-buffering pipeline needs.  Every command
-  returns a profiled :class:`~repro.gpu.event.Event`.
+* :class:`Buffer` is a device allocation handle (size-checked against
+  the device's memory limits, released once).
+* :class:`CommandQueue` schedules writes, reads and kernel launches by
+  byte count and launch geometry.  Commands are scheduled on three
+  engines (H2D copy, D2H copy, compute) honouring explicit event
+  dependencies -- the out-of-order + events style the double-buffering
+  pipeline needs.  Every command returns a profiled
+  :class:`~repro.gpu.event.Event`.
 
 All timestamps are simulated seconds from the timing model; `finish()`
 returns the queue's completion time, which is what the end-to-end
@@ -29,13 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import DeviceError, KernelLaunchError
 from repro.gpu.arch import ALL_GPUS, GPUArchitecture
 from repro.resilience.runtime import get_resilience
 from repro.gpu.event import Event
-from repro.gpu.executor import KernelProfile, execute_kernel
+from repro.gpu.executor import KernelProfile, price_kernel
 from repro.gpu.kernel import KernelArgs, SnpKernel
 from repro.gpu.memory import GlobalMemoryTracker
 from repro.gpu.transfer import D2H, H2D, TransferEngine
@@ -77,43 +77,27 @@ class Device:
 
 
 class Buffer:
-    """A device global-memory allocation with functional contents."""
+    """A device global-memory allocation handle.
+
+    The simulated device holds no contents (the comparison table is
+    computed on the host); a buffer is the allocation the schedule
+    makes, so the per-allocation limit and the global-memory budget
+    apply and a double release is caught.
+    """
 
     def __init__(self, context: "Context", n_bytes: int, label: str = "") -> None:
         self.context = context
         self.n_bytes = n_bytes
         self.label = label or f"buf{id(self) & 0xFFFF:04x}"
         self._handle = context.memory.allocate(n_bytes)
-        self._data: np.ndarray | None = None
         self._released = False
-
-    @property
-    def data(self) -> np.ndarray:
-        """Current device contents; raises if never written."""
-        self._check_live()
-        if self._data is None:
-            raise DeviceError(f"Buffer {self.label!r}: read before any write")
-        return self._data
-
-    def _check_live(self) -> None:
-        if self._released:
-            raise DeviceError(f"Buffer {self.label!r}: used after release")
-
-    def _store(self, array: np.ndarray) -> None:
-        self._check_live()
-        if array.nbytes > self.n_bytes:
-            raise DeviceError(
-                f"Buffer {self.label!r}: writing {array.nbytes} bytes into a "
-                f"{self.n_bytes}-byte buffer"
-            )
-        self._data = array
 
     def release(self) -> None:
         """Free the allocation; double release raises."""
-        self._check_live()
+        if self._released:
+            raise DeviceError(f"Buffer {self.label!r}: released twice")
         self.context.memory.free(self._handle)
         self._released = True
-        self._data = None
 
 
 class Context:
@@ -171,101 +155,7 @@ class CommandQueue:
                 )
         return max(self.context.ready_at, _wait_time(wait_for))
 
-    # -- commands ------------------------------------------------------------
-
-    def enqueue_write_buffer(
-        self,
-        buffer: Buffer,
-        host_array: np.ndarray,
-        wait_for: Sequence[Event] | None = None,
-        label: str = "",
-    ) -> Event:
-        """Copy host data into a device buffer (H2D DMA)."""
-        array = np.ascontiguousarray(host_array)
-        event = Event(label=label or f"write:{buffer.label}", queued_at=self._now())
-        earliest = self._earliest(wait_for)
-        interval = self.transfers.schedule(
-            H2D, array.nbytes, earliest, label=event.label
-        )
-        buffer._store(array.copy())
-        event.complete(earliest, interval.start, interval.end)
-        self.events.append(event)
-        return event
-
-    def enqueue_read_buffer(
-        self,
-        buffer: Buffer,
-        wait_for: Sequence[Event] | None = None,
-        label: str = "",
-    ) -> tuple[np.ndarray, Event]:
-        """Copy a device buffer back to the host (D2H DMA)."""
-        event = Event(label=label or f"read:{buffer.label}", queued_at=self._now())
-        earliest = self._earliest(wait_for)
-        data = buffer.data
-        interval = self.transfers.schedule(
-            D2H, data.nbytes, earliest, label=event.label
-        )
-        event.complete(earliest, interval.start, interval.end)
-        self.events.append(event)
-        return data.copy(), event
-
-    def enqueue_kernel(
-        self,
-        kernel: SnpKernel,
-        a: Buffer,
-        b: Buffer,
-        c: Buffer,
-        args: KernelArgs | None = None,
-        wait_for: Sequence[Event] | None = None,
-        label: str = "",
-        accumulate: bool = False,
-        workers: int | None = None,
-        symmetric: bool | None = None,
-        backend: str = "auto",
-    ) -> tuple[Event, KernelProfile]:
-        """Launch a comparison kernel reading ``a``/``b``, writing ``c``.
-
-        With ``accumulate=True`` the result adds into ``c``'s current
-        contents (the k-panel loop of problems tiled over the reduction
-        dimension); otherwise ``c`` is overwritten.  ``workers`` routes
-        the functional compute through the sharded host engine (the
-        simulated timing is unaffected -- it prices the device, not the
-        host).  ``symmetric``/``backend`` are the Gram-mode hint and
-        kernel-ABI backend forwarded to
-        :func:`~repro.gpu.executor.execute_kernel`.
-        """
-        if kernel.arch is not self.arch:
-            raise KernelLaunchError(
-                f"enqueue_kernel: kernel compiled for {kernel.arch.name}, "
-                f"queue is on {self.arch.name}"
-            )
-        event = Event(
-            label=label or f"kernel:snp_{kernel.op.value}", queued_at=self._now()
-        )
-        earliest = self._earliest(wait_for)
-        result, profile = execute_kernel(
-            kernel, a.data, b.data, args, workers=workers,
-            symmetric=symmetric, backend=backend,
-        )
-        if accumulate:
-            existing = c._data
-            if existing is not None and existing.shape == result.shape:
-                result = existing.astype(np.int64) + result
-        # Device accumulators are 32-bit (Table I's 4-byte elements);
-        # counts are bounded by the site count, far below 2**31.
-        c._store(result.astype(np.int32))
-        duration = self.arch.memory.launch_overhead_s + profile.seconds
-        interval = self.compute.schedule(event.label, earliest, duration)
-        event.complete(earliest, interval.start, interval.end)
-        self.events.append(event)
-        return event, profile
-
-    # -- dry-run (timing-only) commands ---------------------------------------
-    #
-    # These schedule the same engine intervals as their functional
-    # counterparts without touching data; the end-to-end estimator
-    # uses them to price paper-scale problems that would be
-    # impractical to materialize.
+    # -- commands (timing only) ------------------------------------------------
 
     def enqueue_write_dry(
         self,
@@ -308,8 +198,6 @@ class CommandQueue:
                 f"enqueue_kernel_dry: kernel compiled for {kernel.arch.name}, "
                 f"queue is on {self.arch.name}"
             )
-        from repro.gpu.executor import price_kernel
-
         event = Event(
             label=label or f"kernel:snp_{kernel.op.value}", queued_at=self._now()
         )

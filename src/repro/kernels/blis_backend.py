@@ -1,8 +1,7 @@
 """``blis`` backend: the BLIS five-loop walk behind the kernel ABI.
 
-The simulated device computes its functional results with the BLIS
-walk (packed micro-panels, popcount micro-kernel) -- the structure the
-paper's kernel has and the device cycle model prices.  Registering the
+The BLIS walk (packed micro-panels, popcount micro-kernel) is the
+structure the paper's kernel has and the device cycle model prices.  Registering the
 one walk (:func:`repro.blis.gemm.blis_walk`) here lets every layer
 reach it by name: the serial driver's size rule, engine shards,
 ``--backend blis`` and the tuner's race.  A panel call walks the

@@ -6,8 +6,8 @@ into the quantities the paper's figures plot:
 * :mod:`repro.model.peak` -- theoretical peak throughput per device and
   micro-kernel (the dotted lines of Fig. 5) and the CPU peak.
 * :mod:`repro.model.endtoend` -- end-to-end time estimation at
-  arbitrary (including paper-scale) problem sizes, by driving the
-  *same* double-buffered pipeline scheduling in timing-only mode.
+  arbitrary (including paper-scale) problem sizes, by running the
+  *same* timing-only double-buffered schedule a framework run prices.
 * :mod:`repro.model.scaling` -- the per-core scaling curves of Fig. 7.
 """
 

@@ -1,11 +1,10 @@
 """End-to-end time estimation at arbitrary problem scale.
 
-Drives the *same* double-buffered pipeline structure as
-:func:`repro.core.pipeline.run_pipeline` through the device stack's
-timing-only commands, so a 20-million-profile FastID database (Fig. 8)
-is priced through the identical scheduling code that executes small
-problems functionally.  The test suite asserts dry == wet timing on
-problems small enough to run both ways.
+Runs the device schedule every framework run prices,
+:func:`repro.core.pipeline.run_pipeline`, on padded extents, so a
+20-million-profile FastID database (Fig. 8) is priced by the identical
+code that prices a small run; nothing is materialized.  The test suite
+asserts estimate == run timing on problems small enough to run.
 
 The estimate follows the paper's end-to-end methodology (Section VI):
 
@@ -23,22 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.blis.blocking import tile_ranges
-from repro.core.config import Algorithm
+from repro.core.config import Algorithm, KernelConfig
+from repro.core.pipeline import run_pipeline
 from repro.core.planner import derive_config
-from repro.core.config import KernelConfig
 from repro.cpu.timing import CPUTimingModel
-from repro.errors import AllocationError, ModelError
+from repro.errors import ModelError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.device import Device
-from repro.gpu.event import Event
-from repro.gpu.kernel import KernelArgs, SnpKernel
+from repro.gpu.kernel import SnpKernel
 from repro.util.bitops import words_needed
 
 __all__ = ["EndToEndEstimate", "estimate_end_to_end", "estimate_cpu_seconds"]
-
-_MEMORY_FILL_FRACTION = 0.90
-_RESULT_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -84,9 +78,9 @@ def estimate_end_to_end(
 ) -> EndToEndEstimate:
     """Price one end-to-end run without materializing operands.
 
-    Mirrors :func:`repro.core.pipeline.run_pipeline` step for step:
-    tile planning, resident-A upload, per-tile write/kernel/read with
-    the same event dependencies.
+    Pads the extents as :meth:`SNPComparisonFramework.pack
+    <repro.core.framework.SNPComparisonFramework.pack>` does and runs
+    the same schedule as a framework run.
     """
     algorithm = Algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     if min(m, n, k_bits) <= 0:
@@ -103,68 +97,18 @@ def estimate_end_to_end(
         grid_rows=config.grid_rows,
         grid_cols=config.grid_cols,
     )
-    word_bytes = arch.word_bytes
-    k_words = words_needed(k_bits, arch.word_bits)
-    m_padded = _pad_up(m, config.m_r)
-    n_padded = _pad_up(n, config.m_r)
-
-    # Tile planning (same arithmetic as repro.core.pipeline.plan_tiles).
-    budget = int(arch.global_memory_bytes * _MEMORY_FILL_FRACTION)
-    a_bytes = m_padded * k_words * word_bytes
-    per_row = k_words * word_bytes + m_padded * _RESULT_BYTES
-    available = budget - a_bytes
-    if available <= 0:
-        raise AllocationError(
-            f"estimate_end_to_end: operand A alone exceeds memory on {arch.name}"
-        )
-    rows_by_total = available // (2 * per_row)
-    rows_by_b = arch.max_alloc_bytes // (k_words * word_bytes)
-    rows_by_c = arch.max_alloc_bytes // max(1, m_padded * _RESULT_BYTES)
-    tile_rows = int(min(rows_by_total, rows_by_b, rows_by_c))
-    if tile_rows >= kernel.n_r:
-        tile_rows = tile_rows // kernel.n_r * kernel.n_r
-    if tile_rows <= 0:
-        raise AllocationError(
-            f"estimate_end_to_end: no feasible tile on {arch.name}"
-        )
-    tile_rows = min(tile_rows, n_padded)
-    ranges = tile_ranges(n_padded, tile_rows)
-
-    device = Device(arch)
-    context = device.create_context()
+    context = Device(arch).create_context()
     if not include_init:
         context.ready_at = 0.0
     queue = context.create_queue()
-
-    a_event = queue.enqueue_write_dry(a_bytes, label="write:A")
-    n_slots = 2 if double_buffering and len(ranges) > 1 else 1
-    slot_free: list[list[Event]] = [[] for _ in range(n_slots)]
-    prev_read: Event | None = None
-    kernel_ops = 0
-    for tile_idx, (n0, n1) in enumerate(ranges):
-        slot = tile_idx % n_slots
-        rows = n1 - n0
-        deps = list(slot_free[slot])
-        if not double_buffering and prev_read is not None:
-            deps.append(prev_read)
-        write_ev = queue.enqueue_write_dry(
-            rows * k_words * word_bytes, wait_for=deps, label=f"write:B[{tile_idx}]"
-        )
-        kernel_ev, profile = queue.enqueue_kernel_dry(
-            kernel,
-            KernelArgs(m=m_padded, n=rows, k=k_words),
-            wait_for=[a_event, write_ev],
-            label=f"kernel[{tile_idx}]",
-        )
-        kernel_ops += profile.breakdown.word_ops
-        read_ev = queue.enqueue_read_dry(
-            m_padded * rows * _RESULT_BYTES,
-            wait_for=[kernel_ev],
-            label=f"read:C[{tile_idx}]",
-        )
-        slot_free[slot] = [read_ev]
-        prev_read = read_ev
-
+    profiles, plan = run_pipeline(
+        queue,
+        kernel,
+        _pad_up(m, config.m_r),
+        _pad_up(n, config.m_r),
+        words_needed(k_bits, arch.word_bits),
+        double_buffering=double_buffering,
+    )
     busy = queue.busy_summary()
     return EndToEndEstimate(
         device=arch.name,
@@ -177,8 +121,8 @@ def estimate_end_to_end(
         kernel_s=busy["compute"],
         d2h_s=busy["d2h"],
         end_to_end_s=queue.finish(),
-        n_tiles=len(ranges),
-        kernel_word_ops=kernel_ops,
+        n_tiles=plan.n_tiles,
+        kernel_word_ops=sum(p.breakdown.word_ops for p in profiles),
     )
 
 

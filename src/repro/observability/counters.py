@@ -79,7 +79,7 @@ GEMM_CALLS = "gemm.calls"
 #: POPC word operations executed: ``m * n * k_words`` per logical GEMM,
 #: counted exactly once whichever driver or kernel backend ran it.
 GEMM_WORD_OPS = "gemm.popc_word_ops"
-#: Simulated kernel launches through :func:`repro.gpu.executor.execute_kernel`.
+#: Simulated kernel launches scheduled by :func:`repro.core.pipeline.run_pipeline`.
 KERNEL_LAUNCHES = "kernel.launches"
 #: Shards executed by the parallel engine (serial fallback counts 1).
 SHARDS_EXECUTED = "shards.executed"

@@ -21,10 +21,9 @@ Self-comparisons with a symmetric op take the Gram path: triangular
 shard plans (:meth:`ShardPlan.triangular`) compute only the diagonal
 and upper triangle and mirror the rest by transposition.
 
-Entry points that accept ``workers`` --
-:func:`repro.gpu.executor.execute_kernel`, the framework/pipeline, the
-multi-GPU executor, and the CLI's ``--workers`` flag -- all route
-through this package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
+Entry points that accept ``workers`` -- the framework, the multi-GPU
+executor, and the CLI's ``--workers`` flag -- all route through this
+package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 """
 
 from repro.parallel.engine import (

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a *schedule*: a seeded, fully deterministic
 description of which simulated faults fire at which instrumented hook
-points.  The instrumented layers (:mod:`repro.gpu.executor`,
+points.  The instrumented layers (:mod:`repro.core.pipeline`,
 :mod:`repro.gpu.device`, :mod:`repro.parallel.engine`,
 :mod:`repro.multigpu.executor`) consult the process-global injector at
 their hook *sites*; with the default :data:`NULL_INJECTOR` installed

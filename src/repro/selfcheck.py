@@ -7,8 +7,8 @@ core guarantees in seconds:
 
 1. functional agreement: all GEMM drivers + all devices + sparse
    kernels produce one bit-identical table against the naive oracle;
-2. estimator consistency: timing-only pricing equals the functional
-   pipeline's simulated times;
+2. estimator consistency: the estimator's pricing equals a framework
+   run's simulated times;
 3. microbenchmark recovery: the Section V-C/D procedures recover each
    device's configured unit counts;
 4. Table II regeneration: the planner reproduces the published

@@ -110,7 +110,7 @@ class TestGantt:
             grid_rows=1, grid_cols=16,
         )
         queue = Device(arch).create_context().create_queue()
-        run_pipeline(queue, kernel, a, b)
+        run_pipeline(queue, kernel, a.padded_rows, b.padded_rows, a.k_words)
         return queue
 
     def test_render_contains_lanes(self):

@@ -6,7 +6,10 @@ import pytest
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm, KernelConfig
 from repro.core.framework import SNPComparisonFramework
-from repro.errors import ConfigurationError
+from repro.core.identity import identity_search
+from repro.core.mixture import mixture_analysis
+from repro.core.streaming import StreamingIdentitySearch, StreamingMixture
+from repro.errors import ConfigurationError, DatasetError
 from repro.gpu.arch import ALL_GPUS, GTX_980, TITAN_V, VEGA_64
 from repro.snp.stats import (
     identity_distances_naive,
@@ -103,6 +106,29 @@ class TestRunCorrectness:
         fw = SNPComparisonFramework(GTX_980)
         with pytest.raises(ConfigurationError):
             fw.run(a, np.zeros((4, 99), dtype=np.uint8))
+        # 100 and 120 sites both pack to 4 words: only the site counts
+        # tell the packed operands apart.
+        a100 = fw.pack(np.zeros((3, 100), dtype=np.uint8))
+        b120 = fw.pack(np.zeros((5, 120), dtype=np.uint8))
+        assert a100.k_words == b120.k_words
+        with pytest.raises(ConfigurationError):
+            fw.run_packed(a100, b120)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda x: SNPComparisonFramework(GTX_980).run(x, x),
+            lambda x: identity_search(x, x),
+            lambda x: mixture_analysis(x, x),
+            lambda x: StreamingIdentitySearch(x, k=1).add_batch(x),
+            lambda x: StreamingMixture(x).add_batch(x),
+        ],
+        ids=["framework.run", "identity_search", "mixture_analysis",
+             "StreamingIdentitySearch.add_batch", "StreamingMixture.add_batch"],
+    )
+    def test_zero_site_operands_rejected(self, entry):
+        with pytest.raises(DatasetError, match="zero sites"):
+            entry(np.zeros((3, 0), dtype=np.uint8))
 
 
 class TestReports:

@@ -13,9 +13,9 @@ import pytest
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.core.packing import pack_operand
+from repro.core.packing import PackedOperand, pack_operand
 from repro.core.pipeline import plan_tiles, run_pipeline
-from repro.errors import AllocationError, DeviceError
+from repro.errors import AllocationError, KernelLaunchError
 from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
 from repro.gpu.kernel import SnpKernel
@@ -43,9 +43,12 @@ class TestAllocationExhaustion:
         # Query operand alone exceeds the budget.
         a = pack_operand(np.zeros((4096, 4096), dtype=np.uint8), row_multiple=4)
         b = pack_operand(np.zeros((64, 4096), dtype=np.uint8), row_multiple=4)
+        queue = context.create_queue()
         before = context.memory.allocated_bytes
         with pytest.raises(AllocationError):
-            plan_tiles(context, ld_kernel(arch), a, b)
+            plan_tiles(ld_kernel(arch), a.padded_rows, b.padded_rows, a.k_words)
+        with pytest.raises(AllocationError):
+            run_pipeline(queue, ld_kernel(arch), a.padded_rows, b.padded_rows, a.k_words)
         assert context.memory.allocated_bytes == before  # nothing leaked
 
     def test_context_memory_pressure_from_prior_allocations(self):
@@ -60,8 +63,8 @@ class TestAllocationExhaustion:
         b = pack_operand((rng.random((256, 640)) < 0.5).astype(np.uint8), row_multiple=4)
         queue = context.create_queue()
         live_before = context.memory.n_live
-        # The pipeline still fits (tiles shrink); results stay exact.
-        raw, _, plan = run_pipeline(queue, ld_kernel(arch), a, b)
+        # The pipeline still fits (tiles shrink).
+        run_pipeline(queue, ld_kernel(arch), a.padded_rows, b.padded_rows, a.k_words)
         assert context.memory.n_live == live_before  # pipeline buffers freed
         hog.release()
 
@@ -78,37 +81,14 @@ class TestAllocationExhaustion:
 
 
 class TestHandleMisuse:
-    def test_kernel_on_released_buffer(self):
-        context = Device(GTX_980).create_context()
-        queue = context.create_queue()
-        packed = pack_operand(np.eye(8, 64, dtype=np.uint8)).words
-        a = context.create_buffer(packed.nbytes)
-        b = context.create_buffer(packed.nbytes)
-        c = context.create_buffer(8 * 8 * 4)
-        queue.enqueue_write_buffer(a, packed)
-        queue.enqueue_write_buffer(b, packed)
-        b.release()
-        with pytest.raises(DeviceError, match="after release"):
-            queue.enqueue_kernel(ld_kernel(GTX_980), a, b, c)
-
-    def test_read_of_never_written_buffer_in_pipeline_order(self):
-        context = Device(GTX_980).create_context()
-        queue = context.create_queue()
-        c = context.create_buffer(256)
-        with pytest.raises(DeviceError, match="before any write"):
-            queue.enqueue_read_buffer(c)
-
     def test_cross_dtype_operands_rejected_at_kernel(self):
-        context = Device(GTX_980).create_context()
-        queue = context.create_queue()
-        words64 = np.zeros((4, 2), dtype=np.uint64)
-        a = context.create_buffer(words64.nbytes)
-        queue.enqueue_write_buffer(a, words64)
-        c = context.create_buffer(64)
-        from repro.errors import KernelLaunchError
-
+        fw = SNPComparisonFramework(GTX_980, Algorithm.LD)
+        a = fw.pack(np.eye(4, 64, dtype=np.uint8))
+        b = PackedOperand(
+            words=a.words.astype(np.uint64), n_rows=a.n_rows, n_bits=a.n_bits
+        )
         with pytest.raises(KernelLaunchError, match="uint32"):
-            queue.enqueue_kernel(ld_kernel(GTX_980), a, a, c)
+            fw.run_packed(a, b)
 
 
 class TestDegenerateShapes:
@@ -149,16 +129,13 @@ class TestDegenerateShapes:
 
     def test_many_tiles_stress(self):
         # Force dozens of tiles through a tiny device and verify the
-        # stitched result plus buffer hygiene.
+        # result plus buffer hygiene.
         arch = shrunk_arch(max_alloc_bytes=8 * 1024, global_memory_bytes=mib(2))
         rng = np.random.default_rng(3)
         a_bits = (rng.random((16, 320)) < 0.4).astype(np.uint8)
         b_bits = (rng.random((2000, 320)) < 0.4).astype(np.uint8)
-        a = pack_operand(a_bits, row_multiple=4)
-        b = pack_operand(b_bits, row_multiple=4)
-        context = Device(arch).create_context()
-        queue = context.create_queue()
-        raw, profiles, plan = run_pipeline(queue, ld_kernel(arch), a, b)
-        assert plan.n_tiles >= 10
-        assert (raw[:16, :2000] == ld_counts_naive(a_bits, b_bits)).all()
-        assert context.memory.n_live == 0
+        fw = SNPComparisonFramework(arch, Algorithm.LD)
+        table, report = fw.run(a_bits, b_bits)
+        assert report.n_tiles >= 10
+        assert (table == ld_counts_naive(a_bits, b_bits)).all()
+        assert fw.last_queue.context.memory.n_live == 0

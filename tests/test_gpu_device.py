@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.blis.microkernel import ComparisonOp
+from repro.core.config import Algorithm
+from repro.core.framework import SNPComparisonFramework
 from repro.errors import AllocationError, DeviceError, KernelLaunchError
 from repro.gpu.arch import GTX_980, TITAN_V
 from repro.gpu.device import Device, Platform
 from repro.gpu.kernel import KernelArgs, SnpKernel
 from repro.snp.stats import ld_counts_naive
-from repro.util.bitops import pack_bits
 
 
 @pytest.fixture
@@ -37,31 +38,12 @@ class TestPlatform:
 
 
 class TestBuffers:
-    def test_read_before_write_rejected(self, stack):
-        _, context, queue = stack
-        buf = context.create_buffer(64)
-        with pytest.raises(DeviceError, match="before any write"):
-            queue.enqueue_read_buffer(buf)
-
-    def test_use_after_release_rejected(self, stack):
-        _, context, queue = stack
-        buf = context.create_buffer(64)
-        buf.release()
-        with pytest.raises(DeviceError, match="after release"):
-            queue.enqueue_write_buffer(buf, np.zeros(4, dtype=np.uint32))
-
     def test_double_release_rejected(self, stack):
         _, context, _ = stack
         buf = context.create_buffer(64)
         buf.release()
         with pytest.raises(DeviceError):
             buf.release()
-
-    def test_oversized_write_rejected(self, stack):
-        _, context, queue = stack
-        buf = context.create_buffer(8)
-        with pytest.raises(DeviceError, match="byte buffer"):
-            queue.enqueue_write_buffer(buf, np.zeros(100, dtype=np.uint32))
 
     def test_allocation_tracked(self, stack):
         _, context, _ = stack
@@ -80,44 +62,35 @@ class TestBuffers:
 class TestQueueScheduling:
     def test_init_overhead_delays_first_command(self, stack):
         _, context, queue = stack
-        buf = context.create_buffer(64)
-        ev = queue.enqueue_write_buffer(buf, np.zeros(4, dtype=np.uint32))
+        ev = queue.enqueue_write_dry(16)
         assert ev.started_at >= context.ready_at
         assert context.ready_at == GTX_980.memory.init_overhead_s
 
     def test_same_engine_serializes(self, stack):
-        _, context, queue = stack
-        buf1 = context.create_buffer(4096)
-        buf2 = context.create_buffer(4096)
-        data = np.zeros(1024, dtype=np.uint32)
-        e1 = queue.enqueue_write_buffer(buf1, data)
-        e2 = queue.enqueue_write_buffer(buf2, data)
+        _, _, queue = stack
+        e1 = queue.enqueue_write_dry(4096)
+        e2 = queue.enqueue_write_dry(4096)
         assert e2.started_at >= e1.ended_at
 
     def test_wait_for_respected(self, stack):
-        _, context, queue = stack
-        buf = context.create_buffer(1 << 20)
-        data = np.zeros(1 << 18, dtype=np.uint32)
-        write = queue.enqueue_write_buffer(buf, data)
-        _, read = queue.enqueue_read_buffer(buf, wait_for=[write])
+        _, _, queue = stack
+        write = queue.enqueue_write_dry(1 << 20)
+        read = queue.enqueue_read_dry(1 << 20, wait_for=[write])
         assert read.started_at >= write.ended_at
 
     def test_independent_engines_overlap(self, stack):
-        _, context, queue = stack
-        big = np.zeros(1 << 22, dtype=np.uint32)  # 16 MiB ~ 1.4 ms
-        buf_a = context.create_buffer(big.nbytes)
-        buf_b = context.create_buffer(big.nbytes)
-        w1 = queue.enqueue_write_buffer(buf_a, big)
+        _, _, queue = stack
+        big = 1 << 24  # 16 MiB ~ 1.4 ms
+        w1 = queue.enqueue_write_dry(big)
         # Read of A depends only on its write; a second H2D write can
         # overlap the D2H read.
-        _, r1 = queue.enqueue_read_buffer(buf_a, wait_for=[w1])
-        w2 = queue.enqueue_write_buffer(buf_b, big, wait_for=[w1])
+        r1 = queue.enqueue_read_dry(big, wait_for=[w1])
+        w2 = queue.enqueue_write_dry(big, wait_for=[w1])
         assert w2.started_at < r1.ended_at
 
     def test_finish_is_makespan(self, stack):
-        _, context, queue = stack
-        buf = context.create_buffer(4096)
-        queue.enqueue_write_buffer(buf, np.zeros(1024, dtype=np.uint32))
+        _, _, queue = stack
+        queue.enqueue_write_dry(4096)
         events_end = max(e.ended_at for e in queue.events)
         assert queue.finish() == pytest.approx(events_end)
 
@@ -127,70 +100,58 @@ class TestQueueScheduling:
 
 
 class TestKernelEnqueue:
-    def test_end_to_end_correctness(self, stack):
-        _, context, queue = stack
+    def test_end_to_end_correctness(self):
         rng = np.random.default_rng(0)
         bits = (rng.random((20, 150)) < 0.5).astype(np.uint8)
-        packed = pack_bits(bits, 32)
-        a = context.create_buffer(packed.nbytes)
-        b = context.create_buffer(packed.nbytes)
-        c = context.create_buffer(20 * 20 * 4)
-        ea = queue.enqueue_write_buffer(a, packed)
-        eb = queue.enqueue_write_buffer(b, packed)
-        ek, profile = queue.enqueue_kernel(ld_kernel(), a, b, c, wait_for=[ea, eb])
-        out, er = queue.enqueue_read_buffer(c, wait_for=[ek])
+        fw = SNPComparisonFramework(GTX_980, Algorithm.LD)
+        out, report = fw.run(bits)
         assert (out == ld_counts_naive(bits)).all()
-        assert out.dtype == np.int32  # device accumulators are 32-bit
+        # The run's device schedule: upload A and B, launch, read C.
+        ea, eb, ek, er = fw.last_queue.events
+        assert [e.label for e in (ea, eb, ek, er)] == [
+            "write:A", "write:B[0]", "kernel[0]", "read:C[0]"
+        ]
         assert ek.started_at >= max(ea.ended_at, eb.ended_at)
         assert er.started_at >= ek.ended_at
-        assert profile.seconds > 0
+        assert report.kernel_profiles[0].seconds > 0
 
     def test_kernel_from_other_device_rejected(self, stack):
-        _, context, queue = stack
+        _, _, queue = stack
         wrong = SnpKernel.compile(
             TITAN_V, ComparisonOp.AND, m_c=32, m_r=4, k_c=383, n_r=1024,
             grid_rows=80, grid_cols=1,
         )
-        a = context.create_buffer(64)
         with pytest.raises(KernelLaunchError, match="compiled for"):
-            queue.enqueue_kernel(wrong, a, a, a)
-
-    def test_accumulate_adds(self, stack):
-        _, context, queue = stack
-        bits = np.eye(8, 64, dtype=np.uint8)
-        packed = pack_bits(bits, 32)
-        a = context.create_buffer(packed.nbytes)
-        b = context.create_buffer(packed.nbytes)
-        c = context.create_buffer(8 * 8 * 4)
-        queue.enqueue_write_buffer(a, packed)
-        queue.enqueue_write_buffer(b, packed)
-        queue.enqueue_kernel(ld_kernel(), a, b, c)
-        queue.enqueue_kernel(ld_kernel(), a, b, c, accumulate=True)
-        out, _ = queue.enqueue_read_buffer(c)
-        assert (out == 2 * ld_counts_naive(bits)).all()
+            queue.enqueue_kernel_dry(wrong, KernelArgs(m=4, n=4, k=1))
 
 
 class TestDryRun:
-    def test_dry_write_matches_wet_duration(self, stack):
-        _, context, queue = stack
-        data = np.zeros(1 << 16, dtype=np.uint32)
-        buf = context.create_buffer(data.nbytes)
-        wet = queue.enqueue_write_buffer(buf, data)
-        dry = queue.enqueue_write_dry(data.nbytes)
-        assert dry.duration == pytest.approx(wet.duration)
+    """A run (which also computes the table) prices its transfers and
+    launches exactly as the dry commands price the same sizes."""
 
-    def test_dry_kernel_matches_wet(self, stack):
-        _, context, queue = stack
+    @pytest.fixture
+    def run(self):
         rng = np.random.default_rng(1)
         bits = (rng.random((16, 96)) < 0.5).astype(np.uint8)
-        packed = pack_bits(bits, 32)
-        a = context.create_buffer(packed.nbytes)
-        b = context.create_buffer(packed.nbytes)
-        c = context.create_buffer(16 * 16 * 4)
-        queue.enqueue_write_buffer(a, packed)
-        queue.enqueue_write_buffer(b, packed)
-        _, wet = queue.enqueue_kernel(ld_kernel(), a, b, c)
-        _, dry = queue.enqueue_kernel_dry(
-            ld_kernel(), KernelArgs(m=16, n=16, k=3)
+        fw = SNPComparisonFramework(GTX_980, Algorithm.LD)
+        fw.run(bits)
+        return fw, fw.pack(bits)
+
+    def test_dry_write_matches_wet_duration(self, run, stack):
+        fw, a = run
+        _, _, queue = stack
+        wet = fw.last_queue.events[0]
+        assert wet.label == "write:A"
+        dry = queue.enqueue_write_dry(a.nbytes)
+        assert dry.duration == pytest.approx(wet.duration)
+
+    def test_dry_kernel_matches_wet(self, run, stack):
+        fw, a = run
+        _, _, queue = stack
+        (wet,) = [e for e in fw.last_queue.events if e.label == "kernel[0]"]
+        args = KernelArgs(m=a.padded_rows, n=a.padded_rows, k=a.k_words)
+        dry, profile = queue.enqueue_kernel_dry(fw.kernel, args)
+        assert dry.duration == pytest.approx(wet.duration)
+        assert dry.duration == pytest.approx(
+            GTX_980.memory.launch_overhead_s + profile.seconds
         )
-        assert dry.seconds == wet.seconds

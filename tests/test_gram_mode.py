@@ -295,7 +295,7 @@ class TestFrameworkGram:
         result = linkage_disequilibrium(
             mat, compare="sites", workers=4, backend="blas"
         )
-        parallel = result.report.kernel_profiles[0].parallel
+        parallel = result.report.parallel
         assert parallel is not None
         assert parallel.symmetric
         assert parallel.n_mirrored > 0
@@ -307,7 +307,7 @@ class TestFrameworkGram:
         off = linkage_disequilibrium(
             mat, compare="sites", workers=4, gram=False, backend="blas"
         )
-        off_parallel = off.report.kernel_profiles[0].parallel
+        off_parallel = off.report.parallel
         assert not off_parallel.symmetric
         assert off_parallel.n_mirrored == 0
         assert (on.counts == off.counts).all()
@@ -319,7 +319,7 @@ class TestFrameworkGram:
             "Titan V", Algorithm.LD, workers=4, backend="blas"
         )
         table, report = fw.run(mat, mat)
-        assert report.kernel_profiles[0].parallel.symmetric
+        assert report.parallel.symmetric
         assert (table == table.T).all()
 
     def test_mixture_prenegated_never_gram(self):
@@ -330,7 +330,7 @@ class TestFrameworkGram:
         result = mixture_analysis(
             refs, refs, device="Vega 64", workers=4, backend="blas"
         )
-        parallel = result.report.kernel_profiles[0].parallel
+        parallel = result.report.parallel
         assert parallel is not None
         assert not parallel.symmetric
 

@@ -14,6 +14,7 @@ from repro.model.peak import (
     gpops,
 )
 from repro.model.scaling import relative_per_core_performance, scaling_curve
+from tests.test_core_pipeline import tiny_memory_arch
 
 
 class TestPeaks:
@@ -42,20 +43,32 @@ class TestPeaks:
 
 class TestEndToEnd:
     def test_dry_matches_framework_run(self):
-        """The estimator and the functional framework must agree exactly."""
+        """The estimator and a framework run price the same schedule,
+        single- and multi-tile, with and without double buffering."""
         rng = np.random.default_rng(0)
-        m, n, k_bits = 24, 40, 256
-        a = (rng.random((m, k_bits)) < 0.5).astype(np.uint8)
-        b = (rng.random((n, k_bits)) < 0.5).astype(np.uint8)
-        for arch in ALL_GPUS:
-            fw = SNPComparisonFramework(arch, Algorithm.FASTID_IDENTITY)
-            _, report = fw.run(a, b)
-            est = estimate_end_to_end(arch, Algorithm.FASTID_IDENTITY, m, n, k_bits)
-            assert est.end_to_end_s == pytest.approx(report.end_to_end_s, rel=1e-9)
-            assert est.kernel_s == pytest.approx(report.kernel_s, rel=1e-9)
-            assert est.h2d_s == pytest.approx(report.h2d_s, rel=1e-9)
-            assert est.d2h_s == pytest.approx(report.d2h_s, rel=1e-9)
-            assert est.n_tiles == report.n_tiles
+        tiny = tiny_memory_arch(max_alloc=8 * 1024)
+        for arch in (*ALL_GPUS, tiny):
+            for m, n, k_bits in ((24, 40, 256), (16, 700, 320)):
+                a = (rng.random((m, k_bits)) < 0.5).astype(np.uint8)
+                b = (rng.random((n, k_bits)) < 0.5).astype(np.uint8)
+                for double_buffering in (True, False):
+                    fw = SNPComparisonFramework(
+                        arch, Algorithm.FASTID_IDENTITY,
+                        double_buffering=double_buffering,
+                    )
+                    _, report = fw.run(a, b)
+                    est = estimate_end_to_end(
+                        arch, Algorithm.FASTID_IDENTITY, m, n, k_bits,
+                        double_buffering=double_buffering,
+                    )
+                    assert est.end_to_end_s == report.end_to_end_s
+                    assert est.kernel_s == report.kernel_s
+                    assert est.h2d_s == report.h2d_s
+                    assert est.d2h_s == report.d2h_s
+                    assert est.n_tiles == report.n_tiles
+                    assert est.kernel_word_ops == report.word_ops
+                    if arch is tiny and n == 700:
+                        assert est.n_tiles == 6
 
     def test_paper_scale_fastid(self):
         # 32 queries vs >20M profiles: priced, not materialized.

@@ -35,7 +35,7 @@ def make_traced_queue():
         grid_rows=4, grid_cols=4,
     )
     queue = Device(GTX_980).create_context().create_queue()
-    run_pipeline(queue, kernel, a, b)
+    run_pipeline(queue, kernel, a.padded_rows, b.padded_rows, a.k_words)
     return queue
 
 
