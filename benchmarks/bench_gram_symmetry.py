@@ -49,8 +49,9 @@ SMOKE_PROBLEM = dict(m=512, k_words=32)
 WORKERS = 4
 SPEEDUP_FLOOR = 1.5
 
-#: Counter timings/plan shapes must not depend on a host tuning cache,
-#: so every engine in this bench pins the BLAS kernel backend.
+#: ``"auto"`` switches to ``cnative`` when its background build lands,
+#: so every engine in this bench pins the BLAS kernel backend to keep
+#: every run on one kernel.
 BACKEND = "blas"
 
 

@@ -19,9 +19,11 @@ host thread pool.  ``--workers N`` sizes that pool (``--workers 0``
 picks a sensible default for the machine; omitted, or below the
 crossover size, the GEMM runs serially; see :mod:`repro.parallel`),
 ``--backend {auto,numpy,blas,blis,...}`` picks the kernel-ABI backend
-(``auto`` defers to ``REPRO_BACKEND``, the tuner's per-machine winner,
-then the size rule; see ``docs/KERNELS.md``), and ``--no-gram``
-disables the triangular Gram plan shape (see ``docs/PERF.md``).
+(``auto`` defers to ``REPRO_BACKEND``, else runs ``cnative`` once
+loaded, else ``blis`` up to 2,000,000 word-ops and ``blas`` above;
+Gram runs up to that limit take the ``blis`` triangle; see
+``docs/KERNELS.md``), and ``--no-gram`` disables the triangular Gram
+plan shape (see ``docs/PERF.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
 transient faults up to N times with backoff, ``--verify-sample RATE``
@@ -762,8 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_help = "print the observability counter/span report"
     backend_help = (
         "kernel-ABI backend for the functional bit-GEMM (auto defers to "
-        "REPRO_BACKEND, then the tuner's per-machine winner, then blis "
-        "or blas by problem size; see docs/KERNELS.md)"
+        "REPRO_BACKEND, else runs cnative once loaded, else blis up to "
+        "2,000,000 word-ops and blas above; Gram runs up to that limit "
+        "take the blis triangle; see docs/KERNELS.md)"
     )
     no_gram_help = (
         "disable the symmetric Gram fast path (compute the full table "

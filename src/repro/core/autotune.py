@@ -16,15 +16,10 @@ Search space:
   (including grids that deliberately idle cores -- occasionally
   optimal for tiny problems where the launch constant dominates);
 * ``m_r``, ``m_c``, ``k_c``: held at their analytic values (Eqs. 4-6
-  are equalities, not tunables).
+  are equalities, not free parameters).
 
 The sweep is exhaustive but small (tens to a few hundred candidates)
 and each candidate costs one closed-form evaluation.
-
-:func:`host_tune` is the measured counterpart for the *host* engine:
-it bridges to :mod:`repro.parallel.tuner`, which benchmarks the
-kernel backends x {full, triangular} plan shapes on this machine and
-persists the winner for ``backend="auto"`` to consult.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from repro.gpu.arch import GPUArchitecture
 from repro.gpu.cycles import kernel_cycles
 from repro.gpu.kernel import SnpKernel
 
-__all__ = ["TuneResult", "autotune", "candidate_configs", "host_tune"]
+__all__ = ["TuneResult", "autotune", "candidate_configs"]
 
 
 @dataclass(frozen=True)
@@ -171,32 +166,3 @@ def autotune(
         published_seconds=published_seconds,
     )
 
-
-def host_tune(
-    problem: ProblemShape,
-    op: ComparisonOp | str = ComparisonOp.AND,
-    workers: int | None = None,
-    word_bits: int = 64,
-    repeats: int = 1,
-    persist: bool = True,
-):
-    """Measure-and-persist host backend tuning for ``problem``.
-
-    Unlike :func:`autotune` (closed-form device model), this actually
-    *runs* the candidate backends on synthetic operands of the
-    problem's shape and stores the winner in the persisted host tuning
-    cache (see :mod:`repro.parallel.tuner`).  Returns the
-    :class:`~repro.parallel.tuner.TuningRecord` recorded.
-    """
-    from repro.parallel.tuner import tune_problem
-
-    k_words = -(-problem.k_bits // word_bits)
-    return tune_problem(
-        problem.m,
-        problem.n,
-        k_words,
-        op=op,
-        workers=workers,
-        repeats=repeats,
-        persist=persist,
-    )

@@ -43,6 +43,7 @@ from repro.parallel.engine import ParallelReport, get_engine
 from repro.resilience.report import ResilienceReport
 from repro.resilience.runtime import get_resilience
 from repro.util.bitops import words_needed
+from repro.util.validation import check_workers
 
 __all__ = ["SNPComparisonFramework"]
 
@@ -70,10 +71,12 @@ class SNPComparisonFramework:
         Overlap transfers with compute (the paper's default); disable
         for the ablation comparison.
     workers:
-        Host threads for the table.  ``workers > 1`` shards the host
-        GEMM across the process-wide pool (:mod:`repro.parallel`);
-        results stay bit-exact and the simulated device timing is
-        unchanged.  Default (``None``) keeps the serial driver.
+        Host threads for the table: ``None`` or ``1`` keeps the serial
+        driver; a larger integer shards the host GEMM across the
+        process-wide pool (:mod:`repro.parallel`) once the table
+        reaches the engine's crossover.  Results stay bit-exact and the
+        simulated device timing is unchanged.  Anything else raises
+        :class:`~repro.errors.ConfigurationError`.
     gram:
         Allow Gram mode: self-comparisons (the same packed operand on
         both sides) with a symmetric op compute only the upper
@@ -82,8 +85,7 @@ class SNPComparisonFramework:
         the symmetry win).
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the host table:
-        ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
-        per-machine winner on sharded runs, then the size rule:
+        ``"auto"`` (``REPRO_BACKEND`` env, then the size rule:
         ``cnative`` once loaded, else ``blis``/``blas`` by size) or an
         explicit registered name such as
         ``"blas"``, ``"blis"`` or ``"cnative"``.
@@ -106,6 +108,8 @@ class SNPComparisonFramework:
         )
         self.prenegate = prenegate
         self.double_buffering = double_buffering
+        if workers is not None:
+            check_workers("SNPComparisonFramework: workers", workers)
         self.workers = workers
         self.gram = gram
         if backend != "auto":

@@ -4,7 +4,7 @@ See :mod:`repro.kernels.abi` for the contract and resolution rules,
 and ``docs/KERNELS.md`` for the narrative.  Importing this package
 registers the built-in backends:
 
-* ``numpy``   -- the reference word-walk (the oracle; never tuned);
+* ``numpy``   -- the reference word-walk (the oracle);
 * ``blas``    -- the popcount identities as float32 BLAS GEMMs;
 * ``blis``    -- the BLIS five-loop walk the simulated device runs;
 * ``cnative`` -- C panel compiled with the host toolchain, its body
@@ -23,7 +23,6 @@ from repro.kernels.abi import (
     KernelBackend,
     available_backends,
     backend_available,
-    backend_fingerprint,
     backend_names,
     canonicalize_words,
     check_panel_operands,
@@ -51,7 +50,6 @@ __all__ = [
     "CNativeBackend",
     "available_backends",
     "backend_available",
-    "backend_fingerprint",
     "backend_names",
     "canonicalize_words",
     "check_panel_operands",

@@ -11,25 +11,22 @@ SNP-comparison family needs only three primitives --
 and everything else (blocking, sharding, streaming, resilience) is
 orchestration *around* that contract.  This module pins the contract
 down as :class:`KernelBackend` plus a :class:`BackendInfo` capability
-descriptor, and keeps a process-wide registry so the engine, the gpu
-executor, the autotuner and the CLI all resolve backends the same way.
+descriptor, and keeps a process-wide registry so the engine, the
+framework and the CLI all resolve backends the same way.
 
-Resolution rules (shared by every layer):
+Resolution rules (shared by every layer, applied in one place,
+:func:`pick_backend`):
 
 * an explicit backend name must exist and be available, else
   :class:`~repro.errors.ConfigurationError`;
 * ``"auto"`` honours the ``REPRO_BACKEND`` environment variable when
-  set (the CI backend matrix forces legs this way); the persisted host
-  autotuner (:mod:`repro.parallel.tuner`) upgrades ``"auto"`` to a
-  measured per-machine winner on sharded engine runs;
-* otherwise :func:`pick_backend` applies the one size rule: a Gram run
-  of at most :data:`BLIS_OP_LIMIT` word-ops takes the ``blis``
-  triangle walk, a named backend runs as named, and ``"auto"`` picks
-  ``cnative`` once its hardware-popcount body is loaded, else ``blis``
-  up to the limit and ``blas`` above it;
-* :func:`backend_fingerprint` summarises the installed backend set
-  (names + versions) so tuning records are invalidated when a backend
-  appears, disappears, or changes version.
+  set;
+* otherwise the one size rule decides: a Gram run of at most
+  :data:`BLIS_OP_LIMIT` word-ops takes the ``blis`` triangle walk, a
+  named backend runs as named, and ``"auto"`` picks ``cnative`` once
+  its hardware-popcount body is loaded, else ``blis`` up to the limit
+  and ``blas`` above it.  The choice depends only on the problem's
+  shape and which backends have loaded, never on per-machine state.
 
 Backends accept any packed word dtype the drivers accept
 (``uint8``/``uint16``/``uint32``/``uint64``); compiled backends
@@ -68,11 +65,9 @@ __all__ = [
     "env_backend_name",
     "resolve_backend_name",
     "pick_backend",
-    "backend_fingerprint",
 ]
 
-#: Environment variable that forces the backend ``"auto"`` resolves to
-#: (the CI backend matrix sets it per leg).
+#: Environment variable that forces the backend ``"auto"`` resolves to.
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
 #: Serial GEMMs of at most this many packed-word operations run the
@@ -98,9 +93,7 @@ class BackendInfo:
     ``available`` means the backend can compute *at all* on this host
     (the native-C backend goes unavailable without a C compiler).
     ``compiled`` marks a machine-code inner loop -- the bench-regression
-    speedup gate applies only to compiled backends.  ``tunable``
-    backends are raced by the persisted host autotuner; the reference
-    word-walk opts out (it is the oracle, not a candidate).
+    speedup gate applies only to compiled backends.
     """
 
     name: str
@@ -108,7 +101,6 @@ class BackendInfo:
     version: str
     available: bool
     compiled: bool
-    tunable: bool
     description: str
     unavailable_reason: str | None = None
 
@@ -278,8 +270,8 @@ def get_backend(name: str) -> KernelBackend:
     """The registered backend called ``name``.
 
     Raises :class:`~repro.errors.ConfigurationError` for unknown names
-    (listing what is registered) -- misspelled ``--backend`` values and
-    stale tuning records fail loudly instead of silently degrading.
+    (listing what is registered) -- misspelled ``--backend`` or
+    ``REPRO_BACKEND`` values fail loudly instead of silently degrading.
     """
     with _REGISTRY_LOCK:
         backend = _REGISTRY.get(name)
@@ -301,9 +293,9 @@ def backend_available(name: str) -> bool:
 def env_backend_name() -> str | None:
     """The validated ``REPRO_BACKEND`` override, or ``None`` if unset.
 
-    An unknown or unavailable name raises -- a CI leg that asks for a
-    backend the container cannot provide must fail, not silently fall
-    back to the reference path.
+    An unknown or unavailable name raises -- a run that asks for a
+    backend the host cannot provide must fail, not silently fall back
+    to another path.
     """
     name = os.environ.get(REPRO_BACKEND_ENV)
     if not name or name == "auto":
@@ -368,23 +360,3 @@ def _native_ready(total_ops: int) -> bool:
     with _REGISTRY_LOCK:
         native = _REGISTRY.get(CNativeBackend.name)
     return isinstance(native, CNativeBackend) and native.auto_ready(total_ops)
-
-
-def backend_fingerprint() -> str:
-    """Name=version summary of the tunable backend set, sorted.
-
-    Part of the tuning-cache key: losing the C compiler (or loading
-    another ``cnative`` body) changes the fingerprint, so records
-    measured against the old backend set stop matching instead of
-    pinning a stale winner.
-    Unavailable backends contribute their name with an ``!`` marker so
-    availability flips alone also invalidate.
-    """
-    parts = []
-    for backend in registered_backends():
-        info = backend.info
-        if not info.tunable:
-            continue
-        marker = "" if info.available else "!"
-        parts.append(f"{info.name}{marker}={info.version}")
-    return ",".join(sorted(parts))

@@ -87,7 +87,6 @@ class BlasBackend(KernelBackend):
             version=f"numpy-{np.__version__}",
             available=True,
             compiled=False,
-            tunable=True,
             description=(
                 "popcount identities as float32 BLAS GEMMs over unpacked "
                 "bits (k-chunks below 2**24 bits, int64 accumulation)"

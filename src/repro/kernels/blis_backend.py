@@ -3,10 +3,10 @@
 The BLIS walk (packed micro-panels, popcount micro-kernel) is the
 structure the paper's kernel has and the device cycle model prices.  Registering the
 one walk (:func:`repro.blis.gemm.blis_walk`) here lets every layer
-reach it by name: the serial driver's size rule, engine shards,
-``--backend blis`` and the tuner's race.  A panel call walks the
-host-default blocking; the serial driver walks the caller's plan, and
-its Gram form skips below-diagonal tiles.
+reach it by name: the serial driver's size rule, engine shards and
+``--backend blis``.  A panel call walks the host-default blocking;
+the serial driver walks the caller's plan, and its Gram form skips
+below-diagonal tiles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class BlisBackend(KernelBackend):
             version="blis-walk/1",
             available=True,
             compiled=False,
-            tunable=True,
             description=(
                 "BLIS five-loop walk (packed micro-panels, popcount "
                 "micro-kernel); the simulated device's execution shape"

@@ -421,7 +421,6 @@ class CNativeBackend(KernelBackend):
             version=version,
             available=available,
             compiled=available,
-            tunable=available,
             description=(
                 "C popcount bit-GEMM compiled with the host toolchain; "
                 "the body (portable, popcnt, AVX-512 VPOPCNTDQ) is "

@@ -55,10 +55,9 @@ class NumPyBackend(KernelBackend):
             version=np.__version__,
             available=True,
             compiled=False,
-            tunable=False,
             description=(
                 "pure-NumPy popcount word-walk (the bit-exact oracle "
-                "every other backend is gated against; never tuned)"
+                "every other backend is gated against)"
             ),
         )
 

@@ -4,17 +4,15 @@ The BLIS five-loop structure exposes independent ``m_r x n_r`` output
 tiles; this package shards them across one host thread pool.  The
 engine has two axes -- the kernel backend every shard calls and the
 plan shape (full or triangular) -- and runs serially below the
-crossover:
+crossover.  Both follow from the problem's shape and which backends
+have loaded; no per-machine record is consulted:
 
 * :mod:`repro.parallel.plan` -- :class:`ShardPlan`, derived from the
   device :class:`~repro.blis.blocking.BlockingPlan` so host sharding
   and device blocking share one partitioning arithmetic;
 * :mod:`repro.parallel.engine` -- :class:`ParallelEngine`,
   :func:`bit_gemm_parallel`, and the process-wide :func:`get_engine`
-  pool registry (one pool shared across simulated devices);
-* :mod:`repro.parallel.tuner` -- the persisted host autotuner that
-  ``backend="auto"`` consults (:func:`tune_problem`,
-  :func:`lookup_tuned`).
+  pool registry (one pool shared across simulated devices).
 
 Every shard is one kernel-ABI panel call (:mod:`repro.kernels`).
 Self-comparisons with a symmetric op take the Gram path: triangular
@@ -36,13 +34,6 @@ from repro.parallel.engine import (
     recommended_workers,
 )
 from repro.parallel.plan import Shard, ShardPlan, TRIANGULAR_MIN_BANDS
-from repro.parallel.tuner import (
-    TuningCache,
-    TuningRecord,
-    configure_tuning,
-    lookup_tuned,
-    tune_problem,
-)
 
 __all__ = [
     "PARALLEL_CROSSOVER_OPS",
@@ -52,13 +43,8 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "TRIANGULAR_MIN_BANDS",
-    "TuningCache",
-    "TuningRecord",
     "bit_gemm_parallel",
-    "configure_tuning",
     "get_engine",
-    "lookup_tuned",
     "recommended_workers",
-    "tune_problem",
 ]
 

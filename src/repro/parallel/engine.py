@@ -14,12 +14,10 @@ The engine has two axes:
   ``backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)``
   (:mod:`repro.kernels`): ``blas`` (float32 BLAS identities), ``blis``
   (the five-loop walk), ``numpy`` (the reference word-walk) or the
-  compiled ``cnative`` panel.  ``backend="auto"`` resolves, in order:
-  the ``REPRO_BACKEND`` environment variable, the tuning record's
-  measured winner (:mod:`repro.parallel.tuner`), then the size rule of
-  :func:`repro.kernels.pick_backend` (``cnative`` once loaded, else
-  ``blis`` up to :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and
-  ``blas`` above).
+  compiled ``cnative`` panel.  ``backend="auto"`` resolves in one
+  place, :func:`repro.kernels.pick_backend`: the ``REPRO_BACKEND``
+  environment variable, else ``cnative`` once loaded, else ``blis`` up
+  to :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and ``blas`` above.
   Deterministic counters are backend-invariant: every shard records
   the same ``SHARDS_EXECUTED`` and ``GEMM_WORD_OPS`` whichever backend
   computes its block.
@@ -32,11 +30,13 @@ The engine has two axes:
   (``mirror=True``, counted by :data:`SHARDS_MIRRORED`).  The
   :data:`GEMM_WORD_OPS` counter records only *computed* word-ops, so
   Gram runs show roughly ``(g + 1) / (2 g)`` of the full-path count.
+  A sharded symmetric self-comparison always takes the triangular
+  plan: on two threads it beats the full plan at LD's table sizes.
 
-Problems below the crossover threshold -- or ``workers=1`` -- take the
-serial driver :func:`repro.blis.gemm.bit_gemm` (the same size rule;
-its Gram form walks the ``blis`` triangle), so the engine is safe to
-leave enabled everywhere.  Serial and threaded runs execute through
+Problems below :data:`PARALLEL_CROSSOVER_OPS` -- or ``workers=1`` --
+take the serial driver :func:`repro.blis.gemm.bit_gemm` (the same size
+rule; its Gram form walks the ``blis`` triangle), so the engine is
+safe to leave enabled everywhere.  Serial and threaded runs execute through
 the same :func:`execute_shard` retry/quarantine/verify ladder, so
 results are bit-exact across both.
 
@@ -53,7 +53,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -68,16 +68,13 @@ from repro.blis.gemm import (
 )
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import (
-    ConfigurationError,
     PackingError,
     ReproError,
     ShardExecutionError,
 )
 from repro.kernels import (
     KernelBackend,
-    backend_available,
     check_panel_operands,
-    env_backend_name,
     get_backend,
     pick_backend,
 )
@@ -99,9 +96,6 @@ from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import ResilienceContext, get_resilience
 from repro.util.validation import check_workers
-
-if TYPE_CHECKING:
-    from repro.parallel.tuner import TuningRecord
 
 #: Shard kernel contract: (shard, a, b, op, plan) -> output block.
 ShardCompute = Callable[[Shard, np.ndarray, np.ndarray, ComparisonOp, BlockingPlan], np.ndarray]
@@ -240,16 +234,12 @@ class ParallelEngine:
     ----------
     workers:
         Pool threads.  Default: ``os.cpu_count()``.  ``1`` always takes
-        the serial driver.
-    oversubscribe:
-        Shards per worker the plan aims for (see :class:`ShardPlan`).
-    crossover_ops:
-        Problems below this many word-ops run serially.
+        the serial driver; more run problems of at least
+        :data:`PARALLEL_CROSSOVER_OPS` word-ops on the pool.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) every shard calls.
-        ``"auto"`` honours the ``REPRO_BACKEND`` environment variable,
-        then the persisted tuning record for the problem's size class,
-        then the size rule of :func:`repro.kernels.pick_backend`.
+        ``"auto"`` follows :func:`repro.kernels.pick_backend`: the
+        ``REPRO_BACKEND`` environment variable, then the size rule.
 
     One engine owns one lazily created pool; it is reused across runs
     and across callers -- :func:`get_engine` hands the same engine to
@@ -259,23 +249,14 @@ class ParallelEngine:
     def __init__(
         self,
         workers: int | None = None,
-        oversubscribe: int = 2,
-        crossover_ops: int = PARALLEL_CROSSOVER_OPS,
         backend: str = "auto",
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
-        try:
-            check_workers("ParallelEngine: workers", workers)
-        except ValueError as exc:
-            # ConfigurationError subclasses ValueError, so callers
-            # catching either see the shared validator's message.
-            raise ConfigurationError(str(exc)) from None
+        check_workers("ParallelEngine: workers", workers)
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.workers = workers
-        self.oversubscribe = oversubscribe
-        self.crossover_ops = crossover_ops
         self.backend = backend
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -335,20 +316,8 @@ class ParallelEngine:
             )
         if symmetric:
             plan = _gram_blocking(plan)
-        crossover = self.crossover_ops
-        backend_name = self.backend
-        if backend_name == "auto":
-            backend_name = env_backend_name() or "auto"
-        tuned = self._consult_tuner(op, m, n, k, a.dtype.itemsize * 8)
-        if tuned is not None:
-            if symmetric and not tuned.triangular:
-                symmetric = False
-            if tuned.crossover_ops is not None:
-                crossover = tuned.crossover_ops
-            if backend_name == "auto" and backend_available(tuned.backend):
-                backend_name = tuned.backend
         use_parallel = (
-            self.workers > 1 and plan.total_ops() >= crossover
+            self.workers > 1 and plan.total_ops() >= PARALLEL_CROSSOVER_OPS
             if force_parallel is None
             else force_parallel and self.workers >= 1
         )
@@ -361,13 +330,9 @@ class ParallelEngine:
             "parallel.run", m=m, n=n, k=k, workers=self.workers
         ).set(parallel=use_parallel, symmetric=symmetric):
             if not use_parallel:
-                c, report = self._run_serial(
-                    a, b, op, plan, symmetric, backend_name
-                )
+                c, report = self._run_serial(a, b, op, plan, symmetric)
             else:
-                c, report = self._run_sharded(
-                    a, b, op, plan, symmetric, backend_name
-                )
+                c, report = self._run_sharded(a, b, op, plan, symmetric)
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
@@ -389,28 +354,6 @@ class ParallelEngine:
             )
         return c, report
 
-    def _consult_tuner(
-        self,
-        op: ComparisonOp,
-        m: int,
-        n: int,
-        k: int,
-        word_bits: int,
-    ) -> "TuningRecord | None":
-        """Best-effort lookup in the persisted host tuning cache.
-
-        Any failure (missing, corrupt, or stale cache; import problems)
-        degrades to ``None`` -- ``"auto"`` then falls back to its
-        built-in default.  Imported lazily to avoid an import cycle (the
-        tuner benchmarks through this engine).
-        """
-        try:
-            from repro.parallel.tuner import lookup_tuned
-
-            return lookup_tuned(op, m, n, k, word_bits, self.workers)
-        except Exception:  # pragma: no cover - defensive degradation
-            return None
-
     # -- serial driver -----------------------------------------------------------
 
     def _run_serial(
@@ -420,9 +363,8 @@ class ParallelEngine:
         op: ComparisonOp,
         plan: BlockingPlan,
         symmetric: bool,
-        backend_name: str,
     ) -> tuple[np.ndarray, ParallelReport]:
-        name = pick_backend(plan.total_ops(), symmetric, backend_name)
+        name = pick_backend(plan.total_ops(), symmetric, self.backend)
 
         def compute(
             shard: Shard,
@@ -470,15 +412,13 @@ class ParallelEngine:
         op: ComparisonOp,
         plan: BlockingPlan,
         symmetric: bool,
-        backend_name: str,
     ) -> tuple[np.ndarray, ParallelReport]:
         shard_plan = ShardPlan.from_blocking(
-            plan, self.workers, oversubscribe=self.oversubscribe,
-            symmetric=symmetric,
+            plan, self.workers, symmetric=symmetric
         )
         # The triangle lives in the shard plan, so shards take the full
         # size rule's choice, never the serial Gram walk.
-        name = pick_backend(plan.total_ops(), False, backend_name)
+        name = pick_backend(plan.total_ops(), False, self.backend)
         # One logical GEMM however many shards execute it; per-shard
         # word-ops sum to plan.total_ops() because shards partition C
         # (Gram plans: to the computed triangle's share of it).

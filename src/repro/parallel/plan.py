@@ -130,30 +130,25 @@ class ShardPlan:
         cls,
         blocking: BlockingPlan,
         workers: int,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
         symmetric: bool = False,
     ) -> "ShardPlan":
         """Derive a shard plan targeting ``workers`` pool threads.
 
-        Aims for ``workers * oversubscribe`` shards, splitting the N
-        dimension first (database rows -- the dimension with unbounded
-        growth in both SNP applications, and the one the multi-GPU
-        column partition already splits), then M once N runs out of
-        ``n_r`` units.  Degenerates to a single shard for problems too
-        small to split.  ``symmetric=True`` builds a triangular Gram
-        plan instead (see :meth:`triangular`).
+        Aims for ``workers * DEFAULT_OVERSUBSCRIBE`` shards, splitting
+        the N dimension first (database rows -- the dimension with
+        unbounded growth in both SNP applications, and the one the
+        multi-GPU column partition already splits), then M once N runs
+        out of ``n_r`` units.  Degenerates to a single shard for
+        problems too small to split.  ``symmetric=True`` builds a
+        triangular Gram plan instead (see :meth:`triangular`).
         """
         if workers <= 0:
             raise ConfigurationError(
                 f"ShardPlan: workers must be positive, got {workers}"
             )
-        if oversubscribe <= 0:
-            raise ConfigurationError(
-                f"ShardPlan: oversubscribe must be positive, got {oversubscribe}"
-            )
         if symmetric:
-            return cls.triangular(blocking, workers, oversubscribe=oversubscribe)
-        target = max(1, workers * oversubscribe)
+            return cls.triangular(blocking, workers)
+        target = workers * DEFAULT_OVERSUBSCRIBE
         m_units = max(1, math.ceil(blocking.m / blocking.m_r))
         n_units = max(1, math.ceil(blocking.n / blocking.n_r))
         grid_cols = min(target, n_units)
@@ -192,12 +187,7 @@ class ShardPlan:
         )
 
     @classmethod
-    def triangular(
-        cls,
-        blocking: BlockingPlan,
-        workers: int,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-    ) -> "ShardPlan":
+    def triangular(cls, blocking: BlockingPlan, workers: int) -> "ShardPlan":
         """Build a symmetric (Gram) plan: diagonal + upper triangle only.
 
         The shared extent (``m == n`` is required) is split into ``g``
@@ -209,15 +199,12 @@ class ShardPlan:
         transpose slot.  ``g`` targets at least
         :data:`TRIANGULAR_MIN_BANDS` bands -- diagonal shards are
         computed in full, so coarse grids waste the symmetry -- and at
-        least enough shards to feed ``workers * oversubscribe`` tasks.
+        least enough shards to feed ``workers * DEFAULT_OVERSUBSCRIBE``
+        tasks.
         """
         if workers <= 0:
             raise ConfigurationError(
                 f"ShardPlan: workers must be positive, got {workers}"
-            )
-        if oversubscribe <= 0:
-            raise ConfigurationError(
-                f"ShardPlan: oversubscribe must be positive, got {oversubscribe}"
             )
         if blocking.m != blocking.n:
             raise ConfigurationError(
@@ -226,9 +213,10 @@ class ShardPlan:
             )
         unit = math.lcm(blocking.m_r, blocking.n_r)
         n_units = max(1, math.ceil(blocking.m / unit))
-        # Smallest g with g(g+1)/2 >= workers * oversubscribe, then
-        # raised to the efficiency floor and capped by available units.
-        target = max(1, workers * oversubscribe)
+        # Smallest g with g(g+1)/2 >= workers * DEFAULT_OVERSUBSCRIBE,
+        # then raised to the efficiency floor and capped by available
+        # units.
+        target = workers * DEFAULT_OVERSUBSCRIBE
         g_workers = math.ceil((math.isqrt(8 * target + 1) - 1) / 2)
         while g_workers * (g_workers + 1) // 2 < target:
             g_workers += 1

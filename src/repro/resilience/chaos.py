@@ -18,8 +18,9 @@ engaged, and assert two things:
 
 Datasets are sized so the engine's parallel crossover is exceeded
 (the sharded path is what the shard-addressed faults target) and the
-kernel backend is pinned to ``"blas"`` so the persisted host tuner
-cannot make runs diverge between hosts.
+kernel backend is pinned to ``"blas"``: ``"auto"`` switches to
+``cnative`` when its background build lands, so a pinned backend
+keeps every run on one kernel.
 
 Usage::
 

@@ -73,7 +73,6 @@ from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
 from repro.serve.metrics import TenantLedger
 from repro.serve.overload import CircuitBreaker
-from repro.util.validation import check_workers
 
 __all__ = ["QueryRequest", "IdentityService"]
 
@@ -143,14 +142,6 @@ class IdentityService:
             raise DatasetError(
                 f"IdentityService: default k={k} out of range [1, {self.MAX_K}]"
             )
-        if workers is not None:
-            # Fail at service construction, not at the first query's
-            # engine dispatch (shared validator, ConfigurationError
-            # subclasses ValueError).
-            try:
-                check_workers("IdentityService: workers", workers)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
         self.index = index
         self.default_k = k
         self.framework = framework or SNPComparisonFramework(

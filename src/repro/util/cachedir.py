@@ -1,12 +1,11 @@
 """Per-user cache directory resolution (XDG-aware).
 
-Two subsystems persist per-machine state across runs: the host
-autotuner (:mod:`repro.parallel.tuner`) and the compiled-kernel build
-cache (:mod:`repro.kernels.cnative_backend`).  Both live under one
-``repro/`` cache root, resolved identically:
+The compiled-kernel build cache
+(:mod:`repro.kernels.cnative_backend`) is the one thing persisted
+across runs.  It lives under a ``repro/`` cache root, resolved as:
 
-1. the subsystem's own environment variable (``REPRO_TUNING_CACHE``,
-   ``REPRO_KERNEL_CACHE``) always wins -- handled by the callers;
+1. the ``REPRO_KERNEL_CACHE`` environment variable always wins --
+   handled by the caller;
 2. ``$XDG_CACHE_HOME/repro`` when ``XDG_CACHE_HOME`` is set and
    non-empty (the basedir spec; CI runners set it to keep jobs
    hermetic);

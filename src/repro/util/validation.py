@@ -12,6 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "check_positive",
     "check_nonnegative",
@@ -83,21 +85,24 @@ def check_workers(
 ) -> int:
     """Validate a worker-count parameter at an API entry point.
 
-    Every layer that accepts a worker count (engine constructor, CLI
-    ``--workers``, serve config, multi-GPU executor) shares this check
-    so ``workers<=0`` fails with one clear :class:`ValueError` naming
-    the parameter instead of surfacing as a pool-construction error
-    deep in the stack.  With ``zero_means_default=True`` (the CLI
-    convention) ``0`` is accepted as "pick the machine default" and
-    only negative counts are rejected.  Returns the validated count.
+    Every layer that accepts a worker count (engine constructor,
+    framework -- and through it every application entry point and the
+    service -- and CLI ``--workers``) shares this check so a bad count
+    fails with one clear
+    :class:`~repro.errors.ConfigurationError` (a :class:`ValueError`)
+    naming the parameter instead of surfacing as a pool-construction
+    or type error deep in the stack.  With ``zero_means_default=True``
+    (the CLI convention) ``0`` is accepted as "pick the machine
+    default" and only negative counts are rejected.  Returns the
+    validated count.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(
+        raise ConfigurationError(
             f"{name} must be an integer worker count, got {value!r}"
         )
     floor = 0 if zero_means_default else 1
     if value < floor:
         expect = "non-negative (0 = machine default)" if zero_means_default \
             else "a positive integer"
-        raise ValueError(f"{name} must be {expect}, got {value}")
+        raise ConfigurationError(f"{name} must be {expect}, got {value}")
     return value

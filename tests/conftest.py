@@ -18,8 +18,10 @@ def pin_native(tmp_path, monkeypatch):
 
     ``pin(False)`` registers a fresh ``cnative`` that cannot load -- its
     compiler does not exist and its kernel cache is empty -- so
-    ``"auto"`` follows the fallback rule even where a tuning-cache
-    fingerprint probes the backend.  ``pin(True)`` registers a fresh one
+    ``"auto"`` follows the fallback rule for the whole test.  The pin
+    matters because ``"auto"`` switches to ``cnative`` when its
+    background build lands; a pinned state keeps every run in a test on
+    one kernel.  ``pin(True)`` registers a fresh one
     loaded synchronously with the process's compiler and cache; the
     test skips where no hardware-popcount body loads.  The process's
     own backend is restored afterwards.

@@ -1,5 +1,5 @@
-"""Tests for symmetry-aware Gram mode: triangular shard plans, serial
-triangular walks, and the persisted host autotuner."""
+"""Tests for symmetry-aware Gram mode: triangular shard plans and serial
+triangular walks, and the backend "auto" picks for sharded runs."""
 
 import json
 
@@ -24,22 +24,6 @@ from repro.errors import ConfigurationError, PackingError
 from repro.observability.counters import GEMM_WORD_OPS, SHARDS_MIRRORED
 from repro.observability.tracer import Tracer, set_tracer
 from repro.parallel import ShardPlan, get_engine
-from repro.kernels import available_backends
-from repro.parallel.tuner import (
-    TUNING_FORMAT,
-    TuningCache,
-    TuningRecord,
-    configure_tuning,
-    lookup_tuned,
-    tune_problem,
-    tuning_key,
-)
-
-
-def _tunable_backends() -> list[str]:
-    """Available backends the tuner races."""
-    return [be.info.name for be in available_backends() if be.info.tunable]
-
 
 SYMMETRIC_OPS = [
     ComparisonOp.AND,
@@ -57,16 +41,6 @@ def tracer():
     previous = set_tracer(t)
     yield t
     set_tracer(previous)
-
-
-@pytest.fixture()
-def tuning_sandbox(tmp_path, monkeypatch):
-    """Point the process-wide tuning cache at a fresh temp file (with
-    no ``REPRO_BACKEND`` override, so ``"auto"`` meets the tuner)."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    cache = configure_tuning(tmp_path / "tuning.json")
-    yield cache
-    configure_tuning(tmp_path / "tuning-after.json")
 
 
 def square_words(m: int, k: int, seed: int = 0) -> np.ndarray:
@@ -335,76 +309,52 @@ class TestFrameworkGram:
         assert not parallel.symmetric
 
 
-# -- the persisted host autotuner ------------------------------------------------
+# -- sharded "auto": the size rule alone picks the backend -----------------------
+
+
+class TestEngineConsultsTuner:
+    """The engine reads no tuning record: sharded ``"auto"`` follows the
+    size rule and keeps the triangular plan."""
+
+    def test_auto_without_record_defaults_to_gemm(self, monkeypatch,
+                                                  pin_native):
+        # Before cnative loads, the BLAS GEMM above 2,000,000 word-ops
+        # (256 x 256 x 32 words) and the walk below; once loaded,
+        # cnative on both sides.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        large = square_words(256, 32, seed=21)
+        small = square_words(64, 2, seed=21)
+        engine = get_engine(2, "auto")
+        for loaded, small_be, large_be in ((False, "blis", "blas"),
+                                           (True, "cnative", "cnative")):
+            pin_native(loaded)
+            for a, expected in ((large, large_be), (small, small_be)):
+                c, report = engine.run(
+                    a, a, ComparisonOp.AND, force_parallel=True
+                )
+                assert report.backend == expected
+                assert report.symmetric
+                assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
 
 
 class TestTuningCache:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        cache = TuningCache(path)
-        record = TuningRecord(
-            backend="blas",
-            triangular=True,
-            crossover_ops=None,
-            best_seconds=0.01,
-            candidates=4,
-        )
-        key = tuning_key(ComparisonOp.AND, 100, 100, 8, 64, 4)
-        cache.store(key, record)
-        cache.save()
-
-        reloaded = TuningCache(path)
-        assert reloaded.lookup(key) == record
-        assert reloaded.load_error is None
-        assert len(reloaded) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        cache = TuningCache(tmp_path / "absent.json")
-        assert cache.lookup("anything") is None
-        assert cache.load_error is None
-
-    def test_corrupt_json_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text("{not json")
-        cache = TuningCache(path)
-        assert cache.lookup("anything") is None
-        assert "corrupt" in cache.load_error
-
-    def test_foreign_format_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text(json.dumps({"format": "other/9", "records": {}}))
-        cache = TuningCache(path)
-        assert cache.lookup("anything") is None
-        assert "format" in cache.load_error
-
-    def test_bad_record_skipped_good_kept(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        good = TuningRecord("blis", False, None, 0.5, 2).to_json()
-        path.write_text(
-            json.dumps(
-                {
-                    "format": TUNING_FORMAT,
-                    "records": {"bad": {"strategy": "warp"}, "good": good},
-                }
-            )
-        )
-        cache = TuningCache(path)
-        assert cache.lookup("bad") is None
-        assert cache.lookup("good") is not None
-        assert "skipped" in cache.load_error
+    """``host-tuning.json`` files from earlier versions are not read."""
 
     def test_v1_file_reads_as_empty_cache(self, tmp_path, monkeypatch,
                                           pin_native):
-        # Strategy-era (v1) files are a foreign format: no migration,
-        # just an empty cache with the reason recorded.
-        path = tmp_path / "tuning.json"
-        key = tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2)
+        # A strategy-era (v1) file in the cache root names numpy for
+        # this 64 x 64 x 2-word Gram shape: the run follows the size
+        # rule in both cnative states and leaves the root as it was.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        root = tmp_path / "xdg" / "repro"
+        root.mkdir(parents=True)
+        path = root / "host-tuning.json"
         path.write_text(
             json.dumps(
                 {
                     "format": "repro-host-tuning/1",
                     "records": {
-                        key: {
+                        "and|m64-n64-k2|w2|b64": {
                             "strategy": "blocked", "triangular": False,
                             "crossover_ops": None, "best_seconds": 0.001,
                             "candidates": 4, "backend": "numpy",
@@ -413,162 +363,19 @@ class TestTuningCache:
                 }
             )
         )
-        assert TUNING_FORMAT == "repro-host-tuning/2"
-        cache = TuningCache(path)
-        assert cache.lookup(key) is None
-        assert len(cache) == 0
-        assert "repro-host-tuning/1" in cache.load_error
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        configure_tuning(path)
-        try:
-            # The size rule, not the record, before and after cnative
-            # loads.
-            for loaded, small_be, large_be in ((False, "blis", "blas"),
-                                               (True, "cnative", "cnative")):
-                pin_native(loaded)
-                small = square_words(64, 2, seed=23)
-                _, report = get_engine(2).run(
-                    small, small, ComparisonOp.AND, force_parallel=True
-                )
-                assert report.backend == small_be
-                assert report.symmetric
-                large = square_words(256, 32, seed=24)
-                _, report = get_engine(2).run(
-                    large, large, ComparisonOp.AND, force_parallel=True
-                )
-                assert report.backend == large_be
-        finally:
-            configure_tuning(tmp_path / "tuning-after.json")
-
-    def test_v2_file_with_process_records_resolves_thread_record(
-        self, tmp_path
-    ):
-        # v2 files written while a process executor existed carry an
-        # "executor" field on every record plus "|exprocess" keys.  The
-        # thread record still resolves; the process record is never
-        # looked up, even though it is faster.
-        path = tmp_path / "tuning.json"
-        key = tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2)
-        thread = {
-            "backend": "blis", "triangular": False, "crossover_ops": None,
-            "best_seconds": 0.5, "candidates": 2, "executor": "thread",
-        }
-        process = dict(
-            thread, backend="blas", best_seconds=0.1, executor="process"
-        )
-        path.write_text(
-            json.dumps(
-                {
-                    "format": TUNING_FORMAT,
-                    "records": {key: thread, key + "|exprocess": process},
-                }
-            )
-        )
-        assert TuningCache(path).load_error is None
-        configure_tuning(path)
-        try:
-            assert lookup_tuned(ComparisonOp.AND, 64, 64, 2, 64, 2) == (
-                TuningRecord("blis", False, None, 0.5, 2)
-            )
-        finally:
-            configure_tuning(tmp_path / "tuning-after.json")
-
-    def test_shape_bucketing_shares_size_class(self):
-        k1 = tuning_key(ComparisonOp.AND, 100, 100, 8, 64, 4)
-        k2 = tuning_key(ComparisonOp.AND, 128, 128, 8, 64, 4)
-        k3 = tuning_key(ComparisonOp.AND, 129, 129, 8, 64, 4)
-        assert k1 == k2
-        assert k2 != k3
-
-    def test_tune_problem_records_and_persists(self, tmp_path):
-        cache = TuningCache(tmp_path / "tuning.json")
-        record = tune_problem(
-            48, 48, 2, op=ComparisonOp.AND, workers=2, cache=cache
-        )
-        assert record.backend in _tunable_backends()
-        # Every tunable backend x {full, triangular}.
-        assert record.candidates == 2 * len(_tunable_backends())
-        reloaded = TuningCache(tmp_path / "tuning.json")
-        key = tuning_key(ComparisonOp.AND, 48, 48, 2, 64, 2)
-        assert reloaded.lookup(key) == record
-
-    def test_tune_problem_asymmetric_has_no_triangular_candidates(self, tmp_path):
-        cache = TuningCache(tmp_path / "tuning.json")
-        record = tune_problem(
-            32, 48, 2, op=ComparisonOp.ANDNOT, workers=2, cache=cache,
-            persist=False,
-        )
-        assert record.candidates == len(_tunable_backends())
-        assert not record.triangular
-
-    def test_tune_problem_rejects_bad_extents(self, tmp_path):
-        cache = TuningCache(tmp_path / "tuning.json")
-        with pytest.raises(ConfigurationError):
-            tune_problem(0, 4, 2, cache=cache, persist=False)
-        with pytest.raises(ConfigurationError):
-            tune_problem(4, 4, 2, repeats=0, cache=cache, persist=False)
-
-
-class TestEngineConsultsTuner:
-    def test_auto_honours_tuned_strategy(self, tuning_sandbox):
-        a = square_words(64, 2, seed=20)
-        record = TuningRecord(
-            backend="blis",
-            triangular=False,
-            crossover_ops=None,
-            best_seconds=0.001,
-            candidates=4,
-        )
-        tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
-            record,
-        )
+        before = path.read_bytes()
+        a = square_words(64, 2, seed=21)
         engine = get_engine(2, "auto")
-        c, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.backend == "blis"
-        # The record measured full plans faster: the Gram hint is dropped.
-        assert not report.symmetric
-        assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
-
-    def test_auto_without_record_defaults_to_gemm(self, tuning_sandbox,
-                                                  pin_native):
-        # Untuned "auto" takes the size rule: before cnative loads, the
-        # BLAS GEMM above 2,000,000 word-ops (256 x 256 x 32 words) and
-        # the walk below; once loaded, cnative on both sides.
-        a = square_words(256, 32, seed=21)
-        small = square_words(64, 2, seed=21)
-        engine = get_engine(2, "auto")
-        for loaded, small_be, large_be in ((False, "blis", "blas"),
-                                           (True, "cnative", "cnative")):
+        for loaded, expected in ((False, "blis"), (True, "cnative")):
             pin_native(loaded)
-            _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-            assert report.backend == large_be
+            with monkeypatch.context() as env:
+                env.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+                c, report = engine.run(
+                    a, a, ComparisonOp.AND, force_parallel=True
+                )
+            assert report.backend == expected
             assert report.symmetric
-            _, report = engine.run(
-                small, small, ComparisonOp.AND, force_parallel=True
-            )
-            assert report.backend == small_be
+            assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
+        assert [p.name for p in root.iterdir()] == ["host-tuning.json"]
+        assert path.read_bytes() == before
 
-    def test_auto_with_triangular_record_keeps_gram(self, tuning_sandbox):
-        a = square_words(64, 2, seed=22)
-        record = TuningRecord(
-            backend="blas",
-            triangular=True,
-            crossover_ops=None,
-            best_seconds=0.001,
-            candidates=4,
-        )
-        tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
-            record,
-        )
-        engine = get_engine(2, "auto")
-        _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.backend == "blas"
-        assert report.symmetric
-
-    def test_lookup_tuned_reads_sandbox(self, tuning_sandbox):
-        record = TuningRecord("blas", True, 12345, 0.5, 4)
-        tuning_sandbox.store(tuning_key(ComparisonOp.XOR, 8, 8, 1, 64, 3), record)
-        assert lookup_tuned(ComparisonOp.XOR, 8, 8, 1, 64, 3) == record
-        assert lookup_tuned(ComparisonOp.XOR, 8, 8, 1, 64, 5) is None

@@ -1,7 +1,8 @@
 """Tests for the kernel ABI (:mod:`repro.kernels`): backend conformance,
-registry resolution, the one size rule, engine/tuner integration, and
-the CLI flag."""
+registry resolution, the one size rule, engine integration, and the CLI
+flag."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -24,7 +25,6 @@ from repro.kernels import (
     KernelBackend,
     available_backends,
     backend_available,
-    backend_fingerprint,
     backend_names,
     canonicalize_words,
     check_panel_operands,
@@ -45,7 +45,6 @@ from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.regress import DETERMINISTIC_COUNTERS
 from repro.observability.tracer import Tracer, set_tracer
 from repro.parallel.engine import ParallelEngine
-from repro.parallel.tuner import TuningCache, TuningRecord, tuning_key
 from repro.util.bitops import popcount
 
 ALL_OPS = [
@@ -107,10 +106,8 @@ class TestBackendConformance:
         info = get_backend("numpy").info
         assert info.available
         assert not info.compiled
-        assert not info.tunable  # the oracle, not a candidate
         for name in ("blas", "blis"):
             assert get_backend(name).info.available
-            assert get_backend(name).info.tunable
 
     @pytest.mark.parametrize("op", ALL_OPS)
     @pytest.mark.parametrize("dtype", WORD_DTYPES)
@@ -250,11 +247,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             env_backend_name()
 
-    def test_fingerprint_lists_tunable_backends(self):
-        fp = backend_fingerprint()
-        assert "blas=" in fp and "blis=" in fp
-        assert "numpy=" not in fp  # the oracle is not tunable
-
 
 # -- canonicalisation ------------------------------------------------------------
 
@@ -348,53 +340,37 @@ class TestSizeRule:
         assert np.array_equal(table, bit_gemm_reference(a, b, op))
         return report.backend, counters[GEMM_CALLS], counters[GEMM_WORD_OPS]
 
-    def test_full_runs_either_side_of_the_limit(self, clean_env, tmp_path,
-                                                monkeypatch, pin_native):
-        monkeypatch.setenv("REPRO_TUNING_CACHE", str(tmp_path / "t.json"))
-        from repro.parallel.tuner import configure_tuning
+    def test_full_runs_either_side_of_the_limit(self, clean_env, pin_native):
+        # The counters are the same before and after cnative loads.
+        for loaded, small, large in ((False, "blis", "blas"),
+                                     (True, "cnative", "cnative")):
+            pin_native(loaded)
+            a = make_words(100, 200, np.uint8, seed=1)
+            b = make_words(100, 200, np.uint8, seed=2)
+            assert self._serial(a, b) == (small, 1, 2_000_000)
+            a = make_words(3, 666_667, np.uint8, seed=3)
+            b = make_words(1, 666_667, np.uint8, seed=4)
+            assert self._serial(a, b) == (large, 1, 2_000_001)
 
-        configure_tuning()
-        try:
-            # The counters are the same before and after cnative loads.
-            for loaded, small, large in ((False, "blis", "blas"),
-                                         (True, "cnative", "cnative")):
-                pin_native(loaded)
-                a = make_words(100, 200, np.uint8, seed=1)
-                b = make_words(100, 200, np.uint8, seed=2)
-                assert self._serial(a, b) == (small, 1, 2_000_000)
-                a = make_words(3, 666_667, np.uint8, seed=3)
-                b = make_words(1, 666_667, np.uint8, seed=4)
-                assert self._serial(a, b) == (large, 1, 2_000_001)
-        finally:
-            configure_tuning()
-
-    def test_gram_runs_either_side_of_the_limit(self, clean_env, tmp_path,
-                                                monkeypatch, pin_native):
-        monkeypatch.setenv("REPRO_TUNING_CACHE", str(tmp_path / "t.json"))
-        from repro.parallel.tuner import configure_tuning
-
-        configure_tuning()
-        try:
-            for loaded, large in ((False, "blas"), (True, "cnative")):
-                pin_native(loaded)
-                # 125 x 125 x 128 words = 2,000,000: the blis triangle
-                # walk counts only tiles on or above the diagonal (m_r=4
-                # rows by n_r=64 columns on the host blocking).
-                a = make_words(125, 128, np.uint8, seed=5)
-                below = sum(
-                    (min(r + 4, 125) - r) * (min(c + 64, 125) - c) * 128
-                    for r in range(0, 125, 4)
-                    for c in range(0, 125, 64)
-                    if r >= min(c + 64, 125)
-                )
-                assert below > 0
-                assert self._serial(a, a) == ("blis", 1, 2_000_000 - below)
-                # 126 x 126 x 126 words = 2,000,376: blas, or cnative
-                # once loaded, computes (and counts) the full product.
-                a = make_words(126, 126, np.uint8, seed=6)
-                assert self._serial(a, a) == (large, 1, 126 ** 3)
-        finally:
-            configure_tuning()
+    def test_gram_runs_either_side_of_the_limit(self, clean_env, pin_native):
+        for loaded, large in ((False, "blas"), (True, "cnative")):
+            pin_native(loaded)
+            # 125 x 125 x 128 words = 2,000,000: the blis triangle walk
+            # counts only tiles on or above the diagonal (m_r=4 rows by
+            # n_r=64 columns on the host blocking).
+            a = make_words(125, 128, np.uint8, seed=5)
+            below = sum(
+                (min(r + 4, 125) - r) * (min(c + 64, 125) - c) * 128
+                for r in range(0, 125, 4)
+                for c in range(0, 125, 64)
+                if r >= min(c + 64, 125)
+            )
+            assert below > 0
+            assert self._serial(a, a) == ("blis", 1, 2_000_000 - below)
+            # 126 x 126 x 126 words = 2,000,376: blas, or cnative once
+            # loaded, computes (and counts) the full product.
+            a = make_words(126, 126, np.uint8, seed=6)
+            assert self._serial(a, a) == (large, 1, 126 ** 3)
 
 
 class TestBlasChunking:
@@ -480,58 +456,58 @@ class TestEngineBackends:
         assert report.backend == "numpy"
 
 
-# -- tuner integration -----------------------------------------------------------
+# -- tuning files from earlier versions ------------------------------------------
 
 
 class TestTunerBackendKeying:
-    def test_tuning_key_embeds_fingerprint(self):
-        key = tuning_key(ComparisonOp.AND, 64, 64, 8, 64, 2)
-        assert f"|be[{backend_fingerprint()}]" in key
-
-    def test_record_roundtrips_backend(self):
-        record = TuningRecord("cnative", False, None, 0.25, 6)
-        assert TuningRecord.from_json(record.to_json()) == record
-
-    def test_legacy_record_defaults_to_reference(self):
-        # A v1 strategy record carries no backend: it is malformed
-        # under v2 and skipped, never guessed at.
-        legacy = {
-            "strategy": "gemm",
-            "triangular": True,
-            "crossover_ops": None,
-            "best_seconds": 0.5,
-            "candidates": 4,
-        }
-        with pytest.raises(ValueError, match="backend"):
-            TuningRecord.from_json(legacy)
+    """A backend named in an earlier version's ``host-tuning.json`` pins
+    nothing: the file is not read."""
 
     def test_stale_backend_record_does_not_pin(self, tmp_path, monkeypatch,
                                                clean_env, pin_native):
-        # A tuning record naming a backend that is no longer available
-        # must degrade to the size rule, not crash or pin.
-        from repro.parallel import tuner as tuner_mod
-
-        cache = TuningCache(tmp_path / "tuning.json")
+        # A v2 record in the cache root names a backend that does not
+        # exist for this 16 x 24 x 4-word shape: sharded "auto" follows
+        # the size rule in both cnative states and leaves the root as
+        # it was.
+        root = tmp_path / "xdg" / "repro"
+        root.mkdir(parents=True)
+        path = root / "host-tuning.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-host-tuning/2",
+                    "records": {
+                        "and|m16-n32-k4|w2|b32|be[ghost@1]": {
+                            "backend": "ghost", "triangular": False,
+                            "crossover_ops": None, "best_seconds": 0.001,
+                            "candidates": 6,
+                        }
+                    },
+                }
+            )
+        )
+        before = path.read_bytes()
         a = make_words(16, 4, np.uint32, seed=71)
         b = make_words(24, 4, np.uint32, seed=72)
-        key = tuning_key(ComparisonOp.AND, 16, 24, 4, 32, 2)
-        cache.store(key, TuningRecord("ghost", False, None, 0.001, 6))
-        cache.save()
-        monkeypatch.setattr(tuner_mod, "get_tuning_cache", lambda: cache)
         engine = ParallelEngine(workers=2)
         try:
-            # 16 x 24 x 4 words: the size rule, in both cnative states.
             for loaded, expected in ((False, "blis"), (True, "cnative")):
                 pin_native(loaded)
-                table, report = engine.run(
-                    a, b, ComparisonOp.AND, force_parallel=True
-                )
+                with monkeypatch.context() as env:
+                    env.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+                    table, report = engine.run(
+                        a, b, ComparisonOp.AND, force_parallel=True
+                    )
                 assert report.backend == expected
+                assert report.used_parallel
+                assert not report.symmetric
                 assert np.array_equal(
                     table, bit_gemm_reference(a, b, ComparisonOp.AND)
                 )
         finally:
             engine.shutdown()
+        assert [p.name for p in root.iterdir()] == ["host-tuning.json"]
+        assert path.read_bytes() == before
 
 
 # -- hypothesis property: all backends bit-exact ---------------------------------

@@ -12,6 +12,11 @@ from repro.core.config import Algorithm
 from repro.core.identity import identity_search
 from repro.core.ld import linkage_disequilibrium
 from repro.core.mixture import mixture_analysis
+from repro.core.streaming import (
+    StreamingIdentitySearch,
+    StreamingLD,
+    StreamingMixture,
+)
 from repro.errors import ConfigurationError, PackingError
 from repro.gpu.arch import GTX_980
 from repro.multigpu.executor import run_multi_gpu
@@ -91,8 +96,9 @@ class TestShardPlan:
         assert plan.shards[0].n_range == (0, 5)
 
     def test_oversubscription_bounds_shard_count(self):
+        # DEFAULT_OVERSUBSCRIBE aims for two shards per worker.
         blocking = BlockingPlan(m=512, n=512, k=8, m_c=32, k_c=4, m_r=4, n_r=8)
-        plan = ShardPlan.from_blocking(blocking, 4, oversubscribe=2)
+        plan = ShardPlan.from_blocking(blocking, 4)
         assert 4 <= plan.n_shards <= 4 * 2 * 2
 
     def test_shard_ids_contiguous(self):
@@ -115,8 +121,6 @@ class TestShardPlan:
         blocking = BlockingPlan(m=8, n=8, k=2, m_c=4, k_c=2, m_r=4, n_r=4)
         with pytest.raises(ConfigurationError):
             ShardPlan.from_blocking(blocking, 0)
-        with pytest.raises(ConfigurationError):
-            ShardPlan.from_blocking(blocking, 2, oversubscribe=0)
         with pytest.raises(ConfigurationError):
             ShardPlan.from_grid(blocking, 0, 1)
 
@@ -208,15 +212,6 @@ class TestEngineDispatch:
         assert not report.used_parallel
         assert report.n_shards == 1
 
-    def test_crossover_threshold_configurable(self, operands):
-        _, _, pa, pb = operands
-        engine = ParallelEngine(workers=2, crossover_ops=1)
-        try:
-            _, report = engine.run(pa, pb)
-        finally:
-            engine.shutdown()
-        assert report.used_parallel
-
     def test_report_accounts_every_output_cell(self, operands):
         _, _, pa, pb = operands
         engine = ParallelEngine(workers=4)
@@ -251,6 +246,10 @@ class TestEngineDispatch:
             ParallelEngine(strategy="gemm")  # no strategy axis
         with pytest.raises(TypeError):
             ParallelEngine(executor="thread")  # no executor axis
+        with pytest.raises(TypeError):
+            ParallelEngine(crossover_ops=1)  # PARALLEL_CROSSOVER_OPS decides
+        with pytest.raises(TypeError):
+            ParallelEngine(oversubscribe=4)  # DEFAULT_OVERSUBSCRIBE decides
 
     def test_get_engine_shares_instances(self):
         assert get_engine(2) is get_engine(2)
@@ -374,6 +373,43 @@ class TestWorkersValidation:
     def test_engine_rejects(self, workers):
         with pytest.raises(ConfigurationError, match="workers"):
             ParallelEngine(workers=workers)
+
+    #: Every framework-backed entry point, called with a bad count.
+    BITS = np.ones((8, 64), dtype=np.uint8)
+    ENTRY_POINTS = {
+        "framework": lambda w: SNPComparisonFramework(
+            GTX_980, Algorithm.LD, workers=w
+        ),
+        "linkage_disequilibrium": lambda w: linkage_disequilibrium(
+            TestWorkersValidation.BITS, workers=w
+        ),
+        "identity_search": lambda w: identity_search(
+            TestWorkersValidation.BITS, TestWorkersValidation.BITS, workers=w
+        ),
+        "mixture_analysis": lambda w: mixture_analysis(
+            TestWorkersValidation.BITS, TestWorkersValidation.BITS, workers=w
+        ),
+        "StreamingIdentitySearch": lambda w: StreamingIdentitySearch(
+            TestWorkersValidation.BITS, workers=w
+        ),
+        "StreamingLD": lambda w: StreamingLD(workers=w),
+        "StreamingMixture": lambda w: StreamingMixture(
+            TestWorkersValidation.BITS, workers=w
+        ),
+        "run_multi_gpu": lambda w: run_multi_gpu(
+            QUAD_GTX980, Algorithm.FASTID_IDENTITY,
+            TestWorkersValidation.BITS, TestWorkersValidation.BITS,
+            workers=w,
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [0, -1, True, "2"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_framework_entry_points_reject(self, entry, workers):
+        # None and 1 stay serial; anything that is not a positive
+        # integer fails up front instead of silently running serial.
+        with pytest.raises(ConfigurationError, match="workers"):
+            self.ENTRY_POINTS[entry](workers)
 
     def test_identity_service_rejects(self):
         from repro.serve import IdentityService, ProfileIndex

@@ -4,11 +4,8 @@ Covers the fault-injection schedule language, the deterministic
 injector, retry/backoff policy and classification, the engine's
 degradation ladder (retry -> quarantine -> ShardExecutionError), spot
 verification against bit flips, multi-GPU degraded mode, the chaos
-harness, and the satellite hardening (streaming input validation,
-tuner cache concurrent-writer merge).
+harness, and the satellite hardening (streaming input validation).
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -32,7 +29,6 @@ from repro.errors import (
 from repro.multigpu.executor import run_multi_gpu
 from repro.multigpu.system import QUAD_GTX980
 from repro.parallel.engine import ParallelEngine
-from repro.parallel.tuner import TUNING_FORMAT, TuningCache, TuningRecord
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -621,63 +617,3 @@ class TestStreamingValidation:
         assert search.batches_seen == 1
         assert [search.matches(i) for i in range(search.n_queries)] == before
 
-
-# -- satellite: tuner cache concurrent-writer merge ----------------------------
-
-
-def make_record(best_seconds: float) -> TuningRecord:
-    return TuningRecord(
-        backend="blas",
-        triangular=False,
-        crossover_ops=None,
-        best_seconds=best_seconds,
-        candidates=2,
-    )
-
-
-class TestTunerCacheMerge:
-    def test_interleaved_writers_lose_no_records(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        writer_a = TuningCache(path)
-        writer_b = TuningCache(path)
-        # Both load the (empty) file, then tune different problems.
-        writer_a.store("key-a", make_record(0.1))
-        writer_b.store("key-b", make_record(0.2))
-        writer_a.save()
-        writer_b.save()  # without merging this would drop key-a
-        fresh = TuningCache(path)
-        assert fresh.lookup("key-a") is not None
-        assert fresh.lookup("key-b") is not None
-        # The second writer's in-memory view absorbed the merge too.
-        assert writer_b.lookup("key-a") is not None
-
-    def test_in_memory_record_supersedes_disk(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        first = TuningCache(path)
-        first.store("key", make_record(0.5))
-        first.save()
-        second = TuningCache(path)
-        second.store("key", make_record(0.1))  # re-measurement wins
-        second.save()
-        assert TuningCache(path).lookup("key").best_seconds == 0.1
-
-    def test_corrupt_disk_file_does_not_block_save(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text("{not json")
-        cache = TuningCache(path)
-        cache.store("key", make_record(0.3))
-        cache.save()
-        data = json.loads(path.read_text())
-        assert data["format"] == TUNING_FORMAT
-        assert "key" in data["records"]
-
-    def test_foreign_format_records_not_merged(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text(
-            json.dumps({"format": "other/1", "records": {"x": {}}})
-        )
-        cache = TuningCache(path)
-        cache.store("key", make_record(0.3))
-        cache.save()
-        records = json.loads(path.read_text())["records"]
-        assert set(records) == {"key"}
