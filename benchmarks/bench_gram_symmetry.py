@@ -21,14 +21,13 @@ Runs two ways:
 
       PYTHONPATH=src python -m pytest benchmarks/bench_gram_symmetry.py --benchmark-only
 
-* standalone, for the CI jobs (writes a metrics-report JSON the
-  regression gate ingests)::
+* standalone, for the CI jobs (``--json`` writes the bench-schema
+  metrics :mod:`repro.observability.regress` gates)::
 
       PYTHONPATH=src python benchmarks/bench_gram_symmetry.py --smoke --json gram.json
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from repro.blis.gemm import bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
+from repro.observability.regress import metric, run_counted, write_metrics
 from repro.parallel import ParallelEngine
 
 #: The benchmark problem: one LD-shaped self-comparison.  Square by
@@ -76,31 +76,20 @@ def time_run(engine, a, symmetric, repeats=3):
 
 
 def collect_counters(problem):
-    """Deterministic counters for one Gram-mode sharded run.
+    """Deterministic counters of one untimed Gram-mode sharded run.
 
-    An untimed instrumented pass under a fresh tracer; only counters in
-    :data:`repro.observability.regress.DETERMINISTIC_COUNTERS` survive
-    (the Gram-relevant ones are ``gemm.popc_word_ops``, which counts
-    *computed* ops only, and ``shards.mirrored``).
+    Schema entries; the Gram-relevant ones are ``gemm.popc_word_ops``,
+    which counts *computed* ops only, and ``shards.mirrored``.
     """
-    from repro.observability.regress import DETERMINISTIC_COUNTERS
-    from repro.observability.tracer import Tracer, set_tracer
-
     a = make_operand(**problem)
-    tracer = Tracer()
-    previous = set_tracer(tracer)
     engine = ParallelEngine(workers=WORKERS, backend=BACKEND)
     try:
-        engine.run(a, a, ComparisonOp.AND, force_parallel=True)
+        _, counters = run_counted(
+            lambda: engine.run(a, a, ComparisonOp.AND, force_parallel=True)
+        )
     finally:
         engine.shutdown()
-        set_tracer(previous)
-    snapshot = tracer.counters.snapshot()
-    return {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name in DETERMINISTIC_COUNTERS
-    }
+    return counters
 
 
 def run_bench(problem, repeats=3):
@@ -202,7 +191,7 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="small problem, single repeat, no speedup floor (CI smoke)",
     )
-    parser.add_argument("--json", help="write the result dict to this path")
+    parser.add_argument("--json", help="write the bench-schema metrics to this path")
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="timing repeats per configuration (default: 3, smoke: 1)",
@@ -212,16 +201,13 @@ def main(argv=None):
     problem = SMOKE_PROBLEM if args.smoke else FULL_PROBLEM
     repeats = args.repeats if args.repeats is not None else (1 if args.smoke else 3)
     result = run_bench(problem, repeats=repeats)
-    result["mode"] = "smoke" if args.smoke else "full"
-    # Deterministic counters for the regression gate (untimed pass);
-    # the span entry gives the gate one coarse timing to watch.
-    result["counters"] = collect_counters(problem)
-    result["spans"] = [{"name": "gram.bench", "total_s": result["gram_s"]}]
     print(render(result))
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+        # Deterministic counters for the regression gate (untimed pass)
+        # plus one coarse timing to watch.
+        span = metric("span.gram.bench.total_s", result["gram_s"], "timing")
+        write_metrics(args.json, collect_counters(problem) + [span])
         print(f"\nwrote {args.json}")
 
     if not result["bit_exact"]:

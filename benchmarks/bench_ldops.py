@@ -23,20 +23,20 @@ Runs two ways:
 
       PYTHONPATH=src python -m pytest benchmarks/bench_ldops.py --benchmark-only
 
-* standalone, for the CI jobs (writes a JSON the regression gate
-  ingests)::
+* standalone, for the CI jobs (``--json`` writes the bench-schema
+  metrics :mod:`repro.observability.regress` gates)::
 
       PYTHONPATH=src python benchmarks/bench_ldops.py --smoke --json ldops.json
 """
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
 from repro.core.ldops import ld_clump, ld_prune, r2_exceeds
+from repro.observability.regress import metric, run_counted, write_metrics
 
 #: Full problem: a chromosome-arm-sized scan (window in sites).
 FULL_PROBLEM = dict(
@@ -119,14 +119,10 @@ def dense_clump_reference(sites, scores, window, r2):
 
 
 def collect_counters(problem, sites, scores):
-    """Deterministic ldops/stream counters for one chunked prune+clump
-    pass (untimed, fresh tracer; the two operators' counters sum)."""
-    from repro.observability.regress import DETERMINISTIC_COUNTERS
-    from repro.observability.tracer import Tracer, set_tracer
+    """Deterministic ldops/stream counters of one untimed chunked
+    prune+clump pass (schema entries; the two operators' counters sum)."""
 
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
+    def prune_and_clump():
         ld_prune(
             sites, problem["window"], problem["prune_r2"],
             chunk_rows=problem["chunk_rows"],
@@ -135,13 +131,9 @@ def collect_counters(problem, sites, scores):
             sites, scores, problem["window"], problem["clump_r2"],
             chunk_rows=problem["chunk_rows"],
         )
-    finally:
-        set_tracer(previous)
-    return {
-        name: value
-        for name, value in sorted(tracer.counters.snapshot().items())
-        if name in DETERMINISTIC_COUNTERS
-    }
+
+    _, counters = run_counted(prune_and_clump)
+    return counters
 
 
 def run_bench(problem):
@@ -279,29 +271,26 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="small problem for CI smoke on shared runners",
     )
-    parser.add_argument("--json", help="write the result dict to this path")
+    parser.add_argument("--json", help="write the bench-schema metrics to this path")
     args = parser.parse_args(argv)
 
     problem = SMOKE_PROBLEM if args.smoke else FULL_PROBLEM
     result = run_bench(problem)
-    result["mode"] = "smoke" if args.smoke else "full"
-    sites, scores = make_panel(problem)
-    result["counters"] = collect_counters(problem, sites, scores)
-    result["spans"] = [
-        {
-            "name": "ldops.prune_pass",
-            "total_s": result["prune_wall_s"],
-        },
-        {
-            "name": "ldops.clump_pass",
-            "total_s": result["clump_wall_s"],
-        },
-    ]
     print(render(result))
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+        # The exact outcome and gates, the deterministic counters of an
+        # untimed pass, and the two pass timings.
+        sites, scores = make_panel(problem)
+        write_metrics(
+            args.json,
+            [metric(name, value, "exact") for name, value in result["ldops"].items()]
+            + collect_counters(problem, sites, scores)
+            + [
+                metric(f"span.ldops.{op}_pass.total_s", result[f"{op}_wall_s"], "timing")
+                for op in ("prune", "clump")
+            ],
+        )
         print(f"\nwrote {args.json}")
 
     failed = [

@@ -16,7 +16,8 @@ Runs two ways:
 
       PYTHONPATH=src python -m pytest benchmarks/bench_parallel_scaling.py --benchmark-only
 
-* standalone, for the CI smoke job (writes a timing-artifact JSON)::
+* standalone, for the CI jobs (``--json`` writes the bench-schema
+  metrics :mod:`repro.observability.regress` gates)::
 
       PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --smoke --json timings.json
 
@@ -28,7 +29,6 @@ gates every *compiled* backend at :data:`COMPILED_SPEEDUP_FLOOR`::
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.blis.gemm import bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
+from repro.observability.regress import metric, run_counted, write_metrics
 from repro.parallel import ParallelEngine
 from repro.util.bitops import pack_bits
 
@@ -86,31 +87,16 @@ def time_workers(pa, pb, workers, repeats=3, op=ComparisonOp.AND):
 
 
 def collect_counters(problem, workers=WORKER_SWEEP[-1], op=ComparisonOp.AND):
-    """Deterministic observability counters for one sharded run.
-
-    Runs one *untimed* instrumented pass (a fresh tracer installed just
-    for its duration) and keeps only the counters the regression gate
-    may compare exactly; see
-    :data:`repro.observability.regress.DETERMINISTIC_COUNTERS`.
-    """
-    from repro.observability.regress import DETERMINISTIC_COUNTERS
-    from repro.observability.tracer import Tracer, set_tracer
-
+    """Deterministic counters of one untimed sharded run (schema entries)."""
     pa, pb = make_operands(**problem)
-    tracer = Tracer()
-    previous = set_tracer(tracer)
     engine = ParallelEngine(workers=workers)
     try:
-        engine.run(pa, pb, op, force_parallel=workers > 1)
+        _, counters = run_counted(
+            lambda: engine.run(pa, pb, op, force_parallel=workers > 1)
+        )
     finally:
         engine.shutdown()
-        set_tracer(previous)
-    snapshot = tracer.counters.snapshot()
-    return {
-        name: value
-        for name, value in sorted(snapshot.items())
-        if name in DETERMINISTIC_COUNTERS
-    }
+    return counters
 
 
 def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP):
@@ -153,8 +139,6 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
     the word-op accounting is backend-invariant.
     """
     from repro.blis.gemm import bit_gemm
-    from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
-    from repro.observability.tracer import Tracer, set_tracer
     from repro.kernels import available_backends
 
     pa, pb = make_operands(**problem)
@@ -164,19 +148,6 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
         start = time.perf_counter()
         expected = bit_gemm_reference(pa, pb, op)
         ref_best = min(ref_best, time.perf_counter() - start)
-
-    def counted(name):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            bit_gemm(pa, pb, op, backend=name)
-        finally:
-            set_tracer(previous)
-        snapshot = tracer.counters.snapshot()
-        return {
-            GEMM_CALLS: snapshot.get(GEMM_CALLS, 0),
-            GEMM_WORD_OPS: snapshot.get(GEMM_WORD_OPS, 0),
-        }
 
     rows = []
     counters = None
@@ -188,7 +159,9 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
             start = time.perf_counter()
             table = bit_gemm(pa, pb, op, backend=info.name)
             best = min(best, time.perf_counter() - start)
-        backend_counters = counted(info.name)
+        _, backend_counters = run_counted(
+            lambda: bit_gemm(pa, pb, op, backend=info.name)
+        )
         if counters is None:
             counters = backend_counters
         rows.append({
@@ -207,8 +180,36 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
         "word_ops": problem["m"] * problem["n"] * problem["k_words"],
         "reference_seconds": ref_best,
         "backends": rows,
-        "counters": counters or {},
+        "counters": counters or [],
     }
+
+
+def race_metrics(result):
+    """The race as bench-schema entries (what the regression gate reads)."""
+    entries = [metric("word_ops", result["word_ops"], "exact")]
+    for row in result["backends"]:
+        base = f"backend.{row['name']}"
+        entries += [
+            metric(f"{base}.seconds", row["seconds"], "timing"),
+            metric(f"{base}.speedup", row["speedup"], "ratio"),
+            metric(f"{base}.bit_exact", row["bit_exact"], "exact"),
+            metric(f"{base}.counters_invariant", row["counters_invariant"], "exact"),
+        ]
+    return entries + result["counters"]
+
+
+def sweep_metrics(result):
+    """The sweep as bench-schema entries (what the regression gate reads)."""
+    entries = [metric("word_ops", result["word_ops"], "exact")]
+    for row in result["rows"]:
+        base = f"workers{row['workers']}"
+        entries += [
+            metric(f"{base}.seconds", row["seconds"], "timing"),
+            metric(f"{base}.speedup", row["speedup"], "ratio"),
+            metric(f"{base}.bit_exact", row["bit_exact"], "exact"),
+            metric(f"{base}.n_shards", row["n_shards"], "exact"),
+        ]
+    return entries
 
 
 def render_backends(result):
@@ -317,7 +318,7 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="small problem, single repeat, no speedup floor (CI smoke)",
     )
-    parser.add_argument("--json", help="write the result dict to this path")
+    parser.add_argument("--json", help="write the bench-schema metrics to this path")
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="timing repeats per worker count (default: 3, smoke: 1)",
@@ -335,11 +336,9 @@ def main(argv=None):
 
     if args.backends:
         result = run_backend_race(problem, repeats=repeats)
-        result["mode"] = "backends"
         print(render_backends(result))
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(result, fh, indent=2)
+            write_metrics(args.json, race_metrics(result))
             print(f"\nwrote {args.json}")
         failures = check_backend_race(result, enforce_floor=not args.smoke)
         for failure in failures:
@@ -347,14 +346,11 @@ def main(argv=None):
         return 1 if failures else 0
 
     result = run_sweep(problem, repeats=repeats)
-    result["mode"] = "smoke" if args.smoke else "full"
-    # Deterministic counters for the regression gate (untimed pass).
-    result["counters"] = collect_counters(problem)
     print(render(result))
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+        # Deterministic counters for the regression gate (untimed pass).
+        write_metrics(args.json, sweep_metrics(result) + collect_counters(problem))
         print(f"\nwrote {args.json}")
 
     if not all(row["bit_exact"] for row in result["rows"]):

@@ -21,14 +21,13 @@ Runs two ways:
 
       PYTHONPATH=src python -m pytest benchmarks/bench_streaming_io.py --benchmark-only
 
-* standalone, for the CI jobs (writes a metrics-report JSON the
-  regression gate ingests)::
+* standalone, for the CI jobs (``--json`` writes the bench-schema
+  metrics :mod:`repro.observability.regress` gates)::
 
       PYTHONPATH=src python benchmarks/bench_streaming_io.py --smoke --json streaming.json
 """
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -39,6 +38,7 @@ import numpy as np
 from repro.core.mixture import mixture_analysis
 from repro.core.streaming import StreamingMixture
 from repro.io_stream import SnpbinSource, write_snpbin
+from repro.observability.regress import metric, run_counted, write_metrics
 
 #: The benchmark problem: a packed reference database streamed against
 #: a small fixed mixture set (the paper's 20M-profile shape in miniature).
@@ -73,21 +73,11 @@ def stream_once(path, mixtures, chunk_rows, prefetch):
 
 
 def collect_counters(path, mixtures, chunk_rows):
-    """Deterministic stream counters for one pass (untimed, fresh tracer)."""
-    from repro.observability.regress import DETERMINISTIC_COUNTERS
-    from repro.observability.tracer import Tracer, set_tracer
-
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        stream_once(path, mixtures, chunk_rows, prefetch=True)
-    finally:
-        set_tracer(previous)
-    return {
-        name: value
-        for name, value in sorted(tracer.counters.snapshot().items())
-        if name in DETERMINISTIC_COUNTERS
-    }
+    """Deterministic stream counters of one untimed pass (schema entries)."""
+    _, counters = run_counted(
+        lambda: stream_once(path, mixtures, chunk_rows, prefetch=True)
+    )
+    return counters
 
 
 def run_bench(problem, workdir):
@@ -181,28 +171,26 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="small problem, no stall ceiling (CI smoke on shared runners)",
     )
-    parser.add_argument("--json", help="write the result dict to this path")
+    parser.add_argument("--json", help="write the bench-schema metrics to this path")
     args = parser.parse_args(argv)
 
     problem = SMOKE_PROBLEM if args.smoke else FULL_PROBLEM
     with tempfile.TemporaryDirectory(prefix="repro-bench-streaming-") as tmp:
         result = run_bench(problem, tmp)
-        result["mode"] = "smoke" if args.smoke else "full"
-        # Deterministic counters for the regression gate (untimed pass);
-        # the span entry gives the gate one coarse timing to watch.
-        result["counters"] = collect_counters(
+        # Deterministic counters for the regression gate (untimed pass)
+        # plus one coarse timing to watch.
+        counters = collect_counters(
             Path(tmp) / "bench-db.snpbin",
             make_inputs(problem)[1],
             problem["chunk_rows"],
         )
-    result["spans"] = [
-        {"name": "streaming.prefetch_pass", "total_s": result["prefetch_wall_s"]}
-    ]
     print(render(result))
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+        span = metric(
+            "span.streaming.prefetch_pass.total_s", result["prefetch_wall_s"], "timing"
+        )
+        write_metrics(args.json, counters + [span])
         print(f"\nwrote {args.json}")
 
     if not result["bit_exact"]:

@@ -58,6 +58,7 @@ from repro.observability.tracer import get_tracer
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import call_with_retry
 from repro.resilience.runtime import get_resilience
+from repro.util.validation import check_binary_matrix, check_k
 
 __all__ = [
     "Match",
@@ -65,36 +66,6 @@ __all__ = [
     "StreamingLD",
     "StreamingMixture",
 ]
-
-
-def _check_binary_matrix(name: str, data: np.ndarray) -> np.ndarray:
-    """Validate one binary operand; returns the checked array.
-
-    Rejects wrong rank, non-integer dtypes and non-binary values with
-    messages precise enough to locate the bad feed, *before* any
-    search state is mutated.
-    """
-    arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise DatasetError(
-            f"{name} must be a 2-D binary matrix, got {arr.ndim}-D "
-            f"shape {arr.shape}"
-        )
-    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
-        raise DatasetError(
-            f"{name} has dtype {arr.dtype}; binary matrices must use an "
-            f"integer or bool dtype"
-        )
-    if arr.size:
-        # One pass each: min()/max() walk the whole chunk, and this
-        # runs on every streamed chunk's hot validation path.
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi > 1:
-            raise DatasetError(
-                f"{name} contains non-binary values "
-                f"(min={lo}, max={hi}); entries must be 0 or 1"
-            )
-    return arr
 
 
 def _run_chunk(fn: Callable[[], Any]) -> Any:
@@ -175,6 +146,24 @@ class _QueryState:
         elif item > self.heap[0]:
             heapq.heapreplace(self.heap, item)
 
+    def fold(self, distances: np.ndarray, base: int) -> bool:
+        """Offer one query's distances to database rows ``base, base + 1, ...``.
+
+        Rows are offered in database order, which is what makes ties
+        first-seen.  Only rows that could enter a full heap matter, so
+        a vectorized pre-filter keeps the Python loop short; an
+        unfilled heap (``k`` not yet reached) admits every row.
+        Returns whether the fold ran unfiltered.
+        """
+        unfiltered = len(self.heap) < self.k
+        if unfiltered:
+            candidates = np.arange(distances.size)
+        else:
+            candidates = np.nonzero(distances <= -self.heap[0][0])[0]
+        for local in candidates:
+            self.offer(int(distances[local]), base + int(local))
+        return unfiltered
+
     def matches(self) -> list[Match]:
         out = [Match(distance=-d, database_index=-i) for d, i in self.heap]
         out.sort()
@@ -214,19 +203,12 @@ class StreamingIdentitySearch:
         backend: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        q = _check_binary_matrix("StreamingIdentitySearch: queries", queries)
+        q = check_binary_matrix("StreamingIdentitySearch: queries", queries)
         if q.shape[0] == 0:
             raise DatasetError(
                 "StreamingIdentitySearch: queries must be a non-empty 2-D matrix"
             )
-        if k <= 0:
-            raise DatasetError("StreamingIdentitySearch: k must be positive")
-        if k > self.MAX_K:
-            raise DatasetError(
-                f"StreamingIdentitySearch: k={k} exceeds the supported "
-                f"maximum {self.MAX_K}; retain fewer candidates or run "
-                f"identity_search for the full distance table"
-            )
+        k = check_k("StreamingIdentitySearch: k", k, self.MAX_K)
         self.queries = q
         self.k = k
         self.framework = framework or SNPComparisonFramework(
@@ -251,7 +233,7 @@ class StreamingIdentitySearch:
         :class:`~repro.errors.DatasetError` *before* any state
         (``rows_seen``, top-k heaps) is touched.
         """
-        batch = _check_binary_matrix("add_batch: batch", profiles)
+        batch = check_binary_matrix("add_batch: batch", profiles)
         if batch.shape[1] != self.queries.shape[1]:
             raise DatasetError(
                 f"add_batch: batch shape {batch.shape} incompatible with "
@@ -261,23 +243,12 @@ class StreamingIdentitySearch:
             return
         distances, report = self.framework.run(self.queries, batch)
         self.simulated_seconds += report.end_to_end_s
-        base = self.rows_seen
-        unfiltered = 0
-        for qi in range(self.n_queries):
-            row = distances[qi]
-            # Only candidates that could enter the heap matter; a
-            # vectorized pre-filter keeps the Python loop short.  An
-            # unfilled heap (k not yet reached) admits every row -- a
-            # full fold, surfaced through the fallback counter.
-            state = self._states[qi]
-            if len(state.heap) == state.k:
-                cutoff = -state.heap[0][0]
-                candidate_idx = np.nonzero(row <= cutoff)[0]
-            else:
-                candidate_idx = np.arange(row.size)
-                unfiltered += 1
-            for local in candidate_idx:
-                state.offer(int(row[local]), base + int(local))
+        # An unfiltered fold (heap not yet full) is surfaced through
+        # the fallback counter.
+        unfiltered = sum(
+            state.fold(row, self.rows_seen)
+            for state, row in zip(self._states, distances)
+        )
         if unfiltered:
             get_tracer().counters.add(STREAM_PREFILTER_FALLBACKS, unfiltered)
         self.rows_seen += batch.shape[0]
@@ -448,7 +419,7 @@ class StreamingMixture:
         backend: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        m = _check_binary_matrix("StreamingMixture: mixtures", mixtures)
+        m = check_binary_matrix("StreamingMixture: mixtures", mixtures)
         if m.shape[0] == 0:
             raise DatasetError(
                 "StreamingMixture: mixtures must be a non-empty 2-D matrix"
@@ -472,7 +443,7 @@ class StreamingMixture:
 
     def add_batch(self, references: np.ndarray) -> None:
         """Score one chunk of reference profiles against the mixtures."""
-        batch = _check_binary_matrix("add_batch: references", references)
+        batch = check_binary_matrix("add_batch: references", references)
         if batch.shape[1] != self.mixtures.shape[1]:
             raise DatasetError(
                 f"add_batch: references shape {batch.shape} incompatible "

@@ -14,7 +14,16 @@ outputs, and the comparison tool the ``bench-regression`` CI job calls:
         --timing-tolerance 0.30 --report regression-report.json \
         parallel-scaling-smoke.json table1.json
 
-Input files are *flattened* into named metrics of three kinds:
+Every bench the gate reads writes one schema::
+
+    {"metrics": [{"name": "word_ops", "value": 2097152.0, "kind": "exact"},
+                 ...]}
+
+built with :func:`metric`, :func:`run_counted` (the deterministic
+counters of one instrumented pass) and :func:`write_metrics`.  The only
+other accepted input is pytest-benchmark JSON (``--benchmark-json``),
+whose per-benchmark mean seconds become ``timing`` metrics.  Three
+kinds:
 
 * ``exact``   -- must match the baseline bit-for-bit (counters,
   shard counts, bit-exactness flags);
@@ -23,22 +32,9 @@ Input files are *flattened* into named metrics of three kinds:
 * ``ratio``   -- dimensionless, higher is better (speedups); a fresh
   value below ``baseline * (1 - tolerance)`` is a regression.
 
-Supported input formats (auto-detected per file):
-
-* pytest-benchmark JSON (``--benchmark-json``): per-benchmark mean
-  seconds as ``timing`` metrics;
-* ``bench_parallel_scaling.py --json`` sweeps: per-worker seconds
-  (``timing``), speedups (``ratio``), word-ops / shard counts /
-  bit-exactness and deterministic observability counters (``exact``);
-* ``bench_parallel_scaling.py --backends --json`` races: per-backend
-  seconds (``timing``), speedup vs the reference panel (``ratio``),
-  bit-exactness / counter invariance and the word-op counters
-  (``exact``).  Backends present only in the fresh run (e.g.
-  ``cnative`` on a runner with a compiler, where the baseline was
-  recorded without one) are ignored, so one baseline serves every
-  runner;
-* metrics-report JSON (:meth:`repro.observability.report.MetricsReport.to_json`):
-  deterministic counters as ``exact``, span totals as ``timing``.
+A malformed entry (a missing field, an unknown kind, a non-numeric
+value, a name repeated within one file) fails the load with a
+:class:`ValueError` naming the file and the entry; the CLI exits 2.
 
 Metric names are prefixed with the input file's stem, so record and
 compare must see the same file names -- which CI guarantees by
@@ -53,11 +49,16 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
+
+from repro.observability.tracer import Tracer, set_tracer
 
 __all__ = [
     "Metric",
     "Comparison",
+    "metric",
+    "run_counted",
+    "write_metrics",
     "flatten_metrics",
     "load_metrics",
     "compare_metrics",
@@ -68,6 +69,9 @@ __all__ = [
 KIND_EXACT = "exact"
 KIND_TIMING = "timing"
 KIND_RATIO = "ratio"
+KINDS = (KIND_EXACT, KIND_TIMING, KIND_RATIO)
+
+_T = TypeVar("_T")
 
 #: Counters that are bit-deterministic across runs and machines and may
 #: therefore be gated exactly.  (Cache hit/miss *splits* race under the
@@ -88,9 +92,10 @@ DETERMINISTIC_COUNTERS = (
     "serve.batches",
     "serve.coalesced_batches",
     "serve.batch_rows",
-    # Robustness counters: exact by construction in the chaos-serve and
-    # overload scenarios (fault plans are seeded, admission bounds are
-    # forced), so any drift is a real behaviour change.
+    # Robustness counters: exact by construction in the service chaos
+    # scenarios and the serving bench's overload flood (fault plans are
+    # seeded, admission bounds are forced), so any drift is a real
+    # behaviour change.
     "serve.shed",
     "serve.deadline_exceeded",
     "serve.breaker_trips",
@@ -138,259 +143,103 @@ class Comparison:
         return self.status in ("regressed", "missing")
 
 
-# -- flattening ----------------------------------------------------------------
+# -- the bench schema ----------------------------------------------------------
 
 
-def flatten_metrics(data: dict[str, Any], prefix: str) -> list[Metric]:
-    """Flatten one benchmark JSON payload into named metrics."""
-    if "benchmarks" in data:
-        return _flatten_pytest_benchmark(data, prefix)
-    if "serving" in data:
-        return _flatten_serving(data, prefix)
-    if "ldops" in data:
-        return _flatten_ldops(data, prefix)
-    if "backends" in data and "problem" in data:
-        return _flatten_backend_race(data, prefix)
-    if "rows" in data and "problem" in data:
-        return _flatten_scaling_sweep(data, prefix)
-    if "counters" in data:
-        return _flatten_metrics_report(data, prefix)
-    raise ValueError(f"{prefix}: unrecognized benchmark JSON format")
+def metric(name: str, value: float, kind: str) -> dict[str, Any]:
+    """One schema entry: ``{"name", "value", "kind"}``."""
+    return {"name": name, "value": float(value), "kind": kind}
 
 
-def _flatten_pytest_benchmark(data: dict[str, Any], prefix: str) -> list[Metric]:
-    metrics = []
-    for bench in data.get("benchmarks", []):
-        name = bench.get("name", "unnamed")
-        stats = bench.get("stats", {})
-        if "mean" in stats:
-            metrics.append(
-                Metric(f"{prefix}:{name}.mean_s", float(stats["mean"]), KIND_TIMING)
-            )
-    return metrics
+def run_counted(run: Callable[[], _T]) -> tuple[_T, list[dict[str, Any]]]:
+    """Run ``run()`` once under a fresh tracer, then restore the previous one.
 
-
-def _flatten_scaling_sweep(data: dict[str, Any], prefix: str) -> list[Metric]:
-    metrics = [
-        Metric(f"{prefix}:word_ops", float(data["word_ops"]), KIND_EXACT)
-    ]
-    for row in data.get("rows", []):
-        base = f"workers{row['workers']}"
-        metrics.append(
-            Metric(f"{prefix}:{base}.seconds", float(row["seconds"]), KIND_TIMING)
-        )
-        metrics.append(
-            Metric(f"{prefix}:{base}.speedup", float(row["speedup"]), KIND_RATIO)
-        )
-        metrics.append(
-            Metric(
-                f"{prefix}:{base}.bit_exact",
-                float(bool(row["bit_exact"])),
-                KIND_EXACT,
-            )
-        )
-        metrics.append(
-            Metric(
-                f"{prefix}:{base}.n_shards", float(row["n_shards"]), KIND_EXACT
-            )
-        )
-    for name, value in sorted(data.get("counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    return metrics
-
-
-def _flatten_backend_race(data: dict[str, Any], prefix: str) -> list[Metric]:
-    metrics = [
-        Metric(f"{prefix}:word_ops", float(data["word_ops"]), KIND_EXACT)
-    ]
-    for row in data.get("backends", []):
-        name = row["name"]
-        metrics.append(
-            Metric(
-                f"{prefix}:backend.{name}.seconds",
-                float(row["seconds"]),
-                KIND_TIMING,
-            )
-        )
-        metrics.append(
-            Metric(
-                f"{prefix}:backend.{name}.speedup",
-                float(row["speedup"]),
-                KIND_RATIO,
-            )
-        )
-        metrics.append(
-            Metric(
-                f"{prefix}:backend.{name}.bit_exact",
-                float(bool(row["bit_exact"])),
-                KIND_EXACT,
-            )
-        )
-        metrics.append(
-            Metric(
-                f"{prefix}:backend.{name}.counters_invariant",
-                float(bool(row["counters_invariant"])),
-                KIND_EXACT,
-            )
-        )
-    for name, value in sorted(data.get("counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    return metrics
-
-
-def _flatten_serving(data: dict[str, Any], prefix: str) -> list[Metric]:
-    """Serving-bench payloads (``benchmarks/bench_serving.py``).
-
-    Work accounting (word-ops per query, occupancy, bit-exactness) is
-    exact; the amortization speedup is a higher-is-better ratio; the
-    latency percentiles and QPS ride the timing/ratio tolerances (the
-    baseline pins wider per-metric tolerances for them -- shared-runner
-    latency is the noisiest thing this gate watches; see docs/PERF.md).
+    Returns its result and the :data:`DETERMINISTIC_COUNTERS` it moved,
+    as ``counter.<name>`` exact entries in counter-name order.
     """
-    serving = data["serving"]
-    metrics = [
-        Metric(
-            f"{prefix}:word_ops_per_query_solo",
-            float(serving["word_ops_per_query_solo"]),
-            KIND_EXACT,
-        ),
-        Metric(
-            f"{prefix}:word_ops_per_query_coalesced",
-            float(serving["word_ops_per_query_coalesced"]),
-            KIND_EXACT,
-        ),
-        Metric(
-            f"{prefix}:amortization_speedup",
-            float(serving["amortization_speedup"]),
-            KIND_RATIO,
-        ),
-        Metric(
-            f"{prefix}:batch_occupancy",
-            float(serving["batch_occupancy"]),
-            KIND_EXACT,
-        ),
-        Metric(
-            f"{prefix}:bit_exact", float(bool(serving["bit_exact"])), KIND_EXACT
-        ),
-        Metric(f"{prefix}:p50_s", float(serving["p50_s"]), KIND_TIMING),
-        Metric(f"{prefix}:p99_s", float(serving["p99_s"]), KIND_TIMING),
-        Metric(f"{prefix}:qps", float(serving["qps"]), KIND_RATIO),
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        result = run()
+    finally:
+        set_tracer(previous)
+    counters = [
+        metric(f"counter.{name}", value, KIND_EXACT)
+        for name, value in sorted(tracer.counters.snapshot().items())
+        if name in DETERMINISTIC_COUNTERS
     ]
-    # Overload-flood gates (added with the hardening work): the
-    # admitted/shed split is forced by the admission bounds, so every
-    # one of these is exact.  Absent in pre-hardening JSONs.
-    overload = data.get("overload")
-    if overload is not None:
-        for name in (
-            "submitted",
-            "admitted",
-            "shed",
-            "deadline_rejections",
-        ):
-            metrics.append(
-                Metric(
-                    f"{prefix}:overload.{name}",
-                    float(overload[name]),
-                    KIND_EXACT,
-                )
-            )
-        for name in (
-            "shed_all_have_retry_hint",
-            "conservation_ok",
-            "accepted_bit_exact",
-            "deadline_overrun_bounded",
-        ):
-            metrics.append(
-                Metric(
-                    f"{prefix}:overload.{name}",
-                    float(bool(overload[name])),
-                    KIND_EXACT,
-                )
-            )
-    for name, value in sorted(data.get("counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    return metrics
+    return result, counters
 
 
-def _flatten_ldops(data: dict[str, Any], prefix: str) -> list[Metric]:
-    """LD prune/clump bench payloads (``benchmarks/bench_ldops.py``).
+def write_metrics(path: str | Path, metrics: list[dict[str, Any]]) -> None:
+    """Write one bench's entries as ``{"metrics": [...]}``."""
+    Path(path).write_text(
+        json.dumps({"metrics": metrics}, indent=2) + "\n", encoding="utf-8"
+    )
 
-    Everything here is exact: the kept/clump cardinalities, the
-    chunked-vs-in-memory and brute-force-reference equivalence flags,
-    the window residency bound, and the deterministic ``ldops.*``
-    counters.  One wall-clock span rides the timing tolerance.
+
+def flatten_metrics(data: Any, prefix: str) -> list[Metric]:
+    """Read one bench JSON payload into ``prefix``-named metrics.
+
+    Accepts the bench schema and pytest-benchmark's ``--benchmark-json``
+    (per-benchmark mean seconds as ``timing``).  A malformed schema
+    entry raises :class:`ValueError` naming the entry.
     """
-    ldops = data["ldops"]
-    metrics = []
-    for name in (
-        "prune_kept",
-        "prune_pruned",
-        "clump_count",
-        "clump_absorbed",
-        "peak_window_sites",
-        "window",
-    ):
-        metrics.append(
-            Metric(f"{prefix}:{name}", float(ldops[name]), KIND_EXACT)
-        )
-    for name in (
-        "chunked_matches_inmemory",
-        "matches_dense_reference",
-        "window_bound_ok",
-    ):
-        metrics.append(
-            Metric(f"{prefix}:{name}", float(bool(ldops[name])), KIND_EXACT)
-        )
-    for name, value in sorted(data.get("counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    for span in data.get("spans", []):
-        metrics.append(
+    if isinstance(data, dict) and "benchmarks" in data:
+        return [
             Metric(
-                f"{prefix}:span.{span['name']}.total_s",
-                float(span["total_s"]),
+                f"{prefix}:{bench.get('name', 'unnamed')}.mean_s",
+                float(bench["stats"]["mean"]),
                 KIND_TIMING,
             )
+            for bench in data["benchmarks"]
+            if "mean" in bench.get("stats", {})
+        ]
+    entries = data.get("metrics") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('expected {"metrics": [...]} or pytest-benchmark JSON')
+    metrics: list[Metric] = []
+    seen: set[str] = set()
+    for entry in entries:
+        problem = _entry_problem(entry, seen)
+        if problem:
+            raise ValueError(f"metric entry {entry!r}: {problem}")
+        seen.add(entry["name"])
+        metrics.append(
+            Metric(f"{prefix}:{entry['name']}", float(entry["value"]), entry["kind"])
         )
     return metrics
 
 
-def _flatten_metrics_report(data: dict[str, Any], prefix: str) -> list[Metric]:
-    metrics = []
-    for name, value in sorted(data.get("counters", {}).items()):
-        if name in DETERMINISTIC_COUNTERS:
-            metrics.append(
-                Metric(f"{prefix}:counter.{name}", float(value), KIND_EXACT)
-            )
-    for span in data.get("spans", []):
-        metrics.append(
-            Metric(
-                f"{prefix}:span.{span['name']}.total_s",
-                float(span["total_s"]),
-                KIND_TIMING,
-            )
-        )
-    return metrics
+def _entry_problem(entry: Any, seen: set[str]) -> str | None:
+    """Why one schema entry is malformed, or ``None``."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    missing = [key for key in ("name", "value", "kind") if key not in entry]
+    if missing:
+        return f"missing {', '.join(missing)}"
+    if not isinstance(entry["name"], str) or not entry["name"]:
+        return "name must be a non-empty string"
+    if entry["kind"] not in KINDS:
+        return f"unknown kind {entry['kind']!r} (valid: {', '.join(KINDS)})"
+    value = entry["value"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"non-numeric value {value!r}"
+    if entry["name"] in seen:
+        return f"repeated name {entry['name']!r}"
+    return None
 
 
 def load_metrics(paths: list[str | Path]) -> list[Metric]:
-    """Load and flatten every input file (stem-prefixed, order stable)."""
+    """Load every input file (stem-prefixed names, order stable)."""
     metrics: list[Metric] = []
     for path in paths:
         path = Path(path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        metrics.extend(flatten_metrics(data, path.stem))
+        try:
+            metrics.extend(flatten_metrics(data, path.stem))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return metrics
 
 

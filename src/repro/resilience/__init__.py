@@ -22,10 +22,12 @@ whole run.  This package makes the unhappy path a first-class,
 * :mod:`repro.resilience.report` -- :class:`ResilienceReport`, the
   per-run accounting attached to ``ParallelReport`` / ``RunReport`` /
   ``MultiGPUReport``.
-* :mod:`repro.resilience.chaos` -- the chaos harness: runs the three
-  applications under randomized seeded fault schedules and asserts the
-  result is bit-exact against the fault-free reference (CI's
-  ``chaos-smoke`` job).
+* :mod:`repro.resilience.chaos` -- the chaos harness: one registry of
+  engine scenarios (LD, identity, mixture) and service scenarios
+  (latency, disconnect, disk corruption) under seeded fault plans,
+  gated on bit-exact answers and exact counters (CI's ``chaos-smoke``
+  job).  Not imported here: it drives :mod:`repro.serve`, which
+  imports this package.
 
 Degradation ladder (see ``docs/RESILIENCE.md``): retry in place with
 backoff -> re-queue the shard -> quarantine the shard onto the serial

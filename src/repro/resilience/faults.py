@@ -43,13 +43,14 @@ Fault kinds and their addressing:
     consults :meth:`FaultInjector.service_delay` before executing, and
     a scheduled firing sleeps :attr:`FaultPlan.slow_delay_s` *without
     raising* -- modeling a slow backend that deadline propagation and
-    admission control must absorb (the serve-tier chaos harness's
-    ``latency@service`` plans).
+    admission control must absorb (the chaos harness's ``latency``
+    scenario).
 ``disk-corrupt``
     Shard-file corruption: ``disk-corrupt@S`` schedules sealed shard
     file ``S`` of a serving index to have one bit flipped *on disk*
-    (the serve chaos harness flips the bit; the injector only decides
-    and records via :meth:`FaultInjector.should_corrupt_disk`).  The
+    (the chaos harness's ``disk-corrupt`` scenario flips the bit; the
+    injector only decides and records via
+    :meth:`FaultInjector.should_corrupt_disk`).  The
     SNPBIN02 per-chunk CRCs must turn this into a loud
     :class:`~repro.errors.IntegrityError`, never a wrong answer.
 ``client-disconnect``
@@ -381,7 +382,8 @@ class FaultInjector:
 
         Consumes one firing of the ``disk-corrupt`` budget for the
         target per call and records the fired event; the caller (the
-        serve chaos harness) performs the actual on-disk flip.
+        chaos harness's ``disk-corrupt`` scenario) performs the actual
+        on-disk flip.
         """
         with self._lock:
             key = ("disk-corrupt", shard_seq)

@@ -14,6 +14,11 @@ Responses echo the request's ``id`` (when given) and carry ``ok``::
     {"ok": true, "id": 17, "matches": [[[distance, index], ...], ...]}
     {"ok": false, "error": "...", "kind": "DatasetError"}
 
+Matrices must hold 0/1 integers or booleans; a fraction, an
+out-of-range or oversized integer, a string or a ragged row answers
+``kind: "DatasetError"`` -- never a silently cast answer.  ``k`` must
+be a positive integer and ``deadline_ms`` a finite positive number.
+
 ``deadline_ms`` starts the request's :class:`~repro.resilience.deadline.
 Deadline` at decode time, so the budget covers queueing *and* compute;
 an expired request answers ``kind: "DeadlineExceededError"`` with
@@ -36,16 +41,17 @@ batcher's executor thread.  Errors are per-request: a malformed line or
 a failed query answers ``ok: false`` on that line and the connection
 stays usable.
 
-:class:`BackgroundServer` runs the server on a daemon thread for tests
-and the CI smoke job; :class:`ServiceClient` is the matching blocking
-client.  ``repro.cli serve`` drives :func:`run_server` in the
-foreground.
+:class:`BackgroundServer` runs the server on a daemon thread for tests,
+the chaos harness and the serving bench's TCP gates;
+:class:`ServiceClient` is the matching blocking client.
+``repro.cli serve`` drives :func:`run_server` in the foreground.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import threading
 from queue import Empty, Queue
@@ -77,9 +83,16 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 
 
 def _matrix_from_json(name: str, payload: Any) -> np.ndarray:
-    """Decode a JSON list-of-lists into a binary matrix, strictly."""
+    """Decode a JSON list-of-lists into a 2-D array, dtype inferred.
+
+    Never forced: casting first would turn ``0.9`` into a silent 0 and
+    ``2**70`` into an ``OverflowError``.  Fractions, huge integers and
+    strings decode to float, object or string arrays, which the
+    service's binary check then rejects with
+    :class:`~repro.errors.DatasetError`.
+    """
     try:
-        arr = np.asarray(payload, dtype=np.int64)
+        arr = np.asarray(payload)
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"{name}: not a rectangular numeric matrix") from exc
     if arr.ndim != 2:
@@ -94,6 +107,9 @@ def _deadline_from_json(payload: Any) -> "Deadline | None":
 
     The clock starts *here*, at decode time, so the budget covers the
     request's whole server-side life: coalescing-queue wait included.
+    Python's ``json`` parses ``NaN`` and ``Infinity``, budgets that
+    would never expire, and ``true``, which would read as 1 ms; all
+    three are rejected.
     """
     if payload is None:
         return None
@@ -104,6 +120,11 @@ def _deadline_from_json(payload: Any) -> "Deadline | None":
             f"search.deadline_ms: expected a number of milliseconds, "
             f"got {payload!r}"
         ) from exc
+    if isinstance(payload, bool) or not math.isfinite(budget_ms):
+        raise DatasetError(
+            f"search.deadline_ms: must be a finite number of milliseconds, "
+            f"got {payload!r}"
+        )
     if budget_ms <= 0:
         raise DatasetError(
             f"search.deadline_ms: must be positive, got {budget_ms}"
@@ -358,7 +379,7 @@ def run_server(
 
 
 class BackgroundServer:
-    """An :class:`IdentityServer` on a daemon thread (tests, smoke)::
+    """An :class:`IdentityServer` on a daemon thread (tests, benches)::
 
         with BackgroundServer(service) as (host, port):
             client = ServiceClient(host, port)

@@ -44,9 +44,9 @@ from repro.core.framework import SNPComparisonFramework
 from repro.core.packing import PackedOperand
 
 # The streaming fold is the bit-exactness oracle; reusing its heap type
-# (private by convention, stable within this codebase) keeps the
-# tie-breaking rule defined in exactly one place.
-from repro.core.streaming import Match, _check_binary_matrix, _QueryState
+# and fold (private by convention, stable within this codebase) keeps
+# the tie-breaking rule defined in exactly one place.
+from repro.core.streaming import Match, _QueryState
 from repro.errors import (
     ConfigurationError,
     DatasetError,
@@ -73,6 +73,7 @@ from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
 from repro.serve.metrics import TenantLedger
 from repro.serve.overload import CircuitBreaker
+from repro.util.validation import check_binary_matrix, check_k
 
 __all__ = ["QueryRequest", "IdentityService"]
 
@@ -138,12 +139,8 @@ class IdentityService:
         max_inflight_rows: int | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        if k <= 0 or k > self.MAX_K:
-            raise DatasetError(
-                f"IdentityService: default k={k} out of range [1, {self.MAX_K}]"
-            )
+        self.default_k = check_k("IdentityService: default k", k, self.MAX_K)
         self.index = index
-        self.default_k = k
         self.framework = framework or SNPComparisonFramework(
             device,
             Algorithm.FASTID_IDENTITY,
@@ -211,7 +208,7 @@ class IdentityService:
         tenant: str,
         deadline: Deadline | None = None,
     ) -> QueryRequest:
-        q = _check_binary_matrix("IdentityService: queries", queries)
+        q = check_binary_matrix("IdentityService: queries", queries)
         if q.shape[0] == 0:
             raise DatasetError(
                 "IdentityService: queries must be a non-empty 2-D matrix"
@@ -221,11 +218,7 @@ class IdentityService:
                 f"IdentityService: queries cover {q.shape[1]} sites, "
                 f"index is {self.index.n_bits} sites wide"
             )
-        kk = self.default_k if k is None else k
-        if kk <= 0 or kk > self.MAX_K:
-            raise DatasetError(
-                f"IdentityService: k={kk} out of range [1, {self.MAX_K}]"
-            )
+        kk = self.default_k if k is None else check_k("IdentityService: k", k, self.MAX_K)
         if not tenant:
             raise DatasetError("IdentityService: tenant must be non-empty")
         return QueryRequest(
@@ -283,9 +276,9 @@ class IdentityService:
         """Serve several query sets as **one forced batch**.
 
         Deterministic coalescing -- no timing window involved -- for
-        tests, the CI smoke gate, and callers that already hold a
-        burst.  Semantically identical to submitting them concurrently
-        and having the window coalesce them.
+        tests, the serving bench's exact counters, and callers that
+        already hold a burst.  Semantically identical to submitting them
+        concurrently and having the window coalesce them.
         """
         self._check_admission()
         requests = [self._validate(q, k, tenant) for q in query_sets]
@@ -381,22 +374,11 @@ class IdentityService:
             )
             row = 0
             for ri, request in enumerate(requests):
-                if ri in expired:
-                    row += request.n_queries
-                    continue
-                for qi in range(request.n_queries):
-                    distances = table[row]
-                    state = states[ri][qi]
-                    if len(state.heap) == state.k:
-                        cutoff = -state.heap[0][0]
-                        candidates = np.nonzero(distances <= cutoff)[0]
-                    else:
-                        candidates = np.arange(distances.size)
-                    for local in candidates:
-                        state.offer(
-                            int(distances[local]), segment.base + int(local)
-                        )
-                    row += 1
+                if ri not in expired:
+                    rows = table[row : row + request.n_queries]
+                    for state, distances in zip(states[ri], rows):
+                        state.fold(distances, segment.base)
+                row += request.n_queries
         return [
             expired[ri]
             if ri in expired

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 
 __all__ = [
     "check_positive",
@@ -23,6 +23,8 @@ __all__ = [
     "check_dtype",
     "check_choice",
     "check_workers",
+    "check_k",
+    "check_binary_matrix",
 ]
 
 
@@ -106,3 +108,54 @@ def check_workers(
             else "a positive integer"
         raise ConfigurationError(f"{name} must be {expect}, got {value}")
     return value
+
+
+def check_k(name: str, value: object, maximum: int) -> int:
+    """Validate a top-k size: an integer in ``[1, maximum]``.
+
+    Every top-k entry point (the streaming search, the identity
+    service's default and per-request ``k`` -- and through it the
+    wire) shares this check, so a fractional, boolean or string ``k``
+    fails with one :class:`~repro.errors.DatasetError` instead of
+    returning ``ceil(k)`` or 1 matches, or surfacing as a bare
+    ``TypeError``.  Returns the validated size.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DatasetError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise DatasetError(f"{name}={value} must be positive")
+    if value > maximum:
+        raise DatasetError(
+            f"{name}={value} exceeds the supported maximum {maximum}; retain "
+            f"fewer candidates or compute the full distance table"
+        )
+    return int(value)
+
+
+def check_binary_matrix(name: str, data: object) -> np.ndarray:
+    """Validate a binary 0/1 matrix; returns it as an array, uncopied.
+
+    Rejects a wrong rank, a dtype that is neither integer nor bool, and
+    values outside {0, 1}, with a :class:`~repro.errors.DatasetError`
+    naming ``name`` -- before the caller touches any state.  It runs on
+    every streamed, served, mixture-scan and ld-prune chunk, so it
+    walks the data once for ``min()`` and once for ``max()``.
+    """
+    arr = np.asarray(data)
+    if arr.ndim != 2:
+        raise DatasetError(
+            f"{name} must be a 2-D binary matrix, got {arr.ndim}-D shape {arr.shape}"
+        )
+    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
+        raise DatasetError(
+            f"{name} has dtype {arr.dtype}; binary matrices must use an "
+            f"integer or bool dtype"
+        )
+    if arr.size:
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi > 1:
+            raise DatasetError(
+                f"{name} contains non-binary values "
+                f"(min={lo}, max={hi}); entries must be 0 or 1"
+            )
+    return arr

@@ -351,6 +351,11 @@ class TestWireHardening:
                             )
                         with pytest.raises(ReproError, match="positive"):
                             client.search(make_db(1, seed=1), deadline_ms=-5)
+                        # json parses NaN/Infinity: neither may become a
+                        # budget that never expires; true is not 1 ms.
+                        for bad in (float("nan"), float("inf"), True):
+                            with pytest.raises(ReproError, match="deadline_ms"):
+                                client.search(make_db(1, seed=1), deadline_ms=bad)
                         assert client.ping()  # connection stays usable
 
     def test_health_verb_and_server_drain(self, tracer):

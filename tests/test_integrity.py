@@ -1,4 +1,4 @@
-"""On-disk integrity tests: SNPBIN02 CRCs, torn writes, fsck, chaos-serve.
+"""On-disk integrity tests: SNPBIN02 CRCs, torn writes, fsck, service chaos.
 
 Property-tests the detection guarantee of the checksummed ``.snpbin``
 revision -- *any* truncation or bit flip anywhere in a v2 file
@@ -28,6 +28,7 @@ from repro.io_stream import (
 from repro.io_stream.format import SNPBIN2_HEADER_BYTES
 from repro.observability.counters import IO_CHUNKS_VERIFIED, IO_CRC_FAILURES
 from repro.observability.tracer import Tracer, set_tracer
+from repro.resilience.chaos import run_chaos_case
 from repro.serve import ProfileIndex
 
 
@@ -255,13 +256,9 @@ class TestServeChaos:
         assert DEFAULT_CRC_CHUNK_ROWS == 4096
 
     def test_disk_corrupt_scenario_gates(self):
-        from repro.serve.chaos import run_serve_chaos_case
-
-        result = run_serve_chaos_case("disk-corrupt", seed=1)
+        result = run_chaos_case("disk-corrupt", seed=1)
         assert result.passed, result.summary()
 
     def test_latency_scenario_gates(self):
-        from repro.serve.chaos import run_serve_chaos_case
-
-        result = run_serve_chaos_case("latency", seed=1)
+        result = run_chaos_case("latency", seed=1)
         assert result.passed, result.summary()

@@ -701,10 +701,10 @@ def test_mixture_index_out_of_range_raises_typed_error():
 
 
 def test_streaming_binary_check_single_pass_message():
-    from repro.core.streaming import _check_binary_matrix
+    from repro.util.validation import check_binary_matrix
 
     with pytest.raises(DatasetError, match=r"min=3, max=3"):
-        _check_binary_matrix("panel", np.full((2, 4), 3, dtype=np.uint8))
+        check_binary_matrix("panel", np.full((2, 4), 3, dtype=np.uint8))
     # Empty chunks skip the value scan entirely.
-    out = _check_binary_matrix("panel", np.empty((0, 4), dtype=np.uint8))
+    out = check_binary_matrix("panel", np.empty((0, 4), dtype=np.uint8))
     assert out.shape == (0, 4)

@@ -47,7 +47,10 @@ from repro.observability.regress import (
     Metric,
     compare_metrics,
     load_metrics,
+    metric,
     record_baseline,
+    run_counted,
+    write_metrics,
 )
 from repro.parallel.engine import ParallelEngine
 from repro.util.bitops import pack_bits
@@ -339,29 +342,26 @@ class TestTraceExport:
 # -- regression gate ------------------------------------------------------------
 
 
+def _count_sample(word_ops):
+    counters = get_tracer().counters
+    counters.add("gemm.popc_word_ops", word_ops)
+    counters.add("gemm.calls", 1)
+    counters.add("shards.executed", 8)
+    counters.add("time.host_engine_s", 0.3)  # nondeterministic: must NOT be gated
+
+
 def _sweep_payload(scale=1.0, word_ops=128 * 512 * 32):
-    return {
-        "problem": {"m": 128, "n": 512, "k_words": 32},
-        "repeats": 1,
-        "word_ops": word_ops,
-        "rows": [
-            {
-                "workers": w,
-                "seconds": 0.01 * scale / w,
-                "speedup": float(w),
-                "backend": "blas",
-                "n_shards": 2 * w,
-                "bit_exact": True,
-            }
-            for w in (1, 4)
-        ],
-        "counters": {
-            "gemm.popc_word_ops": word_ops,
-            "gemm.calls": 1,
-            "shards.executed": 8,
-            "time.host_engine_s": 0.3,  # nondeterministic: must NOT be gated
-        },
-    }
+    """A scaling-sweep bench payload in the bench schema."""
+    entries = [metric("word_ops", word_ops, "exact")]
+    for w in (1, 4):
+        entries += [
+            metric(f"workers{w}.seconds", 0.01 * scale / w, "timing"),
+            metric(f"workers{w}.speedup", float(w), "ratio"),
+            metric(f"workers{w}.bit_exact", True, "exact"),
+            metric(f"workers{w}.n_shards", 2 * w, "exact"),
+        ]
+    _, counters = run_counted(lambda: _count_sample(word_ops))
+    return {"metrics": entries + counters}
 
 
 class TestRegressionGate:
@@ -475,6 +475,83 @@ class TestRegressionGate:
             )
             == 1
         )
+
+    def test_run_counted_restores_tracer_and_returns_result(self):
+        previous = get_tracer()
+        result, counters = run_counted(lambda: _count_sample(7) or "done")
+        assert result == "done"
+        assert get_tracer() is previous
+        assert [c["name"] for c in counters] == [
+            "counter.gemm.calls",
+            "counter.gemm.popc_word_ops",
+            "counter.shards.executed",
+        ]
+        assert all(c["kind"] == "exact" for c in counters)
+
+    def test_write_metrics_round_trips(self, tmp_path):
+        path = tmp_path / "bench.json"
+        write_metrics(path, _sweep_payload()["metrics"])
+        names = {m.name for m in load_metrics([path])}
+        assert "bench:workers4.n_shards" in names
+        assert json.loads(path.read_text(encoding="utf-8")).keys() == {"metrics"}
+
+    def test_pytest_benchmark_json_still_read(self, tmp_path):
+        path = tmp_path / "table1.json"
+        path.write_text(
+            json.dumps(
+                {"benchmarks": [{"name": "bench_x", "stats": {"mean": 0.5}}]}
+            ),
+            encoding="utf-8",
+        )
+        (m,) = load_metrics([path])
+        assert (m.name, m.value, m.kind) == ("table1:bench_x.mean_s", 0.5, "timing")
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"value": 1.0, "kind": "exact"}, "missing name"),
+            ({"name": "x", "kind": "exact"}, "missing value"),
+            ({"name": "x", "value": 1.0}, "missing kind"),
+            ({"name": "x", "value": 1.0, "kind": "fuzzy"}, "unknown kind 'fuzzy'"),
+            ({"name": "x", "value": "1.0", "kind": "exact"}, "non-numeric value"),
+            ({"name": "x", "value": True, "kind": "exact"}, "non-numeric value"),
+            ({"name": "x", "value": None, "kind": "timing"}, "non-numeric value"),
+            ({"name": "word_ops", "value": 2.0, "kind": "exact"}, "repeated name"),
+            ({"name": 3, "value": 2.0, "kind": "exact"}, "name must be"),
+            ("word_ops", "not an object"),
+        ],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry, problem):
+        from repro.observability.regress import main as regress_main
+
+        payload = _sweep_payload()
+        payload["metrics"].append(entry)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_metrics([path])
+        message = str(exc.value)
+        assert str(path) in message
+        assert repr(entry) in message
+        assert problem in message
+        out = tmp_path / "b.json"
+        assert regress_main(["record", "--name", "t", "--out", str(out), str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rows": [], "problem": {}, "word_ops": 1},  # a pre-schema sweep
+            {"counters": {"gemm.calls": 1}},  # a MetricsReport
+            {"metrics": {"word_ops": 1}},
+            [1, 2],
+        ],
+    )
+    def test_foreign_formats_rejected(self, tmp_path, payload):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="old.json"):
+            load_metrics([path])
 
 
 class TestNonFiniteGate:

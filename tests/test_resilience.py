@@ -42,7 +42,7 @@ from repro.resilience import (
     get_resilience,
     resilient,
 )
-from repro.resilience.chaos import run_chaos_case
+from repro.resilience.chaos import SCENARIOS, run_chaos_case
 from repro.resilience.retry import Disposition
 from repro.snp.generator import PopulationModel, generate_population
 from repro.snp.io import write_snptxt
@@ -538,6 +538,27 @@ class TestChaos:
     def test_unknown_app_rejected(self):
         with pytest.raises(ConfigurationError):
             run_chaos_case("nosuch", 1)
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_every_registered_scenario_passes(self, scenario):
+        result = run_chaos_case(scenario, 1)
+        assert result.scenario == scenario
+        assert result.passed, result.summary()
+
+    def test_cli_runs_the_registry(self, capsys):
+        from repro.resilience.chaos import main as chaos_main
+
+        assert chaos_main(["--scenarios", "ld,latency", "--seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario=ld seed=2" in out
+        assert "scenario=latency seed=2" in out
+        assert "2/2 cases passed" in out
+        with pytest.raises(SystemExit) as exc:
+            chaos_main(["--scenarios", "nosuch"])
+        assert exc.value.code == 2
+        for removed in ("--apps", "--device", "--rows", "--sites", "--workers"):
+            with pytest.raises(SystemExit):
+                chaos_main([removed, "1"])
 
 
 # -- CLI flags -----------------------------------------------------------------

@@ -401,6 +401,10 @@ class TestIdentityServiceValidation:
                     service.search(np.empty((0, SITES), dtype=np.uint8))
                 with pytest.raises(DatasetError, match="k="):
                     service.search(make_db(1), k=0)
+                # Fractional, boolean and string k are not counts.
+                for bad_k in (2.5, True, "5"):
+                    with pytest.raises(DatasetError, match="positive integer"):
+                        service.search(make_db(1), k=bad_k)
                 with pytest.raises(DatasetError, match="tenant"):
                     service.search(make_db(1), tenant="")
 
@@ -410,6 +414,9 @@ class TestIdentityServiceValidation:
         with index:
             with pytest.raises(DatasetError, match="k="):
                 IdentityService(index, k=0)
+            for bad_k in (2.5, True, "5"):
+                with pytest.raises(DatasetError, match="positive integer"):
+                    IdentityService(index, k=bad_k)
 
     def test_submit_after_close_raises(self, tmp_path, tracer):
         db = make_db(10)
@@ -482,6 +489,21 @@ class TestServer:
                             client.search(make_db(1, sites=8))
                         with pytest.raises(ReproError, match="unknown op"):
                             client._call({"op": "nope"})
+                        # Typed errors, never a wrong answer: fractions
+                        # must not decode as zeros, huge integers must
+                        # not overflow, k must be a positive integer.
+                        fractional = [[0.9] * SITES]
+                        with pytest.raises(ReproError, match="DatasetError.*dtype"):
+                            client._call({"op": "search", "queries": fractional})
+                        with pytest.raises(ReproError, match="DatasetError.*dtype"):
+                            client._call({"op": "append", "profiles": [[0.5] * SITES]})
+                        huge = [[2**70] + [0] * (SITES - 1)]
+                        with pytest.raises(ReproError, match="DatasetError.*dtype"):
+                            client._call({"op": "search", "queries": huge})
+                        for bad_k in (2.5, True, "5"):
+                            with pytest.raises(ReproError, match="DatasetError"):
+                                client.search(make_db(1), k=bad_k)
+                        assert service.index.n_rows == 20  # nothing appended
                         assert client.ping()  # still alive
 
     def test_concurrent_clients_coalesce_and_match_oracle(

@@ -79,6 +79,9 @@ class TestStreamingSearch:
         _, queries, _ = workload
         with pytest.raises(DatasetError):
             StreamingIdentitySearch(queries, k=0)
+        for bad_k in (2.5, True, "5"):
+            with pytest.raises(DatasetError):
+                StreamingIdentitySearch(queries, k=bad_k)
         with pytest.raises(DatasetError):
             StreamingIdentitySearch(np.zeros((0, 4), dtype=np.uint8))
         stream = StreamingIdentitySearch(queries, k=2)

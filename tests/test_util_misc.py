@@ -17,10 +17,13 @@ from repro.util.units import (
     kib,
     mib,
 )
+from repro.errors import DatasetError
 from repro.util.validation import (
+    check_binary_matrix,
     check_choice,
     check_dtype,
     check_in_range,
+    check_k,
     check_multiple,
     check_nonnegative,
     check_positive,
@@ -69,6 +72,26 @@ class TestValidation:
         check_choice("mode", "fast", ("fast", "slow"))
         with pytest.raises(ValueError):
             check_choice("mode", "medium", ("fast", "slow"))
+
+    @pytest.mark.parametrize("good", [1, 7, 4096, np.int64(3)])
+    def test_check_k_accepts(self, good):
+        assert check_k("k", good, 4096) == good
+        assert type(check_k("k", good, 4096)) is int
+
+    # Out-of-range, fractional, boolean and string k are inputs of the
+    # service and streaming validation tests; these are the rest.
+    @pytest.mark.parametrize("bad", [2.0, np.bool_(True), None])
+    def test_check_k_rejects(self, bad):
+        with pytest.raises(DatasetError, match="positive integer"):
+            check_k("k", bad, 4096)
+
+    def test_check_binary_matrix_returns_input_uncopied(self):
+        for arr in (
+            np.zeros((3, 5), dtype=np.uint8),
+            np.ones((2, 4), dtype=bool),
+            np.ones((4, 6), dtype=np.int64)[:, ::2],  # strided view
+        ):
+            assert check_binary_matrix("m", arr) is arr
 
 
 class TestStopwatch:
