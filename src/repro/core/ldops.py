@@ -19,9 +19,11 @@ operators over block-rows* of that Gram output:
 Neither operator ever materializes the full ``sites x sites`` LD
 matrix.  Each consumes the streamed site-major input chunk by chunk
 (the block-row decomposition :class:`~repro.core.streaming.StreamingLD`
-uses), stacks the chunk under the buffered window rows, packs the
-stack once and counts only the *window band* of its self-comparison
-with :func:`~repro.blis.gemm.bit_gemm_band`: the joint counts of every
+uses) as packed words -- a ``.snpbin``'s own words, any other source
+checked and packed once per chunk on the prefetch thread -- stacks the
+chunk's words under the buffered window rows (kept packed) and counts
+only the *window band* of the stack's self-comparison with
+:func:`~repro.blis.gemm.bit_gemm_band`: the joint counts of every
 chunk row with the (at most ``window - 1``) stack rows above it.
 Resident LD state is therefore ``O(chunk * window)`` counts plus at most
 ``window - 1`` buffered site vectors, regardless of panel size (see
@@ -59,12 +61,12 @@ import numpy as np
 from repro.blis.gemm import bit_gemm_band
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.core.packing import pack_operand
+from repro.core.packing import PackedOperand, pack_operand
 from repro.errors import ConfigurationError, DatasetError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.executor import price_kernel
 from repro.gpu.kernel import KernelArgs
-from repro.io_stream.prefetch import ChunkStream, StreamStats
+from repro.io_stream.prefetch import StreamStats
 from repro.io_stream.sources import ChunkSource, as_chunk_source
 from repro.observability.counters import (
     LDOPS_CLUMPS_FORMED,
@@ -76,6 +78,7 @@ from repro.observability.counters import (
     LDOPS_WINDOW_PEAK_SITES,
 )
 from repro.observability.tracer import get_tracer
+from repro.util.bitops import popcount
 from repro.util.validation import check_binary_matrix
 
 __all__ = [
@@ -160,17 +163,6 @@ def r2_exceeds_array(
     return np.asarray(exceeds, dtype=bool) & (den != 0)
 
 
-def _check_site_chunk(name: str, chunk: np.ndarray, n_sites: int | None) -> np.ndarray:
-    """Validate one site-major chunk (rows = sites, columns = samples)."""
-    arr = check_binary_matrix(f"{name}: site-major chunk", np.ascontiguousarray(chunk))
-    if n_sites is not None and arr.shape[1] != n_sites:
-        raise DatasetError(
-            f"{name}: chunk has {arr.shape[1]} observation columns, "
-            f"earlier chunks had {n_sites}"
-        )
-    return arr
-
-
 def _check_params(name: str, window: int, r2: float) -> None:
     if window < 1:
         raise DatasetError(f"{name}: window must be >= 1, got {window}")
@@ -198,7 +190,7 @@ def _ld_framework(
 class _Stack:
     """One chunk stacked under the buffered window rows, plus its band."""
 
-    #: Buffered rows, then the chunk's rows (site vectors).
+    #: Buffered rows, then the chunk's rows (packed site vectors).
     rows: np.ndarray
     #: Global site index of each stacked row (ascending).
     indices: np.ndarray
@@ -216,9 +208,9 @@ class _Stack:
 class _WindowBand:
     """Shared block-row machinery: buffered window rows + count band.
 
-    Keeps the site vectors later sites may still pair with (the only
-    input ever re-touched) and their global indices and allele counts.
-    Each new chunk is stacked under them, packed once, and the chunk
+    Keeps the packed site vectors later sites may still pair with (the
+    only input ever re-touched) and their global indices and allele
+    counts.  Each new packed chunk is stacked under them, and the chunk
     rows' first ``min(window, stack rows) - 1`` sub-diagonals are
     counted by :func:`~repro.blis.gemm.bit_gemm_band`.  Buffered rows
     are in ascending site order and no two rows are further apart in
@@ -237,21 +229,46 @@ class _WindowBand:
         self.next_site = 0
         self.simulated_seconds = 0.0
 
-    def stack(self, chunk: np.ndarray, r2: float, strict: bool) -> _Stack:
-        """Stack, pack and band one validated chunk; decide r^2 on its band."""
-        self.n_obs = int(chunk.shape[1])
+    def _check_columns(self, name: str, n_obs: int) -> None:
+        if self.n_obs is not None and n_obs != self.n_obs:
+            raise DatasetError(
+                f"{name}: chunk has {n_obs} observation columns, "
+                f"earlier chunks had {self.n_obs}"
+            )
+
+    def pack(self, name: str, chunk: np.ndarray) -> PackedOperand | None:
+        """Check one site-major bits chunk (rows = sites, columns =
+        samples) and pack it; ``None`` for a chunk without rows."""
+        arr = check_binary_matrix(f"{name}: site-major chunk", chunk)
+        self._check_columns(name, int(arr.shape[1]))
+        if arr.shape[0] == 0:
+            return None
+        return pack_operand(arr, word_bits=self.framework.arch.word_bits)
+
+    def admit(self, name: str, chunk: PackedOperand) -> None:
+        """Reject a packed chunk the band cannot decide r^2 on."""
+        self._check_columns(name, chunk.n_bits)
+        if chunk.n_bits == 0:
+            raise DatasetError(
+                f"{name}: chunk has zero observation columns; "
+                f"r^2 is undefined on zero observations"
+            )
+
+    def stack(self, chunk: PackedOperand, r2: float, strict: bool) -> _Stack:
+        """Stack and band one admitted chunk; decide r^2 on its band."""
+        self.n_obs = chunk.n_bits
+        words = chunk.words[: chunk.n_rows]
         buffered = len(self._indices)
-        counts = chunk.sum(axis=1, dtype=np.int64)
-        rows = chunk if self._rows is None else np.concatenate([self._rows, chunk])
+        counts = popcount(words).sum(axis=1)
+        rows = words if self._rows is None else np.concatenate([self._rows, words])
         # No two stack rows are more than len(rows) - 1 apart, so a
         # window wider than the stack adds no band column.
         width = min(self.window - 1, len(rows) - 1)
         indices = np.concatenate(
-            [self._indices, np.arange(self.next_site, self.next_site + len(chunk))]
+            [self._indices, np.arange(self.next_site, self.next_site + len(words))]
         )
         stack_counts = np.concatenate([self._counts, counts])
-        packed = pack_operand(rows, word_bits=self.framework.arch.word_bits)
-        band = bit_gemm_band(packed.words, width, start=buffered)
+        band = bit_gemm_band(rows, width, start=buffered)
         partner = np.arange(buffered, len(rows))[:, None] - np.arange(1, width + 1)
         has_partner = partner >= 0
         hits = has_partner & r2_exceeds_array(
@@ -263,7 +280,7 @@ class _WindowBand:
             strict,
         )
         if width:
-            args = KernelArgs(m=len(chunk), n=width, k=packed.k_words)
+            args = KernelArgs(m=len(words), n=width, k=chunk.k_words)
             self.simulated_seconds += price_kernel(self.framework.kernel, args).seconds
         return _Stack(rows, indices, stack_counts, buffered, hits)
 
@@ -364,16 +381,15 @@ class LDPruner:
         """Scan one block of site rows (global order = arrival order)."""
         if self._finalized:
             raise DatasetError("LDPruner: add_chunk after finalize")
-        arr = _check_site_chunk("LDPruner.add_chunk", chunk, self._band.n_obs)
-        if arr.shape[0] == 0:
-            return
-        if arr.shape[1] == 0:
-            raise DatasetError(
-                "LDPruner.add_chunk: chunk has zero observation columns; "
-                "r^2 is undefined on zero observations"
-            )
+        packed = self._band.pack("LDPruner.add_chunk", chunk)
+        if packed is not None:
+            self._add_packed(packed)
+
+    def _add_packed(self, chunk: PackedOperand) -> None:
+        """Scan one packed block of site rows."""
+        self._band.admit("LDPruner.add_chunk", chunk)
         base = self._band.next_site
-        stack = self._band.stack(arr, self.r2, strict=True)
+        stack = self._band.stack(chunk, self.r2, strict=True)
         # Kept sites of the trailing window, oldest first: (global
         # index, stack row).  Only kept rows are buffered.
         window_kept = deque(
@@ -402,7 +418,7 @@ class LDPruner:
                 window_kept.append((g, q))
             self.peak_window_sites = max(self.peak_window_sites, len(window_kept))
         self.pairs_tested += tested
-        self._band.next_site = base + arr.shape[0]
+        self._band.next_site = base + chunk.n_rows
         self._band.retain(stack, keep)
 
     def finalize(self) -> PruneResult:
@@ -531,23 +547,22 @@ class LDClumper:
         """Fold one block of site rows into the pending clump state."""
         if self._finalized:
             raise DatasetError("LDClumper: add_chunk after finalize")
-        arr = _check_site_chunk("LDClumper.add_chunk", chunk, self._band.n_obs)
-        if arr.shape[0] == 0:
-            return
-        if arr.shape[1] == 0:
-            raise DatasetError(
-                "LDClumper.add_chunk: chunk has zero observation columns; "
-                "r^2 is undefined on zero observations"
-            )
+        packed = self._band.pack("LDClumper.add_chunk", chunk)
+        if packed is not None:
+            self._add_packed(packed)
+
+    def _add_packed(self, chunk: PackedOperand) -> None:
+        """Fold one packed block of site rows into the clump state."""
+        self._band.admit("LDClumper.add_chunk", chunk)
         base = self._band.next_site
-        n_new = arr.shape[0]
+        n_new = chunk.n_rows
         if base + n_new > self.scores.shape[0]:
             raise DatasetError(
                 f"LDClumper.add_chunk: streamed sites exceed the "
                 f"{self.scores.shape[0]} supplied scores "
                 f"(chunk covers sites {base}..{base + n_new - 1})"
             )
-        stack = self._band.stack(arr, self.r2, strict=False)
+        stack = self._band.stack(chunk, self.r2, strict=False)
         # Every row is buffered, so the stack is contiguous in sites:
         # hits[local, d-1] pairs site base + local with the site d
         # earlier.  Edges are listed oldest neighbor first.
@@ -653,23 +668,18 @@ def _drive(
     prefetch: bool,
     workload: str,
 ) -> StreamStats:
-    """Stream a whole source through one operator (with retry + spans)."""
+    """Stream a whole source through one operator as packed words (no
+    row padding: the band stacks rows), with retry and spans."""
     # Imported here to keep module import light and avoid a cycle at
     # type-check time (streaming imports ld, which shares this package).
-    from repro.core.streaming import _run_chunk
+    from repro.core.streaming import _consume
 
     if chunk_rows < 1:
         raise DatasetError(f"ld {workload}: chunk_rows must be >= 1")
-    src = as_chunk_source(source)
-    obs = get_tracer()
-    stream = ChunkStream(src, chunk_rows, prefetch=prefetch)
-    for index, chunk in enumerate(stream):
-        with obs.span(
-            "stream.chunk", workload=workload, index=index,
-            rows=int(chunk.shape[0]),
-        ):
-            _run_chunk(lambda: operator.add_chunk(chunk))
-    return stream.stats
+    return _consume(
+        as_chunk_source(source).packed(operator.framework.arch.word_bits),
+        chunk_rows, prefetch, workload, operator._add_packed,
+    )
 
 
 def ld_prune(

@@ -27,7 +27,7 @@ from repro.observability.counters import PACK_BYTES, PACK_OPERANDS
 from repro.observability.tracer import get_tracer
 from repro.util.bitops import pack_bits
 
-__all__ = ["PackedOperand", "pack_operand", "crop_result"]
+__all__ = ["PackedOperand", "pack_operand", "wrap_words", "crop_result"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,25 @@ def pack_operand(
     obs.counters.add(PACK_OPERANDS)
     obs.counters.add(PACK_BYTES, int(words.nbytes))
     return PackedOperand(words=words, n_rows=n_rows, n_bits=n_bits, negated=negate)
+
+
+def wrap_words(words: np.ndarray, n_bits: int, row_multiple: int = 1) -> PackedOperand:
+    """An operand from rows already in the device layout, without repacking.
+
+    For words that are :func:`~repro.util.bitops.pack_bits` layout in the
+    device word width (a ``.snpbin`` shard or chunk).  Only the row
+    padding to a multiple of ``row_multiple`` (zero rows, cropped after
+    the GEMM) is new, so words whose row count already is a multiple are
+    used as they are -- a view of a map stays a view.  Not counted as a
+    packed operand.
+    """
+    n_rows = int(words.shape[0])
+    padded = -(-n_rows // row_multiple) * row_multiple
+    if padded != n_rows:
+        full = np.zeros((padded, words.shape[1]), dtype=words.dtype)
+        full[:n_rows] = words
+        words = full
+    return PackedOperand(words=words, n_rows=n_rows, n_bits=n_bits)
 
 
 def crop_result(

@@ -16,9 +16,16 @@ workloads over data fed in chunks:
 Each workload accepts anything
 :func:`repro.io_stream.sources.as_chunk_source` can adapt -- in-memory
 arrays, ``.snpbin`` maps, NPZ files, or plain batch iterators -- and
-consumes it through the double-buffered prefetch executor
+consumes it as device operands
+(:class:`repro.io_stream.sources.PackedSource`) through the
+double-buffered prefetch executor
 (:class:`repro.io_stream.prefetch.ChunkStream`): a background thread
-reads chunk *i+1* while chunk *i* runs through the engine.  Every
+produces chunk *i+1* while chunk *i* runs through
+:meth:`~repro.core.framework.SNPComparisonFramework.run_packed`.  A
+``.snpbin`` chunk is the file's own verified words, so nothing is
+unpacked, re-checked or re-packed; the fixed operand (queries,
+mixtures) is packed once per object.  The bits entry points
+(``add_batch``) check and pack, then join the same packed path.  Every
 chunk is retried under the active resilience policy
 (:mod:`repro.resilience`) before the error propagates, and per-chunk
 spans/counters (``stream.chunks``, ``stream.bytes_read``,
@@ -45,11 +52,17 @@ from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.ld import LDResult
 from repro.core.mixture import MixtureResult
+from repro.core.packing import PackedOperand
 from repro.core.profiles import RunReport
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
 from repro.io_stream.prefetch import ChunkStream, StreamStats
-from repro.io_stream.sources import ChunkSource, as_chunk_source, materialize_source
+from repro.io_stream.sources import (
+    ChunkSource,
+    PackedSource,
+    as_chunk_source,
+    materialize_source,
+)
 from repro.observability.counters import (
     STREAM_CHUNK_RETRIES,
     STREAM_PREFILTER_FALLBACKS,
@@ -122,6 +135,35 @@ def _merged_report(
     if resilience:
         merged.resilience = ResilienceReport.combine(resilience)
     return merged
+
+
+def _packed_source(
+    source: ChunkSource | np.ndarray | Any, framework: SNPComparisonFramework
+) -> PackedSource:
+    """``source`` as operands in the framework's word width, with rows
+    padded to its ``m_r`` (the extents the device schedule prices)."""
+    return as_chunk_source(source).packed(
+        framework.arch.word_bits, framework.config.m_r
+    )
+
+
+def _consume(
+    source: PackedSource,
+    chunk_rows: int,
+    prefetch: bool,
+    workload: str,
+    add: Callable[[PackedOperand], None],
+) -> StreamStats:
+    """Stream ``source``'s operands through ``add``, one span and one
+    retried call per chunk; returns the stream's I/O accounting."""
+    obs = get_tracer()
+    stream = ChunkStream(source, chunk_rows, prefetch=prefetch)
+    for index, chunk in enumerate(stream):
+        with obs.span(
+            "stream.chunk", workload=workload, index=index, rows=chunk.n_rows
+        ):
+            _run_chunk(lambda: add(chunk))
+    return stream.stats
 
 
 @dataclass(frozen=True, order=True)
@@ -215,6 +257,7 @@ class StreamingIdentitySearch:
             device, Algorithm.FASTID_IDENTITY, workers=workers,
             backend=backend,
         )
+        self._packed_queries = self.framework.pack(q)
         self._states = [_QueryState(k=k) for _ in range(q.shape[0])]
         self.rows_seen = 0
         self.batches_seen = 0
@@ -234,14 +277,24 @@ class StreamingIdentitySearch:
         (``rows_seen``, top-k heaps) is touched.
         """
         batch = check_binary_matrix("add_batch: batch", profiles)
-        if batch.shape[1] != self.queries.shape[1]:
-            raise DatasetError(
-                f"add_batch: batch shape {batch.shape} incompatible with "
-                f"{self.queries.shape[1]} query sites"
-            )
+        self._check_sites(batch.shape)
         if batch.shape[0] == 0:
             return
-        distances, report = self.framework.run(self.queries, batch)
+        self._add_packed(self.framework.pack(batch))
+
+    def _check_sites(self, shape: tuple[int, ...]) -> None:
+        if shape[1] != self.queries.shape[1]:
+            raise DatasetError(
+                f"add_batch: batch shape {shape} incompatible with "
+                f"{self.queries.shape[1]} query sites"
+            )
+
+    def _add_packed(self, batch: PackedOperand) -> None:
+        """Search one packed database batch and fold its distances."""
+        self._check_sites((batch.n_rows, batch.n_bits))
+        distances, report = self.framework.run_packed(
+            self._packed_queries, batch
+        )
         self.simulated_seconds += report.end_to_end_s
         # An unfiltered fold (heap not yet full) is surfaced through
         # the fallback counter.
@@ -251,7 +304,7 @@ class StreamingIdentitySearch:
         )
         if unfiltered:
             get_tracer().counters.add(STREAM_PREFILTER_FALLBACKS, unfiltered)
-        self.rows_seen += batch.shape[0]
+        self.rows_seen += batch.n_rows
         self.batches_seen += 1
 
     def consume(
@@ -260,23 +313,17 @@ class StreamingIdentitySearch:
         chunk_rows: int,
         prefetch: bool = True,
     ) -> StreamStats:
-        """Stream an entire chunk source through :meth:`add_batch`.
+        """Stream an entire chunk source through the packed search.
 
-        Chunks are read (and validated) on the prefetch thread while
-        the previous chunk is being searched; each chunk is retried
-        under the active resilience policy.  Returns the stream's I/O
-        accounting.
+        Chunks are produced as device operands on the prefetch thread
+        while the previous chunk is being searched; each chunk is
+        retried under the active resilience policy.  Returns the
+        stream's I/O accounting.
         """
-        src = as_chunk_source(source)
-        obs = get_tracer()
-        stream = ChunkStream(src, chunk_rows, prefetch=prefetch)
-        for index, chunk in enumerate(stream):
-            with obs.span(
-                "stream.chunk", workload="identity", index=index,
-                rows=int(chunk.shape[0]),
-            ):
-                _run_chunk(lambda: self.add_batch(chunk))
-        return stream.stats
+        return _consume(
+            _packed_source(source, self.framework),
+            chunk_rows, prefetch, "identity", self._add_packed,
+        )
 
     def matches(self, query_index: int) -> list[Match]:
         """Current best-k matches for one query (sorted)."""
@@ -354,7 +401,10 @@ class StreamingLD:
         with tempfile.TemporaryDirectory(prefix="repro-streaming-ld-") as tmp:
             if not src.seekable:
                 src = materialize_source(
-                    src, Path(tmp) / "spool.snpbin", chunk_rows=chunk_rows
+                    src,
+                    Path(tmp) / "spool.snpbin",
+                    chunk_rows=chunk_rows,
+                    word_bits=self.framework.arch.word_bits,
                 )
             n = src.n_rows
             assert n is not None  # seekable sources know their size
@@ -363,30 +413,32 @@ class StreamingLD:
             frequencies = np.zeros(n, dtype=np.float64)
             reports: list[RunReport] = []
             row_start = 0
-            stream = ChunkStream(src, chunk_rows, prefetch=prefetch)
+            packed = _packed_source(src, self.framework)
+            stream = ChunkStream(packed, chunk_rows, prefetch=prefetch)
             for index, chunk in enumerate(stream):
-                rows = int(chunk.shape[0])
-                si, ei = row_start, row_start + rows
+                si, ei = row_start, row_start + chunk.n_rows
                 with obs.span(
-                    "stream.chunk", workload="ld", index=index, rows=rows
+                    "stream.chunk", workload="ld", index=index, rows=chunk.n_rows
                 ):
-                    diag, report = _run_chunk(lambda: self.framework.run(chunk))
+                    diag, report = _run_chunk(
+                        lambda: self.framework.run_packed(chunk, chunk)
+                    )
                     counts[si:ei, si:ei] = diag
                     reports.append(report)
                     # One rectangular block against every earlier chunk;
                     # AND is symmetric, so the transpose slot is a mirror.
                     for pj in range(0, si, chunk_rows):
                         sj, ej = pj, min(pj + chunk_rows, si)
-                        prev = src.read(sj, ej)
+                        prev = packed.read(sj, ej)
                         block, report = _run_chunk(
-                            lambda: self.framework.run(prev, chunk)
+                            lambda: self.framework.run_packed(prev, chunk)
                         )
                         counts[sj:ej, si:ei] = block
                         counts[si:ei, sj:ej] = block.T
                         reports.append(report)
-                    frequencies[si:ei] = (
-                        chunk.mean(axis=1) if n_sites else 0.0
-                    )
+                    # The diagonal of a self-comparison is each row's
+                    # allele count.
+                    frequencies[si:ei] = np.diagonal(diag) / n_sites
                 row_start = ei
         self.last_stats = stream.stats
         return LDResult(
@@ -407,7 +459,9 @@ class StreamingMixture:
 
     Incremental use mirrors :class:`StreamingIdentitySearch`
     (:meth:`add_batch` / :meth:`result`); :meth:`consume` drives a
-    whole chunk source through the prefetch executor.
+    whole chunk source through the prefetch executor.  The mixtures
+    are packed once, pre-negated when the device's configuration says
+    so (Vega 64's ``AND_PRENEGATED``), so no chunk pays for either.
     """
 
     def __init__(
@@ -432,6 +486,9 @@ class StreamingMixture:
             workers=workers,
             backend=backend,
         )
+        self._packed_mixtures = self.framework.pack(
+            m, negate=self.framework.database_needs_prenegation
+        )
         self._score_blocks: list[np.ndarray] = []
         self._reports: list[RunReport] = []
         self.rows_seen = 0
@@ -444,17 +501,25 @@ class StreamingMixture:
     def add_batch(self, references: np.ndarray) -> None:
         """Score one chunk of reference profiles against the mixtures."""
         batch = check_binary_matrix("add_batch: references", references)
-        if batch.shape[1] != self.mixtures.shape[1]:
-            raise DatasetError(
-                f"add_batch: references shape {batch.shape} incompatible "
-                f"with {self.mixtures.shape[1]} mixture sites"
-            )
+        self._check_sites(batch.shape)
         if batch.shape[0] == 0:
             return
-        scores, report = self.framework.run(batch, self.mixtures)
+        self._add_packed(self.framework.pack(batch))
+
+    def _check_sites(self, shape: tuple[int, ...]) -> None:
+        if shape[1] != self.mixtures.shape[1]:
+            raise DatasetError(
+                f"add_batch: references shape {shape} incompatible "
+                f"with {self.mixtures.shape[1]} mixture sites"
+            )
+
+    def _add_packed(self, batch: PackedOperand) -> None:
+        """Score one packed chunk of references against the mixtures."""
+        self._check_sites((batch.n_rows, batch.n_bits))
+        scores, report = self.framework.run_packed(batch, self._packed_mixtures)
         self._score_blocks.append(scores)
         self._reports.append(report)
-        self.rows_seen += int(batch.shape[0])
+        self.rows_seen += batch.n_rows
         self.batches_seen += 1
 
     def consume(
@@ -463,17 +528,11 @@ class StreamingMixture:
         chunk_rows: int,
         prefetch: bool = True,
     ) -> StreamStats:
-        """Stream a whole reference source through :meth:`add_batch`."""
-        src = as_chunk_source(source)
-        obs = get_tracer()
-        stream = ChunkStream(src, chunk_rows, prefetch=prefetch)
-        for index, chunk in enumerate(stream):
-            with obs.span(
-                "stream.chunk", workload="mixture", index=index,
-                rows=int(chunk.shape[0]),
-            ):
-                _run_chunk(lambda: self.add_batch(chunk))
-        return stream.stats
+        """Stream a whole reference source through the packed scoring."""
+        return _consume(
+            _packed_source(source, self.framework),
+            chunk_rows, prefetch, "mixture", self._add_packed,
+        )
 
     def result(self) -> MixtureResult:
         """The accumulated :class:`MixtureResult` for everything seen."""

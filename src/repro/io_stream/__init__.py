@@ -16,12 +16,14 @@ Three layers, bottom up:
   :class:`PackedDatasetReader`.
 * :mod:`repro.io_stream.sources` -- :class:`ChunkSource`, one
   abstraction over "where binary rows come from": in-memory arrays,
-  ``.snpbin`` maps, NPZ files, plain iterators.
+  ``.snpbin`` maps, NPZ files, plain iterators; and its
+  :class:`PackedSource` view, the same rows as device operands (a
+  ``.snpbin``'s own words, anything else checked and packed).
 * :mod:`repro.io_stream.prefetch` -- :class:`ChunkStream`, the
-  double-buffered prefetch executor: a background thread reads (and
-  optionally packs) chunk *i+1* while chunk *i* runs through the
-  engine, mirroring at the host layer the simulated device's
-  double-buffered transfer/compute overlap.
+  double-buffered prefetch executor: a background thread produces
+  chunk *i+1* while chunk *i* runs through the engine, mirroring at
+  the host layer the simulated device's double-buffered
+  transfer/compute overlap.
 
 The streaming workloads that consume these live in
 :mod:`repro.core.streaming`; see ``docs/STREAMING.md`` for the format
@@ -49,6 +51,7 @@ from repro.io_stream.sources import (
     ChunkSource,
     IteratorSource,
     NpzSource,
+    PackedSource,
     SnpbinSource,
     as_chunk_source,
     materialize_source,
@@ -74,6 +77,7 @@ __all__ = [
     "SnpbinSource",
     "NpzSource",
     "IteratorSource",
+    "PackedSource",
     "as_chunk_source",
     "materialize_source",
     "open_source",

@@ -47,8 +47,10 @@ Bit order within a word matches :func:`repro.util.bitops.pack_bits`
 The format stores *packed* words -- a 1M x 100k-site matrix is ~12.5 GB
 on disk instead of 100 GB unpacked -- and the reader memory-maps the
 data region, so reading a chunk of rows touches only those rows' pages.
-The trailing words of each row are zero-padded; the reader validates
-the header, the word width and the exact file size before mapping.
+The trailing bits of each row are zero-padded; the reader validates
+the header, the word width and the exact file size before mapping, and
+rejects a row with a set pad bit on every read (a typed
+:class:`~repro.errors.IntegrityError`, for both revisions).
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ _HEADER_CRC = struct.Struct("<I")
 SNPBIN_HEADER_BYTES = _HEADER.size  # 32
 SNPBIN2_HEADER_BYTES = _HEADER.size + _HEADER_CRC.size  # 36
 
-#: Default rows per CRC chunk: 4096 rows x 1568 bytes/row (100k sites
-#: packed) is ~6 MB of data guarded by each 4-byte checksum.
+#: Default rows per CRC chunk: 4096 rows x 12,500 bytes/row (100k sites
+#: packed) is ~51 MB of data guarded by each 4-byte checksum.
 DEFAULT_CRC_CHUNK_ROWS = 4096
 
 _VALID_WORD_BITS = (8, 16, 32, 64)
@@ -522,24 +524,56 @@ class PackedDatasetReader:
                 self._chunk_ok[chunk] = True
             get_tracer().counters.add(IO_CHUNKS_VERIFIED)
 
+    def _check_pad_bits(self, words: np.ndarray, start: int) -> None:
+        """Reject rows that set a bit past ``n_bits`` (one masked AND).
+
+        The bits after a row's last site are zero by construction, and
+        every consumer relies on it: the kernels popcount whole words
+        and :func:`~repro.util.bitops.convert_words` re-cuts rows at
+        word boundaries.  A set pad bit is therefore a corrupt file,
+        even when its CRC matches (SNPBIN01, ``verify=False``, or a
+        foreign writer), never data.
+        """
+        spare = words.shape[1] * self.word_bits - self.n_bits
+        if not spare or not words.shape[0]:
+            return
+        bad = np.flatnonzero(words[:, -1] & words.dtype.type((1 << spare) - 1))
+        if bad.size:
+            stop = start + words.shape[0]
+            raise IntegrityError(
+                f"snpbin: {self.path} rows [{start}, {stop}) set pad bits "
+                f"past n_bits={self.n_bits} (first at row {start + int(bad[0])})"
+                f" -- corrupt file",
+                path=str(self.path),
+            )
+
     def verify_all(self) -> int:
-        """Verify every CRC chunk now; returns the chunk count checked.
+        """Verify every CRC chunk and pad bit now; returns the chunk count.
 
         Raises :class:`~repro.errors.IntegrityError` on the first
-        mismatch.  V1 files have no checksums: returns 0.
+        mismatch or set pad bit.  V1 files have no checksums (their pad
+        bits are still checked): returns 0.
         """
-        if self.header.n_chunks == 0:
-            return 0
-        self._verify_chunks(0, self.n_rows)
+        if self.header.n_chunks:
+            self._verify_chunks(0, self.n_rows)
+        self._check_pad_bits(self._words, 0)
         return self.header.n_chunks
 
     def read_words(self, start: int, stop: int) -> np.ndarray:
-        """Packed words of rows ``[start, stop)`` (native-endian copy)."""
+        """Packed words of rows ``[start, stop)``, native-endian.
+
+        A read-only view of the map whenever the on-disk byte order is
+        native (always on little-endian hosts), else a converted copy.
+        CRC chunks are verified first (v2, ``verify=True``); set pad
+        bits are rejected for every file.
+        """
         start, stop = self._check_range(start, stop)
         if self._verify:
             self._verify_chunks(start, stop)
         native = np.dtype(f"u{self.word_bits // 8}")
-        return np.ascontiguousarray(self._words[start:stop]).astype(native, copy=False)
+        words = np.ascontiguousarray(self._words[start:stop]).astype(native, copy=False)
+        self._check_pad_bits(words, start)
+        return words
 
     def read_bits(self, start: int, stop: int) -> np.ndarray:
         """Unpacked 0/1 ``uint8`` matrix of rows ``[start, stop)``."""

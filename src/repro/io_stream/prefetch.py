@@ -1,18 +1,21 @@
 """Double-buffered chunk prefetch: overlap ingest with compute.
 
 :class:`ChunkStream` iterates a :class:`~repro.io_stream.sources.ChunkSource`
-with a background producer thread: while the consumer runs chunk *i*
-through the engine, the producer reads (and optionally *prepares* --
-e.g. packs) chunk *i+1*.  This is the host-layer mirror of the
-pipeline's simulated device double buffering, and the access pattern
-Beyer & Bientinesi show sustains peak throughput when streaming from
-disk: with compute per chunk >= read time per chunk, the consumer
-never stalls after the first chunk.
+(or its :class:`~repro.io_stream.sources.PackedSource` view, which the
+streaming workloads use) with a background producer thread: while the
+consumer runs chunk *i* through the engine, the producer reads chunk
+*i+1* -- for a packed view that includes the CRC check of a
+``.snpbin``'s words, or the binary check and packing of any other
+source's rows.  This is the host-layer mirror of the pipeline's
+simulated device double buffering, and the access pattern Beyer &
+Bientinesi show sustains peak throughput when streaming from disk:
+with compute per chunk >= read time per chunk, the consumer never
+stalls after the first chunk.
 
 Accounting is split across the two sides and lands in the
 observability counters:
 
-* ``stream.read_s`` -- producer wall seconds reading + preparing;
+* ``stream.read_s`` -- producer wall seconds producing chunks;
 * ``stream.prefetch_stall_s`` -- consumer wall seconds blocked waiting
   for a chunk (the overlap *failure* time; the benchmark gate keeps
   this well under the read time);
@@ -30,10 +33,10 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import DatasetError
-from repro.io_stream.sources import ChunkSource
+from repro.io_stream.sources import ChunkSource, PackedSource
 from repro.observability.counters import (
     STREAM_BYTES_READ,
     STREAM_CHUNKS,
@@ -71,13 +74,11 @@ class ChunkStream:
     Parameters
     ----------
     source:
-        Where the rows come from.
+        Where the rows come from: the iterator yields its chunks, bit
+        matrices for a :class:`ChunkSource`, device operands for a
+        :class:`PackedSource`.
     chunk_rows:
         Rows per chunk.
-    prepare:
-        Optional callable applied to each chunk *on the producer
-        thread* (e.g. ``framework.pack``) so preparation overlaps
-        compute too.  The iterator yields ``prepare(chunk)`` results.
     prefetch:
         ``True`` (default) runs the producer on a background thread
         with a one-chunk hand-off queue (double buffering);
@@ -88,9 +89,8 @@ class ChunkStream:
 
     def __init__(
         self,
-        source: ChunkSource,
+        source: ChunkSource | PackedSource,
         chunk_rows: int,
-        prepare: Callable[[Any], Any] | None = None,
         prefetch: bool = True,
     ) -> None:
         if chunk_rows <= 0:
@@ -99,7 +99,6 @@ class ChunkStream:
             )
         self.source = source
         self.chunk_rows = chunk_rows
-        self.prepare = prepare
         self.prefetch = prefetch
         self.stats = StreamStats()
         self._started = False
@@ -110,7 +109,7 @@ class ChunkStream:
     # -- producer side ---------------------------------------------------------
 
     def _produce_one(self, chunk_iter: Iterator[Any]) -> _Item | None:
-        """Read + prepare the next chunk, accounting the producer time."""
+        """Produce the next chunk, accounting the producer time."""
         obs = get_tracer()
         start = time.perf_counter()
         try:
@@ -118,13 +117,12 @@ class ChunkStream:
         except StopIteration:
             return None
         raw_bytes = self.source.chunk_nbytes(chunk)
-        payload = self.prepare(chunk) if self.prepare is not None else chunk
         elapsed = time.perf_counter() - start
         self.stats.read_s += elapsed
         self.stats.bytes_read += raw_bytes
         obs.counters.add(STREAM_READ_SECONDS, elapsed)
         obs.counters.add(STREAM_BYTES_READ, raw_bytes)
-        return ("chunk", payload)
+        return ("chunk", chunk)
 
     def _put(self, out: "queue.Queue[_Item]", item: _Item) -> bool:
         """Hand an item to the consumer, yielding to the stop flag.

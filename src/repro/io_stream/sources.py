@@ -18,6 +18,11 @@ lives:
 :class:`~repro.core.streaming.StreamingLD` needs; one-shot iterator
 feeds can be spooled to a temporary ``.snpbin`` with
 :func:`materialize_source` when random access is required.
+
+The streaming workloads consume rows as device operands, through
+:meth:`ChunkSource.packed` (a :class:`PackedSource`): a ``.snpbin``
+hands over its verified words as they are, every other source is
+checked and packed.
 """
 
 from __future__ import annotations
@@ -29,8 +34,11 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.packing import PackedOperand, pack_operand, wrap_words
 from repro.errors import DatasetError
 from repro.io_stream.format import PackedDatasetReader, PackedDatasetWriter
+from repro.util.bitops import convert_words
+from repro.util.validation import check_binary_matrix
 
 __all__ = [
     "ChunkSource",
@@ -38,6 +46,7 @@ __all__ = [
     "SnpbinSource",
     "NpzSource",
     "IteratorSource",
+    "PackedSource",
     "as_chunk_source",
     "materialize_source",
     "open_source",
@@ -87,9 +96,19 @@ class ChunkSource(abc.ABC):
         for start in range(0, total, chunk_rows):
             yield self.read(start, min(start + chunk_rows, total))
 
+    @property
+    def row_nbytes(self) -> int:
+        """Bytes pulled from the backing store per row (default: one
+        ``uint8`` per site; sources override with what they hold)."""
+        return self.n_sites
+
     def chunk_nbytes(self, chunk: np.ndarray) -> int:
         """Bytes pulled from the backing store to produce ``chunk``."""
-        return int(chunk.nbytes)
+        return int(chunk.shape[0]) * self.row_nbytes
+
+    def packed(self, word_bits: int, row_multiple: int = 1) -> "PackedSource":
+        """These rows as device operands of ``word_bits``-bit words."""
+        return PackedSource(self, word_bits, row_multiple)
 
     def close(self) -> None:
         """Release backing resources (default: nothing to release)."""
@@ -120,6 +139,10 @@ class ArraySource(ChunkSource):
     def n_sites(self) -> int:
         return int(self._matrix.shape[1])
 
+    @property
+    def row_nbytes(self) -> int:
+        return self.n_sites * self._matrix.itemsize
+
     def read(self, start: int, stop: int) -> np.ndarray:
         return self._matrix[start:stop]
 
@@ -127,9 +150,10 @@ class ArraySource(ChunkSource):
 class SnpbinSource(ChunkSource):
     """A memory-mapped ``.snpbin`` file (the out-of-core fast path).
 
-    ``chunk_nbytes`` reports *packed on-disk* bytes, so the
-    ``stream.bytes_read`` counter reflects real I/O volume, not the 8x
-    larger unpacked working set.
+    Its packed words go to the streaming workloads as they are (see
+    :class:`PackedSource`); ``read`` unpacks them for bit consumers.
+    ``row_nbytes`` counts *packed on-disk* bytes, so the
+    ``stream.bytes_read`` counter reflects real I/O volume.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -148,11 +172,12 @@ class SnpbinSource(ChunkSource):
     def reader(self) -> PackedDatasetReader:
         return self._reader
 
+    @property
+    def row_nbytes(self) -> int:
+        return self._reader.header.row_bytes
+
     def read(self, start: int, stop: int) -> np.ndarray:
         return self._reader.read_bits(start, stop)
-
-    def chunk_nbytes(self, chunk: np.ndarray) -> int:
-        return self._reader.bytes_for_rows(int(chunk.shape[0]))
 
     def close(self) -> None:
         self._reader.close()
@@ -188,6 +213,10 @@ class NpzSource(ChunkSource):
     def n_sites(self) -> int:
         return int(self._load().shape[1])
 
+    @property
+    def row_nbytes(self) -> int:
+        return self.n_sites * self._load().itemsize
+
     def read(self, start: int, stop: int) -> np.ndarray:
         return self._load()[start:stop]
 
@@ -211,6 +240,7 @@ class IteratorSource(ChunkSource):
     ) -> None:
         self._batches = iter(batches)
         self._n_sites = n_sites
+        self._itemsize = 1
         self._rows_seen = 0
         self._exhausted = False
         self._consumed = False
@@ -228,6 +258,11 @@ class IteratorSource(ChunkSource):
             )
         return self._n_sites
 
+    @property
+    def row_nbytes(self) -> int:
+        """Row bytes at the dtype of the latest batch."""
+        return self.n_sites * self._itemsize
+
     def _coerce(self, batch: np.ndarray) -> np.ndarray:
         arr = np.asarray(batch)
         if arr.ndim != 2:
@@ -241,6 +276,7 @@ class IteratorSource(ChunkSource):
                 f"IteratorSource: batch has {arr.shape[1]} sites, "
                 f"feed is {self._n_sites} sites wide"
             )
+        self._itemsize = arr.itemsize
         return arr
 
     def chunks(self, chunk_rows: int) -> Iterator[np.ndarray]:
@@ -267,6 +303,69 @@ class IteratorSource(ChunkSource):
         self._exhausted = True
         if pending_rows:
             yield pending[0] if len(pending) == 1 else np.vstack(pending)
+
+
+class PackedSource:
+    """A chunk source's rows as device operands of one word width.
+
+    What the streaming workloads consume, through
+    :class:`~repro.io_stream.prefetch.ChunkStream` (so the work below
+    runs on the producer thread).  The source type decides how rows
+    become words:
+
+    * a ``.snpbin`` file hands over its words as the reader returns
+      them -- CRC-verified, pad bits checked, and a read-only view of
+      the map when the file's word width is ``word_bits``; any other
+      width costs one byte-order pass
+      (:func:`~repro.util.bitops.convert_words`), never an unpack;
+    * every other source's rows are checked
+      (:func:`~repro.util.validation.check_binary_matrix`) and packed
+      (:func:`~repro.core.packing.pack_operand`).
+
+    Rows are zero-padded to a multiple of ``row_multiple`` (the
+    device's ``m_r``), so only a chunk whose row count is not a
+    multiple is copied.  Byte accounting is the source's:
+    ``stream.bytes_read`` counts what it pulled, not the words.
+    """
+
+    def __init__(
+        self, source: ChunkSource, word_bits: int, row_multiple: int = 1
+    ) -> None:
+        self.source = source
+        self.word_bits = word_bits
+        self.row_multiple = row_multiple
+
+    def read(self, start: int, stop: int) -> PackedOperand:
+        """Rows ``[start, stop)`` as one operand (seekable sources)."""
+        src = self.source
+        if not isinstance(src, SnpbinSource):
+            return self._pack(src.read(start, stop))
+        words = convert_words(
+            src.reader.read_words(start, stop), src.n_sites, self.word_bits
+        )
+        return wrap_words(words, src.n_sites, self.row_multiple)
+
+    def chunks(self, chunk_rows: int) -> Iterator[PackedOperand]:
+        """Consecutive operands of up to ``chunk_rows`` rows."""
+        _check_chunk_rows(chunk_rows)
+        if not isinstance(self.source, SnpbinSource):
+            for chunk in self.source.chunks(chunk_rows):
+                yield self._pack(chunk)
+            return
+        total = self.source.n_rows
+        for start in range(0, total, chunk_rows):
+            yield self.read(start, min(start + chunk_rows, total))
+
+    def chunk_nbytes(self, chunk: PackedOperand) -> int:
+        """Bytes the source pulled to produce ``chunk``."""
+        return chunk.n_rows * self.source.row_nbytes
+
+    def _pack(self, bits: np.ndarray) -> PackedOperand:
+        return pack_operand(
+            check_binary_matrix("chunk", bits),
+            word_bits=self.word_bits,
+            row_multiple=self.row_multiple,
+        )
 
 
 def as_chunk_source(data: Any) -> ChunkSource:
@@ -312,6 +411,8 @@ def materialize_source(
 
     Gives random access over feeds that do not support it, in bounded
     memory; the returned :class:`SnpbinSource` maps the spooled file.
+    Spool in the consumer's device word width, so every re-read is a
+    view of the map.
     """
     with PackedDatasetWriter(path, word_bits=word_bits) as writer:
         for chunk in source.chunks(chunk_rows):

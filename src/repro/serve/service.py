@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.core.packing import PackedOperand
+from repro.core.packing import PackedOperand, wrap_words
 
 # The streaming fold is the bit-exactness oracle; reusing its heap type
 # and fold (private by convention, stable within this codebase) keeps
@@ -312,17 +312,8 @@ class IdentityService:
         words = segment.packed_words(self.framework.arch.word_bits)
         if words is not None:
             # Zero-repack residency: the shard's bytes already are
-            # pack_bits layout in the device word width; only the row
-            # padding to m_r (zero rows, cropped after the GEMM) is new.
-            m_r = self.framework.config.m_r
-            padded = -(-segment.n_rows // m_r) * m_r
-            if padded != words.shape[0]:
-                full = np.zeros((padded, words.shape[1]), dtype=words.dtype)
-                full[: words.shape[0]] = words
-                words = full
-            operand = PackedOperand(
-                words=words, n_rows=segment.n_rows, n_bits=segment.n_bits
-            )
+            # pack_bits layout in the device word width.
+            operand = wrap_words(words, segment.n_bits, self.framework.config.m_r)
         else:
             operand = self.framework.pack(segment.bits())
         self._packed[segment.sid] = operand

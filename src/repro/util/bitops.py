@@ -30,6 +30,7 @@ __all__ = [
     "popcount_native",
     "popcount_sum",
     "pack_bits",
+    "convert_words",
     "unpack_bits",
     "words_needed",
     "HAS_NATIVE_POPCOUNT",
@@ -211,6 +212,34 @@ def _pack_words_byteshift(as_u8: np.ndarray, word_bits: int) -> np.ndarray:
         shift = dtype(word_bits - 8 * (byte_idx + 1))
         words |= be[:, :, byte_idx].astype(dtype) << shift
     return words
+
+
+def convert_words(words: np.ndarray, n_bits: int, word_bits: int) -> np.ndarray:
+    """Packed rows re-expressed in another word width, without unpacking.
+
+    The :func:`pack_bits` layout is big-endian within a word, so a row's
+    big-endian word bytes are exactly the ``np.packbits`` stream of its
+    bits whatever the width.  Converting is one byte-order pass: cut or
+    zero-extend each row's stream to ``words_needed(n_bits, word_bits)``
+    words and read it back in the new width.  Equals
+    ``pack_bits(unpack_bits(words, n_bits), word_bits)`` whenever the
+    bits past ``n_bits`` are zero; returns ``words`` itself when the
+    width already matches.
+    """
+    w = np.asarray(words)
+    if w.ndim != 2 or w.dtype not in (np.uint8, np.uint16, np.uint32, np.uint64):
+        raise PackingError(
+            f"convert_words: expected 2-D unsigned words, got {w.dtype} ndim={w.ndim}"
+        )
+    if w.dtype.itemsize * 8 == word_bits:
+        return w
+    rows, row_bytes = w.shape[0], w.shape[1] * w.dtype.itemsize
+    stream = w.astype(f">u{w.dtype.itemsize}").view(np.uint8).reshape(rows, row_bytes)
+    n_bytes = words_needed(n_bits, word_bits) * (word_bits // 8)
+    out = np.zeros((rows, n_bytes), dtype=np.uint8)
+    take = min(n_bytes, stream.shape[1])
+    out[:, :take] = stream[:, :take]
+    return out.view(f">u{word_bits // 8}").astype(_DTYPE_FOR_BITS[word_bits])
 
 
 def unpack_bits(

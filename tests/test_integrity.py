@@ -3,11 +3,14 @@
 Property-tests the detection guarantee of the checksummed ``.snpbin``
 revision -- *any* truncation or bit flip anywhere in a v2 file
 (header, data, CRC table) is caught by open or verification, exactly
-counted in ``io.crc_failures`` -- plus SNPBIN01 backward compatibility
+counted in ``io.crc_failures`` -- the rejection of set pad bits even
+under a matching CRC, plus SNPBIN01 backward compatibility
 (loads fine, ``verified=False``), lazy chunk verification with
 mmap-preserving reads, the fsck scan/quarantine flow and its CLI exit
 codes, and the serve-tier chaos scenarios' gates.
 """
+
+import zlib
 
 import numpy as np
 import pytest
@@ -167,6 +170,65 @@ class TestCorruptionDetection:
             reader.read_words(8, 16)
         assert tracer.counters.get(IO_CRC_FAILURES) == 1
         assert tracer.counters.get(IO_CHUNKS_VERIFIED) == 1
+
+
+# -- pad bits past n_bits -------------------------------------------------------
+
+
+def _set_pad_bit(path, row=0):
+    """Set the lowest pad bit of ``row`` and re-seal the covering CRC,
+    so only the pad-bit check can tell the file from a healthy one."""
+    with PackedDatasetReader(path, verify=False) as reader:
+        header = reader.header
+    raw = bytearray(path.read_bytes())
+    data = header.header_bytes
+    # Little-endian words: the last word's low byte holds its low bits,
+    # which are pad bits whenever n_bits is not a word multiple.
+    raw[data + (row + 1) * header.row_bytes - header.word_bits // 8] |= 1
+    if header.version == 2:
+        ccr = header.crc_chunk_rows
+        chunk = row // ccr
+        lo = data + chunk * ccr * header.row_bytes
+        hi = data + min((chunk + 1) * ccr, header.n_rows) * header.row_bytes
+        table = data + header.data_bytes + 4 * chunk
+        raw[table : table + 4] = zlib.crc32(bytes(raw[lo:hi])).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+class TestPadBits:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_set_pad_bit_is_an_integrity_error(self, tmp_path, version):
+        path = tmp_path / "db.snpbin"
+        bits = _random_bits(6, 100, seed=21)
+        write_snpbin(path, bits, word_bits=32, version=version)
+        _set_pad_bit(path, row=3)
+        for verify in (True, False):
+            with PackedDatasetReader(path, verify=verify) as reader:
+                # Rows without the bad pad bit still read.
+                assert np.array_equal(reader.read_bits(0, 3), bits[:3])
+                with pytest.raises(IntegrityError, match=r"rows \[2, 5\)") as exc:
+                    reader.read_words(2, 5)
+                assert exc.value.path == str(path)
+                assert "db.snpbin" in str(exc.value)
+                with pytest.raises(IntegrityError, match="pad bits"):
+                    reader.read_bits(0, 6)
+                with pytest.raises(IntegrityError, match="pad bits"):
+                    reader.verify_all()
+        report = fsck_file(path)
+        assert not report.ok and "pad bits" in report.error
+
+    def test_service_refuses_a_shard_with_a_set_pad_bit(self, tmp_path):
+        from repro.serve import IdentityService
+
+        db = _random_bits(40, 100, seed=23)
+        ProfileIndex.build(tmp_path, db, shard_rows=20, word_bits=32).close()
+        _set_pad_bit(tmp_path / "shard-000000.snpbin", row=0)
+        with ProfileIndex(tmp_path) as index:
+            with IdentityService(index, k=1, device="Titan V") as service:
+                # The resident shard words would score the exact match
+                # at distance 1 instead of 0; the read must refuse.
+                with pytest.raises(IntegrityError, match="pad bits"):
+                    service.search(db[:1])
 
 
 # -- SNPBIN01 backward compatibility -------------------------------------------

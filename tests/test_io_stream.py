@@ -5,8 +5,12 @@ corruption rejection), the chunk-source adapters, the double-buffered
 prefetch executor (ordering, accounting, error propagation), bit-exact
 equivalence of chunked execution against the in-memory paths for all
 three workloads (property-tested over chunk sizes, including 1 and
-larger than the input), and the per-chunk resilience retry rung.
+larger than the input), the packed chunk path's conformance against
+dense oracles across workloads, sources, widths and devices, and the
+per-chunk resilience retry rung.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.identity import identity_search
 from repro.core.ld import linkage_disequilibrium
 from repro.core.mixture import mixture_analysis
+from repro.core.ldops import ld_clump, ld_prune
 from repro.core.streaming import (
     StreamingIdentitySearch,
     StreamingLD,
@@ -44,6 +49,8 @@ from repro.resilience import RetryPolicy, resilient
 from repro.snp.dataset import SNPDataset
 from repro.snp.forensic import ForensicDatabase
 from repro.snp.io import save_database_npz, save_dataset_npz
+from repro.util.bitops import pack_bits
+from tests.test_ldops import _correlated_panel, _dense_clump, _dense_prune
 
 
 def _random_bits(rows, sites, seed=0):
@@ -333,13 +340,6 @@ class TestChunkStream:
         assert stream.stats.stall_s == pytest.approx(stream.stats.read_s)
         assert stream.stats.stall_fraction == pytest.approx(1.0)
 
-    def test_prepare_runs_on_producer(self):
-        bits = _random_bits(10, 4)
-        stream = ChunkStream(
-            ArraySource(bits), chunk_rows=4, prepare=lambda c: c.sum()
-        )
-        assert sum(stream) == bits.sum()
-
     def test_producer_error_propagates(self):
         stream = ChunkStream(
             _ExplodingSource(_random_bits(20, 6), fail_at=1), chunk_rows=5
@@ -456,11 +456,216 @@ class TestChunkedEquivalence:
         assert result.report.m == LD_BITS.shape[0]
 
 
+# -- packed-path conformance ----------------------------------------------------
+
+
+def _pairwise_cases(factors):
+    """A few cases covering every pair of levels of any two factors.
+
+    Every (first, second) factor combination is one case; the remaining
+    factors are chosen greedily per case to cover the most pairs not
+    yet covered, and a final pass adds a case for any pair left over.
+    """
+    names = list(factors)
+
+    def pairs(case):
+        return {
+            ((a, case[a]), (b, case[b]))
+            for a, b in itertools.combinations(names, 2)
+        }
+
+    wanted = {
+        ((a, x), (b, y))
+        for a, b in itertools.combinations(names, 2)
+        for x in factors[a]
+        for y in factors[b]
+    }
+    cases = []
+    rest = names[2:]
+    for head in itertools.product(factors[names[0]], factors[names[1]]):
+        options = [
+            dict(zip(names, head + tail))
+            for tail in itertools.product(*(factors[n] for n in rest))
+        ]
+        best = max(options, key=lambda case: len(pairs(case) & wanted))
+        cases.append(best)
+        wanted -= pairs(best)
+    for (a, x), (b, y) in sorted(wanted):
+        case = {n: factors[n][0] for n in names}
+        case.update({a: x, b: y})
+        cases.append(case)
+    return cases
+
+
+CONFORMANCE_FACTORS = {
+    "source": ["array", "v2-8", "v2-16", "v2-32", "v2-64", "v1", "iterator"],
+    "workload": ["mixture", "identity", "ld", "prune", "clump"],
+    "n_bits": [1, 31, 33, 100, 1024],
+    # 1, a non-multiple of every device's m_r (4), more than the rows.
+    "chunk_rows": [1, 6, 64],
+    "device": ["Titan V", "Vega 64"],
+}
+CONFORMANCE_CASES = _pairwise_cases(CONFORMANCE_FACTORS)
+N_ROWS = 23
+
+
+def _conformance_source(kind, bits, tmp_path):
+    if kind == "array":
+        return bits
+    if kind == "iterator":
+        return IteratorSource([bits[:5], bits[5:6], bits[6:]])
+    path = tmp_path / f"{kind}.snpbin"
+    if kind == "v1":
+        write_snpbin(path, bits, word_bits=64, version=1)
+    else:
+        # Small CRC runs, so chunks cross CRC-chunk boundaries.
+        write_snpbin(path, bits, word_bits=int(kind[3:]), crc_chunk_rows=5)
+    return SnpbinSource(path)
+
+
+def _conformance_rows(workload, n_bits, seed):
+    if workload in ("prune", "clump"):
+        return _correlated_panel(N_ROWS, n_bits, seed=seed)
+    rows = _random_bits(N_ROWS, n_bits, seed=seed)
+    if workload == "identity":
+        # Duplicate rows tie at every distance: the top-k must keep the
+        # first-seen copies whatever the chunking.
+        rows[1::2] = rows[0::2][: len(rows[1::2])]
+    return rows
+
+
+class TestPackedConformance:
+    """Every workload x source on the packed path is bit-exact against
+    the dense oracles (a pairwise-covering subset of the product)."""
+
+    def test_cases_cover_every_pair(self):
+        covered = {
+            ((a, case[a]), (b, case[b]))
+            for case in CONFORMANCE_CASES
+            for a, b in itertools.combinations(CONFORMANCE_FACTORS, 2)
+        }
+        for a, b in itertools.combinations(CONFORMANCE_FACTORS, 2):
+            for x in CONFORMANCE_FACTORS[a]:
+                for y in CONFORMANCE_FACTORS[b]:
+                    assert ((a, x), (b, y)) in covered
+
+    @pytest.mark.parametrize(
+        "case",
+        CONFORMANCE_CASES,
+        ids=["-".join(str(v) for v in c.values()) for c in CONFORMANCE_CASES],
+    )
+    def test_bit_exact_against_dense_oracle(self, case, tmp_path):
+        workload, n_bits = case["workload"], case["n_bits"]
+        chunk_rows, device = case["chunk_rows"], case["device"]
+        rows = _conformance_rows(workload, n_bits, seed=n_bits)
+        source = _conformance_source(case["source"], rows, tmp_path)
+        wide = rows.astype(np.int64)
+        if workload == "mixture":
+            mixtures = _random_bits(3, n_bits, seed=n_bits + 1)
+            scan = StreamingMixture(mixtures, device=device)
+            scan.consume(source, chunk_rows)
+            result = scan.result()
+            expected = wide @ (1 - mixtures.astype(np.int64)).T
+            assert np.array_equal(result.scores, expected)
+            assert result.prenegated == (device == "Vega 64")
+        elif workload == "identity":
+            queries = np.vstack([rows[2:3], _random_bits(2, n_bits, seed=7)])
+            k = 4
+            search = StreamingIdentitySearch(queries, k=k, device=device)
+            search.consume(source, chunk_rows)
+            full = (queries[:, None, :] != rows[None, :, :]).sum(axis=2)
+            for qi in range(queries.shape[0]):
+                order = np.lexsort((np.arange(N_ROWS), full[qi]))[:k]
+                got = [(m.distance, m.database_index) for m in search.matches(qi)]
+                assert got == [(int(full[qi, i]), int(i)) for i in order]
+        elif workload == "ld":
+            result = StreamingLD(device=device).run(source, chunk_rows)
+            assert np.array_equal(result.counts, wide @ wide.T)
+            assert np.array_equal(result.frequencies, rows.mean(axis=1))
+        elif workload == "prune":
+            result = ld_prune(
+                source, window=4, r2=0.2, chunk_rows=chunk_rows, device=device
+            )
+            kept, pruned, blocker = _dense_prune(rows, 4, 0.2)
+            assert result.kept.tolist() == kept
+            assert result.pruned.tolist() == pruned
+            assert result.blocker.tolist() == blocker
+            whole = ld_prune(rows, window=4, r2=0.2, chunk_rows=N_ROWS)
+            assert result.pairs_tested == whole.pairs_tested
+        else:
+            scores = np.random.default_rng(n_bits).random(N_ROWS)
+            result = ld_clump(
+                source, scores, window=4, r2=0.5, chunk_rows=chunk_rows,
+                device=device,
+            )
+            assignment, _ = _dense_clump(rows, scores, 4, 0.5)
+            assert np.array_equal(result.assignment, assignment)
+        if isinstance(source, SnpbinSource):
+            source.close()
+
+    @pytest.mark.parametrize("word_bits", [32, 64])
+    def test_snpbin_scan_packs_only_the_mixtures(self, tmp_path, tracer, word_bits):
+        rows = _random_bits(50, 100, seed=41)
+        mixtures = _random_bits(3, 100, seed=42)
+        path = tmp_path / "refs.snpbin"
+        write_snpbin(path, rows, word_bits=word_bits, crc_chunk_rows=8)
+        expected = mixture_analysis(rows, mixtures).scores
+        before = tracer.counters.snapshot()
+        scan = StreamingMixture(mixtures)
+        with SnpbinSource(path) as source:
+            stats = scan.consume(source, chunk_rows=12)
+        counters = tracer.counters.diff(before, tracer.counters.snapshot())
+        # The mixtures once, at construction, whatever the chunk count.
+        assert stats.chunks == 5
+        assert counters["pack.operands"] == 1
+        row_bytes = -(-100 // word_bits) * (word_bits // 8)
+        assert counters["stream.bytes_read"] == 50 * row_bytes
+        assert np.array_equal(scan.result().scores, expected)
+
+    def test_snpbin_chunks_never_leave_the_words(self, tmp_path, monkeypatch):
+        import repro.core.packing
+        import repro.io_stream.format
+        import repro.io_stream.sources
+
+        rows = _random_bits(50, 100, seed=44)
+        mixtures = _random_bits(3, 100, seed=45)
+        path = tmp_path / "refs.snpbin"
+        write_snpbin(path, rows, word_bits=64, crc_chunk_rows=8)
+        expected = mixture_analysis(rows, mixtures).scores
+        scan = StreamingMixture(mixtures)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the .snpbin chunk path left the packed words")
+
+        monkeypatch.setattr(repro.io_stream.format, "unpack_bits", forbidden)
+        monkeypatch.setattr(repro.io_stream.sources, "check_binary_matrix", forbidden)
+        monkeypatch.setattr(repro.core.packing, "pack_bits", forbidden)
+        with SnpbinSource(path) as source:
+            scan.consume(source, chunk_rows=12)
+        assert np.array_equal(scan.result().scores, expected)
+
+    def test_device_width_words_are_a_view_of_the_map(self, tmp_path):
+        rows = _random_bits(10, 70, seed=43)
+        path = tmp_path / "w.snpbin"
+        write_snpbin(path, rows, word_bits=32)
+        with SnpbinSource(path) as source:
+            packed = source.packed(32, row_multiple=4)
+            whole = packed.read(0, 8)
+            assert not whole.words.flags.writeable  # the read-only map
+            tail = packed.read(8, 10)  # 2 rows padded to 4: a copy
+            assert tail.words.shape == (4, 3) and tail.n_rows == 2
+            assert not tail.words[2:].any()
+            assert np.array_equal(
+                np.vstack([whole.words, tail.words[:2]]), pack_bits(rows, 32)
+            )
+
+
 # -- per-chunk resilience ------------------------------------------------------
 
 
 class _FlakyFramework:
-    """Delegating framework that fails the first N run() calls."""
+    """Delegating framework that fails the first N run_packed() calls
+    (the one call a streaming workload makes per chunk)."""
 
     def __init__(self, inner, failures):
         self._inner = inner
@@ -469,11 +674,11 @@ class _FlakyFramework:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def run(self, *args, **kwargs):
+    def run_packed(self, *args, **kwargs):
         if self._failures:
             self._failures -= 1
             raise AllocationError("injected transient allocation fault")
-        return self._inner.run(*args, **kwargs)
+        return self._inner.run_packed(*args, **kwargs)
 
 
 class TestChunkRetry:
