@@ -17,17 +17,21 @@ orientations are exposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.profiles import RunReport
-from repro.errors import DatasetError
+from repro.errors import ConfigurationError, DatasetError
 from repro.gpu.arch import GPUArchitecture
+from repro.kernels import get_backend
+from repro.kernels.cnative_backend import CNativeBackend
+from repro.observability.tracer import get_tracer
 from repro.snp.dataset import SNPDataset
 
-__all__ = ["LDResult", "linkage_disequilibrium"]
+__all__ = ["LDResult", "ld_framework", "linkage_disequilibrium", "r_squared_numpy"]
 
 #: Elements per row block of :attr:`LDResult.r_squared` (512 KiB of
 #: float64, so a block and its temporaries stay cache-resident).
@@ -101,24 +105,72 @@ class LDResult:
 
         Evaluates ``where(denom > 0, d * d / denom, 0)`` with ``denom =
         outer(var, var)`` elementwise in the same order, so the result
-        is bit-identical to that closed form; row blocks written into
-        one output table replace its full-table temporaries.
+        is bit-identical to that closed form.  Once the native kernel
+        library has loaded, one C pass computes it
+        (:meth:`~repro.kernels.cnative_backend.CNativeBackend.r_squared`,
+        the same operations in the same order); otherwise
+        :func:`r_squared_numpy` does.  Recorded as an ``ld.r_squared``
+        span.
         """
         counts = np.asarray(self.counts)
-        p = self.frequencies
-        var = p * (1 - p)
-        r2 = np.empty(counts.shape, dtype=np.float64)
-        rows = max(1, _R2_BLOCK_ELEMENTS // max(1, counts.shape[1]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for r0 in range(0, counts.shape[0], rows):
-                block = r2[r0 : r0 + rows]
-                np.divide(counts[r0 : r0 + rows], self.n_observations, out=block)
-                block -= np.outer(p[r0 : r0 + rows], p)
-                block *= block
-                denom = np.outer(var[r0 : r0 + rows], var)
-                block /= denom
-                block[~(denom > 0)] = 0.0
-        return r2
+        with get_tracer().span("ld.r_squared", shape=counts.shape):
+            native = get_backend(CNativeBackend.name)
+            if isinstance(native, CNativeBackend):
+                r2 = native.r_squared(
+                    counts, self.frequencies, self.n_observations
+                )
+                if r2 is not None:
+                    return r2
+            return r_squared_numpy(counts, self.frequencies, self.n_observations)
+
+
+def r_squared_numpy(
+    counts: np.ndarray, frequencies: np.ndarray, n_observations: int
+) -> np.ndarray:
+    """:attr:`LDResult.r_squared` in NumPy: the path without a compiler,
+    and the reference the native pass must match bit for bit.
+
+    Row blocks written into one output table replace the closed form's
+    full-table temporaries.
+    """
+    p = frequencies
+    var = p * (1 - p)
+    r2 = np.empty(counts.shape, dtype=np.float64)
+    rows = max(1, _R2_BLOCK_ELEMENTS // max(1, counts.shape[1]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for r0 in range(0, counts.shape[0], rows):
+            block = r2[r0 : r0 + rows]
+            np.divide(counts[r0 : r0 + rows], n_observations, out=block)
+            block -= np.outer(p[r0 : r0 + rows], p)
+            block *= block
+            denom = np.outer(var[r0 : r0 + rows], var)
+            block /= denom
+            block[~(denom > 0)] = 0.0
+    return r2
+
+
+def ld_framework(
+    name: str,
+    framework: SNPComparisonFramework | None,
+    device: str | GPUArchitecture,
+    **options: Any,
+) -> SNPComparisonFramework:
+    """The framework an LD entry point runs on.
+
+    ``framework`` itself when it runs the LD algorithm, else a new LD
+    framework on ``device`` built with ``options`` (``workers``,
+    ``gram``, ``backend``).  A framework of another algorithm is
+    refused: its XOR or AND-NOT counts would pass for joint allele
+    counts.
+    """
+    if framework is None:
+        return SNPComparisonFramework(device, Algorithm.LD, **options)
+    if framework.algorithm is not Algorithm.LD:
+        raise ConfigurationError(
+            f"{name}: framework runs the {framework.algorithm.value!r} "
+            f"algorithm; LD needs an 'ld' framework"
+        )
+    return framework
 
 
 def linkage_disequilibrium(
@@ -143,7 +195,9 @@ def linkage_disequilibrium(
         or ``"samples"`` (SNP-string comparison, the paper's benchmark
         orientation, computed across sites).
     framework:
-        Reuse an existing framework instance (skips re-derivation).
+        Reuse an existing LD framework instance (skips re-derivation);
+        one of another algorithm raises
+        :class:`~repro.errors.ConfigurationError`.
     workers:
         Host threads for the functional compute (``> 1`` shards the
         bit-GEMM across the process-wide pool).  Ignored when
@@ -175,14 +229,17 @@ def linkage_disequilibrium(
             "linkage_disequilibrium: input has entities but zero "
             "observations; LD statistics are undefined"
         )
-    if framework is None:
-        framework = SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend,
-        )
+    framework = ld_framework(
+        "linkage_disequilibrium", framework, device, workers=workers,
+        gram=gram, backend=backend,
+    )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]
-    frequencies = entities.mean(axis=1) if n_obs else np.zeros(entities.shape[0])
+    # An entity's Gram diagonal is its allele count, so this equals
+    # entities.mean(axis=1) bit for bit without a second pass.
+    frequencies = (
+        np.diagonal(counts) / n_obs if n_obs else np.zeros(entities.shape[0])
+    )
     return LDResult(
         counts=counts,
         frequencies=frequencies,

@@ -59,10 +59,10 @@ from typing import Any
 import numpy as np
 
 from repro.blis.gemm import bit_gemm_band
-from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
+from repro.core.ld import ld_framework
 from repro.core.packing import PackedOperand, pack_operand
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.executor import price_kernel
 from repro.gpu.kernel import KernelArgs
@@ -168,22 +168,6 @@ def _check_params(name: str, window: int, r2: float) -> None:
         raise DatasetError(f"{name}: window must be >= 1, got {window}")
     if not (0.0 <= r2 <= 1.0):
         raise DatasetError(f"{name}: r2 threshold must be in [0, 1], got {r2}")
-
-
-def _ld_framework(
-    name: str,
-    device: str | GPUArchitecture,
-    framework: SNPComparisonFramework | None,
-) -> SNPComparisonFramework:
-    """The LD framework whose device packs and prices the bands."""
-    if framework is None:
-        return SNPComparisonFramework(device, Algorithm.LD)
-    if framework.algorithm is not Algorithm.LD:
-        raise ConfigurationError(
-            f"{name}: framework runs the {framework.algorithm.value!r} "
-            f"algorithm; LD pruning and clumping need an 'ld' framework"
-        )
-    return framework
 
 
 @dataclass
@@ -364,7 +348,7 @@ class LDPruner:
         _check_params("LDPruner", window, r2)
         self.window = window
         self.r2 = float(r2)
-        self.framework = _ld_framework("LDPruner", device, framework)
+        self.framework = ld_framework("LDPruner", framework, device)
         self._band = _WindowBand(window, self.framework)
         self._kept: list[int] = []
         self._pruned: list[int] = []
@@ -527,7 +511,7 @@ class LDClumper:
         self.window = window
         self.r2 = float(r2)
         self.scores = score_arr
-        self.framework = _ld_framework("LDClumper", device, framework)
+        self.framework = ld_framework("LDClumper", framework, device)
         self._band = _WindowBand(window, self.framework)
         self._pending: dict[int, _PendingSite] = {}
         #: site -> absorbing index variant (== site for index variants).

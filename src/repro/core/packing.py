@@ -97,11 +97,13 @@ def pack_operand(
             if arr.dtype != np.bool_ and arr.size and not np.isin(arr, (0, 1)).all():
                 raise PackingError("pack_operand: input must be binary to negate")
             arr = 1 - arr.astype(np.uint8)
-        padded_rows = -(-max(n_rows, 1) // row_multiple) * row_multiple
-        if padded_rows != n_rows:
-            pad = np.zeros((padded_rows - n_rows, n_bits), dtype=np.uint8)
-            arr = np.vstack([np.asarray(arr, dtype=np.uint8), pad])
-        words = pack_bits(arr, word_bits=word_bits)
+        # Padding rows are zero words, added after packing: stacking
+        # zero bit rows first would copy a transposed input into row
+        # order, the copy pack_bits avoids.
+        words = _pad_rows(
+            pack_bits(arr, word_bits=word_bits),
+            -(-max(n_rows, 1) // row_multiple) * row_multiple,
+        )
     obs.counters.add(PACK_OPERANDS)
     obs.counters.add(PACK_BYTES, int(words.nbytes))
     return PackedOperand(words=words, n_rows=n_rows, n_bits=n_bits, negated=negate)
@@ -118,12 +120,18 @@ def wrap_words(words: np.ndarray, n_bits: int, row_multiple: int = 1) -> PackedO
     packed operand.
     """
     n_rows = int(words.shape[0])
-    padded = -(-n_rows // row_multiple) * row_multiple
-    if padded != n_rows:
-        full = np.zeros((padded, words.shape[1]), dtype=words.dtype)
-        full[:n_rows] = words
-        words = full
+    words = _pad_rows(words, -(-n_rows // row_multiple) * row_multiple)
     return PackedOperand(words=words, n_rows=n_rows, n_bits=n_bits)
+
+
+def _pad_rows(words: np.ndarray, padded_rows: int) -> np.ndarray:
+    """``words`` with zero rows appended up to ``padded_rows`` (itself
+    when it already has that many)."""
+    if padded_rows == words.shape[0]:
+        return words
+    full = np.zeros((padded_rows, words.shape[1]), dtype=words.dtype)
+    full[: words.shape[0]] = words
+    return full
 
 
 def crop_result(

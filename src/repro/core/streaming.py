@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.core.ld import LDResult
+from repro.core.ld import LDResult, ld_framework
 from repro.core.mixture import MixtureResult
 from repro.core.packing import PackedOperand
 from repro.core.profiles import RunReport
@@ -384,8 +384,8 @@ class StreamingLD:
         backend: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
+        self.framework = ld_framework(
+            "StreamingLD", framework, device, workers=workers, gram=gram,
             backend=backend,
         )
 

@@ -1,16 +1,20 @@
 """``cnative`` backend: the C popcount bit-GEMM, built with the host toolchain.
 
-One C source (:data:`_SOURCE`) compiles the panel loop three times in
-one translation unit: a portable body, a ``target("popcnt")`` body and
-a ``target("avx512f,avx512vpopcntdq")`` body (the last two on x86-64
-only).  At load the library reports which bodies this CPU runs
+One C source (:data:`_SOURCE`) builds three panel bodies in one
+translation unit: a portable body and a ``target("popcnt")`` body that
+compile the plain panel loop, and a ``target("avx512f,avx512vpopcntdq")``
+body that runs a register-tiled broadcast micro-kernel (the last two on
+x86-64 only).  At load the library reports which bodies this CPU runs
 (``__builtin_cpu_supports``) and the most capable one computes every
 panel.  Plain ``-O3`` lowers ``__builtin_popcountll`` to a software
 popcount, so only the x86 bodies use the machine's popcount
 instruction.  ``-march=native`` and ``target_clones`` are not used: gcc
 can misname a virtualised CPU (a KVM host that exposes VPOPCNTDQ reads
 as ``cooperlake``), and ``target_clones`` then runs the plain
-``popcnt`` clone.
+``popcnt`` clone.  The same library computes
+:attr:`~repro.core.ld.LDResult.r_squared` in one pass
+(:meth:`CNativeBackend.r_squared`); ``-ffp-contract=off`` keeps that
+pass bit-identical to the NumPy code.
 
 The library is cached per user, keyed by a hash of the source, the
 compiler, the flags and ``platform.machine()``; the body is picked at
@@ -81,7 +85,7 @@ DEFAULT_KERNEL_CACHE = "~/.cache/repro/kernels"
 
 #: Word-ops the ``"auto"`` fallback serves on a cold cache before the
 #: background compile starts: about one compile's worth of fallback
-#: work.  A cold compile and load takes about 0.18 s, and the fallback
+#: work.  A cold compile and load takes about 0.6 s, and the fallback
 #: runs at roughly 0.2-3 Gword-op/s on the benchmark workloads (2-vCPU
 #: AVX-512 host, gcc 12), so a process that does little GEMM work never
 #: starts a compiler.  A served search (~6.4M word-ops) stays far below.
@@ -94,12 +98,14 @@ HARDWARE_BODIES = frozenset({"popcnt", "avx512-vpopcntdq"})
 #: Compilers probed in order when ``$CC`` is unset.
 _COMPILERS = ("cc", "gcc", "clang")
 
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _BUILD_TIMEOUT_S = 120
 
 _SOURCE = """\
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPC64(x) __builtin_popcountll(x)
@@ -113,13 +119,36 @@ static inline int64_t popc64(uint64_t x) {
 #define POPC64(x) popc64(x)
 #endif
 
-typedef void (*panel_fn)(const uint64_t *, const uint64_t *, int64_t *,
-                         int64_t, int64_t, int64_t, int32_t);
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAVE_X86_BODIES 1
+/* Eight uint64 lanes: one zmm register. */
+typedef unsigned long long v8u __attribute__((vector_size(64), may_alias));
+typedef long long v8i __attribute__((vector_size(64)));
+/* VPOPCNTQ arrived in gcc 7 and clang 5; an older compiler still
+   builds the portable and popcnt bodies.  gcc's builtin spares parsing
+   <immintrin.h>, which took most of the build time. */
+#if defined(__clang__)
+#if __clang_major__ >= 5
+#include <immintrin.h>
+#define VPOPCNTQ(x) ((v8u)_mm512_popcnt_epi64((__m512i)(x)))
+#endif
+#elif __GNUC__ >= 7
+#define VPOPCNTQ(x) ((v8u)__builtin_ia32_vpopcountq_v8di((v8i)(x)))
+#endif
+#ifdef VPOPCNTQ
+#define HAVE_VPOPCNTDQ 1
+#endif
+#endif
 
-/* The one panel loop; each body below compiles it for its own ISA. */
+/* A body returns 0, or -1 when it cannot allocate its scratch. */
+typedef int32_t (*panel_fn)(const uint64_t *, const uint64_t *, int64_t *,
+                            int64_t, int64_t, int64_t, int32_t);
+
+/* The plain panel loop of the portable and popcnt bodies. */
 #define PANEL(NAME, ATTR)                                                    \\
-    ATTR static void NAME(const uint64_t *a, const uint64_t *b, int64_t *c,  \\
-                          int64_t m, int64_t n, int64_t k, int32_t opcode) { \\
+    ATTR static int32_t NAME(const uint64_t *a, const uint64_t *b,           \\
+                             int64_t *c, int64_t m, int64_t n, int64_t k,    \\
+                             int32_t opcode) {                               \\
         for (int64_t i = 0; i < m; ++i) {                                    \\
             const uint64_t *ar = a + i * k;                                  \\
             int64_t *cr = c + i * n;                                         \\
@@ -139,17 +168,186 @@ typedef void (*panel_fn)(const uint64_t *, const uint64_t *, int64_t *,
                 cr[j] = acc;                                                 \\
             }                                                                \\
         }                                                                    \\
+        return 0;                                                            \\
     }
 
 PANEL(panel_portable, )
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#ifdef HAVE_X86_BODIES
 PANEL(panel_popcnt, __attribute__((target("popcnt"))))
-PANEL(panel_vpopcntdq, __attribute__((target("avx512f,avx512vpopcntdq"))))
+#endif
 
-static const panel_fn BODIES[] = {panel_portable, panel_popcnt, panel_vpopcntdq};
-static const char *const BODY_NAMES[] = {"portable", "popcnt", "avx512-vpopcntdq"};
+#ifdef HAVE_VPOPCNTDQ
+/* The VPOPCNTDQ body: a register-tiled broadcast micro-kernel.
 
+   One operand ("packed") is copied once per call into panels of LANES
+   rows, word-major: word t of the panel's rows is one zmm vector.  The
+   other operand ("streamed") is walked TILE_ROWS rows at a time; each
+   of its words is broadcast against TILE_PANELS panel vectors, so a
+   tile keeps TILE_ROWS * TILE_PANELS zmm accumulators of LANES counts
+   each.  Panels are walked in blocks of about PANEL_BLOCK_BYTES so a
+   block stays in L2 while every streamed row passes it.  Lanes past
+   the packed operand's last row are never stored.  When A is the
+   packed side, lanes are rows of C and streamed rows its columns, so C
+   is written transposed.  The tile was picked by a sweep
+   (docs/KERNELS.md). */
+#define LANES 8
+#define TILE_ROWS 4
+#define TILE_PANELS 2
+#define PANEL_BLOCK_BYTES (256 * 1024)
+#define SMALL_SCRATCH_WORDS 1024
+
+/* The op between a streamed word s and a panel word p.  A & ~B with B
+   packed is s & p over negated panels; with A packed it is p & ~s. */
+enum { OP_AND, OP_XOR, OP_PANEL_ANDNOT };
+
+#define VPOPCNT_TARGET __attribute__((target("avx512f,avx512vpopcntdq")))
+#define VPOPCNT_INLINE VPOPCNT_TARGET __attribute__((always_inline)) static inline
+
+VPOPCNT_INLINE v8u vop(v8u s, v8u p, int op) {
+    switch (op) {
+    case OP_AND: return s & p;
+    case OP_XOR: return s ^ p;
+    default: return p & ~s;
+    }
+}
+
+/* The edge and transposed stores of a tile: lanes [0, valid) of rows
+   accumulators, each lane l of row r to c[r * row_step + l * lane_step].
+   Out of line: inlined into every tile, these loops took most of the
+   build time. */
+__attribute__((noinline)) static void store_lanes(
+    int64_t *c, int64_t row_step, int64_t lane_step,
+    const int64_t (*lanes)[LANES], int64_t rows, int64_t valid) {
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t l = 0; l < valid; ++l)
+            c[r * row_step + l * lane_step] = lanes[r][l];
+}
+
+/* One TILE_ROWS x panels tile; only its first `rows` streamed rows are
+   stored.  s: the first streamed row (k words each); pk: the first
+   panel (k * LANES words each); c: the tile's corner in C (n columns);
+   lanes: packed rows from this panel on. */
+VPOPCNT_INLINE void vtile(const uint64_t *s, const uint64_t *pk, int64_t k,
+                          int64_t *c, int64_t n, int64_t lanes, int64_t rows,
+                          int panels, int op, int transposed) {
+    v8u acc[TILE_ROWS][TILE_PANELS];
+    for (int r = 0; r < TILE_ROWS; ++r)
+        for (int q = 0; q < panels; ++q) acc[r][q] = (v8u){0};
+    for (int64_t t = 0; t < k; ++t) {
+        v8u pw[TILE_PANELS];
+        for (int q = 0; q < panels; ++q)
+            pw[q] = *(const v8u *)(pk + (q * k + t) * LANES);
+        for (int r = 0; r < TILE_ROWS; ++r) {
+            const v8u sw = (v8u){0} + s[r * k + t];
+            for (int q = 0; q < panels; ++q)
+                acc[r][q] += VPOPCNTQ(vop(sw, pw[q], op));
+        }
+    }
+    for (int q = 0; q < panels; ++q) {
+        const int64_t valid = lanes - q * LANES < LANES ? lanes - q * LANES : LANES;
+        if (!transposed && valid == LANES) {
+            for (int64_t r = 0; r < rows; ++r)
+                memcpy(c + r * n + q * LANES, &acc[r][q], sizeof(v8u));
+            continue;
+        }
+        int64_t out[TILE_ROWS][LANES];
+        for (int r = 0; r < TILE_ROWS; ++r) memcpy(out[r], &acc[r][q], sizeof(v8u));
+        if (transposed)
+            store_lanes(c + q * LANES * n, 1, n, out, rows, valid);
+        else
+            store_lanes(c + q * LANES, n, 1, out, rows, valid);
+    }
+}
+
+/* Every tile of C for one op (a constant once inlined, so each of the
+   three callers gets its own loop).  The last ns % TILE_ROWS streamed
+   rows run as one full tile over tail, their copy padded with zero
+   rows; only they are stored. */
+VPOPCNT_INLINE void vdrive(const uint64_t *s, int64_t ns, const uint64_t *tail,
+                           const uint64_t *pk, int64_t np, int64_t k,
+                           int64_t *c, int64_t n, int op, int transposed) {
+    const int64_t n_panels = (np + LANES - 1) / LANES;
+    int64_t block = PANEL_BLOCK_BYTES / (k * LANES * (int64_t)sizeof(uint64_t));
+    block -= block % TILE_PANELS;
+    if (block < TILE_PANELS) block = TILE_PANELS;
+    /* C offsets of one streamed row and one panel. */
+    const int64_t row_step = transposed ? 1 : n;
+    const int64_t panel_step = transposed ? LANES * n : LANES;
+    for (int64_t p0 = 0; p0 < n_panels; p0 += block) {
+        const int64_t p1 = p0 + block < n_panels ? p0 + block : n_panels;
+        for (int64_t i = 0; i < ns; i += TILE_ROWS) {
+            const int64_t rows = ns - i < TILE_ROWS ? ns - i : TILE_ROWS;
+            const uint64_t *sp = rows == TILE_ROWS ? s + i * k : tail;
+            for (int64_t p = p0; p < p1; p += TILE_PANELS) {
+                const uint64_t *pp = pk + p * k * LANES;
+                int64_t *cc = c + i * row_step + p * panel_step;
+                const int64_t lanes = np - p * LANES;
+                if (p1 - p >= TILE_PANELS)
+                    vtile(sp, pp, k, cc, n, lanes, rows, TILE_PANELS, op, transposed);
+                else /* the block's last panels, one at a time */
+                    for (int64_t q = 0; q < p1 - p; ++q)
+                        vtile(sp, pp + q * k * LANES, k, cc + q * panel_step, n,
+                              lanes - q * LANES, rows, 1, op, transposed);
+            }
+        }
+    }
+}
+
+VPOPCNT_TARGET static int32_t panel_vpopcntdq(const uint64_t *a,
+                                              const uint64_t *b, int64_t *c,
+                                              int64_t m, int64_t n, int64_t k,
+                                              int32_t opcode) {
+    if (m == 0 || n == 0) return 0;
+    if (k == 0) {
+        memset(c, 0, (size_t)m * (size_t)n * sizeof(int64_t));
+        return 0;
+    }
+    /* A is packed only when it is the smaller side and fits one panel:
+       C is then written transposed, and those stores lose to streaming
+       A once C has more rows (docs/KERNELS.md). */
+    const int packed_a = m < n && m <= LANES;
+    const uint64_t *p = packed_a ? a : b;
+    const uint64_t *s = packed_a ? b : a;
+    const int64_t np = packed_a ? m : n;
+    const int64_t ns = packed_a ? n : m;
+    const int op = opcode == 0 ? OP_AND
+                 : opcode == 1 ? OP_XOR
+                 : packed_a    ? OP_PANEL_ANDNOT
+                               : OP_AND;
+    const uint64_t flip = opcode == 2 && !packed_a ? ~(uint64_t)0 : 0;
+    const int64_t n_panels = (np + LANES - 1) / LANES;
+    const int64_t words = (n_panels * LANES + TILE_ROWS) * k;
+    /* Small scratch (an identity query batch) skips the allocator. */
+    uint64_t small[SMALL_SCRATCH_WORDS] __attribute__((aligned(64)));
+    uint64_t *pk = words <= SMALL_SCRATCH_WORDS
+                       ? small
+                       : (uint64_t *)aligned_alloc(64, (size_t)words * sizeof(uint64_t));
+    if (pk == NULL) return -1;
+    for (int64_t q = 0; q < n_panels; ++q)
+        for (int64_t l = 0; l < LANES; ++l) {
+            const int64_t row = q * LANES + l;
+            uint64_t *dst = pk + q * k * LANES + l;
+            for (int64_t t = 0; t < k; ++t)
+                dst[t * LANES] = row < np ? p[row * k + t] ^ flip : 0;
+        }
+    uint64_t *tail = pk + n_panels * LANES * k;
+    const int64_t full = ns - ns % TILE_ROWS;
+    if (full < ns) {
+        memset(tail, 0, TILE_ROWS * (size_t)k * sizeof(uint64_t));
+        memcpy(tail, s + full * k, (size_t)(ns - full) * (size_t)k * sizeof(uint64_t));
+    }
+    switch (op) {
+    case OP_AND: vdrive(s, ns, tail, pk, np, k, c, n, OP_AND, packed_a); break;
+    case OP_XOR: vdrive(s, ns, tail, pk, np, k, c, n, OP_XOR, packed_a); break;
+    default: vdrive(s, ns, tail, pk, np, k, c, n, OP_PANEL_ANDNOT, packed_a); break;
+    }
+    if (pk != small) free(pk);
+    return 0;
+}
+#endif
+
+#ifdef HAVE_X86_BODIES
 static int32_t body_runs(int32_t body) {
     __builtin_cpu_init();
     switch (body) {
@@ -159,11 +357,27 @@ static int32_t body_runs(int32_t body) {
     }
 }
 #else
-static const panel_fn BODIES[] = {panel_portable};
-static const char *const BODY_NAMES[] = {"portable"};
-
 static int32_t body_runs(int32_t body) { return body == 0; }
 #endif
+
+static const panel_fn BODIES[] = {
+    panel_portable,
+#ifdef HAVE_X86_BODIES
+    panel_popcnt,
+#endif
+#ifdef HAVE_VPOPCNTDQ
+    panel_vpopcntdq,
+#endif
+};
+static const char *const BODY_NAMES[] = {
+    "portable",
+#ifdef HAVE_X86_BODIES
+    "popcnt",
+#endif
+#ifdef HAVE_VPOPCNTDQ
+    "avx512-vpopcntdq",
+#endif
+};
 
 /* Bodies in order of capability; the caller picks the last that runs. */
 int32_t repro_body_count(void) {
@@ -174,16 +388,42 @@ const char *repro_body_name(int32_t body) { return BODY_NAMES[body]; }
 
 int32_t repro_body_runs(int32_t body) { return body_runs(body); }
 
-void repro_bit_gemm_panel(int32_t body, const uint64_t *a, const uint64_t *b,
-                          int64_t *c, int64_t m, int64_t n, int64_t k,
-                          int32_t opcode) {
-    BODIES[body](a, b, c, m, n, k, opcode);
+int32_t repro_bit_gemm_panel(int32_t body, const uint64_t *a,
+                             const uint64_t *b, int64_t *c, int64_t m,
+                             int64_t n, int64_t k, int32_t opcode) {
+    return BODIES[body](a, b, c, m, n, k, opcode);
 }
 
 int64_t repro_popcount_sum(const uint64_t *w, int64_t n_words) {
     int64_t acc = 0;
     for (int64_t t = 0; t < n_words; ++t) acc += POPC64(w[t]);
     return acc;
+}
+
+/* LDResult.r_squared over a rows x cols count table: NumPy's
+   ((c / n_obs - p_i * p_j) ** 2) / (var_i * var_j), 0 unless the
+   denominator is > 0, with the same operations in the same order
+   (built with -ffp-contract=off, so no FMA fuses them).  c / n_obs is
+   read from quotient[c] when 0 <= c < n_quotients: the same division,
+   done once per count value. */
+void repro_r_squared(const int64_t *counts, const double *p,
+                     const double *var, double *out, int64_t rows,
+                     int64_t cols, double n_obs, const double *quotient,
+                     int64_t n_quotients) {
+    for (int64_t i = 0; i < rows; ++i) {
+        const int64_t *cr = counts + i * cols;
+        double *o = out + i * cols;
+        const double pi = p[i], vi = var[i];
+        for (int64_t j = 0; j < cols; ++j) {
+            const int64_t cij = cr[j];
+            const double x = (uint64_t)cij < (uint64_t)n_quotients
+                                 ? quotient[cij]
+                                 : (double)cij / n_obs;
+            const double d = x - pi * p[j];
+            const double denom = vi * var[j];
+            o[j] = denom > 0 ? d * d / denom : 0.0;
+        }
+    }
 }
 """
 
@@ -293,9 +533,21 @@ class CNativeBackend(KernelBackend):
             ctypes.c_int64,
             ctypes.c_int32,
         ]
-        lib.repro_bit_gemm_panel.restype = None
+        lib.repro_bit_gemm_panel.restype = ctypes.c_int32
         lib.repro_popcount_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
         lib.repro_popcount_sum.restype = ctypes.c_int64
+        lib.repro_r_squared.argtypes = [
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+        ]
+        lib.repro_r_squared.restype = None
         self._bodies = {
             lib.repro_body_name(i).decode(): i
             for i in range(lib.repro_body_count())
@@ -474,7 +726,7 @@ class CNativeBackend(KernelBackend):
             return out
         ca = canonicalize_words(a)
         cb = canonicalize_words(b)
-        lib.repro_bit_gemm_panel(
+        status = lib.repro_bit_gemm_panel(
             self._bodies[body],
             ca.ctypes.data,
             cb.ctypes.data,
@@ -483,6 +735,58 @@ class CNativeBackend(KernelBackend):
             n,
             ca.shape[1],
             OPCODES[op],
+        )
+        if status != 0:
+            raise MemoryError(
+                f"cnative: {body} body could not allocate its panel scratch"
+            )
+        return out
+
+    def r_squared(
+        self, counts: np.ndarray, frequencies: object, n_obs: object
+    ) -> np.ndarray | None:
+        """:attr:`~repro.core.ld.LDResult.r_squared` in one C pass, or ``None``.
+
+        Runs only once the library has loaded -- it never compiles --
+        and only on what the C loop reads: a square C-contiguous int64
+        table, one float64 frequency per row and an integer
+        ``n_obs``.  The loop does NumPy's operations in NumPy's order
+        (``-ffp-contract=off`` keeps FMA from fusing any), so the
+        result is bit-identical to the NumPy code.  ``c / n_obs`` comes
+        from a table of every quotient in ``[0, n_obs]`` when that
+        table is smaller than the output; other counts, as in a
+        user-built result, are divided.
+        """
+        lib = self._lib
+        if (
+            lib is None
+            or not isinstance(frequencies, np.ndarray)
+            or frequencies.dtype != np.float64
+            or frequencies.ndim != 1
+            or counts.dtype != np.int64
+            or not counts.flags.c_contiguous
+            or counts.shape != (frequencies.size, frequencies.size)
+            or not isinstance(n_obs, (int, np.integer))
+        ):
+            return None
+        p = np.ascontiguousarray(frequencies)
+        var = p * (1 - p)
+        out = np.empty(counts.shape, dtype=np.float64)
+        quotient = (
+            np.arange(n_obs + 1) / n_obs
+            if 0 < n_obs < counts.size
+            else np.empty(0, dtype=np.float64)
+        )
+        lib.repro_r_squared(
+            counts.ctypes.data,
+            p.ctypes.data,
+            var.ctypes.data,
+            out.ctypes.data,
+            counts.shape[0],
+            counts.shape[1],
+            float(n_obs),
+            quotient.ctypes.data,
+            quotient.size,
         )
         return out
 

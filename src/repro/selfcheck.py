@@ -5,8 +5,11 @@ version of the invariants the test suite pins down, so a fresh install
 -- or a fork that touched the model -- can confirm the reproduction's
 core guarantees in seconds:
 
-1. functional agreement: all GEMM drivers + all devices + sparse
-   kernels produce one bit-identical table against the naive oracle;
+1. functional agreement: all GEMM drivers + every native kernel body
+   this host runs + all devices + sparse kernels produce one
+   bit-identical table against the naive oracle, and the native r^2
+   pass matches the NumPy code bit for bit (native parts are reported
+   as skipped where no C compiler builds the kernel);
 2. estimator consistency: the estimator's pricing equals a framework
    run's simulated times;
 3. microbenchmark recovery: the Section V-C/D procedures recover each
@@ -42,13 +45,17 @@ def _check_functional_agreement() -> CheckResult:
     from repro.blis.gemm import bit_gemm, bit_gemm_reference
     from repro.core.config import Algorithm
     from repro.core.framework import SNPComparisonFramework
+    from repro.core.ld import linkage_disequilibrium, r_squared_numpy
     from repro.gpu.arch import ALL_GPUS
+    from repro.kernels import get_backend
     from repro.snp.stats import ld_counts_naive
     from repro.sparse.kernels import sparse_comparison
     from repro.sparse.matrix import SparseSNPMatrix
     from repro.util.bitops import pack_bits
 
     rng = np.random.default_rng(0)
+    # 18 rows straddle the native body's 4-row tile, 8-row panels and
+    # 16-row panel pairs; 200 bits end in a ragged 64-bit word.
     bits = (rng.random((18, 200)) < 0.4).astype(np.uint8)
     oracle = ld_counts_naive(bits)
     packed = pack_bits(bits, 32)
@@ -62,10 +69,31 @@ def _check_functional_agreement() -> CheckResult:
         table, _ = SNPComparisonFramework(arch, Algorithm.LD).run(bits)
         tables.append(table)
     agree = all((t == oracle).all() for t in tables)
+    detail = f"{len(tables)} paths vs oracle on an 18x200 problem"
+    native = get_backend("cnative")
+    if not native.info.available:
+        return CheckResult(
+            "functional agreement",
+            agree,
+            f"{detail}; cnative skipped ({native.info.unavailable_reason})",
+        )
+    bodies = native.bodies()
+    # Both orientations of the tiled body: B packed, then A packed.
+    for rows, cols in ((slice(None), slice(None)), (slice(7), slice(None))):
+        agree &= all(
+            (native.body_panel(body, packed[rows], packed[cols]) == oracle[rows, cols]).all()
+            for body in bodies
+        )
+    result = linkage_disequilibrium(bits, compare="samples")
+    stats = (result.counts, result.frequencies, result.n_observations)
+    c_pass = native.r_squared(*stats)
+    agree &= c_pass is not None and np.array_equal(
+        c_pass.view(np.int64), r_squared_numpy(*stats).view(np.int64)
+    )
     return CheckResult(
         "functional agreement",
         agree,
-        f"{len(tables)} paths vs oracle on an 18x200 problem",
+        f"{detail}; cnative bodies {', '.join(bodies)} and the C r^2 pass",
     )
 
 

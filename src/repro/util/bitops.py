@@ -169,14 +169,17 @@ def pack_bits(
     -------
     numpy.ndarray
         Shape ``(rows, n_words)`` of the matching unsigned dtype.
+
+    A transposed matrix (2-D, F-contiguous but not C-contiguous, such as
+    the site view ``matrix.T`` of a sample-major matrix) is packed
+    without first copying its bits into row order: see
+    :func:`_packbits_transposed`.
     """
     arr = np.asarray(bits)
     if arr.ndim != 2:
         raise PackingError(f"pack_bits: expected 2-D input, got ndim={arr.ndim}")
-    if arr.dtype != np.bool_:
-        if not _is_binary(arr):
-            raise PackingError("pack_bits: input must contain only 0s and 1s")
-        arr = arr.astype(bool)
+    if arr.dtype != np.bool_ and not _is_binary(arr):
+        raise PackingError("pack_bits: input must contain only 0s and 1s")
     rows, n_bits = arr.shape
     n_words = words_needed(n_bits, word_bits)
     if pad_to_words is not None:
@@ -189,12 +192,45 @@ def pack_bits(
 
     # np.packbits packs into uint8 MSB-first; view groups of word_bits/8
     # bytes as one big-endian word, then convert into native order.
-    padded_bits = np.zeros((rows, n_words * word_bits), dtype=bool)
-    padded_bits[:, :n_bits] = arr
-    as_u8 = np.packbits(padded_bits, axis=1)
+    if arr.flags.f_contiguous and not arr.flags.c_contiguous:
+        as_u8 = _packbits_transposed(arr.T, n_words * word_bits // 8)
+    else:
+        padded_bits = np.zeros((rows, n_words * word_bits), dtype=bool)
+        padded_bits[:, :n_bits] = arr
+        as_u8 = np.packbits(padded_bits, axis=1)
     if word_bits == 8:
         return as_u8.astype(np.uint8)
     return as_u8.view(f">u{word_bits // 8}").astype(dtype)
+
+
+def _packbits_transposed(columns: np.ndarray, n_bytes: int) -> np.ndarray:
+    """``np.packbits(columns.T, axis=1)``, zero-padded to ``n_bytes`` a row.
+
+    ``columns`` is a C-contiguous binary ``(n_bits, rows)`` matrix whose
+    *columns* are the rows to pack.  Byte ``g`` of every packed row is
+    the OR of ``columns[8g + u] << (7 - u)`` over ``u``: eight shifted
+    passes over contiguous rows give all packed bytes byte-major, and
+    only those -- eight times fewer than the bits -- are transposed.
+    The passes run on ``uint64`` lanes of eight 0/1 bytes when a row
+    divides into them; a shift by less than 8 keeps each bit in its
+    byte.
+    """
+    if columns.dtype in (np.bool_, np.int8):
+        bits = columns.view(np.uint8)
+    elif columns.dtype == np.uint8:
+        bits = columns
+    else:
+        bits = columns.astype(np.uint8)
+    if bits.shape[1] % 8 == 0:
+        bits = bits.view(np.uint64)
+    packed = np.zeros((n_bytes, bits.shape[1]), dtype=bits.dtype)
+    shifted = np.empty_like(packed[: -(-bits.shape[0] // 8)])
+    for u in range(8):
+        plane = bits[u::8]
+        part = shifted[: plane.shape[0]]
+        np.left_shift(plane, 7 - u, out=part)
+        np.bitwise_or(packed[: plane.shape[0]], part, out=packed[: plane.shape[0]])
+    return np.ascontiguousarray(packed.view(np.uint8).T)
 
 
 def _pack_words_byteshift(as_u8: np.ndarray, word_bits: int) -> np.ndarray:

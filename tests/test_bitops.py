@@ -209,3 +209,58 @@ class TestPackEdgeCases:
         padded[:, : bits.shape[1]] = bits
         as_u8 = np.packbits(padded, axis=1)
         assert (packed == _pack_words_byteshift(as_u8, word_bits)).all()
+
+
+class TestPackTransposed:
+    """A transposed (site-view) matrix packs without a uint8 transpose."""
+
+    @pytest.mark.parametrize("word_bits", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+    @pytest.mark.parametrize("shape", [(13, 21), (3, 64), (100, 9), (16, 200)])
+    def test_same_words_as_row_order(self, word_bits, dtype, shape):
+        # shape is the sample-major matrix; its .T is the packed rows,
+        # so shape[0] is the packed bit count (13 and 100 are not
+        # multiples of 8) and shape[1] the packed row count.
+        rng = np.random.default_rng(shape[0] * 7 + word_bits)
+        matrix = (rng.random(shape) < 0.4).astype(dtype)
+        view = matrix.T
+        assert view.flags.f_contiguous and not view.flags.c_contiguous
+        expected = pack_bits(np.ascontiguousarray(view), word_bits)
+        for pad in (None, words_needed(shape[0], word_bits) + 2):
+            got = pack_bits(view, word_bits, pad_to_words=pad)
+            want = (
+                expected
+                if pad is None
+                else pack_bits(np.ascontiguousarray(view), word_bits, pad)
+            )
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert (unpack_bits(expected, shape[0]) == view).all()
+
+    def test_non_binary_raises_the_same_error(self):
+        matrix = np.zeros((9, 5), dtype=np.uint8)
+        matrix[4, 2] = 2
+        with pytest.raises(PackingError, match="only 0s and 1s"):
+            pack_bits(matrix.T, 32)
+
+    def test_ld_gram_shape_takes_the_transposed_route(self, monkeypatch):
+        from repro.core.packing import pack_operand
+        from repro.util import bitops
+
+        calls = []
+        route = bitops._packbits_transposed
+
+        def spy(columns, n_bytes):
+            calls.append(columns.shape)
+            return route(columns, n_bytes)
+
+        monkeypatch.setattr(bitops, "_packbits_transposed", spy)
+        rng = np.random.default_rng(3)
+        # 2,048 samples x 4,094 sites: a site count that is not a
+        # multiple of m_r, so the operand also needs padding rows.
+        matrix = (rng.random((2048, 4094)) < 0.3).astype(np.uint8)
+        op = pack_operand(matrix.T, word_bits=32, row_multiple=4)
+        assert calls == [(2048, 4094)]
+        assert op.words.shape == (4096, 64) and op.n_rows == 4094
+        assert np.array_equal(op.words[:4094], pack_bits(np.ascontiguousarray(matrix.T), 32))
+        assert not op.words[4094:].any()

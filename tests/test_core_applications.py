@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.framework import SNPComparisonFramework
 from repro.core.identity import identity_search
-from repro.core.ld import linkage_disequilibrium
+from repro.core.ld import LDResult, linkage_disequilibrium
 from repro.core.mixture import mixture_analysis
 from repro.errors import DatasetError
 from repro.snp.forensic import generate_database, generate_queries, make_mixture
@@ -51,11 +51,9 @@ class TestLinkageDisequilibrium:
         result = linkage_disequilibrium(population.matrix, device="Titan V")
         assert result.counts.shape == (120, 120)
 
-    def test_r_squared_bit_identical_to_closed_form(self, monkeypatch):
-        # Zero-variance sites (monomorphic columns), one row block and
-        # several, including a ragged last block.
-        from repro.core import ld as ld_module
-
+    @staticmethod
+    def _r2_closed_form_case():
+        # Zero-variance sites (monomorphic columns) and the closed form.
         rng = np.random.default_rng(5)
         matrix = (rng.random((40, 30)) < 0.4).astype(np.uint8)
         matrix[:, 3] = 0
@@ -67,6 +65,15 @@ class TestLinkageDisequilibrium:
         d = result.counts / result.n_observations - np.outer(p, p)
         with np.errstate(invalid="ignore", divide="ignore"):
             expected = np.where(denom > 0, d * d / denom, 0.0)
+        return result, expected
+
+    def test_r_squared_bit_identical_to_closed_form(self, monkeypatch, pin_native):
+        # The NumPy path in one row block and several, including a
+        # ragged last block.
+        from repro.core import ld as ld_module
+
+        pin_native(False)
+        result, expected = self._r2_closed_form_case()
         for block in (1 << 16, 64, 7):
             monkeypatch.setattr(ld_module, "_R2_BLOCK_ELEMENTS", block)
             got = result.r_squared
@@ -74,6 +81,110 @@ class TestLinkageDisequilibrium:
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
         assert not got[3].any() and not got[:, 7].any()
+
+    def test_r_squared_c_pass_bit_identical_to_closed_form(self, pin_native):
+        pin_native(True)
+        result, expected = self._r2_closed_form_case()
+        got = result.r_squared
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not got[3].any() and not got[:, 7].any()
+
+    @pytest.mark.parametrize(
+        "case", ["monomorphic", "counts_0_and_n", "odd_n_obs", "user_counts", "empty"]
+    )
+    def test_r_squared_c_pass_matches_numpy_bits(self, pin_native, case):
+        rng = np.random.default_rng(11)
+        if case == "empty":
+            result = LDResult(
+                counts=np.zeros((0, 0), dtype=np.int64),
+                frequencies=np.zeros(0),
+                n_observations=0,
+                report=linkage_disequilibrium(np.ones((3, 2), dtype=np.uint8)).report,
+            )
+        elif case == "user_counts":
+            # A user-built result: counts below 0 and above n_obs, and
+            # frequencies unrelated to them.
+            n = 12
+            counts = rng.integers(-40, 90, size=(n, n))
+            result = LDResult(
+                counts=counts,
+                frequencies=rng.random(n),
+                n_observations=37,
+                report=linkage_disequilibrium(np.ones((3, 2), dtype=np.uint8)).report,
+            )
+        else:
+            n_obs = 37 if case == "odd_n_obs" else 64
+            matrix = (rng.random((n_obs, 50)) < 0.35).astype(np.uint8)
+            if case == "monomorphic":
+                matrix[:, 4] = 0
+                matrix[:, 9] = 1
+            if case == "counts_0_and_n":
+                matrix[:, :10] = 0
+                matrix[:, 10:20] = 1
+            result = linkage_disequilibrium(matrix, device="Titan V")
+        pin_native(False)
+        numpy_bits = result.r_squared
+        native = pin_native(True)
+        assert native.r_squared(
+            np.asarray(result.counts), result.frequencies, result.n_observations
+        ) is not None
+        c_bits = result.r_squared
+        assert c_bits.shape == numpy_bits.shape and c_bits.dtype == np.float64
+        assert np.array_equal(c_bits.view(np.int64), numpy_bits.view(np.int64))
+
+    def test_r_squared_never_compiles(self, tmp_path, monkeypatch, pin_native):
+        # A usable compiler but a cold cache: reading r^2 must run the
+        # NumPy code and leave the compile to the GEMM path.
+        from repro.kernels import register_backend
+        from repro.kernels.cnative_backend import KERNEL_CACHE_ENV, CNativeBackend
+
+        pin_native(False)  # restores the process's backend afterwards
+        result = linkage_disequilibrium(np.eye(6, dtype=np.uint8), device="GTX 980")
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path / "cold"))
+        backend = register_backend(CNativeBackend(), replace=True)
+        assert result.r_squared.shape == (6, 6)
+        assert backend.body is None
+        assert not (tmp_path / "cold").exists()
+
+    def test_r_squared_span_only_when_tracing(self):
+        from repro.observability.tracer import NullTracer, Tracer, set_tracer
+
+        result = linkage_disequilibrium(np.eye(6, dtype=np.uint8), device="GTX 980")
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            result.r_squared
+        finally:
+            set_tracer(previous)
+        assert [s.name for s in tracer.spans()] == ["ld.r_squared"]
+        off = NullTracer()
+        previous = set_tracer(off)
+        try:
+            result.r_squared
+        finally:
+            set_tracer(previous)
+        assert off.spans() == [] and off.n_spans() == 0
+
+    @pytest.mark.parametrize("compare", ["sites", "samples"])
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8])
+    def test_frequencies_are_the_entity_means_bit_for_bit(self, compare, dtype):
+        rng = np.random.default_rng(17)
+        matrix = (rng.random((37, 29)) < 0.3).astype(dtype)
+        matrix[:, 2] = 0
+        matrix[4] = 1
+        result = linkage_disequilibrium(matrix, device="Vega 64", compare=compare)
+        entities = matrix.T if compare == "sites" else matrix
+        expected = entities.mean(axis=1)
+        assert result.frequencies.dtype == expected.dtype
+        assert np.array_equal(result.frequencies.view(np.int64), expected.view(np.int64))
+
+    def test_frequencies_of_zero_entities(self):
+        result = linkage_disequilibrium(np.zeros((5, 0), dtype=np.uint8), device="GTX 980")
+        assert result.frequencies.shape == (0,)
+        assert result.frequencies.dtype == np.float64
 
     def test_p_ab_normalization(self, population):
         result = linkage_disequilibrium(population, device="GTX 980")

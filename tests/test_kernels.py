@@ -604,6 +604,85 @@ class TestNativeBodies:
                 assert got.dtype == np.int64
                 assert np.array_equal(got, expected), (body, m, n, k)
 
+    @pytest.mark.parametrize("op", ALL_OPS)
+    @pytest.mark.parametrize("dtype", WORD_DTYPES)
+    def test_every_body_bit_exact_across_tile_edges(self, native, op, dtype):
+        # The VPOPCNTDQ body packs one operand into 8-row panels and
+        # streams the other 4 rows at a time against panel pairs: A
+        # when it has fewer rows and fits one panel (C is then written
+        # transposed), else B.  These extents straddle the row tile
+        # (4), the lane count (8) and the panel pair (16) on both
+        # sides, so both orientations and every edge tile run; k (in
+        # uint64 words after canonicalisation) runs from 0 past 3 zmm
+        # vectors of 8, with ragged narrow-dtype tails.
+        per = 8 // np.dtype(dtype).itemsize
+        ks = [0, 1, 3 * per - 1, 8 * per + 1, 25 * per - 1]
+        extents = [
+            (1, 7), (3, 9), (5, 16), (8, 13),  # A packed
+            (9, 17), (16, 33), (33, 16), (17, 5), (8, 8), (20, 17), (40, 24),
+        ]
+        for seed, ((m, n), k) in enumerate(
+            (shape, k) for shape in extents for k in ks
+        ):
+            a = _panel(m, k, dtype, "random", seed)
+            b = _panel(n, k, dtype, "random", seed + 500)
+            expected = bit_gemm_reference(a, b, op)
+            for body in native.bodies():
+                assert np.array_equal(
+                    native.body_panel(body, a, b, op), expected
+                ), (body, m, n, k)
+
+    @pytest.mark.parametrize("op", [ComparisonOp.AND, ComparisonOp.ANDNOT])
+    def test_every_body_bit_exact_across_panel_blocks(self, native, op):
+        # 64 uint64 words make a 4 KiB panel, so 530 packed rows span
+        # two of the tiled body's 256 KiB panel blocks, with either
+        # operand the larger; the portable body's plain loop is the
+        # oracle.
+        a = make_words(530, 64, np.uint64, seed=1)
+        b = make_words(531, 64, np.uint64, seed=2)
+        for x, y in ((a, b), (b, a)):
+            expected = native.body_panel("portable", x, y, op)
+            assert np.array_equal(expected[:3, :40], bit_gemm_reference(x[:3], y[:40], op))
+            for body in native.bodies():
+                assert np.array_equal(native.body_panel(body, x, y, op), expected), body
+
+    def test_concurrent_calls_keep_their_own_panels(self, native):
+        # The engine calls panels from pool threads at once; each call
+        # packs into its own scratch.  A 512-row Gram and a 4 x 4,096
+        # panel (A packed, C transposed) run together, repeatedly.
+        body = native.bodies()[-1]
+        gram = make_words(512, 32, np.uint32, seed=3)
+        queries = make_words(4, 32, np.uint32, seed=4)
+        rows = make_words(4096, 32, np.uint32, seed=5)
+        jobs = [
+            (gram, gram, ComparisonOp.AND),
+            (queries, rows, ComparisonOp.XOR),
+        ]
+        expected = [bit_gemm_reference(a, b, op) for a, b, op in jobs]
+        barrier = threading.Barrier(len(jobs))
+        results: list[list[np.ndarray]] = [[] for _ in jobs]
+
+        def run(index):
+            a, b, op = jobs[index]
+            for _ in range(5):
+                barrier.wait(timeout=30)
+                results[index].append(native.body_panel(body, a, b, op))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        for got, want in zip(results, expected):
+            assert len(got) == 5
+            assert all(np.array_equal(g, want) for g in got)
+
     def test_property_every_body_matches_reference(self, native):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings

@@ -33,6 +33,7 @@ from repro.core.ldops import (
 )
 from repro.core.mixture import mixture_analysis
 from repro.core.profiles import RunReport
+from repro.core.streaming import StreamingLD
 from repro.errors import ConfigurationError, DatasetError
 from repro.io_stream import write_snpbin
 from repro.observability.tracer import Tracer, set_tracer
@@ -380,13 +381,21 @@ def test_prune_and_clump_above_int64_bound_match_dense_reference():
     "algorithm", [Algorithm.FASTID_IDENTITY, Algorithm.FASTID_MIXTURE]
 )
 def test_non_ld_framework_rejected(algorithm):
+    # Another algorithm's XOR / AND-NOT counts would pass for joint
+    # allele counts (r^2 up to 5.39, or all-zero frequencies), so every
+    # LD entry point refuses the framework with one shared check.
     framework = SNPComparisonFramework("Titan V", algorithm)
+    panel = _correlated_panel(8, 16)
     with pytest.raises(ConfigurationError, match=algorithm.value):
         LDPruner(window=10, r2=0.3, framework=framework)
     with pytest.raises(ConfigurationError, match=algorithm.value):
         LDClumper(window=10, r2=0.3, scores=np.ones(4), framework=framework)
     with pytest.raises(ConfigurationError, match=algorithm.value):
-        ld_prune(_correlated_panel(8, 16), 4, 0.3, framework=framework)
+        ld_prune(panel, 4, 0.3, framework=framework)
+    with pytest.raises(ConfigurationError, match=algorithm.value):
+        linkage_disequilibrium(panel, framework=framework)
+    with pytest.raises(ConfigurationError, match=algorithm.value):
+        StreamingLD(framework=framework).run(panel, chunk_rows=4)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,25 @@ class TestBattery:
         assert all(r.detail for r in results)
 
 
+class TestNativeAgreement:
+    def test_bodies_and_r2_pass_checked(self, pin_native):
+        from repro.selfcheck import _check_functional_agreement
+
+        native = pin_native(True)
+        result = _check_functional_agreement()
+        assert result.passed, result.detail
+        assert all(body in result.detail for body in native.bodies())
+        assert "r^2" in result.detail
+
+    def test_skipped_not_failed_without_compiler(self, pin_native):
+        from repro.selfcheck import _check_functional_agreement
+
+        pin_native(False)
+        result = _check_functional_agreement()
+        assert result.passed, result.detail
+        assert "cnative skipped" in result.detail
+
+
 class TestRendering:
     def test_render_pass_and_fail(self):
         results = [
