@@ -26,7 +26,7 @@ from repro.blis.microkernel import (
     MICROKERNELS,
 )
 from repro.blis.packing import pack_a_panel, pack_b_panel, unpack_a_panel
-from repro.blis.gemm import bit_gemm, bit_gemm_reference, bit_gemm_blocked
+from repro.blis.gemm import bit_gemm, bit_gemm_reference, blis_walk
 
 __all__ = [
     "BlockingPlan",
@@ -41,5 +41,5 @@ __all__ = [
     "unpack_a_panel",
     "bit_gemm",
     "bit_gemm_reference",
-    "bit_gemm_blocked",
+    "blis_walk",
 ]

@@ -3,14 +3,12 @@
 * :func:`bit_gemm_reference` -- the transparent oracle: a literal
   word-broadcast evaluation (the ``numpy`` kernel backend).  O(m*n*k)
   popcounts with an (m, n, k) temporary per row block; used by tests.
-* :func:`bit_gemm_blocked` -- the BLIS five-loop walk: packs panels,
-  iterates the loops, calls the micro-kernel per tile.  This is the
-  code path whose *structure* matches the paper's kernel; the ``blis``
-  kernel backend runs the same walk.
-* :func:`bit_gemm` -- the counted serial driver every layer shares: it
-  picks a kernel backend by the one size rule
-  (:func:`repro.kernels.pick_backend`) and runs either the walk or the
-  backend's panel.
+* :func:`blis_walk` -- the BLIS five-loop walk: packs panels, iterates
+  the loops, calls the micro-kernel per tile.  Its *structure* matches
+  the paper's kernel; the ``blis`` kernel backend runs it.
+* :func:`bit_gemm` -- the counted serial GEMM: it picks a kernel
+  backend by the one size rule (:func:`repro.kernels.pick_backend`)
+  and runs that backend's panel (``blis`` walks the caller's plan).
 * :func:`bit_gemm_band` -- the counted band driver for windowed LD: only
   the ``width`` sub-diagonals of a self-comparison, walked diagonal by
   diagonal over the packed words (no backend axis; see
@@ -21,15 +19,11 @@ B is ``(n, k)`` words (note B is stored row-per-output-column, i.e.
 already "transposed" -- both SNP applications naturally produce this
 layout because every entity is a packed row).
 
-**Gram (symmetric) hint.**  Self-comparisons with a symmetric op
-(AND, XOR, AND_PRENEGATED -- see
-:attr:`~repro.blis.microkernel.ComparisonOp.is_symmetric`) produce
-``C == C.T``.  ``bit_gemm_blocked(..., symmetric=True)`` skips every
-micro-tile lying entirely below the diagonal and fills it afterwards
-by reflecting its (computed) transpose tile, roughly halving the
-word-ops; the :data:`GEMM_WORD_OPS` counter records only the computed
-tiles.  The hint is *validated*: asymmetric ops and non-self operands
-are rejected, so ANDNOT provably never takes the triangular path.
+**Word-op accounting.**  :data:`GEMM_WORD_OPS` records ``m * n * k``
+once per logical GEMM, whichever backend computed it; a band records
+its partnered cells times ``k``.  Self-comparisons with a symmetric op
+(``C == C.T``) save work one level up, in the engine's triangular
+shard plan (:mod:`repro.parallel`), without changing the count.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PackingError
-from repro.blis.blocking import BlockingPlan, tile_ranges
+from repro.blis.blocking import BlockingPlan
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.blis.packing import pack_a_panel, pack_b_panel
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
@@ -49,9 +43,7 @@ __all__ = [
     "bit_gemm",
     "bit_gemm_band",
     "bit_gemm_reference",
-    "bit_gemm_blocked",
     "blis_walk",
-    "check_symmetric",
     "host_plan",
     "same_operand",
 ]
@@ -84,30 +76,6 @@ def same_operand(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def check_symmetric(
-    fn: str, a: np.ndarray, b: np.ndarray, op: ComparisonOp
-) -> None:
-    """Validate a ``symmetric=True`` hint (Gram mode preconditions).
-
-    The same-matrix check accepts equal-*content* copies as well as
-    views: it validates symmetry a caller asserts, so two distinct
-    arrays holding identical words qualify, and different content is
-    rejected rather than mirrored.  The content comparison is O(m*k)
-    words -- noise next to the O(m*n*k) GEMM it guards.
-    """
-    if not op.is_symmetric:
-        raise PackingError(
-            f"{fn}: symmetric=True is invalid for asymmetric op {op.value!r}"
-        )
-    if not same_operand(a, b) and not (
-        a.shape == b.shape and bool(np.array_equal(a, b))
-    ):
-        raise PackingError(
-            f"{fn}: symmetric=True requires a self-comparison "
-            f"(operands must hold the same packed matrix)"
-        )
-
-
 def bit_gemm_reference(
     a: np.ndarray,
     b: np.ndarray,
@@ -138,33 +106,33 @@ def bit_gemm(
     op: ComparisonOp | str = ComparisonOp.AND,
     backend: str = "auto",
     plan: BlockingPlan | None = None,
-    symmetric: bool = False,
 ) -> np.ndarray:
     """Serial popcount-GEMM through the backend the size rule picks.
 
     :func:`repro.kernels.pick_backend` names the backend from the
-    problem's word-ops, the Gram hint and ``backend`` (an explicit
-    name, or ``"auto"``).  The ``blis`` choice runs
-    :func:`bit_gemm_blocked` on ``plan`` (Gram runs skip the
-    below-diagonal tiles and count only the computed ones); every
-    other backend computes the full panel, so the word-op counter
-    records the full ``m * n * k``.  One :data:`GEMM_CALLS` either way.
+    problem's word-ops and ``backend`` (an explicit name, or
+    ``"auto"``).  The ``blis`` choice walks ``plan`` (default: the
+    host blocking); every other backend computes its panel.  One
+    :data:`GEMM_CALLS` and ``m * n * k`` :data:`GEMM_WORD_OPS` either
+    way.
     """
     from repro.kernels.abi import check_panel_operands, get_backend, pick_backend
 
     a, b, op = check_panel_operands(a, b, op)
-    if symmetric:
-        check_symmetric("bit_gemm", a, b, op)
-        b = a  # equal content, now one operand (blas: one a @ a.T)
     m, k = a.shape
     n = b.shape[0]
-    name = pick_backend(m * n * k, symmetric, backend)
-    if name == "blis":
-        return bit_gemm_blocked(a, b, op, plan, symmetric=symmetric)
+    if plan is not None and (plan.m, plan.n, plan.k) != (m, n, k):
+        raise PackingError(
+            f"bit_gemm: plan extents {(plan.m, plan.n, plan.k)} do not "
+            f"match operands {(m, n, k)}"
+        )
+    name = pick_backend(m * n * k, backend)
     obs = get_tracer()
     obs.counters.add(GEMM_CALLS)
     obs.counters.add(GEMM_WORD_OPS, m * n * k)
     with obs.span("gemm.backend", backend=name, m=m, n=n, k=k):
+        if name == "blis" and plan is not None:
+            return blis_walk(a, b, op, plan)
         return get_backend(name).bit_gemm_panel(a, b, op)
 
 
@@ -215,58 +183,19 @@ def bit_gemm_band(
     return band
 
 
-def bit_gemm_blocked(
-    a: np.ndarray,
-    b: np.ndarray,
-    op: ComparisonOp | str = ComparisonOp.AND,
-    plan: BlockingPlan | None = None,
-    symmetric: bool = False,
-) -> np.ndarray:
-    """BLIS five-loop evaluation with packed panels (counted).
-
-    The loop nest (outside-in) is: k_c panels -> core assignments
-    (m_c x n_r C tiles) -> micro-tiles -> micro-kernel.  Cores are
-    iterated sequentially here (this is the functional semantics; the
-    device executor overlays timing on the same walk).
-
-    ``symmetric=True`` (Gram mode) skips micro-tiles entirely below the
-    diagonal and mirror-fills them from their computed transpose tiles
-    after the walk.  Requires a symmetric op, ``a`` and ``b`` the same
-    matrix, and a square output.
-    """
-    from repro.kernels.abi import check_panel_operands
-
-    a, b, op = check_panel_operands(a, b, op)
-    m, k = a.shape
-    n = b.shape[0]
-    if symmetric:
-        check_symmetric("bit_gemm_blocked", a, b, op)
-    if plan is None:
-        plan = host_plan(m, n, k)
-    if (plan.m, plan.n, plan.k) != (m, n, k):
-        raise PackingError(
-            f"bit_gemm_blocked: plan extents {(plan.m, plan.n, plan.k)} do not "
-            f"match operands {(m, n, k)}"
-        )
-
-    obs = get_tracer()
-    obs.counters.add(GEMM_CALLS)
-    skipped_ops = _below_diagonal_ops(plan) if symmetric else 0
-    obs.counters.add(GEMM_WORD_OPS, plan.total_ops() - skipped_ops)
-    with obs.span("gemm.blocked", m=m, n=n, k=k):
-        return blis_walk(a, b, op, plan, symmetric)
-
-
 def blis_walk(
     a: np.ndarray,
     b: np.ndarray,
     op: ComparisonOp,
     plan: BlockingPlan,
-    symmetric: bool = False,
 ) -> np.ndarray:
     """The uncounted five-loop walk over pre-validated operands.
 
-    Shared by :func:`bit_gemm_blocked` and the ``blis`` kernel backend.
+    The loop nest (outside-in) is: k_c panels -> core assignments
+    (m_c x n_r C tiles) -> micro-tiles -> micro-kernel.  Cores are
+    iterated sequentially here (this is the functional semantics; the
+    device executor overlays timing on the same walk).  Shared by
+    :func:`bit_gemm` and the ``blis`` kernel backend.
     """
     combine = get_microkernel(op).combine
     c = np.zeros((plan.m, plan.n), dtype=np.int64)
@@ -282,50 +211,12 @@ def blis_walk(
                 a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
                 # Loops 2/1: n_r micro-panels of B, micro-tiles of C.
                 for pn0, pn1 in _panel_ranges(n0, n1, plan.n_r):
-                    if symmetric and pm0 >= pn1:
-                        # Every micro-tile in this panel pairing lies
-                        # below the diagonal; skip the B pack too.
-                        continue
                     b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
                     _micro_update(
                         c, a_packed, b_packed, combine,
                         pm0, pm1, pn0, pn1, plan.m_r,
-                        symmetric=symmetric,
                     )
-    if symmetric:
-        _mirror_fill(c, plan)
     return c
-
-
-def _below_diagonal_ops(plan: BlockingPlan) -> int:
-    """Word-ops of micro-tiles lying entirely below the diagonal.
-
-    These are exactly the tiles Gram mode skips and mirror-fills; all
-    micro-tile boundaries in the five-loop walk land on the global
-    ``tile_ranges`` grid (``m_c`` is a multiple of ``m_r`` and
-    :func:`split_in_units` aligns core boundaries), so this closed-form
-    count matches the tiles the walk skips.
-    """
-    skipped = 0
-    for r0, r1 in tile_ranges(plan.m, plan.m_r):
-        for c0, c1 in tile_ranges(plan.n, plan.n_r):
-            if r0 >= c1:
-                skipped += (r1 - r0) * (c1 - c0) * plan.k
-    return skipped
-
-
-def _mirror_fill(c: np.ndarray, plan: BlockingPlan) -> None:
-    """Fill skipped below-diagonal micro-tiles by transposition.
-
-    A tile is skipped iff ``r0 >= c1``; its source tile at the
-    transposed ranges satisfies ``c0 < r1`` (the two conditions are
-    mutually exclusive for non-empty tiles), so every source was
-    computed during the walk.
-    """
-    for r0, r1 in tile_ranges(plan.m, plan.m_r):
-        for col0, col1 in tile_ranges(plan.n, plan.n_r):
-            if r0 >= col1:
-                c[r0:r1, col0:col1] = c[col0:col1, r0:r1].T
 
 
 def _panel_ranges(start: int, stop: int, block: int) -> list[tuple[int, int]]:
@@ -342,14 +233,8 @@ def _micro_update(
     n0: int,
     n1: int,
     m_r: int,
-    symmetric: bool = False,
 ) -> np.ndarray:
-    """Rank-k_c update of C[m0:m1, n0:n1] from packed panels.
-
-    With ``symmetric=True``, micro-tiles entirely below the diagonal
-    (``rows0 >= cols1``) are skipped; :func:`_mirror_fill` reflects
-    them from their transpose tiles after the full walk.
-    """
+    """Rank-k_c update of C[m0:m1, n0:n1] from packed panels."""
     n_b_panels, k_len, n_r = b_packed.shape
     for pa in range(a_packed.shape[0]):
         # (k, m_r) micro-panel of A.
@@ -365,8 +250,6 @@ def _micro_update(
             cols1 = min(cols0 + n_r, n1)
             live_cols = cols1 - cols0
             if live_cols <= 0:
-                continue
-            if symmetric and rows0 >= cols1:
                 continue
             # Micro-kernel: (m_r, n_r) popcount-accumulate over k.
             combined = combine(

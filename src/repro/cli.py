@@ -14,22 +14,22 @@ workloads::
     repro-snp tune      --device "Vega 64" --algorithm ld [--header out.h]
 
 The three comparison commands run the bit-GEMM on one engine: a
-kernel backend and a plan shape (full or triangular), sharded over one
-host thread pool.  ``--workers N`` sizes that pool (``--workers 0``
-picks a sensible default for the machine; omitted, or below the
-crossover size, the GEMM runs serially; see :mod:`repro.parallel`),
-``--backend {auto,numpy,blas,blis,...}`` picks the kernel-ABI backend
-(``auto`` defers to ``REPRO_BACKEND``, else runs ``cnative`` once
-loaded, else ``blis`` up to 2,000,000 word-ops and ``blas`` above;
-Gram runs up to that limit take the ``blis`` triangle; see
-``docs/KERNELS.md``), and ``--no-gram`` disables the triangular Gram
-plan shape (see ``docs/PERF.md``).
+kernel backend and a plan shape (full, or triangular for a sharded
+self-comparison), over one host thread pool.  ``--workers N`` sizes
+that pool (``--workers 0`` picks a sensible default for the machine;
+omitted, or below the crossover size, the GEMM runs as one shard on
+the calling thread; see :mod:`repro.parallel`), and ``--backend
+{auto,numpy,blas,blis,...}`` picks the kernel-ABI backend (a named
+backend runs as named; ``auto`` defers to ``REPRO_BACKEND``, else runs
+``cnative`` once loaded, else ``blis`` up to 2,000,000 word-ops and
+``blas`` above; see ``docs/KERNELS.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
 transient faults up to N times with backoff, ``--verify-sample RATE``
 spot-verifies that fraction of output shards against the serial
 reference, and ``--inject-faults SPEC`` injects a deterministic fault
-schedule (e.g. ``"kernel:1,shard@0:2,seed=7"``) for drills.
+schedule (e.g. ``"kernel:1,shard@0:2,seed=7"``) for drills.  A run
+without ``--workers`` is one shard, shard 0, so both apply to it too.
 
 Streaming (see ``docs/STREAMING.md``): ``--chunk-rows N`` runs the
 out-of-core path -- the streamed input (LD entities, the identity
@@ -277,7 +277,6 @@ def _observed_framework(
         args.device,
         algorithm,
         workers=_resolve_workers(args),
-        gram=not getattr(args, "no_gram", False),
         backend=getattr(args, "backend", "auto"),
     )
 
@@ -356,7 +355,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
             streamer = StreamingLD(
                 device=args.device,
                 workers=_resolve_workers(args),
-                gram=not args.no_gram,
                 backend=args.backend,
                 framework=framework,
             )
@@ -370,7 +368,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
                 compare=args.compare,
                 framework=framework,
                 workers=_resolve_workers(args),
-                gram=not args.no_gram,
                 backend=args.backend,
             )
         stat = {
@@ -569,7 +566,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             device=args.device,
             framework=framework,
             workers=_resolve_workers(args),
-            gram=not args.no_gram,
             backend=args.backend,
         )
         hits = result.matches(args.max_distance)
@@ -689,7 +685,6 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 device=args.device,
                 framework=framework,
                 workers=_resolve_workers(args),
-                gram=not args.no_gram,
                 backend=args.backend,
             )
             n_references = references.shape[0]
@@ -755,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     workers_help = (
         "host threads for the functional compute "
-        "(0 = machine default, omit = serial)"
+        "(0 = machine default, omit = one shard on the calling thread)"
     )
     trace_help = (
         "write a merged Chrome trace (host spans + simulated device "
@@ -763,14 +758,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_help = "print the observability counter/span report"
     backend_help = (
-        "kernel-ABI backend for the functional bit-GEMM (auto defers to "
-        "REPRO_BACKEND, else runs cnative once loaded, else blis up to "
-        "2,000,000 word-ops and blas above; Gram runs up to that limit "
-        "take the blis triangle; see docs/KERNELS.md)"
-    )
-    no_gram_help = (
-        "disable the symmetric Gram fast path (compute the full table "
-        "even for self-comparisons)"
+        "kernel-ABI backend for the functional bit-GEMM (a named backend "
+        "runs as named; auto defers to REPRO_BACKEND, else runs cnative "
+        "once loaded, else blis up to 2,000,000 word-ops and blas above; "
+        "see docs/KERNELS.md)"
     )
 
     def add_observability_flags(cmd: argparse.ArgumentParser) -> None:
@@ -783,11 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inject_help = (
         "inject a deterministic fault schedule for resilience drills, "
-        "e.g. 'kernel:1,shard@0:2,bitflip@0,seed=7'"
+        "e.g. 'kernel:1,shard@0:2,bitflip@0,seed=7' (a run without "
+        "--workers is one shard, shard 0)"
     )
     verify_help = (
         "spot-verify this fraction of output shards against the serial "
-        "reference (0 disables, 1 checks every shard)"
+        "reference (0 disables, 1 checks every shard; a run without "
+        "--workers is one shard)"
     )
     chunk_help = (
         "stream the large input (LD entities, identity database, "
@@ -808,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend", default="auto",
             choices=["auto", *backend_names()], help=backend_help,
         )
-        cmd.add_argument("--no-gram", action="store_true", help=no_gram_help)
         cmd.add_argument(
             "--retries", type=int, default=0, metavar="N", help=retries_help
         )

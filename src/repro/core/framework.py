@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blis.gemm import bit_gemm, same_operand
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm, KernelConfig
 from repro.core.packing import PackedOperand, crop_result, pack_operand
@@ -35,7 +34,7 @@ from repro.errors import ConfigurationError, DatasetError, KernelLaunchError
 from repro.gpu.arch import GPUArchitecture, get_gpu
 from repro.gpu.device import CommandQueue, Context, Device
 from repro.gpu.kernel import SnpKernel
-from repro.kernels import get_backend, pick_backend
+from repro.kernels import get_backend
 from repro.observability.counters import SIM_DEVICE_SECONDS
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
@@ -71,24 +70,19 @@ class SNPComparisonFramework:
         Overlap transfers with compute (the paper's default); disable
         for the ablation comparison.
     workers:
-        Host threads for the table: ``None`` or ``1`` keeps the serial
-        driver; a larger integer shards the host GEMM across the
-        process-wide pool (:mod:`repro.parallel`) once the table
-        reaches the engine's crossover.  Results stay bit-exact and the
-        simulated device timing is unchanged.  Anything else raises
+        Host threads for the table (:mod:`repro.parallel`): ``None`` or
+        ``1`` computes it as one shard on the caller's thread; a larger
+        integer shards it across the process-wide pool once the table
+        reaches the engine's crossover, with self-comparisons on the
+        triangular plan.  Results stay bit-exact and the simulated
+        device timing is unchanged.  Anything else raises
         :class:`~repro.errors.ConfigurationError`.
-    gram:
-        Allow Gram mode: self-comparisons (the same packed operand on
-        both sides) with a symmetric op compute only the upper
-        triangle and mirror the rest (see ``docs/PERF.md``).
-        ``False`` forces the full-output path (useful for benchmarking
-        the symmetry win).
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the host table:
         ``"auto"`` (``REPRO_BACKEND`` env, then the size rule:
         ``cnative`` once loaded, else ``blis``/``blas`` by size) or an
         explicit registered name such as
-        ``"blas"``, ``"blis"`` or ``"cnative"``.
+        ``"blas"``, ``"blis"`` or ``"cnative"``, which runs as named.
     """
 
     def __init__(
@@ -99,7 +93,6 @@ class SNPComparisonFramework:
         prenegate: bool | None = None,
         double_buffering: bool = True,
         workers: int | None = None,
-        gram: bool = True,
         backend: str = "auto",
     ) -> None:
         self.arch = get_gpu(device) if isinstance(device, str) else device
@@ -111,7 +104,6 @@ class SNPComparisonFramework:
         if workers is not None:
             check_workers("SNPComparisonFramework: workers", workers)
         self.workers = workers
-        self.gram = gram
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.backend = backend
@@ -235,7 +227,7 @@ class SNPComparisonFramework:
                 a.k_words,
                 double_buffering=self.double_buffering,
             )
-            raw, backend, parallel = self._compute(a.words, b.words)
+            raw, parallel = self._compute(a.words, b.words)
             end_to_end = queue.finish()
             busy = queue.busy_summary()
         obs.counters.add(SIM_DEVICE_SECONDS, end_to_end)
@@ -254,7 +246,7 @@ class SNPComparisonFramework:
             n_kernel_launches=len(profiles),
             n_tiles=plan.n_tiles,
             kernel_profiles=profiles,
-            backend=backend,
+            backend=parallel.backend,
             parallel=parallel,
         )
         if obs.enabled:
@@ -263,11 +255,7 @@ class SNPComparisonFramework:
             )
         if res.active:
             events = tuple(res.injector.fired()[events_before:])
-            engine = (
-                parallel.resilience
-                if parallel is not None and parallel.resilience is not None
-                else ResilienceReport()
-            )
+            engine = parallel.resilience or ResilienceReport()
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
                 retries=engine.retries + sum(p.retries for p in profiles),
@@ -309,11 +297,10 @@ class SNPComparisonFramework:
 
     def _compute(
         self, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, str, ParallelReport | None]:
-        """The padded table on the host: (table, backend, engine report)."""
+    ) -> tuple[np.ndarray, ParallelReport]:
+        """The padded table on the host, and the engine's report."""
         op = self.kernel.op
         plan = self.kernel.blocking_plan(a.shape[0], b.shape[0], a.shape[1])
-        symmetric = self.gram and op.is_symmetric and same_operand(a, b)
         with get_tracer().span(
             "kernel.execute",
             kernel=f"snp_{op.value}",
@@ -322,16 +309,9 @@ class SNPComparisonFramework:
             n=plan.n,
             k=plan.k,
         ):
-            if self.workers is not None and self.workers > 1:
-                c, parallel = get_engine(self.workers, self.backend).run(
-                    a, b, op, plan=plan, symmetric=symmetric
-                )
-                return c, parallel.backend, parallel
-            name = pick_backend(plan.total_ops(), symmetric, self.backend)
-            c = bit_gemm(
-                a, b, op, backend=name, plan=plan, symmetric=symmetric
+            return get_engine(self.workers or 1, self.backend).run(
+                a, b, op, plan=plan
             )
-            return c, name, None
 
     # -- baselines ---------------------------------------------------------------
 
@@ -341,11 +321,10 @@ class SNPComparisonFramework:
 
     def __repr__(self) -> str:
         workers = f", workers={self.workers}" if self.workers else ""
-        gram = "" if self.gram else ", gram=False"
         backend = "" if self.backend == "auto" else f", backend={self.backend!r}"
         return (
             f"SNPComparisonFramework(device={self.arch.name!r}, "
             f"algorithm={self.algorithm.value!r}, op={self.config.op.value!r}, "
             f"grid={self.config.grid_rows}x{self.config.grid_cols}"
-            f"{workers}{gram}{backend})"
+            f"{workers}{backend})"
         )

@@ -64,7 +64,6 @@ def identity_search(
     device: str | GPUArchitecture = "Titan V",
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
-    gram: bool = True,
     backend: str = "auto",
 ) -> IdentityResult:
     """Search ``queries`` against ``database`` on the simulated GPU.
@@ -79,10 +78,6 @@ def identity_search(
     workers:
         Host threads for the functional compute (``> 1`` shards the
         bit-GEMM).  Ignored when ``framework`` is supplied.
-    gram:
-        Allow the symmetric (Gram) fast path when queries *are* the
-        database (an all-pairs self-scan -- XOR is symmetric).
-        Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
@@ -99,7 +94,7 @@ def identity_search(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
-            gram=gram, backend=backend,
+            backend=backend,
         )
     distances, report = framework.run(q, db)
     return IdentityResult(distances=distances, report=report)

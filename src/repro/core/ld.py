@@ -159,7 +159,7 @@ def ld_framework(
 
     ``framework`` itself when it runs the LD algorithm, else a new LD
     framework on ``device`` built with ``options`` (``workers``,
-    ``gram``, ``backend``).  A framework of another algorithm is
+    ``backend``).  A framework of another algorithm is
     refused: its XOR or AND-NOT counts would pass for joint allele
     counts.
     """
@@ -179,7 +179,6 @@ def linkage_disequilibrium(
     compare: str = "sites",
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
-    gram: bool = True,
     backend: str = "auto",
 ) -> LDResult:
     """Compute all-pairs LD on the simulated GPU framework.
@@ -200,11 +199,8 @@ def linkage_disequilibrium(
         :class:`~repro.errors.ConfigurationError`.
     workers:
         Host threads for the functional compute (``> 1`` shards the
-        bit-GEMM across the process-wide pool).  Ignored when
-        ``framework`` is supplied.
-    gram:
-        Allow the symmetric (Gram) fast path -- LD is a
-        self-comparison, so this roughly halves the computed word-ops.
+        bit-GEMM across the process-wide pool; LD is a
+        self-comparison, so a sharded run takes the triangular plan).
         Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
@@ -231,7 +227,7 @@ def linkage_disequilibrium(
         )
     framework = ld_framework(
         "linkage_disequilibrium", framework, device, workers=workers,
-        gram=gram, backend=backend,
+        backend=backend,
     )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]

@@ -83,7 +83,6 @@ def mixture_analysis(
     prenegate: bool | None = None,
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
-    gram: bool = True,
     backend: str = "auto",
 ) -> MixtureResult:
     """Score ``references`` against ``mixtures`` on the simulated GPU.
@@ -100,12 +99,6 @@ def mixture_analysis(
     workers:
         Host threads for the functional compute (``> 1`` shards the
         bit-GEMM).  Ignored when ``framework`` is supplied.
-    gram:
-        Accepted for API uniformity with the other applications;
-        mixture analysis compares *different* operand contents (the
-        ANDNOT kernel is asymmetric; the pre-negated variant packs the
-        right operand negated), so the Gram path can never engage.
-        Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
         registered name.  Ignored when ``framework`` is supplied.
@@ -121,7 +114,7 @@ def mixture_analysis(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.FASTID_MIXTURE, prenegate=prenegate,
-            workers=workers, gram=gram, backend=backend,
+            workers=workers, backend=backend,
         )
     scores, report = framework.run(r, m)
     return MixtureResult(

@@ -380,12 +380,11 @@ class StreamingLD:
         self,
         device: str | GPUArchitecture = "Titan V",
         workers: int | None = None,
-        gram: bool = True,
         backend: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         self.framework = ld_framework(
-            "StreamingLD", framework, device, workers=workers, gram=gram,
+            "StreamingLD", framework, device, workers=workers,
             backend=backend,
         )
 

@@ -82,8 +82,9 @@ def cpu_snp_comparison(
         Kernel-ABI backend (:mod:`repro.kernels`), e.g. ``"blis"`` for
         the blocked 5-loop walk on this CPU's blocking or ``"blas"``
         for the identity GEMM.  Default: the size rule of
-        :func:`repro.kernels.pick_backend` (the walk for small
-        problems, exercising the real structure; BLAS for large ones).
+        :func:`repro.kernels.pick_backend` (``cnative`` once its
+        library has loaded; before that the walk up to
+        :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and BLAS above).
 
     Returns
     -------

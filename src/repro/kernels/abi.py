@@ -21,12 +21,14 @@ Resolution rules (shared by every layer, applied in one place,
   :class:`~repro.errors.ConfigurationError`;
 * ``"auto"`` honours the ``REPRO_BACKEND`` environment variable when
   set;
-* otherwise the one size rule decides: a Gram run of at most
-  :data:`BLIS_OP_LIMIT` word-ops takes the ``blis`` triangle walk, a
-  named backend runs as named, and ``"auto"`` picks ``cnative`` once
-  its hardware-popcount body is loaded, else ``blis`` up to the limit
-  and ``blas`` above it.  The choice depends only on the problem's
-  shape and which backends have loaded, never on per-machine state.
+* otherwise the one size rule decides: ``"auto"`` picks ``cnative``
+  once its hardware-popcount body is loaded, else ``blis`` up to
+  :data:`BLIS_OP_LIMIT` word-ops and ``blas`` above it.  The choice
+  depends only on the problem's size and which backends have loaded,
+  never on per-machine state or on the plan shape.
+
+Whichever backend runs, a logical GEMM counts ``m * n * k`` word-ops,
+so counters never depend on the choice.
 
 Backends accept any packed word dtype the drivers accept
 (``uint8``/``uint16``/``uint32``/``uint64``); compiled backends
@@ -70,10 +72,9 @@ __all__ = [
 #: Environment variable that forces the backend ``"auto"`` resolves to.
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: Serial GEMMs of at most this many packed-word operations run the
-#: ``blis`` walk -- always for Gram runs (its triangle skip carries the
-#: word-op accounting), and for ``"auto"`` until ``cnative`` loads
-#: (``blas`` runs above).
+#: Until ``cnative`` loads, ``"auto"`` GEMMs of at most this many
+#: packed-word operations run the ``blis`` walk and larger ones
+#: ``blas``.
 BLIS_OP_LIMIT = 2_000_000
 
 #: Stable integer codes compiled backends dispatch the comparison op
@@ -327,24 +328,19 @@ def resolve_backend_name(name: str | None = None) -> str | None:
     return name
 
 
-def pick_backend(
-    total_ops: int, symmetric: bool = False, backend: str | None = "auto"
-) -> str:
-    """The one size rule naming the backend a serial GEMM runs on.
+def pick_backend(total_ops: int, backend: str | None = "auto") -> str:
+    """The one size rule naming the backend a GEMM runs on.
 
-    A Gram run (``symmetric``) of at most :data:`BLIS_OP_LIMIT`
-    word-ops takes the ``blis`` triangle walk; otherwise a named
-    backend (explicit, or ``REPRO_BACKEND`` for ``"auto"``) runs;
-    otherwise ``cnative`` runs once a hardware-popcount body is loaded
+    A named backend (explicit, or ``REPRO_BACKEND`` for ``"auto"``)
+    runs as named; otherwise ``cnative`` runs once a hardware-popcount
+    body is loaded
     (:meth:`~repro.kernels.cnative_backend.CNativeBackend.auto_ready`,
     which never compiles on the caller's thread), else ``blis`` up to
-    the limit and ``blas`` above it.  Every choice counts the same
-    word-ops, so answers and counters do not depend on whether the
-    library has loaded yet.
+    :data:`BLIS_OP_LIMIT` word-ops and ``blas`` above it.  Every choice
+    counts the same word-ops, so answers and counters do not depend on
+    whether the library has loaded yet.
     """
-    name = resolve_backend_name(backend)  # validates even when unused
-    if symmetric and total_ops <= BLIS_OP_LIMIT:
-        return "blis"
+    name = resolve_backend_name(backend)
     if name is not None:
         return name
     if _native_ready(total_ops):

@@ -1,12 +1,12 @@
 """``blis`` backend: the BLIS five-loop walk behind the kernel ABI.
 
 The BLIS walk (packed micro-panels, popcount micro-kernel) is the
-structure the paper's kernel has and the device cycle model prices.  Registering the
-one walk (:func:`repro.blis.gemm.blis_walk`) here lets every layer
-reach it by name: the serial driver's size rule, engine shards and
-``--backend blis``.  A panel call walks the host-default blocking;
-the serial driver walks the caller's plan, and its Gram form skips
-below-diagonal tiles.
+structure the paper's kernel has and the device cycle model prices.
+Registering the one walk (:func:`repro.blis.gemm.blis_walk`) here
+lets every layer reach it by name: ``--backend blis``, the loop-nest
+reference, and ``"auto"``'s choice for small GEMMs on a host without
+a C compiler.  A panel call walks the host-default blocking;
+:func:`repro.blis.gemm.bit_gemm` walks the caller's plan.
 """
 
 from __future__ import annotations

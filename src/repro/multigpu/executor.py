@@ -89,7 +89,6 @@ def run_multi_gpu(
     a_bits: np.ndarray,
     b_bits: np.ndarray,
     workers: int | None = None,
-    gram: bool = True,
     backend: str = "auto",
 ) -> tuple[np.ndarray, MultiGPUReport]:
     """Functional multi-GPU run: bit-exact table plus node timing.
@@ -103,11 +102,7 @@ def run_multi_gpu(
     (:func:`repro.parallel.get_engine`), all simulated devices share
     **one** thread pool rather than spawning one per device.
 
-    ``gram``/``backend`` forward to each device's framework.  Note a
-    partitioned run rarely benefits from Gram mode: each device
-    compares the full query against a *slice* of the database, which
-    is not a self-comparison (only the degenerate single-device,
-    full-slice case qualifies).
+    ``backend`` forwards to each device's framework.
     """
     algorithm = Algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     a = np.asarray(a_bits)
@@ -159,7 +154,6 @@ def run_multi_gpu(
                         arch,
                         algorithm,
                         workers=workers,
-                        gram=gram,
                         backend=backend,
                     )
                     slice_table, run_report = framework.run(

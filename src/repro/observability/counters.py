@@ -76,12 +76,14 @@ PACK_OPERANDS = "pack.operands"
 PACK_BYTES = "pack.bytes_packed"
 #: Bit-GEMM driver invocations (serial drivers and sharded runs alike).
 GEMM_CALLS = "gemm.calls"
-#: POPC word operations executed: ``m * n * k_words`` per logical GEMM,
-#: counted exactly once whichever driver or kernel backend ran it.
+#: POPC word operations a GEMM defines: ``m * n * k_words`` per logical
+#: GEMM, counted exactly once whichever kernel backend, worker count or
+#: shard plan ran it (a triangular plan computes fewer); a band counts
+#: its partnered cells times ``k_words``.
 GEMM_WORD_OPS = "gemm.popc_word_ops"
 #: Simulated kernel launches scheduled by :func:`repro.core.pipeline.run_pipeline`.
 KERNEL_LAUNCHES = "kernel.launches"
-#: Shards executed by the parallel engine (serial fallback counts 1).
+#: Shards executed by the parallel engine (a serial run is one shard).
 SHARDS_EXECUTED = "shards.executed"
 #: Shards filled by reflecting a computed shard into its transpose
 #: slot (Gram mode): these word-ops were *saved*, not executed.
@@ -189,7 +191,7 @@ COUNTER_CATALOGUE: dict[str, str] = {
     PACK_OPERANDS: "operands packed for the device (pack_operand calls)",
     PACK_BYTES: "bytes of packed words produced by operand packing",
     GEMM_CALLS: "bit-GEMM driver invocations",
-    GEMM_WORD_OPS: "POPC word operations (m*n*k_words per GEMM, exact)",
+    GEMM_WORD_OPS: "POPC word operations (m*n*k_words per GEMM, cells*k_words per band)",
     KERNEL_LAUNCHES: "simulated kernel launches",
     SHARDS_EXECUTED: "shards executed by the parallel engine",
     SHARDS_MIRRORED: "shards filled by transpose reflection (Gram mode)",

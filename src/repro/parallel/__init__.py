@@ -3,9 +3,9 @@
 The BLIS five-loop structure exposes independent ``m_r x n_r`` output
 tiles; this package shards them across one host thread pool.  The
 engine has two axes -- the kernel backend every shard calls and the
-plan shape (full or triangular) -- and runs serially below the
-crossover.  Both follow from the problem's shape and which backends
-have loaded; no per-machine record is consulted:
+plan shape (full or triangular) -- and runs one shard on the calling
+thread below the crossover.  Both follow from the problem's shape and
+which backends have loaded; no per-machine record is consulted:
 
 * :mod:`repro.parallel.plan` -- :class:`ShardPlan`, derived from the
   device :class:`~repro.blis.blocking.BlockingPlan` so host sharding
@@ -15,13 +15,13 @@ have loaded; no per-machine record is consulted:
   pool registry (one pool shared across simulated devices).
 
 Every shard is one kernel-ABI panel call (:mod:`repro.kernels`).
-Self-comparisons with a symmetric op take the Gram path: triangular
-shard plans (:meth:`ShardPlan.triangular`) compute only the diagonal
-and upper triangle and mirror the rest by transposition.
+Sharded self-comparisons with a symmetric op take the Gram path:
+triangular shard plans (:meth:`ShardPlan.triangular`) compute only the
+diagonal and upper triangle and mirror the rest by transposition.
 
-Entry points that accept ``workers`` -- the framework, the multi-GPU
-executor, and the CLI's ``--workers`` flag -- all route through this
-package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
+Every framework table routes through this package, serial or not, as
+do the multi-GPU executor and the CLI's ``--workers`` flag.  See
+``docs/PARALLEL.md`` and ``docs/PERF.md``.
 """
 
 from repro.parallel.engine import (

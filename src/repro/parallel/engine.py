@@ -18,27 +18,26 @@ The engine has two axes:
   place, :func:`repro.kernels.pick_backend`: the ``REPRO_BACKEND``
   environment variable, else ``cnative`` once loaded, else ``blis`` up
   to :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and ``blas`` above.
-  Deterministic counters are backend-invariant: every shard records
-  the same ``SHARDS_EXECUTED`` and ``GEMM_WORD_OPS`` whichever backend
-  computes its block.
+  A named backend runs as named.
 * **Plan shape** -- full or triangular.  When both operands are the
   *same* packed matrix (``same_operand``) and the op is symmetric, the
-  output satisfies ``C == C.T`` and the engine switches to a
-  triangular shard plan (:meth:`~repro.parallel.plan.ShardPlan.triangular`):
+  output satisfies ``C == C.T`` and a sharded run takes a triangular
+  shard plan (:meth:`~repro.parallel.plan.ShardPlan.triangular`):
   only diagonal and upper-triangular shards are computed; each
   off-diagonal shard also reflects its block into the transpose slot
-  (``mirror=True``, counted by :data:`SHARDS_MIRRORED`).  The
-  :data:`GEMM_WORD_OPS` counter records only *computed* word-ops, so
-  Gram runs show roughly ``(g + 1) / (2 g)`` of the full-path count.
-  A sharded symmetric self-comparison always takes the triangular
-  plan: on two threads it beats the full plan at LD's table sizes.
+  (``mirror=True``, counted by :data:`SHARDS_MIRRORED`).  On two
+  threads it beats the full plan at LD's table sizes.
+
+Every run counts one :data:`GEMM_CALLS` and ``m * n * k``
+:data:`GEMM_WORD_OPS` -- the product the problem defines -- whatever
+backend, worker count or plan shape computed it; the work a
+triangular plan actually does is :attr:`ParallelReport.total_word_ops`.
 
 Problems below :data:`PARALLEL_CROSSOVER_OPS` -- or ``workers=1`` --
-take the serial driver :func:`repro.blis.gemm.bit_gemm` (the same size
-rule; its Gram form walks the ``blis`` triangle), so the engine is
-safe to leave enabled everywhere.  Serial and threaded runs execute through
-the same :func:`execute_shard` retry/quarantine/verify ladder, so
-results are bit-exact across both.
+run as a one-shard plan on the caller's thread, whose block becomes
+the table.  Serial and threaded runs execute through the same
+:func:`execute_shard` retry/quarantine/verify ladder, so results are
+bit-exact across both and fault plans address shard 0 either way.
 
 Per-shard timing surfaces as :class:`ShardProfile` records (the
 host-side analogue of :class:`repro.gpu.executor.KernelProfile`)
@@ -60,9 +59,7 @@ import numpy as np
 from repro.blis.blocking import BlockingPlan
 from repro.blis.gemm import (
     HOST_BLOCKING,
-    bit_gemm,
     bit_gemm_reference,
-    check_symmetric,
     host_plan,
     same_operand,
 )
@@ -111,8 +108,9 @@ __all__ = [
     "shard_compute",
 ]
 
-#: Problems below this many packed-word operations run the serial
-#: driver: pool dispatch costs more than it saves on small tables.
+#: Problems below this many packed-word operations run as one shard
+#: on the caller's thread: pool dispatch costs more than it saves on
+#: small tables.
 PARALLEL_CROSSOVER_OPS = 1 << 21
 
 
@@ -177,7 +175,8 @@ class ShardProfile:
 class ParallelReport:
     """What one engine run did: backend, plan and per-shard records.
 
-    ``backend`` names the kernel backend that computed the table.
+    ``backend`` names the kernel backend that computed the table;
+    ``shard_plan`` is the plan it ran (one shard for a serial run).
     ``metrics`` carries the run-scoped observability delta (counters
     plus span aggregates) when tracing was enabled; ``None`` otherwise.
     ``resilience`` carries the fault-tolerance accounting when a
@@ -188,7 +187,7 @@ class ParallelReport:
     used_parallel: bool
     seconds: float
     backend: str
-    shard_plan: ShardPlan | None = None
+    shard_plan: ShardPlan
     shard_profiles: list[ShardProfile] = field(default_factory=list)
     metrics: MetricsReport | None = None
     symmetric: bool = False
@@ -233,8 +232,8 @@ class ParallelEngine:
     Parameters
     ----------
     workers:
-        Pool threads.  Default: ``os.cpu_count()``.  ``1`` always takes
-        the serial driver; more run problems of at least
+        Pool threads.  Default: ``os.cpu_count()``.  ``1`` always runs
+        one shard on the caller's thread; more run problems of at least
         :data:`PARALLEL_CROSSOVER_OPS` word-ops on the pool.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) every shard calls.
@@ -305,7 +304,7 @@ class ParallelEngine:
         if symmetric is None:
             symmetric = op.is_symmetric and same_operand(a, b)
         elif symmetric:
-            check_symmetric("ParallelEngine.run", a, b, op)
+            _check_symmetric(a, b, op)
             b = a  # equal content, now one operand
         if plan is None:
             plan = host_plan(m, n, k)
@@ -314,25 +313,53 @@ class ParallelEngine:
                 f"ParallelEngine.run: plan extents {(plan.m, plan.n, plan.k)} "
                 f"do not match operands {(m, n, k)}"
             )
-        if symmetric:
-            plan = _gram_blocking(plan)
         use_parallel = (
             self.workers > 1 and plan.total_ops() >= PARALLEL_CROSSOVER_OPS
             if force_parallel is None
             else force_parallel and self.workers >= 1
         )
+        if use_parallel:
+            if symmetric:
+                plan = _gram_blocking(plan)
+            shard_plan = ShardPlan.from_blocking(
+                plan, self.workers, symmetric=symmetric
+            )
+        else:
+            shard_plan = ShardPlan.single(plan)
+        name = pick_backend(plan.total_ops(), self.backend)
+        compute = shard_compute(get_backend(name))
         obs = get_tracer()
         res = get_resilience()
         counters_before = obs.counters.snapshot() if obs.enabled else None
         spans_before = obs.n_spans()
         events_before = res.injector.n_fired()
+        # One logical GEMM however many shards execute it.
+        obs.counters.add(GEMM_CALLS)
+        obs.counters.add(GEMM_WORD_OPS, m * n * k)
+        start = time.perf_counter()
         with obs.span(
             "parallel.run", m=m, n=n, k=k, workers=self.workers
         ).set(parallel=use_parallel, symmetric=symmetric):
-            if not use_parallel:
-                c, report = self._run_serial(a, b, op, plan, symmetric)
+            if use_parallel:
+                c, profiles = self._run_sharded(
+                    shard_plan, compute, a, b, op, plan, res
+                )
             else:
-                c, report = self._run_sharded(a, b, op, plan, symmetric)
+                # The one shard covers the whole output: its block is
+                # the table.
+                c, profile = execute_shard(
+                    compute, shard_plan.shards[0], a, b, op, plan, res
+                )
+                profiles = [profile]
+        report = ParallelReport(
+            workers=self.workers if use_parallel else 1,
+            used_parallel=use_parallel,
+            seconds=time.perf_counter() - start,
+            backend=name,
+            shard_plan=shard_plan,
+            shard_profiles=profiles,
+            symmetric=symmetric,
+        )
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
@@ -354,104 +381,30 @@ class ParallelEngine:
             )
         return c, report
 
-    # -- serial driver -----------------------------------------------------------
-
-    def _run_serial(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        symmetric: bool,
-    ) -> tuple[np.ndarray, ParallelReport]:
-        name = pick_backend(plan.total_ops(), symmetric, self.backend)
-
-        def compute(
-            shard: Shard,
-            a_: np.ndarray,
-            b_: np.ndarray,
-            op_: ComparisonOp,
-            plan_: BlockingPlan,
-        ) -> np.ndarray:
-            get_tracer().counters.add(SHARDS_EXECUTED)
-            return bit_gemm(
-                a_, b_, op_, backend=name, plan=plan_, symmetric=symmetric
-            )
-
-        # The serial run goes through the same resilient wrapper as
-        # pool shards, addressed as shard 0 -- one fault model whether
-        # or not the crossover picked the pool.
-        whole = Shard(
-            shard_id=0,
-            grid_row=0,
-            grid_col=0,
-            m_range=(0, plan.m),
-            n_range=(0, plan.n),
-        )
-        start = time.perf_counter()
-        c = np.zeros((plan.m, plan.n), dtype=np.int64)
-        profile = execute_shard(
-            compute, whole, a, b, op, plan, c, get_resilience()
-        )
-        report = ParallelReport(
-            workers=1,
-            used_parallel=False,
-            seconds=time.perf_counter() - start,
-            backend=name,
-            shard_profiles=[profile],
-            symmetric=symmetric,
-        )
-        return c, report
-
     # -- sharded execution ---------------------------------------------------------
 
     def _run_sharded(
         self,
+        shard_plan: ShardPlan,
+        compute: ShardCompute,
         a: np.ndarray,
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        symmetric: bool,
-    ) -> tuple[np.ndarray, ParallelReport]:
-        shard_plan = ShardPlan.from_blocking(
-            plan, self.workers, symmetric=symmetric
-        )
-        # The triangle lives in the shard plan, so shards take the full
-        # size rule's choice, never the serial Gram walk.
-        name = pick_backend(plan.total_ops(), False, self.backend)
-        # One logical GEMM however many shards execute it; per-shard
-        # word-ops sum to plan.total_ops() because shards partition C
-        # (Gram plans: to the computed triangle's share of it).
-        get_tracer().counters.add(GEMM_CALLS)
-        res = get_resilience()
-        report = ParallelReport(
-            workers=self.workers,
-            used_parallel=True,
-            seconds=0.0,
-            backend=name,
-            shard_plan=shard_plan,
-            symmetric=symmetric,
-        )
-        start = time.perf_counter()
-        compute = shard_compute(get_backend(name))
+        res: ResilienceContext,
+    ) -> tuple[np.ndarray, list[ShardProfile]]:
         c = np.zeros((plan.m, plan.n), dtype=np.int64)
+
+        def run_shard(shard: Shard) -> ShardProfile:
+            block, profile = execute_shard(compute, shard, a, b, op, plan, res)
+            _place(c, shard, block)
+            return profile
+
         if shard_plan.n_shards <= 1:
-            profiles = [
-                execute_shard(compute, shard, a, b, op, plan, c, res)
-                for shard in shard_plan.shards
-            ]
-        else:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    execute_shard, compute, shard, a, b, op, plan, c, res
-                )
-                for shard in shard_plan.shards
-            ]
-            profiles = [f.result() for f in futures]
-        report.shard_profiles = sorted(profiles, key=lambda p: p.shard_id)
-        report.seconds = time.perf_counter() - start
-        return c, report
+            return c, [run_shard(shard) for shard in shard_plan.shards]
+        pool = self._get_pool()
+        futures = [pool.submit(run_shard, shard) for shard in shard_plan.shards]
+        return c, [f.result() for f in futures]
 
 
 # -- shard execution ---------------------------------------------------------------
@@ -460,9 +413,9 @@ class ParallelEngine:
 def shard_compute(backend: KernelBackend) -> ShardCompute:
     """The shard kernel every run executes: one backend panel call.
 
-    Counter accounting is backend-invariant (``SHARDS_EXECUTED`` plus
-    the shard's word-ops), so the deterministic counters the
-    regression gate compares do not depend on which backend ran.
+    Each call counts one ``SHARDS_EXECUTED`` whichever backend runs it,
+    so the deterministic counters the regression gate compares do not
+    depend on the backend.
     """
     name = backend.name
 
@@ -475,7 +428,6 @@ def shard_compute(backend: KernelBackend) -> ShardCompute:
     ) -> np.ndarray:
         obs = get_tracer()
         obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
         with obs.span("parallel.shard", shard=shard.shard_id, backend=name):
             m0, m1 = shard.m_range
             n0, n1 = shard.n_range
@@ -504,20 +456,20 @@ def execute_shard(
     b: np.ndarray,
     op: ComparisonOp,
     plan: BlockingPlan,
-    c: np.ndarray,
     res: ResilienceContext,
-) -> ShardProfile:
+) -> tuple[np.ndarray, ShardProfile]:
     """Run one shard under the active resilience context.
 
-    The degradation ladder (docs/RESILIENCE.md): retryable faults
-    are re-attempted under the policy's backoff budget; an
-    exhausted budget quarantines the shard onto the serial
-    reference recompute (bit-exact) or, with quarantine disabled,
-    raises :class:`~repro.errors.ShardExecutionError`.  FATAL and
-    DEGRADE errors propagate unchanged.  After a successful
-    compute, sampled shards are spot-verified against the
-    reference; a mismatch (e.g. an injected bit flip) adopts the
-    reference block, so corrupt tiles never reach the caller.
+    Returns the shard's output block and its profile.  The degradation
+    ladder (docs/RESILIENCE.md): retryable faults are re-attempted
+    under the policy's backoff budget; an exhausted budget quarantines
+    the shard onto the serial reference recompute (bit-exact) or, with
+    quarantine disabled, raises
+    :class:`~repro.errors.ShardExecutionError`.  FATAL and DEGRADE
+    errors propagate unchanged.  After a successful compute, sampled
+    shards are spot-verified against the reference; a mismatch (e.g.
+    an injected bit flip) adopts the reference block, so corrupt tiles
+    never reach the caller.
     """
     obs = get_tracer()
     injector = res.injector
@@ -564,17 +516,7 @@ def execute_shard(
             mismatched = True
             obs.counters.add(VERIFY_MISMATCHES)
             block = reference
-    m0, m1 = shard.m_range
-    n0, n1 = shard.n_range
-    c[m0:m1, n0:n1] = block
-    if shard.mirror:
-        # Transpose slot is strictly below the computed band grid:
-        # disjoint from every computed slot, race-free.
-        mm0, mm1 = shard.mirror_m_range
-        mn0, mn1 = shard.mirror_n_range
-        c[mm0:mm1, mn0:mn1] = block.T
-        obs.counters.add(SHARDS_MIRRORED)
-    return ShardProfile(
+    return block, ShardProfile(
         shard_id=shard.shard_id,
         m_range=shard.m_range,
         n_range=shard.n_range,
@@ -586,6 +528,43 @@ def execute_shard(
         verified=verified,
         mismatched=mismatched,
     )
+
+
+def _place(c: np.ndarray, shard: Shard, block: np.ndarray) -> None:
+    """Write one shard's block, and its mirror, into the shared table."""
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    c[m0:m1, n0:n1] = block
+    if shard.mirror:
+        # Transpose slot is strictly below the computed band grid:
+        # disjoint from every computed slot, race-free.
+        mm0, mm1 = shard.mirror_m_range
+        mn0, mn1 = shard.mirror_n_range
+        c[mm0:mm1, mn0:mn1] = block.T
+        get_tracer().counters.add(SHARDS_MIRRORED)
+
+
+def _check_symmetric(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None:
+    """Validate a ``symmetric=True`` hint (Gram mode preconditions).
+
+    The same-matrix check accepts equal-*content* copies as well as
+    views: it validates symmetry a caller asserts, so two distinct
+    arrays holding identical words qualify, and different content is
+    rejected rather than mirrored.  The content comparison is O(m*k)
+    words -- noise next to the O(m*n*k) GEMM it guards.
+    """
+    if not op.is_symmetric:
+        raise PackingError(
+            f"ParallelEngine.run: symmetric=True is invalid for asymmetric "
+            f"op {op.value!r}"
+        )
+    if not same_operand(a, b) and not (
+        a.shape == b.shape and bool(np.array_equal(a, b))
+    ):
+        raise PackingError(
+            "ParallelEngine.run: symmetric=True requires a self-comparison "
+            "(operands must hold the same packed matrix)"
+        )
 
 
 # -- module-level conveniences ---------------------------------------------------

@@ -187,6 +187,19 @@ class ShardPlan:
         )
 
     @classmethod
+    def single(cls, blocking: BlockingPlan) -> "ShardPlan":
+        """One shard covering the whole output (a serial run), even an
+        empty one."""
+        whole = Shard(
+            shard_id=0,
+            grid_row=0,
+            grid_col=0,
+            m_range=(0, blocking.m),
+            n_range=(0, blocking.n),
+        )
+        return cls(blocking=blocking, grid_rows=1, grid_cols=1, shards=(whole,))
+
+    @classmethod
     def triangular(cls, blocking: BlockingPlan, workers: int) -> "ShardPlan":
         """Build a symmetric (Gram) plan: diagonal + upper triangle only.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm, bit_gemm_blocked, bit_gemm_reference
+from repro.blis.gemm import bit_gemm, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import PackingError
 from repro.snp.stats import (
@@ -42,7 +42,8 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("op", OPS)
     def test_blocked(self, operands, op):
         bits_a, bits_b, pa, pb = operands
-        assert (bit_gemm_blocked(pa, pb, op) == oracle(op, bits_a, bits_b)).all()
+        got = bit_gemm(pa, pb, op, backend="blis")
+        assert (got == oracle(op, bits_a, bits_b)).all()
 
     @pytest.mark.parametrize("op", OPS)
     def test_fast(self, operands, op):
@@ -66,14 +67,14 @@ class TestBlockedPlans:
             m=pa.shape[0], n=pb.shape[0], k=pa.shape[1],
             m_c=8, k_c=2, m_r=2, n_r=3, grid_rows=2, grid_cols=2,
         )
-        out = bit_gemm_blocked(pa, pb, ComparisonOp.AND, plan)
+        out = bit_gemm(pa, pb, ComparisonOp.AND, backend="blis", plan=plan)
         assert (out == ld_counts_naive(bits_a, bits_b)).all()
 
     def test_plan_size_mismatch_rejected(self, operands):
         _, _, pa, pb = operands
         plan = BlockingPlan(m=1, n=1, k=1, m_c=4, k_c=4, m_r=4, n_r=4)
         with pytest.raises(PackingError):
-            bit_gemm_blocked(pa, pb, ComparisonOp.AND, plan)
+            bit_gemm(pa, pb, ComparisonOp.AND, backend="blis", plan=plan)
 
     def test_single_element_blocks(self, operands):
         bits_a, bits_b, pa, pb = operands
@@ -81,7 +82,7 @@ class TestBlockedPlans:
             m=pa.shape[0], n=pb.shape[0], k=pa.shape[1],
             m_c=1, k_c=1, m_r=1, n_r=1,
         )
-        out = bit_gemm_blocked(pa, pb, ComparisonOp.XOR, plan)
+        out = bit_gemm(pa, pb, ComparisonOp.XOR, backend="blis", plan=plan)
         assert (out == identity_distances_naive(bits_a, bits_b)).all()
 
 
@@ -115,8 +116,9 @@ class TestEdgeShapes:
         bits_b = (rng.random((1, 40)) < 0.5).astype(np.uint8)
         pa, pb = pack_bits(bits_a, 32), pack_bits(bits_b, 32)
         expected = ld_counts_naive(bits_a, bits_b)
-        for fn in (bit_gemm_reference, bit_gemm_blocked, bit_gemm):
-            assert (fn(pa, pb) == expected).all()
+        assert (bit_gemm_reference(pa, pb) == expected).all()
+        assert (bit_gemm(pa, pb, backend="blis") == expected).all()
+        assert (bit_gemm(pa, pb) == expected).all()
 
     def test_asymmetric_fastid_shape(self):
         # Small query block vs larger database, the Fig. 1 asymmetry.
@@ -125,7 +127,8 @@ class TestEdgeShapes:
         db = (rng.random((200, 64)) < 0.5).astype(np.uint8)
         pq, pdb = pack_bits(q, 32), pack_bits(db, 32)
         expected = identity_distances_naive(q, db)
-        assert (bit_gemm_blocked(pq, pdb, ComparisonOp.XOR) == expected).all()
+        got = bit_gemm(pq, pdb, ComparisonOp.XOR, backend="blis")
+        assert (got == expected).all()
 
     def test_all_zero_and_all_one_rows(self):
         bits_a = np.vstack([np.zeros(64), np.ones(64)]).astype(np.uint8)

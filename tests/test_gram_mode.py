@@ -1,5 +1,5 @@
-"""Tests for symmetry-aware Gram mode: triangular shard plans and serial
-triangular walks, and the backend "auto" picks for sharded runs."""
+"""Tests for symmetry-aware Gram mode: triangular shard plans, serial
+Gram runs, and the backend "auto" picks for sharded runs."""
 
 import json
 
@@ -11,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import (
-    bit_gemm_blocked,
-    bit_gemm_reference,
-    same_operand,
-)
+from repro.blis.gemm import bit_gemm_reference, same_operand
 from repro.blis.microkernel import ComparisonOp
 from repro.core.framework import SNPComparisonFramework
 from repro.core.config import Algorithm
@@ -23,7 +19,7 @@ from repro.core.ld import linkage_disequilibrium
 from repro.errors import ConfigurationError, PackingError
 from repro.observability.counters import GEMM_WORD_OPS, SHARDS_MIRRORED
 from repro.observability.tracer import Tracer, set_tracer
-from repro.parallel import ShardPlan, get_engine
+from repro.parallel import ParallelEngine, ShardPlan, get_engine
 
 SYMMETRIC_OPS = [
     ComparisonOp.AND,
@@ -116,17 +112,16 @@ class TestGramExactness:
 
     @pytest.mark.parametrize("op", SYMMETRIC_OPS)
     def test_serial_blocked_triangular_matches_reference(self, op):
+        # A serial Gram run is one full shard on the named backend.
         a = square_words(48, 3, seed=4)
         plan = BlockingPlan(m=48, n=48, k=3, m_c=8, k_c=2, m_r=4, n_r=8)
-        c = bit_gemm_blocked(a, a, op, plan, symmetric=True)
+        c, report = ParallelEngine(workers=1, backend="blis").run(
+            a, a, op, plan=plan, symmetric=True
+        )
+        assert report.symmetric
+        assert report.backend == "blis"
+        assert report.n_shards == 1
         assert (c == bit_gemm_reference(a, a, op)).all()
-
-    def test_serial_blocked_triangular_skips_ops(self, tracer):
-        a = square_words(64, 2, seed=5)
-        plan = BlockingPlan(m=64, n=64, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
-        bit_gemm_blocked(a, a, ComparisonOp.AND, plan, symmetric=True)
-        gram_ops = tracer.counters.get(GEMM_WORD_OPS)
-        assert 0 < gram_ops < 64 * 64 * 2
 
     @given(
         m=st.integers(8, 40),
@@ -163,9 +158,10 @@ class TestSymmetryValidation:
         engine = get_engine(2, "blas")
         with pytest.raises(PackingError):
             engine.run(a, a, ComparisonOp.ANDNOT, symmetric=True)
-        plan = BlockingPlan(m=16, n=16, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
         with pytest.raises(PackingError):
-            bit_gemm_blocked(a, a, ComparisonOp.ANDNOT, plan, symmetric=True)
+            ParallelEngine(workers=1).run(
+                a, a, ComparisonOp.ANDNOT, symmetric=True
+            )
 
     def test_equal_content_copy_accepted(self):
         a = square_words(24, 2, seed=7)
@@ -184,9 +180,10 @@ class TestSymmetryValidation:
         engine = get_engine(2, "blas")
         with pytest.raises(PackingError):
             engine.run(a, b, ComparisonOp.AND, symmetric=True)
-        plan = BlockingPlan(m=24, n=24, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
         with pytest.raises(PackingError):
-            bit_gemm_blocked(a, b, ComparisonOp.AND, plan, symmetric=True)
+            ParallelEngine(workers=1).run(
+                a, b, ComparisonOp.AND, symmetric=True
+            )
 
     def test_copy_not_auto_detected(self):
         # Auto-detection stays pointer-based: a copy computes the full
@@ -209,23 +206,24 @@ class TestSymmetryValidation:
 
 class TestGramOpSavings:
     def test_engine_gram_word_ops_at_most_055x(self, tracer):
-        """LD-style self-comparison: Gram mode computes <= 0.55x the
-        word-ops of the full path (exact counter accounting)."""
+        """LD-style self-comparison: the triangular plan computes <= 0.55x
+        the word-ops of the full plan, while the counter records the
+        product both runs define."""
         a = square_words(1024, 16, seed=11)
         engine = get_engine(4, "blas")
+        full_ops = 1024 * 1024 * 16
 
         _, full_report = engine.run(
             a, a, ComparisonOp.AND, force_parallel=True, symmetric=False
         )
-        full_ops = tracer.counters.get(GEMM_WORD_OPS)
-        assert full_ops == 1024 * 1024 * 16
+        assert full_report.total_word_ops == full_ops
 
         _, gram_report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        gram_ops = tracer.counters.get(GEMM_WORD_OPS) - full_ops
         assert gram_report.symmetric
-        # The counter is exactly the shard plan's computed-op total.
-        assert gram_ops == gram_report.shard_plan.total_word_ops()
-        assert gram_ops <= 0.55 * full_ops
+        computed = gram_report.total_word_ops
+        assert computed == gram_report.shard_plan.total_word_ops()
+        assert computed <= 0.55 * full_ops
+        assert tracer.counters.get(GEMM_WORD_OPS) == 2 * full_ops
 
     def test_mirrored_shards_counted(self, tracer):
         a = square_words(1024, 16, seed=11)
@@ -273,18 +271,6 @@ class TestFrameworkGram:
         assert parallel is not None
         assert parallel.symmetric
         assert parallel.n_mirrored > 0
-
-    def test_gram_false_disables(self):
-        rng = np.random.default_rng(16)
-        mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
-        on = linkage_disequilibrium(mat, compare="sites", workers=4, backend="blas")
-        off = linkage_disequilibrium(
-            mat, compare="sites", workers=4, gram=False, backend="blas"
-        )
-        off_parallel = off.report.parallel
-        assert not off_parallel.symmetric
-        assert off_parallel.n_mirrored == 0
-        assert (on.counts == off.counts).all()
 
     def test_explicit_same_matrix_operands_fold_to_self_comparison(self):
         rng = np.random.default_rng(17)

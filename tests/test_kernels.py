@@ -16,6 +16,7 @@ import pytest
 
 from repro.blis.gemm import bit_gemm, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
+from repro.core.ld import linkage_disequilibrium
 from repro.errors import ConfigurationError, PackingError
 from repro.kernels import (
     BLIS_OP_LIMIT,
@@ -45,6 +46,7 @@ from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.regress import DETERMINISTIC_COUNTERS
 from repro.observability.tracer import Tracer, set_tracer
 from repro.parallel.engine import ParallelEngine
+from repro.snp.stats import ld_counts_naive
 from repro.util.bitops import popcount
 
 ALL_OPS = [
@@ -184,13 +186,7 @@ class TestBackendConformance:
                     ), (name, shape)
                     assert report.used_parallel == (workers > 1)
                     assert report.symmetric == symmetric
-                    # A serial Gram run this small walks the blis
-                    # triangle whichever backend is named.
-                    assert report.backend == pick_backend(
-                        x.shape[0] * y.shape[0] * x.shape[1],
-                        symmetric and workers == 1,
-                        name,
-                    )
+                    assert report.backend == name
                     if workers > 1:
                         assert (report.n_mirrored > 0) == symmetric
                     seen[shape].add(tuple(sorted(deterministic(counters).items())))
@@ -288,50 +284,69 @@ class TestBitGemmBackendDriver:
         assert snapshot[GEMM_CALLS] == 1
         assert snapshot[GEMM_WORD_OPS] == 8 * 6 * 4
 
-    def test_word_op_accounting_is_backend_invariant(self):
+    def test_word_op_accounting_is_backend_invariant(self, clean_env,
+                                                     pin_native):
+        # One counter contract: a logical GEMM counts one call and
+        # m * n * k word-ops whatever backend, worker count or plan shape
+        # (full, or triangular for the 96-row Gram operand on two
+        # threads) ran it, before and after cnative loads.
         a = make_words(5, 3, np.uint64, seed=51)
         b = make_words(7, 3, np.uint64, seed=52)
-        snapshots = set()
-        for backend in available_backends():
-            got, snap = traced(
-                lambda: bit_gemm(a, b, backend=backend.info.name)
-            )
-            assert np.array_equal(got, bit_gemm_reference(a, b))
-            snapshots.add((snap.get(GEMM_CALLS), snap.get(GEMM_WORD_OPS)))
-        assert snapshots == {(1, 5 * 7 * 3)}
+        g = make_words(96, 3, np.uint64, seed=53)
+        # The unloaded half runs everywhere, so the no-compiler leg
+        # checks the contract too instead of skipping the test.
+        states = (False, True) if backend_available("cnative") else (False,)
+        for loaded in states:
+            pin_native(loaded)
+            names = ["auto", *(be.info.name for be in available_backends())]
+            for name in names:
+                serial = ParallelEngine(workers=1, backend=name)
+                threads = ParallelEngine(workers=2, backend=name)
+                try:
+                    for x, y in ((a, b), (g, g)):
+                        runs = {
+                            "bit_gemm": lambda: bit_gemm(x, y, backend=name),
+                            "serial": lambda: serial.run(x, y)[0],
+                            "threads": lambda: threads.run(
+                                x, y, force_parallel=True
+                            )[0],
+                        }
+                        ops = x.shape[0] * y.shape[0] * x.shape[1]
+                        for how, run in runs.items():
+                            got, snap = traced(run)
+                            assert np.array_equal(
+                                got, bit_gemm_reference(x, y)
+                            ), (loaded, name, how)
+                            assert (
+                                snap.get(GEMM_CALLS), snap.get(GEMM_WORD_OPS)
+                            ) == (1, ops), (loaded, name, how)
+                finally:
+                    threads.shutdown()
 
     def test_unknown_backend_raises(self):
         a = make_words(2, 2, np.uint32)
         with pytest.raises(ConfigurationError):
             bit_gemm(a, a, backend="warp")
-        with pytest.raises(ConfigurationError):
-            # Validated even where the Gram rule would pick blis anyway.
-            bit_gemm(a, a, backend="warp", symmetric=True)
 
 
 class TestSizeRule:
     def test_rule_at_the_limit(self, clean_env, pin_native):
         assert BLIS_OP_LIMIT == 2_000_000
         # Before cnative loads, "auto" walks blis up to the limit and
-        # runs blas above; once loaded, cnative takes both sides.  Gram
-        # runs up to the limit keep the blis triangle in both states.
+        # runs blas above; once loaded, cnative takes both sides.
         for loaded, small, large in ((False, "blis", "blas"),
                                      (True, "cnative", "cnative")):
             pin_native(loaded)
             assert pick_backend(2_000_000) == small
             assert pick_backend(2_000_001) == large
-            assert pick_backend(2_000_000, True) == "blis"
-            assert pick_backend(2_000_001, True) == large
-            # A named backend runs as named, except Gram runs up to the
-            # limit, which keep the blis triangle walk.
-            assert pick_backend(2_000_000, False, "numpy") == "numpy"
-            assert pick_backend(2_000_000, True, "numpy") == "blis"
-            assert pick_backend(2_000_001, True, "numpy") == "numpy"
+            # A named backend runs as named on either side.
+            assert pick_backend(2_000_000, "numpy") == "numpy"
+            assert pick_backend(2_000_001, "numpy") == "numpy"
 
     def test_env_names_the_backend(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy")
         assert pick_backend(2_000_001) == "numpy"
-        assert pick_backend(2_000_000, True) == "blis"
+        assert pick_backend(2_000_000) == "numpy"
 
     @staticmethod
     def _serial(a, b, op=ComparisonOp.AND):
@@ -353,22 +368,15 @@ class TestSizeRule:
             assert self._serial(a, b) == (large, 1, 2_000_001)
 
     def test_gram_runs_either_side_of_the_limit(self, clean_env, pin_native):
-        for loaded, large in ((False, "blas"), (True, "cnative")):
+        # A Gram run takes the rule a full run takes, and counts the
+        # full product.
+        for loaded, small, large in ((False, "blis", "blas"),
+                                     (True, "cnative", "cnative")):
             pin_native(loaded)
-            # 125 x 125 x 128 words = 2,000,000: the blis triangle walk
-            # counts only tiles on or above the diagonal (m_r=4 rows by
-            # n_r=64 columns on the host blocking).
+            # 125 x 125 x 128 words = 2,000,000.
             a = make_words(125, 128, np.uint8, seed=5)
-            below = sum(
-                (min(r + 4, 125) - r) * (min(c + 64, 125) - c) * 128
-                for r in range(0, 125, 4)
-                for c in range(0, 125, 64)
-                if r >= min(c + 64, 125)
-            )
-            assert below > 0
-            assert self._serial(a, a) == ("blis", 1, 2_000_000 - below)
-            # 126 x 126 x 126 words = 2,000,376: blas, or cnative once
-            # loaded, computes (and counts) the full product.
+            assert self._serial(a, a) == (small, 1, 2_000_000)
+            # 126 x 126 x 126 words = 2,000,376.
             a = make_words(126, 126, np.uint8, seed=6)
             assert self._serial(a, a) == (large, 1, 126 ** 3)
 
@@ -426,22 +434,26 @@ class TestEngineBackends:
             assert report.backend == name
             assert not report.used_parallel
 
-    def test_serial_symmetric_stays_on_reference(self, clean_env):
-        # Small Gram-mode serial runs keep the blis triangle walk so
-        # the word-op counters never drift across backend legs.
+    @pytest.mark.parametrize("name", backend_names())
+    def test_named_backend_runs_as_named(self, name, clean_env):
+        # A small Gram run computes on the backend it names, through the
+        # framework and the serial engine alike.
+        if not backend_available(name):
+            pytest.skip(f"backend {name!r} is unavailable on this host")
+        cohort = np.random.default_rng(67).integers(
+            0, 2, size=(64, 128), dtype=np.uint8
+        )
+        result = linkage_disequilibrium(cohort, backend=name)
+        assert result.report.backend == name
+        assert np.array_equal(result.counts, ld_counts_naive(cohort.T))
         a = make_words(6, 3, np.uint32, seed=65)
-        for backend in available_backends():
-            engine = ParallelEngine(workers=1, backend=backend.info.name)
-            try:
-                table, report = engine.run(
-                    a, a, ComparisonOp.AND, symmetric=True
-                )
-            finally:
-                engine.shutdown()
-            assert report.backend == "blis"
-            assert np.array_equal(
-                table, bit_gemm_reference(a, a, ComparisonOp.AND)
-            )
+        table, report = ParallelEngine(workers=1, backend=name).run(
+            a, a, ComparisonOp.AND, symmetric=True
+        )
+        assert report.backend == name
+        assert np.array_equal(
+            table, bit_gemm_reference(a, a, ComparisonOp.AND)
+        )
 
     def test_env_backend_steers_auto(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy")
@@ -753,7 +765,6 @@ class TestNativeDispatch:
         backend = register()
         # Below the trigger: today's choice, and no compiler started.
         assert pick_backend(COMPILE_TRIGGER_OPS - 1) == "blas"
-        assert pick_backend(1, symmetric=True) == "blis"
         assert backend._builder is None
         assert runs() == 0
         # Crossing it starts exactly one background build.
@@ -769,7 +780,6 @@ class TestNativeDispatch:
             assert pick_backend(COMPILE_TRIGGER_OPS) == (
                 "cnative" if native == "cnative" else "blas"
             )
-            assert pick_backend(1, symmetric=True) == "blis"
         assert backend._builder is builder
         assert runs() == 1
 

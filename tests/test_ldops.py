@@ -594,7 +594,6 @@ def test_cli_ld_prune_transpose(tmp_path):
     [
         ["--workers", "2"],
         ["--backend", "blas"],
-        ["--no-gram"],
         ["--retries", "1"],
         ["--inject-faults", "kernel:1"],
         ["--verify-sample", "0.5"],

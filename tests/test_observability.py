@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm, bit_gemm_blocked
+from repro.blis.gemm import bit_gemm
 from repro.core.framework import SNPComparisonFramework
 from repro.observability import (
     GEMM_CALLS,
@@ -202,7 +202,7 @@ class TestCounterExactness:
     def test_serial_blocked_driver(self):
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        bit_gemm_blocked(pa, pb, "and")
+        bit_gemm(pa, pb, "and", backend="blis")
         assert tracer.counters.get(GEMM_WORD_OPS) == self.expected_word_ops()
         assert tracer.counters.get(GEMM_CALLS) == 1
 

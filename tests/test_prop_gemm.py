@@ -12,7 +12,6 @@ from repro.blis.blocking import BlockingPlan
 from repro.blis.gemm import (
     bit_gemm,
     bit_gemm_band,
-    bit_gemm_blocked,
     bit_gemm_reference,
 )
 from repro.blis.microkernel import ComparisonOp
@@ -65,7 +64,8 @@ class TestDriverAgreement:
         a, b = pair
         plan = data.draw(blocking_plans(a.shape[0], b.shape[0], a.shape[1]))
         assert (
-            bit_gemm_blocked(a, b, op, plan) == bit_gemm_reference(a, b, op)
+            bit_gemm(a, b, op, backend="blis", plan=plan)
+            == bit_gemm_reference(a, b, op)
         ).all()
 
     @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from repro.blis.microkernel import ComparisonOp
 from repro.cli import main
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
+from repro.core.ld import linkage_disequilibrium
 from repro.core.streaming import StreamingIdentitySearch
 from repro.errors import (
     AllocationError,
@@ -485,6 +486,22 @@ class TestFrameworkResilience:
         with resilient(plan="alloc:1"):
             with pytest.raises(FaultInjectedError):
                 framework.run(a, b)
+
+    def test_serial_run_verifies_and_faults_shard_zero(self):
+        # Without workers the table is one shard, shard 0: the bit flip
+        # lands on it and full verification repairs it.
+        cohort = np.random.default_rng(29).integers(
+            0, 2, size=(64, 300), dtype=np.uint8
+        )
+        reference = linkage_disequilibrium(cohort)
+        with resilient(plan="bitflip@0,seed=3", verify_sample=1.0):
+            result = linkage_disequilibrium(cohort)
+        assert not result.report.parallel.used_parallel
+        assert np.array_equal(result.counts, reference.counts)
+        res = result.report.resilience
+        assert res.faults_injected == 1
+        assert res.tiles_verified == 1
+        assert res.verify_mismatches == 1
 
 
 # -- multi-GPU degraded mode ---------------------------------------------------
