@@ -77,6 +77,7 @@ from repro.kernels import backend_names
 from repro.observability.report import MetricsReport
 from repro.observability.trace_export import write_merged_trace
 from repro.observability.tracer import Tracer, set_tracer
+from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import ResilienceContext, resilient
 from repro.snp.io import (
@@ -590,6 +591,12 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Fault kinds with no hook in the identity service: ``kernel`` and
+#: ``alloc`` fire in the simulated device schedule, which served
+#: searches skip, and ``device`` in the multi-GPU executor only.
+_NO_SERVICE_HOOK = ("kernel", "alloc", "device")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the long-lived identity-search service (docs/SERVING.md)."""
     from repro.serve import IdentityService, ProfileIndex, run_server
@@ -598,6 +605,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             "serve: give exactly one of --index (shard directory) or "
             "--database (matrix file to load into a memory index)"
+        )
+    plan = FaultPlan.from_spec(args.inject_faults or "")
+    dead = [kind for kind in _NO_SERVICE_HOOK if plan.count(kind)]
+    if dead:
+        runs = [kind for kind in FAULT_KINDS if kind not in _NO_SERVICE_HOOK]
+        raise ReproError(
+            f"serve: --inject-faults {', '.join(dead)} cannot fire in the "
+            f"service; it runs {', '.join(runs)}"
         )
     with _observability(args) as tracer, _resilience_scope(args):
         if args.index:

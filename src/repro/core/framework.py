@@ -14,6 +14,9 @@ OpenCL implementation does:
 6. compute the comparison table once on the host, crop padding and
    return it plus an itemized :class:`~repro.core.profiles.RunReport`.
 
+Step 6 alone is :meth:`SNPComparisonFramework.compute`, for callers
+that never read a report (the identity service).
+
 The same object also answers "what would the CPU baseline take"
 (:meth:`cpu_reference_seconds`) so callers can reproduce the paper's
 end-to-end comparisons directly.
@@ -197,9 +200,8 @@ class SNPComparisonFramework:
 
         The simulated device schedule (:func:`run_pipeline`) prices the
         run first -- its ``alloc``/``kernel`` fault hooks fire at the
-        same ordinals as a device would see them -- then the padded
-        table is computed once on the host on the kernel's blocking
-        plan.
+        same ordinals as a device would see them -- then :meth:`compute`
+        produces the table.
         """
         self._check_operands(a, b)
         obs = get_tracer()
@@ -227,7 +229,7 @@ class SNPComparisonFramework:
                 a.k_words,
                 double_buffering=self.double_buffering,
             )
-            raw, parallel = self._compute(a.words, b.words)
+            table, parallel = self.compute(a, b)
             end_to_end = queue.finish()
             busy = queue.busy_summary()
         obs.counters.add(SIM_DEVICE_SECONDS, end_to_end)
@@ -264,43 +266,19 @@ class SNPComparisonFramework:
                 verify_mismatches=engine.verify_mismatches,
                 events=events,
             )
-        if raw.shape == (a.n_rows, b.n_rows):
-            # No padding to strip, and the host call allocated ``raw``
-            # for this run alone: hand it over without a copy.
-            return raw, report
-        return crop_result(raw, a, b), report
+        return table, report
 
-    def _check_operands(self, a: PackedOperand, b: PackedOperand) -> None:
-        if a.n_bits != b.n_bits:
-            raise ConfigurationError(
-                f"run_packed: operands cover different site counts "
-                f"({a.n_bits} vs {b.n_bits})"
-            )
-        if a.n_bits == 0:
-            raise DatasetError(
-                "run_packed: operands have zero sites; there is nothing "
-                "to compare"
-            )
-        expected = np.uint32 if self.arch.word_bits == 32 else np.uint64
-        if a.words.dtype != expected or b.words.dtype != expected:
-            raise KernelLaunchError(
-                f"run_packed: operands must be {expected.__name__} on "
-                f"{self.arch.name}, got {a.words.dtype}/{b.words.dtype}"
-            )
-        k = words_needed(a.n_bits, self.arch.word_bits)
-        if a.words.ndim != 2 or b.words.ndim != 2 or (a.k_words, b.k_words) != (k, k):
-            raise KernelLaunchError(
-                f"run_packed: operand shapes {a.words.shape} / "
-                f"{b.words.shape} inconsistent with {a.n_bits} sites "
-                f"({k} words)"
-            )
-
-    def _compute(
-        self, a: np.ndarray, b: np.ndarray
+    def compute(
+        self, a: PackedOperand, b: PackedOperand
     ) -> tuple[np.ndarray, ParallelReport]:
-        """The padded table on the host, and the engine's report."""
+        """The cropped table of two packed operands, and the engine's report.
+
+        One host call on the kernel's blocking plan.  No simulated device
+        runs, so no ``alloc``/``kernel`` fault hook fires here.
+        """
+        self._check_operands(a, b)
         op = self.kernel.op
-        plan = self.kernel.blocking_plan(a.shape[0], b.shape[0], a.shape[1])
+        plan = self.kernel.blocking_plan(a.padded_rows, b.padded_rows, a.k_words)
         with get_tracer().span(
             "kernel.execute",
             kernel=f"snp_{op.value}",
@@ -309,8 +287,38 @@ class SNPComparisonFramework:
             n=plan.n,
             k=plan.k,
         ):
-            return get_engine(self.workers or 1, self.backend).run(
-                a, b, op, plan=plan
+            raw, parallel = get_engine(self.workers or 1, self.backend).run(
+                a.words, b.words, op, plan=plan
+            )
+        if raw.shape == (a.n_rows, b.n_rows):
+            # No padding to strip, and the host call allocated ``raw``
+            # for this call alone: hand it over without a copy.
+            return raw, parallel
+        return crop_result(raw, a, b), parallel
+
+    def _check_operands(self, a: PackedOperand, b: PackedOperand) -> None:
+        if a.n_bits != b.n_bits:
+            raise ConfigurationError(
+                f"compute: operands cover different site counts "
+                f"({a.n_bits} vs {b.n_bits})"
+            )
+        if a.n_bits == 0:
+            raise DatasetError(
+                "compute: operands have zero sites; there is nothing "
+                "to compare"
+            )
+        expected = np.uint32 if self.arch.word_bits == 32 else np.uint64
+        if a.words.dtype != expected or b.words.dtype != expected:
+            raise KernelLaunchError(
+                f"compute: operands must be {expected.__name__} on "
+                f"{self.arch.name}, got {a.words.dtype}/{b.words.dtype}"
+            )
+        k = words_needed(a.n_bits, self.arch.word_bits)
+        if a.words.ndim != 2 or b.words.ndim != 2 or (a.k_words, b.k_words) != (k, k):
+            raise KernelLaunchError(
+                f"compute: operand shapes {a.words.shape} / "
+                f"{b.words.shape} inconsistent with {a.n_bits} sites "
+                f"({k} words)"
             )
 
     # -- baselines ---------------------------------------------------------------

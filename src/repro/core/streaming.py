@@ -40,9 +40,8 @@ equivalence tests pin down.  See ``docs/STREAMING.md``.
 
 from __future__ import annotations
 
-import heapq
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -63,10 +62,7 @@ from repro.io_stream.sources import (
     as_chunk_source,
     materialize_source,
 )
-from repro.observability.counters import (
-    STREAM_CHUNK_RETRIES,
-    STREAM_PREFILTER_FALLBACKS,
-)
+from repro.observability.counters import STREAM_CHUNK_RETRIES
 from repro.observability.tracer import get_tracer
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import call_with_retry
@@ -78,6 +74,7 @@ __all__ = [
     "StreamingIdentitySearch",
     "StreamingLD",
     "StreamingMixture",
+    "TopK",
 ]
 
 
@@ -174,42 +171,45 @@ class Match:
     database_index: int
 
 
-@dataclass
-class _QueryState:
-    """Max-heap of the current best-k (stored negated for heapq)."""
+class TopK:
+    """One query's best ``k`` database rows: the one top-k fold.
 
-    k: int
-    heap: list[tuple[int, int]] = field(default_factory=list)  # (-dist, -idx)
+    :class:`StreamingIdentitySearch` and the identity service
+    (:mod:`repro.serve.service`) both fold distances through it in
+    database order, so the tie rule -- first seen wins -- lives here
+    alone.
+    """
 
-    def offer(self, distance: int, index: int) -> None:
-        item = (-distance, -index)
-        if len(self.heap) < self.k:
-            heapq.heappush(self.heap, item)
-        elif item > self.heap[0]:
-            heapq.heapreplace(self.heap, item)
+    __slots__ = ("k", "distances", "indices")
 
-    def fold(self, distances: np.ndarray, base: int) -> bool:
-        """Offer one query's distances to database rows ``base, base + 1, ...``.
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.distances = np.empty(0, dtype=np.int64)
+        self.indices = np.empty(0, dtype=np.int64)
 
-        Rows are offered in database order, which is what makes ties
-        first-seen.  Only rows that could enter a full heap matter, so
-        a vectorized pre-filter keeps the Python loop short; an
-        unfilled heap (``k`` not yet reached) admits every row.
-        Returns whether the fold ran unfiltered.
+    def fold(self, distances: np.ndarray, base: int) -> None:
+        """Fold one query's distances to database rows ``base, base + 1, ...``.
+
+        The kept rows go first and hold smaller database indices than
+        any new row, so a stable sort by distance orders ties by index
+        (first seen wins).  ``np.partition`` first cuts the candidates
+        to those within the k-th smallest distance.
         """
-        unfiltered = len(self.heap) < self.k
-        if unfiltered:
-            candidates = np.arange(distances.size)
-        else:
-            candidates = np.nonzero(distances <= -self.heap[0][0])[0]
-        for local in candidates:
-            self.offer(int(distances[local]), base + int(local))
-        return unfiltered
+        d = np.concatenate((self.distances, distances))
+        i = np.concatenate(
+            (self.indices, np.arange(base, base + distances.size))
+        )
+        if d.size > self.k:
+            keep = d <= np.partition(d, self.k - 1)[self.k - 1]
+            d, i = d[keep], i[keep]
+        order = np.argsort(d, kind="stable")[: self.k]
+        self.distances, self.indices = d[order], i[order]
 
     def matches(self) -> list[Match]:
-        out = [Match(distance=-d, database_index=-i) for d, i in self.heap]
-        out.sort()
-        return out
+        return [
+            Match(distance=d, database_index=i)
+            for d, i in zip(self.distances.tolist(), self.indices.tolist())
+        ]
 
 
 class StreamingIdentitySearch:
@@ -220,20 +220,17 @@ class StreamingIdentitySearch:
     queries:
         Binary ``(n_queries, n_sites)`` matrix, fixed for the session.
     k:
-        Candidates retained per query; at most :data:`MAX_K`.  The
-        top-k fold relies on a vectorized pre-filter (only rows that
-        could enter a full heap are visited in Python); a ``k`` near
-        the database size keeps the heaps permanently unfilled and
-        degrades every batch to the unfiltered fold, so huge values
-        are rejected up front and unfiltered folds are surfaced
-        through the ``stream.prefilter_fallbacks`` counter.
+        Candidates retained per query (:class:`TopK`); at most
+        :data:`MAX_K`.
     device:
         Simulated device (or architecture) running each batch.
     """
 
-    #: Upper bound on ``k``: beyond this the per-query heaps stop being
-    #: "small working state" and callers should compute (and store) the
-    #: full distance table instead of a top-k stream.
+    #: Upper bound on ``k``: each query keeps ``k`` (distance, index)
+    #: pairs and every fold copies and sorts up to ``k`` plus the batch's
+    #: rows, so beyond this the per-query state stops being small and
+    #: callers should compute (and store) the full distance table
+    #: instead of a top-k stream.
     MAX_K = 4096
 
     def __init__(
@@ -258,7 +255,7 @@ class StreamingIdentitySearch:
             backend=backend,
         )
         self._packed_queries = self.framework.pack(q)
-        self._states = [_QueryState(k=k) for _ in range(q.shape[0])]
+        self._states = [TopK(k) for _ in range(q.shape[0])]
         self.rows_seen = 0
         self.batches_seen = 0
         self.simulated_seconds = 0.0
@@ -274,7 +271,7 @@ class StreamingIdentitySearch:
         The batch is validated up front -- shape, dtype and
         binary-ness -- so a malformed feed fails with a precise
         :class:`~repro.errors.DatasetError` *before* any state
-        (``rows_seen``, top-k heaps) is touched.
+        (``rows_seen``, the top-k sets) is touched.
         """
         batch = check_binary_matrix("add_batch: batch", profiles)
         self._check_sites(batch.shape)
@@ -296,14 +293,8 @@ class StreamingIdentitySearch:
             self._packed_queries, batch
         )
         self.simulated_seconds += report.end_to_end_s
-        # An unfiltered fold (heap not yet full) is surfaced through
-        # the fallback counter.
-        unfiltered = sum(
+        for state, row in zip(self._states, distances):
             state.fold(row, self.rows_seen)
-            for state, row in zip(self._states, distances)
-        )
-        if unfiltered:
-            get_tracer().counters.add(STREAM_PREFILTER_FALLBACKS, unfiltered)
         self.rows_seen += batch.n_rows
         self.batches_seen += 1
 

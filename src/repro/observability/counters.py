@@ -38,7 +38,6 @@ __all__ = [
     "STREAM_READ_SECONDS",
     "STREAM_PREFETCH_STALL_SECONDS",
     "STREAM_CHUNK_RETRIES",
-    "STREAM_PREFILTER_FALLBACKS",
     "FAULTS_INJECTED",
     "SHARD_RETRIES",
     "SHARDS_QUARANTINED",
@@ -81,7 +80,8 @@ GEMM_CALLS = "gemm.calls"
 #: shard plan ran it (a triangular plan computes fewer); a band counts
 #: its partnered cells times ``k_words``.
 GEMM_WORD_OPS = "gemm.popc_word_ops"
-#: Simulated kernel launches scheduled by :func:`repro.core.pipeline.run_pipeline`.
+#: Simulated kernel launches scheduled by :func:`repro.core.pipeline.run_pipeline`
+#: (``run_packed``; a served identity search launches none).
 KERNEL_LAUNCHES = "kernel.launches"
 #: Shards executed by the parallel engine (a serial run is one shard).
 SHARDS_EXECUTED = "shards.executed"
@@ -90,7 +90,7 @@ SHARDS_EXECUTED = "shards.executed"
 SHARDS_MIRRORED = "shards.mirrored"
 #: Host wall-clock seconds spent inside the parallel engine.
 HOST_ENGINE_SECONDS = "time.host_engine_s"
-#: Simulated device seconds (end-to-end makespans of framework runs).
+#: Simulated device seconds (end-to-end makespans of ``run_packed`` calls).
 SIM_DEVICE_SECONDS = "time.simulated_device_s"
 #: Chunks consumed by streaming workloads (:mod:`repro.io_stream`).
 STREAM_CHUNKS = "stream.chunks"
@@ -108,9 +108,6 @@ STREAM_PREFETCH_STALL_SECONDS = "stream.prefetch_stall_s"
 #: Streaming chunks re-run after a retryable failure (the per-chunk
 #: rung of the resilience ladder).
 STREAM_CHUNK_RETRIES = "stream.chunk_retries"
-#: Streaming identity batches folded without the vectorized top-k
-#: pre-filter (heap not yet full, e.g. k close to the database size).
-STREAM_PREFILTER_FALLBACKS = "stream.prefilter_fallbacks"
 #: Simulated faults fired by the deterministic injector
 #: (:mod:`repro.resilience.faults`); 0 in production runs.
 FAULTS_INJECTED = "resilience.faults_injected"
@@ -202,7 +199,6 @@ COUNTER_CATALOGUE: dict[str, str] = {
     STREAM_READ_SECONDS: "host seconds reading/preparing chunks (producer)",
     STREAM_PREFETCH_STALL_SECONDS: "host seconds the consumer waited on chunks",
     STREAM_CHUNK_RETRIES: "streaming chunks re-run after retryable failures",
-    STREAM_PREFILTER_FALLBACKS: "identity batches folded without the top-k pre-filter",
     FAULTS_INJECTED: "simulated faults fired by the injector",
     SHARD_RETRIES: "shard executions re-queued after retryable failures",
     SHARDS_QUARANTINED: "shards recomputed on the serial reference path",

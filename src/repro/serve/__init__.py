@@ -12,7 +12,7 @@ front end (:mod:`repro.serve.server`, ``repro.cli serve``) exposes it
 over the wire.  See docs/SERVING.md.
 """
 
-from repro.serve.batcher import Batch, CoalescingBatcher
+from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
 from repro.serve.metrics import LatencyWindow, TenantAccount, TenantLedger
 from repro.serve.overload import CircuitBreaker
@@ -25,7 +25,6 @@ from repro.serve.server import (
 from repro.serve.service import IdentityService, QueryRequest
 
 __all__ = [
-    "Batch",
     "CoalescingBatcher",
     "CircuitBreaker",
     "ProfileIndex",

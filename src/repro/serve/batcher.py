@@ -17,9 +17,9 @@ in :mod:`repro.serve.server` awaits it via ``asyncio.wrap_future``).  A
 dispatcher thread opens a **coalescing window** when the first request
 of a batch arrives: every request admitted within ``window_s`` of that
 first arrival joins the batch, which is cut early once ``max_rows``
-query rows accumulate.  Cut batches execute on a small thread-pool
-executor so the window for batch *i+1* collects while batch *i*
-computes.
+query rows accumulate.  The same thread then runs the batch it cut;
+requests that arrive meanwhile wait in the bounded queue for the next
+one.  A request cancelled while queued is dropped at the cut.
 
 Overload protection: admission is *bounded*.  ``max_queue`` caps queued
 requests and ``max_inflight_rows`` caps query rows that are queued or
@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import DeadlineExceededError, OverloadedError
@@ -55,7 +55,7 @@ from repro.observability.counters import SERVE_DEADLINE_EXCEEDED, SERVE_SHED
 from repro.observability.tracer import get_tracer
 from repro.resilience.deadline import Deadline
 
-__all__ = ["Batch", "CoalescingBatcher"]
+__all__ = ["CoalescingBatcher"]
 
 
 @dataclass
@@ -69,18 +69,8 @@ class _Pending:
     deadline: Deadline | None = None
 
 
-@dataclass
-class Batch:
-    """The payloads cut into one executor call, in admission order."""
-
-    payloads: list[Any] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-
 class CoalescingBatcher:
-    """Window-based micro-batcher over a thread-pool executor.
+    """Window-based micro-batcher with one dispatcher thread.
 
     Parameters
     ----------
@@ -94,13 +84,10 @@ class CoalescingBatcher:
         when the dispatcher wakes (a burst), but never waits for more.
     max_rows:
         Row budget per batch; a batch is cut early when reached.
-    pipeline_depth:
-        Executor threads; ``1`` (the default) keeps batch execution
-        sequential -- deterministic counter attribution -- while the
-        next window collects concurrently.
     max_queue:
-        Admission bound: maximum *queued* requests.  ``None`` (default)
-        keeps the pre-overload unbounded behavior.
+        Admission bound: maximum *queued* requests, including those
+        that wait while a batch runs.  ``None`` (default) keeps the
+        pre-overload unbounded behavior.
     max_inflight_rows:
         Admission bound: maximum query rows queued + executing.
         ``None`` disables the bound.
@@ -111,7 +98,6 @@ class CoalescingBatcher:
         execute: Callable[[Sequence[Any]], Sequence[Any]],
         window_s: float = 0.005,
         max_rows: int = 1024,
-        pipeline_depth: int = 1,
         max_queue: int | None = None,
         max_inflight_rows: int | None = None,
     ) -> None:
@@ -139,10 +125,6 @@ class CoalescingBatcher:
         self._queue: list[_Pending] = []
         self._inflight_rows = 0
         self._closed = False
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, pipeline_depth),
-            thread_name_prefix="serve-exec",
-        )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-batcher", daemon=True
         )
@@ -251,12 +233,13 @@ class CoalescingBatcher:
             return True
 
     def close(self, timeout: float | None = 10.0) -> None:
-        """Stop admitting, drain queued batches, join the dispatcher.
+        """Stop admitting, run queued batches, join the dispatcher.
 
         Raises ``RuntimeError`` when the dispatcher thread fails to
-        join within ``timeout`` -- a leaked dispatcher means batches
-        may still execute after "shutdown", which callers must not be
-        allowed to mistake for a clean stop.
+        join within ``timeout`` (which covers the batches it still
+        runs) -- a leaked dispatcher means batches may still execute
+        after "shutdown", which callers must not be allowed to mistake
+        for a clean stop.
         """
         with self._cv:
             already_closed = self._closed
@@ -266,12 +249,10 @@ class CoalescingBatcher:
             return
         self._dispatcher.join(timeout=timeout)
         if self._dispatcher.is_alive():
-            self._pool.shutdown(wait=False)
             raise RuntimeError(
                 f"CoalescingBatcher.close: dispatcher thread failed to "
                 f"join within {timeout}s -- thread leaked"
             )
-        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "CoalescingBatcher":
         return self
@@ -282,15 +263,17 @@ class CoalescingBatcher:
     # -- dispatcher side -------------------------------------------------------
 
     def _cut_batch_locked(self) -> list[_Pending]:
-        """Pop queued requests up to the row budget (admission order)."""
+        """Pop queued requests up to the row budget (admission order),
+        marking each future running; cancelled ones are dropped."""
         batch: list[_Pending] = []
         rows = 0
         while self._queue:
             if batch and rows + self._queue[0].rows > self.max_rows:
                 break
             item = self._queue.pop(0)
-            batch.append(item)
-            rows += item.rows
+            if item.future.set_running_or_notify_cancel():
+                batch.append(item)
+                rows += item.rows
         self._inflight_rows += rows
         return batch
 
@@ -312,8 +295,10 @@ class CoalescingBatcher:
                         break
                     self._cv.wait(timeout=remaining)
                 batch = self._cut_batch_locked()
-            if batch:
-                self._pool.submit(self._run_batch, batch)
+                if not batch:  # every request cut was cancelled
+                    self._cv.notify_all()
+                    continue
+            self._run_batch(batch)
 
     def _run_batch(self, batch: list[_Pending]) -> None:
         try:

@@ -8,14 +8,18 @@ Hamming distance, first-seen tie-breaking -- and it is bit-exact
 against that offline path by construction: distances come from the same
 :class:`~repro.core.framework.SNPComparisonFramework` (exact integer
 popcounts, so sharing a panel with other requests cannot change them)
-and the per-query fold reuses the streaming top-k heap, offered rows in
-the same global database order.
+and each query folds them through the streaming path's own
+:class:`~repro.core.streaming.TopK`, in the same global database order.
+Each segment is one :meth:`~repro.core.framework.SNPComparisonFramework.\
+compute` call: no simulated device is scheduled or priced for a served
+search.
 
 What serving adds over the offline path:
 
 * **residency** -- each index segment is packed for the device once
-  and cached by segment id; ``.snpbin`` shards written in the device's
-  word width skip even that (their mmap'd bytes *are* the operand);
+  and cached by segment id while it is in the latest snapshot;
+  ``.snpbin`` shards written in the device's word width skip even that
+  (their mmap'd bytes *are* the operand);
 * **coalescing** -- concurrent requests share one query panel through
   :class:`repro.serve.batcher.CoalescingBatcher`, amortizing the
   ``m_r`` row padding and the per-batch database feed;
@@ -42,11 +46,7 @@ import numpy as np
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.packing import PackedOperand, wrap_words
-
-# The streaming fold is the bit-exactness oracle; reusing its heap type
-# and fold (private by convention, stable within this codebase) keeps
-# the tie-breaking rule defined in exactly one place.
-from repro.core.streaming import Match, _QueryState
+from repro.core.streaming import Match, TopK
 from repro.errors import (
     ConfigurationError,
     DatasetError,
@@ -118,7 +118,9 @@ class IdentityService:
 
     Parameters mirror :class:`StreamingIdentitySearch` where they
     overlap; ``window_s``/``max_batch_rows`` shape the coalescing
-    window (see :mod:`repro.serve.batcher`).
+    window and ``max_queue``/``max_inflight_rows`` bound admission (see
+    :mod:`repro.serve.batcher`, whose one dispatcher thread runs every
+    batch it cuts).  :meth:`search_many` runs on the caller's thread.
     """
 
     #: Upper bound on per-request ``k`` (matches the streaming bound).
@@ -133,7 +135,6 @@ class IdentityService:
         backend: str = "auto",
         window_s: float = 0.005,
         max_batch_rows: int = 512,
-        pipeline_depth: int = 1,
         framework: SNPComparisonFramework | None = None,
         max_queue: int | None = None,
         max_inflight_rows: int | None = None,
@@ -162,7 +163,6 @@ class IdentityService:
             self._execute_batch,
             window_s=window_s,
             max_rows=max_batch_rows,
-            pipeline_depth=pipeline_depth,
             max_queue=max_queue,
             max_inflight_rows=max_inflight_rows,
         )
@@ -342,9 +342,7 @@ class IdentityService:
             else requests[0].queries
         )
         q_op = self.framework.pack(stacked)
-        states = [
-            [_QueryState(k=r.k) for _ in range(r.n_queries)] for r in requests
-        ]
+        states = [[TopK(r.k) for _ in range(r.n_queries)] for r in requests]
         expired: dict[int, DeadlineExceededError] = {}
         for segment in snapshot:
             for ri, request in enumerate(requests):
@@ -360,9 +358,7 @@ class IdentityService:
                     )
             if len(expired) == len(requests):
                 break
-            table, _report = self.framework.run_packed(
-                q_op, self._resident(segment)
-            )
+            table, _ = self.framework.compute(q_op, self._resident(segment))
             row = 0
             for ri, request in enumerate(requests):
                 if ri not in expired:
@@ -405,6 +401,10 @@ class IdentityService:
             else:
                 live.append(request)
         snapshot = self.index.snapshot()
+        # Cache only this snapshot's operands: sealing gives a tail's
+        # rows a new sid, and a batch on an older snapshot just repacks.
+        for sid in set(self._packed) - {s.sid for s in snapshot}:
+            self._packed.pop(sid, None)
         total_rows = sum(r.n_queries for r in live)
         live_outcomes: list[object] = []
         if live:

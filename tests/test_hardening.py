@@ -152,6 +152,28 @@ class TestBoundedAdmission:
             batcher.close()
         assert tracer.counters.get(SERVE_SHED) == 1
 
+    def test_queue_bound_holds_while_a_batch_runs(self, tracer):
+        # The dispatcher thread runs the batch it cut, so arrivals wait
+        # in the bounded queue rather than an executor's unbounded one.
+        batcher, release, entered = self._blocked_batcher(max_queue=1)
+        admitted = shed = 0
+        try:
+            batcher.submit("running")
+            assert entered.wait(timeout=10)
+            for i in range(20):
+                try:
+                    batcher.submit(i)
+                    admitted += 1
+                except OverloadedError:
+                    shed += 1
+                time.sleep(0.005)  # room for a dispatcher to cut
+            assert batcher.queued_requests == 1
+        finally:
+            release.set()
+            batcher.close()
+        assert (admitted, shed) == (1, 19)
+        assert tracer.counters.get(SERVE_SHED) == 19
+
     def test_expired_deadline_rejected_at_admission(self, tracer):
         clock = FakeClock()
         dl = Deadline.after(1.0, clock=clock)

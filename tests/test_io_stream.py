@@ -409,9 +409,11 @@ class TestChunkedEquivalence:
         assert result.prenegated == expected.prenegated
 
     @settings(max_examples=8, deadline=None)
-    @given(chunk_rows=st.integers(1, 80))
-    def test_identity_topk_bit_exact(self, chunk_rows):
-        k = 6
+    @given(
+        chunk_rows=st.integers(1, 80),
+        k=st.integers(1, DB_BITS.shape[0] + 5),  # up to more rows than exist
+    )
+    def test_identity_topk_bit_exact(self, chunk_rows, k):
         full = identity_search(QUERY_BITS, DB_BITS).distances
         search = StreamingIdentitySearch(QUERY_BITS, k=k)
         search.consume(DB_BITS, chunk_rows)
@@ -421,18 +423,21 @@ class TestChunkedEquivalence:
             assert got == [(int(full[qi, i]), int(i)) for i in order]
 
     @settings(max_examples=6, deadline=None)
-    @given(chunk_rows=st.integers(1, 40))
-    def test_identity_ties_first_seen_wins(self, chunk_rows):
+    @given(chunk_rows=st.integers(1, 40), k=st.integers(1, 35))
+    def test_identity_ties_first_seen_wins(self, chunk_rows, k):
         # A database of *duplicated* rows: every distance ties, so the
         # retained candidates are decided purely by tie-breaking, which
-        # must stay database order (first seen) for any chunking.
+        # must stay database order (first seen) for any chunking and
+        # any k, including more than the 30 rows there are.
         row = _random_bits(1, 64, seed=31)
         db = np.repeat(row, 30, axis=0)
         queries = _random_bits(2, 64, seed=32)
-        search = StreamingIdentitySearch(queries, k=4)
+        search = StreamingIdentitySearch(queries, k=k)
         search.consume(db, chunk_rows)
         for qi in range(2):
-            assert [m.database_index for m in search.matches(qi)] == [0, 1, 2, 3]
+            assert [m.database_index for m in search.matches(qi)] == list(
+                range(min(k, 30))
+            )
 
     def test_ld_from_snpbin_file(self, tmp_path):
         path = tmp_path / "pop.snpbin"

@@ -611,6 +611,25 @@ class TestCLIResilience:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["kernel", "alloc", "device"])
+    def test_serve_refuses_fault_kinds_without_a_service_hook(
+        self, dataset_file, kind, capsys
+    ):
+        # A served search never schedules the simulated device, and
+        # ``device`` faults exist only in the multi-GPU executor: such a
+        # plan would silently inject nothing, so it is a usage error.
+        code = main([
+            "serve", "--database", dataset_file, "--port", "0",
+            "--inject-faults", f"{kind}:1,latency:1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--inject-faults {kind} cannot fire in the service" in err
+        assert (
+            "shard, slow, bitflip, latency, disk-corrupt, client-disconnect"
+            in err
+        )
+
 
 # -- satellite: streaming input validation -------------------------------------
 

@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingIdentitySearch
+from repro.core.identity import identity_search
+from repro.core.streaming import Match, StreamingIdentitySearch
 from repro.errors import ConfigurationError, DatasetError, ReproError
 from repro.observability.counters import (
     GEMM_WORD_OPS,
@@ -63,6 +64,16 @@ def oracle(queries, db_chunks, k):
     for chunk in db_chunks:
         search.add_batch(chunk)
     return search.all_matches()
+
+
+def dense_oracle(queries, db, k):
+    """Top-k by (distance, row) sorted straight off the full table."""
+    full = identity_search(queries, db).distances
+    rows = np.arange(db.shape[0])
+    return [
+        [Match(int(d[i]), int(i)) for i in np.lexsort((rows, d))[:k]]
+        for d in full
+    ]
 
 
 # -- ProfileIndex ---------------------------------------------------------------
@@ -211,6 +222,41 @@ class TestCoalescingBatcher:
         assert max(sizes) <= 2
         assert sum(sizes) == 5
 
+    def test_cancelled_request_does_not_strand_its_peers(self):
+        release = threading.Event()
+        entered = threading.Event()
+        seen = []
+
+        def execute(payloads):
+            seen.append(list(payloads))
+            entered.set()
+            release.wait(timeout=10)
+            return [p.upper() for p in payloads]
+
+        with CoalescingBatcher(execute, window_s=0.05) as batcher:
+            first = batcher.submit("a")
+            assert entered.wait(timeout=10)  # "a" runs and blocks
+            cancelled = batcher.submit("b")
+            peer = batcher.submit("c")
+            assert cancelled.cancel()
+            release.set()
+            assert first.result(timeout=10) == "A"
+            assert peer.result(timeout=5) == "C"
+            # The one thread survives to run later requests.
+            assert batcher.submit("d").result(timeout=5) == "D"
+            # A cut left empty by cancellations still lets a drain finish.
+            release.clear()
+            entered.clear()
+            running = batcher.submit("x")
+            assert entered.wait(timeout=10)
+            assert batcher.submit("e").cancel()
+            release.set()
+            assert running.result(timeout=10) == "X"
+            start = time.perf_counter()
+            assert batcher.wait_idle(timeout=5)
+            assert time.perf_counter() - start < 1.0  # woken, not timed out
+        assert all("b" not in batch and "e" not in batch for batch in seen)
+
     def test_submit_after_close_raises(self):
         batcher = CoalescingBatcher(lambda ps: list(ps))
         batcher.close()
@@ -248,11 +294,13 @@ def make_service(tmp_path, db, k=5, shard_rows=24, word_bits=32, **kw):
 
 
 class TestIdentityServiceExactness:
-    def test_bit_exact_vs_streaming_multi_shard(self, tmp_path, tracer):
+    @pytest.mark.parametrize("k", [1, 4, 75])  # 75: more than the 70 rows
+    def test_bit_exact_vs_streaming_multi_shard(self, tmp_path, tracer, k):
         db = make_db(70, duplicates=3)  # ties exercise first-seen order
         queries = make_db(6, seed=21)
-        expected = oracle(queries, [db], k=4)
-        with make_service(tmp_path, db, k=4) as service:
+        expected = oracle(queries, [db], k=k)
+        assert expected == dense_oracle(queries, db, k)
+        with make_service(tmp_path, db, k=k) as service:
             with service.index:
                 assert service.search(queries) == expected
 
@@ -301,6 +349,19 @@ class TestIdentityServiceExactness:
                 # database agrees on the full top-k.
                 full = np.vstack([db, probe])
                 assert [matches] == oracle(probe, [full], k=40)
+
+    def test_resident_cache_holds_only_the_latest_snapshot(
+        self, tmp_path, tracer
+    ):
+        # Sealing gives a tail's rows a new sid; the operands cached
+        # under the old sids must go, not pile up with every append.
+        with make_service(tmp_path, make_db(64), shard_rows=64) as service:
+            with service.index:
+                for i in range(40):
+                    service.append(make_db(16, seed=200 + i))
+                    service.search(make_db(1, seed=300 + i))
+                live = {segment.sid for segment in service.index.snapshot()}
+                assert set(service._packed) == live
 
     def test_mixed_tail_and_shards_bit_exact(self, tmp_path, tracer):
         db = make_db(30)

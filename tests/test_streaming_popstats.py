@@ -107,32 +107,6 @@ class TestStreamingSearch:
         # The bound itself is fine.
         StreamingIdentitySearch(queries, k=StreamingIdentitySearch.MAX_K)
 
-    def test_prefilter_fallback_surfaced_via_counter(self, workload):
-        from repro.observability.tracer import Tracer, set_tracer
-
-        db, queries, _ = workload
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            # k larger than every batch keeps the heaps unfilled, so
-            # each batch degrades to the unfiltered fold -- counted,
-            # not silent.
-            stream = StreamingIdentitySearch(queries, k=200)
-            stream.add_batch(db.profiles[:50])
-            stream.add_batch(db.profiles[50:100])
-            unfiltered = tracer.counters.snapshot()["stream.prefilter_fallbacks"]
-            assert unfiltered == 2 * queries.shape[0]
-            # Once the heaps are full, the pre-filter engages again.
-            before = unfiltered
-            stream2 = StreamingIdentitySearch(queries, k=3)
-            stream2.add_batch(db.profiles[:50])
-            stream2.add_batch(db.profiles[50:100])
-            after = tracer.counters.snapshot()["stream.prefilter_fallbacks"]
-            # Only the first (heap-filling) batch falls back.
-            assert after - before == queries.shape[0]
-        finally:
-            set_tracer(previous)
-
 
 class TestPopstats:
     def test_expected_heterozygosity_values(self):
