@@ -10,7 +10,7 @@ host wall-clock on both sides of the crossover.
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm
+from repro.parallel import bit_gemm_parallel
 from repro.sparse.auto import choose_representation
 from repro.sparse.cost import SparseCostModel, density_crossover
 from repro.sparse.kernels import sparse_comparison
@@ -55,7 +55,9 @@ def bench_sparse_kernel_rare_variants(benchmark):
     sp = SparseSNPMatrix.from_dense(bits)
     result = benchmark(sparse_comparison, sp)
     packed = pack_bits(bits, 32)
-    assert (result == bit_gemm(packed, packed, backend="blas")).all()
+    assert (
+        result == bit_gemm_parallel(packed, packed, workers=1, backend="blas")
+    ).all()
 
 
 @pytest.mark.artifact("extension")
@@ -63,7 +65,9 @@ def bench_dense_kernel_common_variants(benchmark):
     """The dense side of the comparison at matched shape."""
     bits = random_bits((64, 20_000), 0.4, seed=2)
     packed = pack_bits(bits, 32)
-    result = benchmark(bit_gemm, packed, packed, backend="blas")
+    result = benchmark(
+        bit_gemm_parallel, packed, packed, workers=1, backend="blas"
+    )
     assert result.shape == (64, 64)
 
 

@@ -9,12 +9,12 @@ and the statistical layers.
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.packing import pack_operand
 from repro.gpu.arch import TITAN_V
+from repro.parallel import bit_gemm_parallel
 from repro.snp.generator import PopulationModel, generate_population
 from repro.util.bitops import pack_bits
 
@@ -29,20 +29,10 @@ def packed_mid():
 @pytest.mark.artifact("functional")
 def bench_fast_path_gemm(benchmark, packed_mid):
     result = benchmark(
-        bit_gemm, packed_mid, packed_mid, ComparisonOp.AND, backend="blas"
+        bit_gemm_parallel, packed_mid, packed_mid, ComparisonOp.AND,
+        workers=1, backend="blas",
     )
     assert result.shape == (256, 256)
-
-
-@pytest.mark.artifact("functional")
-def bench_blocked_path_gemm(benchmark):
-    rng = np.random.default_rng(1)
-    bits = (rng.random((48, 1024)) < 0.4).astype(np.uint8)
-    packed = pack_bits(bits, 32)
-    result = benchmark(
-        bit_gemm, packed, packed, ComparisonOp.XOR, backend="blis"
-    )
-    assert (np.diag(result) == 0).all()
 
 
 @pytest.mark.artifact("functional")

@@ -37,7 +37,7 @@ import numpy as np
 from repro.blis.gemm import bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.observability.regress import metric, run_counted, write_metrics
-from repro.parallel import ParallelEngine
+from repro.parallel import ParallelEngine, get_engine
 from repro.util.bitops import pack_bits
 
 #: The benchmark problem: an LD-shaped table (m queries x n database
@@ -133,12 +133,11 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
     """Race every available kernel backend single-thread vs the reference.
 
     Times the reference panel (:func:`bit_gemm_reference`) as the
-    baseline, then each available registered backend through
-    :func:`repro.blis.gemm.bit_gemm`.  Every table is checked
-    bit-exact, and one untimed instrumented pass per backend asserts
-    the word-op accounting is backend-invariant.
+    baseline, then each available registered backend through a
+    one-worker engine (one shard on this thread).  Every table is
+    checked bit-exact, and one untimed instrumented pass per backend
+    asserts the word-op accounting is backend-invariant.
     """
-    from repro.blis.gemm import bit_gemm
     from repro.kernels import available_backends
 
     pa, pb = make_operands(**problem)
@@ -153,15 +152,14 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
     counters = None
     for be in available_backends():
         info = be.info
+        engine = get_engine(1, info.name)
         best = float("inf")
         table = None
         for _ in range(repeats):
             start = time.perf_counter()
-            table = bit_gemm(pa, pb, op, backend=info.name)
+            table, _ = engine.run(pa, pb, op)
             best = min(best, time.perf_counter() - start)
-        _, backend_counters = run_counted(
-            lambda: bit_gemm(pa, pb, op, backend=info.name)
-        )
+        _, backend_counters = run_counted(lambda: engine.run(pa, pb, op))
         if counters is None:
             counters = backend_counters
         rows.append({

@@ -19,10 +19,11 @@ self-comparison), over one host thread pool.  ``--workers N`` sizes
 that pool (``--workers 0`` picks a sensible default for the machine;
 omitted, or below the crossover size, the GEMM runs as one shard on
 the calling thread; see :mod:`repro.parallel`), and ``--backend
-{auto,numpy,blas,blis,...}`` picks the kernel-ABI backend (a named
+{auto,numpy,blas,cnative}`` picks the kernel-ABI backend (a named
 backend runs as named; ``auto`` defers to ``REPRO_BACKEND``, else runs
-``cnative`` once loaded, else ``blis`` up to 2,000,000 word-ops and
-``blas`` above; see ``docs/KERNELS.md``).
+``cnative`` once loaded, else ``numpy`` when the shorter operand has at
+most 16 rows and ``blas`` for anything larger; see
+``docs/KERNELS.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
 transient faults up to N times with backoff, ``--verify-sample RATE``
@@ -775,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
     backend_help = (
         "kernel-ABI backend for the functional bit-GEMM (a named backend "
         "runs as named; auto defers to REPRO_BACKEND, else runs cnative "
-        "once loaded, else blis up to 2,000,000 word-ops and blas above; "
-        "see docs/KERNELS.md)"
+        "once loaded, else numpy when the shorter operand has at most 16 "
+        "rows and blas for anything larger; see docs/KERNELS.md)"
     )
 
     def add_observability_flags(cmd: argparse.ArgumentParser) -> None:

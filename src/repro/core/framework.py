@@ -82,10 +82,10 @@ class SNPComparisonFramework:
         :class:`~repro.errors.ConfigurationError`.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the host table:
-        ``"auto"`` (``REPRO_BACKEND`` env, then the size rule:
-        ``cnative`` once loaded, else ``blis``/``blas`` by size) or an
-        explicit registered name such as
-        ``"blas"``, ``"blis"`` or ``"cnative"``, which runs as named.
+        ``"auto"`` (``REPRO_BACKEND`` env, then the shape rule:
+        ``cnative`` once loaded, else ``numpy``/``blas`` by the shorter
+        operand's rows) or an explicit registered name such as
+        ``"numpy"``, ``"blas"`` or ``"cnative"``, which runs as named.
     """
 
     def __init__(

@@ -4,9 +4,10 @@ This is the Alachiotis et al. [11] algorithm the paper's Section III
 describes: inputs packed into 64-bit bitvectors, BLIS blocking, and a
 micro-kernel of ``AND``/``XOR``/``ANDN`` -> ``POPCNT`` -> ``ADD``.
 
-The implementation is *functional* (it computes exact results via the
-shared :mod:`repro.blis` drivers); the performance claims of the
-baseline come from :mod:`repro.cpu.timing`, not from timing this Python
+The implementation is *functional*: it computes exact results through
+the host engine (:mod:`repro.parallel`, one shard on the caller's
+thread) and its kernel backends; the performance claims of the
+baseline come from :mod:`repro.cpu.timing`, not from timing this host
 code.  The blocking defaults are scaled to Ivy Bridge's cache sizes the
 same way [11]/BLIS derive them:
 
@@ -21,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm
 from repro.blis.microkernel import ComparisonOp
 from repro.cpu.arch import CPUArchitecture, XEON_E5_2620_V2
 from repro.errors import PackingError
+from repro.kernels import check_panel_operands
+from repro.parallel.engine import get_engine
 from repro.util.units import kib
 
 __all__ = ["default_cpu_blocking", "cpu_snp_comparison"]
@@ -79,20 +81,18 @@ def cpu_snp_comparison(
     arch:
         CPU description (only ``word_bits`` is semantically relevant).
     backend:
-        Kernel-ABI backend (:mod:`repro.kernels`), e.g. ``"blis"`` for
-        the blocked 5-loop walk on this CPU's blocking or ``"blas"``
-        for the identity GEMM.  Default: the size rule of
-        :func:`repro.kernels.pick_backend` (``cnative`` once its
-        library has loaded; before that the walk up to
-        :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and BLAS above).
+        Kernel-ABI backend (:mod:`repro.kernels`), e.g. ``"numpy"`` for
+        the reference word walk or ``"blas"`` for the identity GEMM.
+        Default: the shape rule of :func:`repro.kernels.pick_backend`
+        (``cnative`` once its library has loaded; before that
+        ``numpy`` for a short operand and ``blas`` otherwise).
 
     Returns
     -------
     numpy.ndarray
         ``int64`` comparison counts of shape ``(m, n)``.
     """
-    a = np.asarray(a_words)
-    b = np.asarray(b_words)
+    a, b, op = check_panel_operands(a_words, b_words, op)
     expected_dtype = np.uint64 if arch.word_bits == 64 else np.uint32
     if a.dtype != expected_dtype or b.dtype != expected_dtype:
         raise PackingError(
@@ -100,4 +100,5 @@ def cpu_snp_comparison(
             f"words for {arch.name}, got {a.dtype}/{b.dtype}"
         )
     plan = default_cpu_blocking(a.shape[0], b.shape[0], a.shape[1], arch)
-    return bit_gemm(a, b, op, backend=backend, plan=plan)
+    table, _ = get_engine(1, backend).run(a, b, op, plan=plan)
+    return table

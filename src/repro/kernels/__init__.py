@@ -4,9 +4,10 @@ See :mod:`repro.kernels.abi` for the contract and resolution rules,
 and ``docs/KERNELS.md`` for the narrative.  Importing this package
 registers the built-in backends:
 
-* ``numpy``   -- the reference word-walk (the oracle);
-* ``blas``    -- the popcount identities as float32 BLAS GEMMs;
-* ``blis``    -- the BLIS five-loop walk the simulated device runs;
+* ``numpy``   -- the reference word-walk (the oracle), and ``"auto"``'s
+  fallback when the shorter operand is short;
+* ``blas``    -- the popcount identities as one dense float32 BLAS
+  product, ``"auto"``'s fallback for anything larger;
 * ``cnative`` -- C panel compiled with the host toolchain, its body
   (portable, ``popcnt``, AVX-512 VPOPCNTDQ) picked at load; ``"auto"``
   runs it once loaded (unavailable without a C compiler).
@@ -16,7 +17,7 @@ backend is probed or used.
 """
 
 from repro.kernels.abi import (
-    BLIS_OP_LIMIT,
+    NUMPY_ROW_LIMIT,
     OPCODES,
     REPRO_BACKEND_ENV,
     BackendInfo,
@@ -34,19 +35,17 @@ from repro.kernels.abi import (
     resolve_backend_name,
 )
 from repro.kernels.blas_backend import BlasBackend
-from repro.kernels.blis_backend import BlisBackend
 from repro.kernels.cnative_backend import CNativeBackend
 from repro.kernels.numpy_backend import NumPyBackend
 
 __all__ = [
-    "BLIS_OP_LIMIT",
+    "NUMPY_ROW_LIMIT",
     "OPCODES",
     "REPRO_BACKEND_ENV",
     "BackendInfo",
     "KernelBackend",
     "NumPyBackend",
     "BlasBackend",
-    "BlisBackend",
     "CNativeBackend",
     "available_backends",
     "backend_available",
@@ -66,5 +65,4 @@ __all__ = [
 if "numpy" not in backend_names():
     register_backend(NumPyBackend())
     register_backend(BlasBackend())
-    register_backend(BlisBackend())
     register_backend(CNativeBackend())

@@ -1,18 +1,17 @@
 """Kernel ABI: the narrow compute contract every backend implements.
 
 The paper's portability argument rests on one observation: the whole
-SNP-comparison family needs only three primitives --
+SNP-comparison family reduces to one primitive --
 
-* ``pack``            -- genotypes to bit-words,
-* ``bit_gemm_panel``  -- ``C[i, j] = sum_k POPC(op(A[i,k], B[j,k]))``
+* ``bit_gemm_panel`` -- ``C[i, j] = sum_k POPC(op(A[i,k], B[j,k]))``
   over one row/column panel of packed words,
-* ``popcount_reduce`` -- summed population count of a word array,
 
-and everything else (blocking, sharding, streaming, resilience) is
-orchestration *around* that contract.  This module pins the contract
-down as :class:`KernelBackend` plus a :class:`BackendInfo` capability
-descriptor, and keeps a process-wide registry so the engine, the
-framework and the CLI all resolve backends the same way.
+and everything else (packing, blocking, sharding, streaming,
+resilience) is orchestration *around* that contract.  This module pins
+the contract down as :class:`KernelBackend` plus a
+:class:`BackendInfo` capability descriptor, and keeps a process-wide
+registry so the engine, the framework and the CLI all resolve
+backends the same way.
 
 Resolution rules (shared by every layer, applied in one place,
 :func:`pick_backend`):
@@ -21,11 +20,12 @@ Resolution rules (shared by every layer, applied in one place,
   :class:`~repro.errors.ConfigurationError`;
 * ``"auto"`` honours the ``REPRO_BACKEND`` environment variable when
   set;
-* otherwise the one size rule decides: ``"auto"`` picks ``cnative``
-  once its hardware-popcount body is loaded, else ``blis`` up to
-  :data:`BLIS_OP_LIMIT` word-ops and ``blas`` above it.  The choice
-  depends only on the problem's size and which backends have loaded,
-  never on per-machine state or on the plan shape.
+* otherwise the one shape rule decides: ``"auto"`` picks ``cnative``
+  once its hardware-popcount body is loaded, else ``numpy`` when the
+  shorter operand has at most :data:`NUMPY_ROW_LIMIT` rows and
+  ``blas`` for anything larger.  The choice depends only on the
+  problem's shape and which backends have loaded, never on
+  per-machine state or on the plan shape.
 
 Whichever backend runs, a logical GEMM counts ``m * n * k`` word-ops,
 so counters never depend on the choice.
@@ -48,11 +48,10 @@ import numpy as np
 
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ConfigurationError, PackingError
-from repro.util.bitops import WORD_BITS_32, pack_bits, popcount
 
 __all__ = [
     "REPRO_BACKEND_ENV",
-    "BLIS_OP_LIMIT",
+    "NUMPY_ROW_LIMIT",
     "OPCODES",
     "BackendInfo",
     "KernelBackend",
@@ -72,10 +71,10 @@ __all__ = [
 #: Environment variable that forces the backend ``"auto"`` resolves to.
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: Until ``cnative`` loads, ``"auto"`` GEMMs of at most this many
-#: packed-word operations run the ``blis`` walk and larger ones
-#: ``blas``.
-BLIS_OP_LIMIT = 2_000_000
+#: Until ``cnative`` loads, ``"auto"`` GEMMs whose shorter operand has
+#: at most this many rows run the ``numpy`` reference and larger ones
+#: ``blas`` (the race behind the cut is in ``docs/KERNELS.md``).
+NUMPY_ROW_LIMIT = 16
 
 #: Stable integer codes compiled backends dispatch the comparison op
 #: on (AND_PRENEGATED is AND on pre-negated words by construction).
@@ -98,7 +97,7 @@ class BackendInfo:
     """
 
     name: str
-    kind: str  # "reference" | "blas" | "walk" | "native"
+    kind: str  # "reference" | "blas" | "native"
     version: str
     available: bool
     compiled: bool
@@ -169,12 +168,10 @@ def canonicalize_words(words: np.ndarray) -> np.ndarray:
 
 
 class KernelBackend(ABC):
-    """One implementation of the three-primitive compute contract.
+    """One implementation of the one-primitive compute contract.
 
-    Subclasses must provide :attr:`name`, :attr:`info` and
-    :meth:`bit_gemm_panel`; :meth:`pack` and :meth:`popcount_reduce`
-    have reference defaults (NumPy) that backends may override with
-    compiled equivalents.  ``bit_gemm_panel`` must be thread-safe and
+    Subclasses provide :attr:`name`, :attr:`info` and
+    :meth:`bit_gemm_panel`.  ``bit_gemm_panel`` must be thread-safe and
     release the GIL where it can -- the parallel engine calls it
     concurrently from pool threads.
     """
@@ -189,15 +186,6 @@ class KernelBackend(ABC):
     def info(self) -> BackendInfo:
         """The backend's capability/availability descriptor."""
 
-    def pack(
-        self,
-        bits: np.ndarray,
-        word_bits: int = WORD_BITS_32,
-        pad_to_words: int | None = None,
-    ) -> np.ndarray:
-        """Pack a binary matrix row-wise into unsigned machine words."""
-        return pack_bits(bits, word_bits, pad_to_words)
-
     @abstractmethod
     def bit_gemm_panel(
         self,
@@ -211,14 +199,6 @@ class KernelBackend(ABC):
         ``(n, k)`` (row-per-output-column).  Returns ``(m, n)`` int64,
         bit-exact with :func:`repro.blis.gemm.bit_gemm_reference`.
         """
-
-    def popcount_reduce(
-        self, words: np.ndarray, axis: int | None = None
-    ) -> np.ndarray | int:
-        """Summed population count along ``axis`` (all elements if None)."""
-        counts = popcount(np.asarray(words))
-        result = counts.sum(axis=axis)
-        return int(result) if axis is None else result
 
     def __repr__(self) -> str:
         info = self.info
@@ -314,7 +294,7 @@ def resolve_backend_name(name: str | None = None) -> str | None:
     """Resolve a backend spec to a named, available backend, or ``None``.
 
     ``None``/``"auto"`` resolves to the ``REPRO_BACKEND`` override, or
-    ``None`` when unset (the caller's size rule decides); explicit
+    ``None`` when unset (the caller's shape rule decides); explicit
     names are validated for existence and availability.
     """
     if name is None or name == "auto":
@@ -328,24 +308,26 @@ def resolve_backend_name(name: str | None = None) -> str | None:
     return name
 
 
-def pick_backend(total_ops: int, backend: str | None = "auto") -> str:
-    """The one size rule naming the backend a GEMM runs on.
+def pick_backend(m: int, n: int, k: int, backend: str | None = "auto") -> str:
+    """The one shape rule naming the backend an ``(m, n, k)`` GEMM runs on.
 
     A named backend (explicit, or ``REPRO_BACKEND`` for ``"auto"``)
     runs as named; otherwise ``cnative`` runs once a hardware-popcount
     body is loaded
     (:meth:`~repro.kernels.cnative_backend.CNativeBackend.auto_ready`,
-    which never compiles on the caller's thread), else ``blis`` up to
-    :data:`BLIS_OP_LIMIT` word-ops and ``blas`` above it.  Every choice
-    counts the same word-ops, so answers and counters do not depend on
-    whether the library has loaded yet.
+    which never compiles on the caller's thread and counts ``m * n *
+    k`` towards the compile trigger), else ``numpy`` when the shorter
+    operand has at most :data:`NUMPY_ROW_LIMIT` rows and ``blas`` for
+    anything larger.  Every choice counts the same word-ops, so
+    answers and counters do not depend on whether the library has
+    loaded yet.
     """
     name = resolve_backend_name(backend)
     if name is not None:
         return name
-    if _native_ready(total_ops):
+    if _native_ready(m * n * k):
         return "cnative"
-    return "blis" if total_ops <= BLIS_OP_LIMIT else "blas"
+    return "numpy" if min(m, n) <= NUMPY_ROW_LIMIT else "blas"
 
 
 def _native_ready(total_ops: int) -> bool:

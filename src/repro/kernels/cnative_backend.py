@@ -84,11 +84,15 @@ KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
 DEFAULT_KERNEL_CACHE = "~/.cache/repro/kernels"
 
 #: Word-ops the ``"auto"`` fallback serves on a cold cache before the
-#: background compile starts: about one compile's worth of fallback
-#: work.  A cold compile and load takes about 0.6 s, and the fallback
-#: runs at roughly 0.2-3 Gword-op/s on the benchmark workloads (2-vCPU
-#: AVX-512 host, gcc 12), so a process that does little GEMM work never
-#: starts a compiler.  A served search (~6.4M word-ops) stays far below.
+#: background compile starts.  A cold compile and load takes about
+#: 0.6 s.  On a 2-vCPU AVX-512 host with NumPy 2.4 the fallback runs
+#: short-operand shapes on ``numpy`` at about 0.2-0.35 Gword-op/s (a
+#: 4 x 4,096 x 16 served search, a 65,536 x 16 x 32 mixture chunk) and
+#: larger ones on ``blas`` at about 1.2-1.5 Gword-op/s (512 x 512 x 32,
+#: the 4,096^2 x 32 ld-gram Gram), so the trigger is 0.4-0.6 s of
+#: reference work or about 0.1 s of BLAS work, and a process that does
+#: little GEMM work never starts a compiler.  A served search (~6.4M
+#: word-ops) stays far below.
 COMPILE_TRIGGER_OPS = 1 << 27
 
 #: Bodies that use a popcount instruction.  ``"auto"`` takes
@@ -394,12 +398,6 @@ int32_t repro_bit_gemm_panel(int32_t body, const uint64_t *a,
     return BODIES[body](a, b, c, m, n, k, opcode);
 }
 
-int64_t repro_popcount_sum(const uint64_t *w, int64_t n_words) {
-    int64_t acc = 0;
-    for (int64_t t = 0; t < n_words; ++t) acc += POPC64(w[t]);
-    return acc;
-}
-
 /* LDResult.r_squared over a rows x cols count table: NumPy's
    ((c / n_obs - p_i * p_j) ** 2) / (var_i * var_j), 0 unless the
    denominator is > 0, with the same operations in the same order
@@ -534,8 +532,6 @@ class CNativeBackend(KernelBackend):
             ctypes.c_int32,
         ]
         lib.repro_bit_gemm_panel.restype = ctypes.c_int32
-        lib.repro_popcount_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        lib.repro_popcount_sum.restype = ctypes.c_int64
         lib.repro_r_squared.argtypes = [
             ctypes.c_void_p,
             ctypes.c_void_p,
@@ -789,13 +785,3 @@ class CNativeBackend(KernelBackend):
             quotient.size,
         )
         return out
-
-    def popcount_reduce(
-        self, words: np.ndarray, axis: int | None = None
-    ) -> np.ndarray | int:
-        w = np.asarray(words)
-        lib = self._ensure()
-        if axis is None and lib is not None and w.size:
-            flat = canonicalize_words(w.reshape(1, w.size)).ravel()
-            return int(lib.repro_popcount_sum(flat.ctypes.data, flat.size))
-        return super().popcount_reduce(w, axis)

@@ -12,17 +12,19 @@ The engine has two axes:
 
 * **Backend** -- every shard runs one kernel-ABI panel call,
   ``backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)``
-  (:mod:`repro.kernels`): ``blas`` (float32 BLAS identities), ``blis``
-  (the five-loop walk), ``numpy`` (the reference word-walk) or the
-  compiled ``cnative`` panel.  ``backend="auto"`` resolves in one
-  place, :func:`repro.kernels.pick_backend`: the ``REPRO_BACKEND``
-  environment variable, else ``cnative`` once loaded, else ``blis`` up
-  to :data:`~repro.kernels.BLIS_OP_LIMIT` word-ops and ``blas`` above.
-  A named backend runs as named.
-* **Plan shape** -- full or triangular.  When both operands are the
-  *same* packed matrix (``same_operand``) and the op is symmetric, the
-  output satisfies ``C == C.T`` and a sharded run takes a triangular
-  shard plan (:meth:`~repro.parallel.plan.ShardPlan.triangular`):
+  (:mod:`repro.kernels`): ``blas`` (float32 BLAS identities),
+  ``numpy`` (the reference word-walk) or the compiled ``cnative``
+  panel.  ``backend="auto"`` resolves in one place,
+  :func:`repro.kernels.pick_backend`: the ``REPRO_BACKEND``
+  environment variable, else ``cnative`` once loaded, else ``numpy``
+  when the shorter operand has at most
+  :data:`~repro.kernels.NUMPY_ROW_LIMIT` rows and ``blas`` for
+  anything larger.  A named backend runs as named.
+* **Plan shape** -- full or triangular, following the operands.  When
+  both are the *same* packed matrix (``same_operand``) and the op is
+  symmetric, the output satisfies ``C == C.T`` and a sharded run takes
+  a triangular shard plan
+  (:meth:`~repro.parallel.plan.ShardPlan.triangular`):
   only diagonal and upper-triangular shards are computed; each
   off-diagonal shard also reflects its block into the transpose slot
   (``mirror=True``, counted by :data:`SHARDS_MIRRORED`).  On two
@@ -238,7 +240,7 @@ class ParallelEngine:
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) every shard calls.
         ``"auto"`` follows :func:`repro.kernels.pick_backend`: the
-        ``REPRO_BACKEND`` environment variable, then the size rule.
+        ``REPRO_BACKEND`` environment variable, then the shape rule.
 
     One engine owns one lazily created pool; it is reused across runs
     and across callers -- :func:`get_engine` hands the same engine to
@@ -287,25 +289,19 @@ class ParallelEngine:
         op: ComparisonOp | str = ComparisonOp.AND,
         plan: BlockingPlan | None = None,
         force_parallel: bool | None = None,
-        symmetric: bool | None = None,
     ) -> tuple[np.ndarray, ParallelReport]:
         """Compute ``C[i, j] = sum_k POPC(op(A[i,k], B[j,k]))``.
 
         Returns the int64 table and a :class:`ParallelReport`.
         ``force_parallel`` overrides the crossover heuristic (tests and
         benchmarks use it); ``plan`` pins the blocking the shard plan
-        derives from.  ``symmetric`` controls Gram mode: ``None``
-        (default) auto-detects (same matrix on both sides + symmetric
-        op), ``True`` requires and validates it, ``False`` disables it.
+        derives from.  A sharded run of the same packed matrix on both
+        sides with a symmetric op takes the triangular plan.
         """
         a, b, op = check_panel_operands(a, b, op)
         m, k = a.shape
         n = b.shape[0]
-        if symmetric is None:
-            symmetric = op.is_symmetric and same_operand(a, b)
-        elif symmetric:
-            _check_symmetric(a, b, op)
-            b = a  # equal content, now one operand
+        symmetric = op.is_symmetric and same_operand(a, b)
         if plan is None:
             plan = host_plan(m, n, k)
         if (plan.m, plan.n, plan.k) != (m, n, k):
@@ -326,7 +322,7 @@ class ParallelEngine:
             )
         else:
             shard_plan = ShardPlan.single(plan)
-        name = pick_backend(plan.total_ops(), self.backend)
+        name = pick_backend(m, n, k, self.backend)
         compute = shard_compute(get_backend(name))
         obs = get_tracer()
         res = get_resilience()
@@ -544,29 +540,6 @@ def _place(c: np.ndarray, shard: Shard, block: np.ndarray) -> None:
         get_tracer().counters.add(SHARDS_MIRRORED)
 
 
-def _check_symmetric(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None:
-    """Validate a ``symmetric=True`` hint (Gram mode preconditions).
-
-    The same-matrix check accepts equal-*content* copies as well as
-    views: it validates symmetry a caller asserts, so two distinct
-    arrays holding identical words qualify, and different content is
-    rejected rather than mirrored.  The content comparison is O(m*k)
-    words -- noise next to the O(m*n*k) GEMM it guards.
-    """
-    if not op.is_symmetric:
-        raise PackingError(
-            f"ParallelEngine.run: symmetric=True is invalid for asymmetric "
-            f"op {op.value!r}"
-        )
-    if not same_operand(a, b) and not (
-        a.shape == b.shape and bool(np.array_equal(a, b))
-    ):
-        raise PackingError(
-            "ParallelEngine.run: symmetric=True requires a self-comparison "
-            "(operands must hold the same packed matrix)"
-        )
-
-
 # -- module-level conveniences ---------------------------------------------------
 
 _ENGINES: dict[tuple[int, str], ParallelEngine] = {}
@@ -601,12 +574,11 @@ def bit_gemm_parallel(
     workers: int | None = None,
     plan: BlockingPlan | None = None,
     force_parallel: bool | None = None,
-    symmetric: bool | None = None,
     backend: str = "auto",
 ) -> np.ndarray:
-    """One-shot parallel bit-GEMM (drop-in for the serial drivers)."""
+    """One-shot bit-GEMM through the engine (``workers=1``: one shard)."""
     c, _ = get_engine(workers, backend).run(
-        a, b, op, plan=plan, force_parallel=force_parallel, symmetric=symmetric
+        a, b, op, plan=plan, force_parallel=force_parallel
     )
     return c
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blis.gemm import bit_gemm
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import DatasetError
+from repro.parallel.engine import bit_gemm_parallel
 from repro.sparse.cost import SparseCostModel
 from repro.sparse.kernels import sparse_comparison
 from repro.sparse.matrix import SparseSNPMatrix
 from repro.util.bitops import pack_bits
+from repro.util.validation import check_binary_matrix
 
 __all__ = ["RepresentationChoice", "choose_representation", "auto_comparison"]
 
@@ -45,10 +46,16 @@ def choose_representation(
     b_bits: np.ndarray | None = None,
     model: SparseCostModel | None = None,
 ) -> RepresentationChoice:
-    """Pick the cheaper representation for comparing ``a`` against ``b``."""
-    a = np.asarray(a_bits)
-    b = a if b_bits is None else np.asarray(b_bits)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    """Pick the cheaper representation for comparing ``a`` against ``b``.
+
+    Both operands must be 0/1 matrices with one site count, else
+    :class:`~repro.errors.DatasetError`.
+    """
+    a = check_binary_matrix("choose_representation: A", a_bits)
+    b = a if b_bits is None else check_binary_matrix(
+        "choose_representation: B", b_bits
+    )
+    if a.shape[1] != b.shape[1]:
         raise DatasetError("choose_representation: incompatible operand shapes")
     model = model or SparseCostModel()
     m, k_bits = a.shape
@@ -86,5 +93,5 @@ def auto_comparison(
     else:
         pa = pack_bits(a, 32)
         pb = pa if b_bits is None else pack_bits(b, 32)
-        table = bit_gemm(pa, pb, op, backend="blas")
+        table = bit_gemm_parallel(pa, pb, op, workers=1, backend="blas")
     return table, choice

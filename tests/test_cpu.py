@@ -8,6 +8,8 @@ from repro.cpu.blis_cpu import cpu_snp_comparison, default_cpu_blocking
 from repro.cpu.timing import CPUTimingModel
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import ConfigurationError, ModelError, PackingError
+from repro.observability.counters import GEMM_CALLS, SHARDS_EXECUTED
+from repro.observability.tracer import Tracer, set_tracer
 from repro.snp.stats import identity_distances_naive, ld_counts_naive
 from repro.util.bitops import pack_bits
 
@@ -48,8 +50,9 @@ class TestCpuBlis:
         return bits_a, bits_b, pack_bits(bits_a, 64), pack_bits(bits_b, 64)
 
     def test_blocked_path_matches_oracle(self, data):
+        # The row-blocked reference word walk.
         bits_a, bits_b, pa, pb = data
-        out = cpu_snp_comparison(pa, pb, ComparisonOp.AND, backend="blis")
+        out = cpu_snp_comparison(pa, pb, ComparisonOp.AND, backend="numpy")
         assert (out == ld_counts_naive(bits_a, bits_b)).all()
 
     def test_fast_path_matches_oracle(self, data):
@@ -59,7 +62,7 @@ class TestCpuBlis:
 
     def test_paths_agree(self, data):
         _, _, pa, pb = data
-        blocked = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, backend="blis")
+        blocked = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, backend="numpy")
         fast = cpu_snp_comparison(pa, pb, ComparisonOp.ANDNOT, backend="blas")
         assert (blocked == fast).all()
 
@@ -68,6 +71,25 @@ class TestCpuBlis:
         pa32 = pack_bits(bits_a, 32)
         with pytest.raises(PackingError):
             cpu_snp_comparison(pa32, pa32)
+
+    def test_one_dimensional_operands_rejected(self, data):
+        # A typed error, not an IndexError from reading the k extent.
+        _, _, pa, pb = data
+        for a, b in ((pa[0], pb), (pa, pb[0]), (pa[0], pb[0])):
+            with pytest.raises(PackingError, match="2-D"):
+                cpu_snp_comparison(a, b)
+
+    def test_runs_one_engine_shard_on_the_cpu_blocking(self, data):
+        bits_a, bits_b, pa, pb = data
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            out = cpu_snp_comparison(pa, pb, ComparisonOp.XOR, backend="numpy")
+        finally:
+            set_tracer(previous)
+        assert (out == identity_distances_naive(bits_a, bits_b)).all()
+        assert tracer.counters.get(GEMM_CALLS) == 1
+        assert tracer.counters.get(SHARDS_EXECUTED) == 1
 
     def test_default_blocking_derivation(self):
         plan = default_cpu_blocking(100, 100, 50)

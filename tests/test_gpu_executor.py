@@ -37,10 +37,11 @@ def run(bits_a, bits_b, **kw):
 
 class TestFunctionalPaths:
     def test_blocked_path_correct(self, operands):
+        # The row-blocked reference word walk.
         bits_a, bits_b = operands
-        c, report = run(bits_a, bits_b, backend="blis")
+        c, report = run(bits_a, bits_b, backend="numpy")
         assert (c == ld_counts_naive(bits_a, bits_b)).all()
-        assert report.backend == "blis"
+        assert report.backend == "numpy"
 
     def test_fast_path_correct(self, operands):
         bits_a, bits_b = operands
@@ -50,7 +51,7 @@ class TestFunctionalPaths:
 
     def test_paths_produce_identical_timing(self, operands):
         bits_a, bits_b = operands
-        _, r1 = run(bits_a, bits_b, backend="blis")
+        _, r1 = run(bits_a, bits_b, backend="numpy")
         _, r2 = run(bits_a, bits_b, backend="blas")
         assert r1.end_to_end_s == r2.end_to_end_s
         assert r1.kernel_profiles == r2.kernel_profiles

@@ -16,7 +16,7 @@ from repro.blis.microkernel import ComparisonOp
 from repro.core.framework import SNPComparisonFramework
 from repro.core.config import Algorithm
 from repro.core.ld import linkage_disequilibrium
-from repro.errors import ConfigurationError, PackingError
+from repro.errors import ConfigurationError
 from repro.observability.counters import GEMM_WORD_OPS, SHARDS_MIRRORED
 from repro.observability.tracer import Tracer, set_tracer
 from repro.parallel import ParallelEngine, ShardPlan, get_engine
@@ -26,9 +26,9 @@ SYMMETRIC_OPS = [
     ComparisonOp.XOR,
     ComparisonOp.AND_PRENEGATED,
 ]
-#: The two host paths, by test id: the dense identity GEMM (``blas``)
-#: and the blocked five-loop walk (``blis``).
-PATHS = [pytest.param("blas", id="gemm"), pytest.param("blis", id="blocked")]
+#: The two fallback paths, by test id: the dense identity GEMM
+#: (``blas``) and the row-blocked reference word walk (``numpy``).
+PATHS = [pytest.param("blas", id="gemm"), pytest.param("numpy", id="blocked")]
 
 
 @pytest.fixture()
@@ -115,11 +115,11 @@ class TestGramExactness:
         # A serial Gram run is one full shard on the named backend.
         a = square_words(48, 3, seed=4)
         plan = BlockingPlan(m=48, n=48, k=3, m_c=8, k_c=2, m_r=4, n_r=8)
-        c, report = ParallelEngine(workers=1, backend="blis").run(
-            a, a, op, plan=plan, symmetric=True
+        c, report = ParallelEngine(workers=1, backend="numpy").run(
+            a, a, op, plan=plan
         )
         assert report.symmetric
-        assert report.backend == "blis"
+        assert report.backend == "numpy"
         assert report.n_shards == 1
         assert (c == bit_gemm_reference(a, a, op)).all()
 
@@ -128,7 +128,7 @@ class TestGramExactness:
         k=st.integers(1, 4),
         seed=st.integers(0, 2**16),
         op=st.sampled_from(SYMMETRIC_OPS),
-        backend=st.sampled_from(["blas", "blis"]),
+        backend=st.sampled_from(["blas", "numpy"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_property_triangular_gram_matches_reference(
@@ -136,12 +136,12 @@ class TestGramExactness:
     ):
         a = square_words(m, k, seed=seed)
         engine = get_engine(2, backend)
-        c, report = engine.run(a, a, op, force_parallel=True, symmetric=True)
+        c, report = engine.run(a, a, op, force_parallel=True)
         assert report.symmetric
         assert (c == bit_gemm_reference(a, a, op)).all()
 
 
-# -- asymmetric ops and validation -----------------------------------------------
+# -- asymmetric ops and operand detection ----------------------------------------
 
 
 class TestSymmetryValidation:
@@ -153,41 +153,9 @@ class TestSymmetryValidation:
         assert report.n_mirrored == 0
         assert (c == bit_gemm_reference(a, a, ComparisonOp.ANDNOT)).all()
 
-    def test_explicit_symmetric_with_andnot_rejected(self):
-        a = square_words(16, 2)
-        engine = get_engine(2, "blas")
-        with pytest.raises(PackingError):
-            engine.run(a, a, ComparisonOp.ANDNOT, symmetric=True)
-        with pytest.raises(PackingError):
-            ParallelEngine(workers=1).run(
-                a, a, ComparisonOp.ANDNOT, symmetric=True
-            )
-
-    def test_equal_content_copy_accepted(self):
-        a = square_words(24, 2, seed=7)
-        b = a.copy()
-        assert not same_operand(a, b)
-        engine = get_engine(2, "blas")
-        c, report = engine.run(
-            a, b, ComparisonOp.AND, force_parallel=True, symmetric=True
-        )
-        assert report.symmetric
-        assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
-
-    def test_different_content_rejected(self):
-        a = square_words(24, 2, seed=8)
-        b = square_words(24, 2, seed=9)
-        engine = get_engine(2, "blas")
-        with pytest.raises(PackingError):
-            engine.run(a, b, ComparisonOp.AND, symmetric=True)
-        with pytest.raises(PackingError):
-            ParallelEngine(workers=1).run(
-                a, b, ComparisonOp.AND, symmetric=True
-            )
-
     def test_copy_not_auto_detected(self):
-        # Auto-detection stays pointer-based: a copy computes the full
-        # product unless the caller asserts symmetry explicitly.
+        # Detection is pointer-based: an equal-content copy computes the
+        # full product.
         a = square_words(24, 2, seed=10)
         engine = get_engine(2, "blas")
         _, report = engine.run(a, a.copy(), ComparisonOp.AND, force_parallel=True)
@@ -214,7 +182,7 @@ class TestGramOpSavings:
         full_ops = 1024 * 1024 * 16
 
         _, full_report = engine.run(
-            a, a, ComparisonOp.AND, force_parallel=True, symmetric=False
+            a, a.copy(), ComparisonOp.AND, force_parallel=True
         )
         assert full_report.total_word_ops == full_ops
 
@@ -295,23 +263,23 @@ class TestFrameworkGram:
         assert not parallel.symmetric
 
 
-# -- sharded "auto": the size rule alone picks the backend -----------------------
+# -- sharded "auto": the shape rule alone picks the backend ----------------------
 
 
 class TestEngineConsultsTuner:
     """The engine reads no tuning record: sharded ``"auto"`` follows the
-    size rule and keeps the triangular plan."""
+    shape rule and keeps the triangular plan."""
 
     def test_auto_without_record_defaults_to_gemm(self, monkeypatch,
                                                   pin_native):
-        # Before cnative loads, the BLAS GEMM above 2,000,000 word-ops
-        # (256 x 256 x 32 words) and the walk below; once loaded,
-        # cnative on both sides.
+        # Before cnative loads, the BLAS GEMM above 16 rows (64 x 64 x
+        # 2 words) and the reference at 16; once loaded, cnative on
+        # both sides.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        large = square_words(256, 32, seed=21)
-        small = square_words(64, 2, seed=21)
+        large = square_words(64, 2, seed=21)
+        small = square_words(16, 2, seed=21)
         engine = get_engine(2, "auto")
-        for loaded, small_be, large_be in ((False, "blis", "blas"),
+        for loaded, small_be, large_be in ((False, "numpy", "blas"),
                                            (True, "cnative", "cnative")):
             pin_native(loaded)
             for a, expected in ((large, large_be), (small, small_be)):
@@ -329,7 +297,7 @@ class TestTuningCache:
     def test_v1_file_reads_as_empty_cache(self, tmp_path, monkeypatch,
                                           pin_native):
         # A strategy-era (v1) file in the cache root names numpy for
-        # this 64 x 64 x 2-word Gram shape: the run follows the size
+        # this 64 x 64 x 2-word Gram shape: the run follows the shape
         # rule in both cnative states and leaves the root as it was.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         root = tmp_path / "xdg" / "repro"
@@ -352,7 +320,7 @@ class TestTuningCache:
         before = path.read_bytes()
         a = square_words(64, 2, seed=21)
         engine = get_engine(2, "auto")
-        for loaded, expected in ((False, "blis"), (True, "cnative")):
+        for loaded, expected in ((False, "blas"), (True, "cnative")):
             pin_native(loaded)
             with monkeypatch.context() as env:
                 env.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))

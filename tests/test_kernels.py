@@ -1,5 +1,5 @@
 """Tests for the kernel ABI (:mod:`repro.kernels`): backend conformance,
-registry resolution, the one size rule, engine integration, and the CLI
+registry resolution, the one shape rule, engine integration, and the CLI
 flag."""
 
 import json
@@ -9,17 +9,18 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm, bit_gemm_reference
-from repro.blis.microkernel import ComparisonOp
+from repro.blis.gemm import bit_gemm_reference
+from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.core.ld import linkage_disequilibrium
 from repro.errors import ConfigurationError, PackingError
 from repro.kernels import (
-    BLIS_OP_LIMIT,
+    NUMPY_ROW_LIMIT,
     REPRO_BACKEND_ENV,
     BackendInfo,
     CNativeBackend,
@@ -37,6 +38,7 @@ from repro.kernels import (
     resolve_backend_name,
 )
 from repro.kernels import blas_backend, cnative_backend
+from repro.kernels.numpy_backend import B_ROW_BLOCK, ROW_BLOCK, reference_panel
 from repro.kernels.cnative_backend import (
     COMPILE_TRIGGER_OPS,
     HARDWARE_BODIES,
@@ -45,7 +47,7 @@ from repro.kernels.cnative_backend import (
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.regress import DETERMINISTIC_COUNTERS
 from repro.observability.tracer import Tracer, set_tracer
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.engine import ParallelEngine, bit_gemm_parallel
 from repro.snp.stats import ld_counts_naive
 from repro.util.bitops import popcount
 
@@ -91,16 +93,17 @@ def deterministic(counters: dict) -> dict:
 class TestBackendConformance:
     def test_registry_has_builtins(self):
         names = backend_names()
-        for expected in ("numpy", "blas", "blis", "cnative"):
+        for expected in ("numpy", "blas", "cnative"):
             assert expected in names
         assert "sim" not in names
+        assert "blis" not in names
 
     def test_info_descriptors_are_wellformed(self):
         for backend in registered_backends():
             info = backend.info
             assert isinstance(info, BackendInfo)
             assert info.name and info.kind and info.version
-            assert info.kind in ("reference", "blas", "walk", "native")
+            assert info.kind in ("reference", "blas", "native")
             if not info.available:
                 assert info.unavailable_reason
 
@@ -108,8 +111,7 @@ class TestBackendConformance:
         info = get_backend("numpy").info
         assert info.available
         assert not info.compiled
-        for name in ("blas", "blis"):
-            assert get_backend(name).info.available
+        assert get_backend("blas").info.available
 
     @pytest.mark.parametrize("op", ALL_OPS)
     @pytest.mark.parametrize("dtype", WORD_DTYPES)
@@ -152,13 +154,6 @@ class TestBackendConformance:
             with pytest.raises(PackingError):
                 backend.bit_gemm_panel(a.astype(np.int64), a)
 
-    def test_pack_matches_reference_packer(self):
-        rng = np.random.default_rng(3)
-        bits = (rng.random((5, 70)) < 0.5).astype(np.uint8)
-        reference = get_backend("numpy").pack(bits)
-        for backend in available_backends():
-            assert np.array_equal(backend.pack(bits), reference)
-
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
     def test_every_backend_and_plan_shape(self, workers, clean_env):
         # Every available backend x {full, triangular} plan is bit-exact
@@ -176,10 +171,7 @@ class TestBackendConformance:
             try:
                 for shape, (x, y, op, symmetric) in cases.items():
                     (table, report), counters = traced(
-                        lambda: engine.run(
-                            x, y, op, force_parallel=workers > 1,
-                            symmetric=symmetric,
-                        )
+                        lambda: engine.run(x, y, op, force_parallel=workers > 1)
                     )
                     assert np.array_equal(
                         table, bit_gemm_reference(x, y, op)
@@ -195,15 +187,66 @@ class TestBackendConformance:
         # Equal deterministic counters whichever backend ran.
         assert all(len(counters) == 1 for counters in seen.values()), seen
 
-    def test_popcount_reduce_exact(self):
-        words = make_words(6, 9, np.uint64, seed=5)
-        expected_total = int(popcount(words).sum())
-        expected_rows = popcount(words).sum(axis=1)
-        for backend in available_backends():
-            assert backend.popcount_reduce(words) == expected_total
-            assert np.array_equal(
-                backend.popcount_reduce(words, axis=1), expected_rows
-            )
+
+# -- the reference panel's two loop orders ---------------------------------------
+
+
+def unpackbits_oracle(a, b, op):
+    """Per-cell popcount over ``np.unpackbits``: no broadcast, no blocking."""
+    combine = get_microkernel(op).combine
+    c = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            words = np.ascontiguousarray(combine(a[i], b[j]))
+            c[i, j] = int(np.unpackbits(words.view(np.uint8)).sum())
+    return c
+
+
+class TestReferenceLoops:
+    """A of :data:`ROW_BLOCK` rows or more walks A's row blocks; a
+    shorter A is broadcast against blocks of B's rows and written
+    transposed."""
+
+    @pytest.mark.parametrize(
+        "op", [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
+    )
+    def test_both_loop_orders_match_unpackbits(self, op):
+        # Rows of A either side of the row block (1, 3, 63 short; 64,
+        # 65, 130 tall), B from empty to past two of the short loop's
+        # blocks of B rows, and k from empty through ragged uint16
+        # tails.
+        kernel = get_microkernel(op)
+        for seed, (m, n, k) in enumerate(
+            [
+                (0, 5, 3), (1, 0, 3), (3, 4, 0), (0, 0, 0),
+                (1, 9, 1), (3, 2 * B_ROW_BLOCK + 7, 5), (63, 150, 3),
+                (ROW_BLOCK, 7, 2), (ROW_BLOCK + 1, 3, 7), (130, 70, 1),
+            ]
+        ):
+            a = make_words(m, k, np.uint16, seed=seed)
+            b = make_words(n, k, np.uint16, seed=seed + 50)
+            got = reference_panel(a, b, kernel)
+            assert got.shape == (m, n) and got.dtype == np.int64
+            assert np.array_equal(got, unpackbits_oracle(a, b, op)), (m, n, k)
+
+    def test_short_a_temporary_is_bounded(self):
+        # 4 queries against 65,536 rows of 32 uint64 words: broadcast
+        # whole, the (4, 65,536, 32) temporary and its int64 popcount
+        # peaked at 138 MiB; the short loop keeps the peak near the
+        # 2 MiB table.
+        a = make_words(4, 32, np.uint64, seed=1)
+        b = make_words(65_536, 32, np.uint64, seed=2)
+        kernel = get_microkernel(ComparisonOp.XOR)
+        tracemalloc.start()
+        try:
+            c = reference_panel(a, b, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert np.array_equal(
+            c[:, :300], unpackbits_oracle(a, b[:300], ComparisonOp.XOR)
+        )
 
 
 # -- registry + resolution -------------------------------------------------------
@@ -239,9 +282,13 @@ class TestRegistry:
         assert resolve_backend_name("auto") == "numpy"
         monkeypatch.setenv(REPRO_BACKEND_ENV, "auto")
         assert env_backend_name() is None
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            env_backend_name()
+        # Unknown names fail, the deleted blis walk among them.
+        for name in ("bogus", "blis"):
+            monkeypatch.setenv(REPRO_BACKEND_ENV, name)
+            with pytest.raises(ConfigurationError, match=name):
+                env_backend_name()
+            with pytest.raises(ConfigurationError, match=name):
+                pick_backend(4, 4_096, 16)
 
 
 # -- canonicalisation ------------------------------------------------------------
@@ -271,7 +318,7 @@ class TestCanonicalize:
             assert np.array_equal(got, expected), op
 
 
-# -- bit_gemm serial driver and the size rule ------------------------------------
+# -- the one-shard engine driver and the shape rule ------------------------------
 
 
 class TestBitGemmBackendDriver:
@@ -279,7 +326,9 @@ class TestBitGemmBackendDriver:
         a = make_words(8, 4, np.uint32, seed=41)
         b = make_words(6, 4, np.uint32, seed=42)
         expected = bit_gemm_reference(a, b, ComparisonOp.XOR)
-        got, snapshot = traced(lambda: bit_gemm(a, b, ComparisonOp.XOR))
+        got, snapshot = traced(
+            lambda: bit_gemm_parallel(a, b, ComparisonOp.XOR, workers=1)
+        )
         assert np.array_equal(got, expected)
         assert snapshot[GEMM_CALLS] == 1
         assert snapshot[GEMM_WORD_OPS] == 8 * 6 * 4
@@ -305,7 +354,6 @@ class TestBitGemmBackendDriver:
                 try:
                     for x, y in ((a, b), (g, g)):
                         runs = {
-                            "bit_gemm": lambda: bit_gemm(x, y, backend=name),
                             "serial": lambda: serial.run(x, y)[0],
                             "threads": lambda: threads.run(
                                 x, y, force_parallel=True
@@ -326,27 +374,60 @@ class TestBitGemmBackendDriver:
     def test_unknown_backend_raises(self):
         a = make_words(2, 2, np.uint32)
         with pytest.raises(ConfigurationError):
-            bit_gemm(a, a, backend="warp")
+            bit_gemm_parallel(a, a, workers=1, backend="warp")
 
 
 class TestSizeRule:
     def test_rule_at_the_limit(self, clean_env, pin_native):
-        assert BLIS_OP_LIMIT == 2_000_000
-        # Before cnative loads, "auto" walks blis up to the limit and
-        # runs blas above; once loaded, cnative takes both sides.
-        for loaded, small, large in ((False, "blis", "blas"),
+        assert NUMPY_ROW_LIMIT == 16
+        # Before cnative loads, "auto" runs numpy when the shorter
+        # operand has at most 16 rows, whichever side it is, and blas
+        # above; once loaded, cnative takes both sides.
+        for loaded, short, large in ((False, "numpy", "blas"),
                                      (True, "cnative", "cnative")):
             pin_native(loaded)
-            assert pick_backend(2_000_000) == small
-            assert pick_backend(2_000_001) == large
+            assert pick_backend(16, 4_096, 64) == short
+            assert pick_backend(4_096, 16, 64) == short
+            assert pick_backend(17, 4_096, 64) == large
+            assert pick_backend(4_096, 17, 64) == large
             # A named backend runs as named on either side.
-            assert pick_backend(2_000_000, "numpy") == "numpy"
-            assert pick_backend(2_000_001, "numpy") == "numpy"
+            assert pick_backend(16, 16, 1, "blas") == "blas"
+            assert pick_backend(17, 17, 1, "blas") == "blas"
+
+    def test_picks_the_race_winners(self, clean_env, pin_native, tmp_path,
+                                    monkeypatch):
+        # On a cold cache with a compiler that always fails: numpy for
+        # the served segment and the mixture chunk, blas for 64^3 and
+        # the ld-gram Gram, the shapes docs/KERNELS.md races; cnative
+        # for all four once it has loaded.
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path / "cold"))
+        original = get_backend("cnative")
+        backend = register_backend(CNativeBackend(), replace=True)
+        shapes = {
+            (4, 4_096, 16): "numpy",
+            (65_536, 16, 32): "numpy",
+            (64, 64, 64): "blas",
+            (4_096, 4_096, 64): "blas",
+        }
+        try:
+            for shape, expected in shapes.items():
+                assert pick_backend(*shape) == expected, shape
+            # The Gram crossed the compile trigger; the build fails.
+            backend._builder.join(timeout=60)
+            for shape, expected in shapes.items():
+                assert pick_backend(*shape) == expected, shape
+            assert not backend_available("cnative")
+        finally:
+            register_backend(original, replace=True)
+        pin_native(True)
+        for shape in shapes:
+            assert pick_backend(*shape) == "cnative", shape
 
     def test_env_names_the_backend(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy")
-        assert pick_backend(2_000_001) == "numpy"
-        assert pick_backend(2_000_000) == "numpy"
+        assert pick_backend(4_096, 4_096, 64) == "numpy"
+        assert pick_backend(4, 4_096, 16) == "numpy"
 
     @staticmethod
     def _serial(a, b, op=ComparisonOp.AND):
@@ -356,29 +437,29 @@ class TestSizeRule:
         return report.backend, counters[GEMM_CALLS], counters[GEMM_WORD_OPS]
 
     def test_full_runs_either_side_of_the_limit(self, clean_env, pin_native):
-        # The counters are the same before and after cnative loads.
-        for loaded, small, large in ((False, "blis", "blas"),
+        # The shorter operand decides, on either side; the counters are
+        # the same before and after cnative loads.
+        for loaded, short, large in ((False, "numpy", "blas"),
                                      (True, "cnative", "cnative")):
             pin_native(loaded)
-            a = make_words(100, 200, np.uint8, seed=1)
-            b = make_words(100, 200, np.uint8, seed=2)
-            assert self._serial(a, b) == (small, 1, 2_000_000)
-            a = make_words(3, 666_667, np.uint8, seed=3)
-            b = make_words(1, 666_667, np.uint8, seed=4)
-            assert self._serial(a, b) == (large, 1, 2_000_001)
+            a = make_words(300, 20, np.uint8, seed=1)
+            b = make_words(16, 20, np.uint8, seed=2)
+            assert self._serial(a, b) == (short, 1, 300 * 16 * 20)
+            assert self._serial(b, a) == (short, 1, 300 * 16 * 20)
+            b = make_words(17, 20, np.uint8, seed=3)
+            assert self._serial(a, b) == (large, 1, 300 * 17 * 20)
+            assert self._serial(b, a) == (large, 1, 300 * 17 * 20)
 
     def test_gram_runs_either_side_of_the_limit(self, clean_env, pin_native):
         # A Gram run takes the rule a full run takes, and counts the
         # full product.
-        for loaded, small, large in ((False, "blis", "blas"),
+        for loaded, short, large in ((False, "numpy", "blas"),
                                      (True, "cnative", "cnative")):
             pin_native(loaded)
-            # 125 x 125 x 128 words = 2,000,000.
-            a = make_words(125, 128, np.uint8, seed=5)
-            assert self._serial(a, a) == (small, 1, 2_000_000)
-            # 126 x 126 x 126 words = 2,000,376.
-            a = make_words(126, 126, np.uint8, seed=6)
-            assert self._serial(a, a) == (large, 1, 126 ** 3)
+            a = make_words(16, 40, np.uint8, seed=5)
+            assert self._serial(a, a) == (short, 1, 16 * 16 * 40)
+            a = make_words(17, 40, np.uint8, seed=6)
+            assert self._serial(a, a) == (large, 1, 17 * 17 * 40)
 
 
 class TestBlasChunking:
@@ -448,7 +529,7 @@ class TestEngineBackends:
         assert np.array_equal(result.counts, ld_counts_naive(cohort.T))
         a = make_words(6, 3, np.uint32, seed=65)
         table, report = ParallelEngine(workers=1, backend=name).run(
-            a, a, ComparisonOp.AND, symmetric=True
+            a, a, ComparisonOp.AND
         )
         assert report.backend == name
         assert np.array_equal(
@@ -461,7 +542,7 @@ class TestEngineBackends:
         engine = ParallelEngine(workers=2)
         try:
             _, report = engine.run(
-                a, a, ComparisonOp.XOR, force_parallel=True, symmetric=False
+                a, a.copy(), ComparisonOp.XOR, force_parallel=True
             )
         finally:
             engine.shutdown()
@@ -479,7 +560,7 @@ class TestTunerBackendKeying:
                                                clean_env, pin_native):
         # A v2 record in the cache root names a backend that does not
         # exist for this 16 x 24 x 4-word shape: sharded "auto" follows
-        # the size rule in both cnative states and leaves the root as
+        # the shape rule in both cnative states and leaves the root as
         # it was.
         root = tmp_path / "xdg" / "repro"
         root.mkdir(parents=True)
@@ -503,7 +584,7 @@ class TestTunerBackendKeying:
         b = make_words(24, 4, np.uint32, seed=72)
         engine = ParallelEngine(workers=2)
         try:
-            for loaded, expected in ((False, "blis"), (True, "cnative")):
+            for loaded, expected in ((False, "numpy"), (True, "cnative")):
                 pin_native(loaded)
                 with monkeypatch.context() as env:
                     env.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
@@ -560,6 +641,11 @@ def _real_compiler():
         if found:
             return found
     pytest.skip("no C compiler on PATH")
+
+
+#: A GEMM shape of exactly :data:`COMPILE_TRIGGER_OPS` word-ops whose
+#: shorter operand takes ``blas`` before the library loads.
+TRIGGER_SHAPE = (128, 128, COMPILE_TRIGGER_OPS // 128**2)
 
 
 def _fake_cc(path, body):
@@ -763,21 +849,22 @@ class TestNativeDispatch:
     def test_compile_starts_once_at_the_trigger(self, fresh):
         register, runs = fresh
         backend = register()
-        # Below the trigger: today's choice, and no compiler started.
-        assert pick_backend(COMPILE_TRIGGER_OPS - 1) == "blas"
+        # Below the trigger (2**27 - 1 = 73 * 7 * 262,657 word-ops):
+        # today's choice, and no compiler started.
+        assert pick_backend(73, 262_657, 7) == "blas"
         assert backend._builder is None
         assert runs() == 0
         # Crossing it starts exactly one background build.
-        assert pick_backend(1) == "blis"
+        assert pick_backend(1, 1, 1) == "numpy"
         builder = backend._builder
         assert builder is not None
         builder.join(timeout=120)
         assert not builder.is_alive()
         assert runs() == 1
-        native = "cnative" if backend.body in HARDWARE_BODIES else "blis"
+        native = "cnative" if backend.body in HARDWARE_BODIES else "numpy"
         for _ in range(3):
-            assert pick_backend(1) == native
-            assert pick_backend(COMPILE_TRIGGER_OPS) == (
+            assert pick_backend(1, 1, 1) == native
+            assert pick_backend(*TRIGGER_SHAPE) == (
                 "cnative" if native == "cnative" else "blas"
             )
         assert backend._builder is builder
@@ -793,7 +880,7 @@ class TestNativeDispatch:
         def dispatch():
             barrier.wait(timeout=30)
             for _ in range(8):
-                pick_backend(COMPILE_TRIGGER_OPS // 64)
+                pick_backend(128, 128, 128)  # 2**21 = trigger / 64
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -819,10 +906,10 @@ class TestNativeDispatch:
         assert runs() == 1
         backend = register()
         assert backend.body is None  # nothing loads before a dispatch
-        expected = pick_backend(1)
+        expected = pick_backend(1, 1, 1)
         assert backend.body is not None
         assert expected == (
-            "cnative" if backend.body in HARDWARE_BODIES else "blis"
+            "cnative" if backend.body in HARDWARE_BODIES else "numpy"
         )
         assert backend._builder is None
         assert runs() == 1
@@ -833,9 +920,9 @@ class TestNativeDispatch:
         original = get_backend("cnative")
         backend = register_backend(CNativeBackend(), replace=True)
         try:
-            assert pick_backend(COMPILE_TRIGGER_OPS) == "blas"
+            assert pick_backend(*TRIGGER_SHAPE) == "blas"
             backend._builder.join(timeout=60)
-            assert pick_backend(COMPILE_TRIGGER_OPS) == "blas"
+            assert pick_backend(*TRIGGER_SHAPE) == "blas"
             assert not backend.info.available
             assert "failed" in backend.info.unavailable_reason
             assert list((tmp_path / "kernels").iterdir()) == []
@@ -863,7 +950,7 @@ class TestNativeCache:
             "from pathlib import Path\n"
             "from repro.kernels import pick_backend\n"
             "from repro.kernels.cnative_backend import COMPILE_TRIGGER_OPS\n"
-            "assert pick_backend(COMPILE_TRIGGER_OPS) == 'blas'\n"
+            "assert pick_backend(128, 128, COMPILE_TRIGGER_OPS // 128**2) == 'blas'\n"
             "pid = Path(sys.argv[1])\n"
             "deadline = time.monotonic() + 30\n"
             "while not (pid.exists() and pid.read_text().strip()):\n"
@@ -906,20 +993,24 @@ class TestCliBackendFlag:
         )
         path = tmp_path / "pop.snptxt"
         write_snptxt(path, dataset)
-        for backend in ("numpy", "blas", "blis"):
+        for backend in ("numpy", "blas"):
             assert main(
                 ["ld", "--input", str(path), "--backend", backend]
             ) == 0
         capsys.readouterr()
 
-    def test_backend_choices_come_from_registry(self):
+    def test_backend_choices_come_from_registry(self, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
-        # Unknown names are rejected at argparse level.
-        with pytest.raises(SystemExit):
-            parser.parse_args(["ld", "--input", "x", "--backend", "warp"])
-        for backend in ("blas", "blis"):
+        # Unknown names, the deleted blis walk among them, exit 2 at
+        # argparse level.
+        for name in ("warp", "blis"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["ld", "--input", "x", "--backend", name])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        for backend in ("numpy", "blas"):
             args = parser.parse_args(["ld", "--input", "x", "--backend", backend])
             assert args.backend == backend
 
@@ -941,7 +1032,7 @@ class TestCliBackendFlag:
             flags = {f for action in sub._actions for f in action.option_strings}
             assert "--strategy" not in flags, name
             assert "--executor" not in flags, name
-            assert "--backend" not in flags or "blis" in next(
+            assert "--backend" not in flags or "numpy" in next(
                 a.choices for a in sub._actions if "--backend" in a.option_strings
             ), name
 

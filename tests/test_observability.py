@@ -22,7 +22,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm
 from repro.core.framework import SNPComparisonFramework
 from repro.observability import (
     GEMM_CALLS,
@@ -52,7 +51,7 @@ from repro.observability.regress import (
     run_counted,
     write_metrics,
 )
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.engine import ParallelEngine, bit_gemm_parallel
 from repro.util.bitops import pack_bits
 
 
@@ -178,7 +177,7 @@ class TestNullPath:
         # The process default is the null tracer; run real instrumented
         # work and confirm nothing sticks anywhere.
         pa, pb = make_packed(16, 32, 4)
-        bit_gemm(pa, pb, "and", backend="blas")
+        bit_gemm_parallel(pa, pb, "and", workers=1, backend="blas")
         assert get_tracer().counters.snapshot() == {}
         assert get_tracer().n_spans() == 0
 
@@ -195,21 +194,22 @@ class TestCounterExactness:
     def test_serial_fast_driver(self):
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        bit_gemm(pa, pb, "and", backend="blas")
+        bit_gemm_parallel(pa, pb, "and", workers=1, backend="blas")
         assert tracer.counters.get(GEMM_WORD_OPS) == self.expected_word_ops()
         assert tracer.counters.get(GEMM_CALLS) == 1
 
     def test_serial_blocked_driver(self):
+        # The row-blocked reference word walk.
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        bit_gemm(pa, pb, "and", backend="blis")
+        bit_gemm_parallel(pa, pb, "and", workers=1, backend="numpy")
         assert tracer.counters.get(GEMM_WORD_OPS) == self.expected_word_ops()
         assert tracer.counters.get(GEMM_CALLS) == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "backend",
-        [pytest.param("blas", id="gemm"), pytest.param("blis", id="blocked")],
+        [pytest.param("blas", id="gemm"), pytest.param("numpy", id="blocked")],
     )
     def test_sharded_engine_all_paths(self, workers, backend):
         """Word-ops are exact however the work is partitioned."""

@@ -35,9 +35,9 @@ from repro.util.validation import check_workers
 
 OPS = [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
 WORKERS = [1, 2, 4]
-#: The two host paths, by test id: the dense identity GEMM (``blas``)
-#: and the blocked five-loop walk (``blis``).
-PATHS = [pytest.param("blas", id="gemm"), pytest.param("blis", id="blocked")]
+#: The two fallback paths, by test id: the dense identity GEMM
+#: (``blas``) and the row-blocked reference word walk (``numpy``).
+PATHS = [pytest.param("blas", id="gemm"), pytest.param("numpy", id="blocked")]
 
 
 @pytest.fixture(scope="module")
@@ -197,13 +197,18 @@ class TestEngineDispatch:
                                         pin_native):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         _, _, pa, pb = operands
-        # The size rule on a small problem, before and after cnative loads.
-        for loaded, expected in ((False, "blis"), (True, "cnative")):
+        # The shape rule on a small problem, before and after cnative
+        # loads: blas for 53 x 41 rows, numpy once either side has at
+        # most 16 rows.
+        for loaded, full, short in ((False, "blas", "numpy"),
+                                    (True, "cnative", "cnative")):
             pin_native(loaded)
-            c, report = ParallelEngine(workers=1).run(pa, pb)
-            assert not report.used_parallel
-            assert report.backend == expected
-            assert (c == bit_gemm_reference(pa, pb)).all()
+            for x, y, expected in ((pa, pb, full), (pa[:4], pb, short),
+                                   (pa, pb[:16], short)):
+                c, report = ParallelEngine(workers=1).run(x, y)
+                assert not report.used_parallel
+                assert report.backend == expected
+                assert (c == bit_gemm_reference(x, y)).all()
 
     def test_small_problem_below_crossover_stays_serial(self, operands):
         _, _, pa, pb = operands

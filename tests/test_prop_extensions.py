@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.blis.gemm import bit_gemm
+from repro.parallel import bit_gemm_parallel
 from repro.blis.microkernel import ComparisonOp
 from repro.multigpu.partition import partition_database
 from repro.sparse.auto import auto_comparison
@@ -40,7 +40,9 @@ class TestSparseProperties:
         a_bits, b_bits = a_bits[:, :width], b_bits[:, :width]
         sa = SparseSNPMatrix.from_dense(a_bits)
         sb = SparseSNPMatrix.from_dense(b_bits)
-        dense = bit_gemm(pack_bits(a_bits, 32), pack_bits(b_bits, 32), op, backend="blas")
+        dense = bit_gemm_parallel(
+            pack_bits(a_bits, 32), pack_bits(b_bits, 32), op, workers=1, backend="blas"
+        )
         assert (sparse_comparison(sa, sb, op) == dense).all()
 
     @settings(max_examples=50, deadline=None)
@@ -49,14 +51,18 @@ class TestSparseProperties:
         width = min(a_bits.shape[1], b_bits.shape[1])
         a_bits, b_bits = a_bits[:, :width], b_bits[:, :width]
         sa = SparseSNPMatrix.from_dense(a_bits)
-        dense = bit_gemm(pack_bits(a_bits, 32), pack_bits(b_bits, 32), op, backend="blas")
+        dense = bit_gemm_parallel(
+            pack_bits(a_bits, 32), pack_bits(b_bits, 32), op, workers=1, backend="blas"
+        )
         assert (sparse_dense_comparison(sa, b_bits, op) == dense).all()
 
     @settings(max_examples=40, deadline=None)
     @given(bit_matrices, ops)
     def test_auto_comparison_format_agnostic(self, bits, op):
         table, choice = auto_comparison(bits, op=op)
-        dense = bit_gemm(pack_bits(bits, 32), pack_bits(bits, 32), op, backend="blas")
+        dense = bit_gemm_parallel(
+            pack_bits(bits, 32), pack_bits(bits, 32), op, workers=1, backend="blas"
+        )
         assert (table == dense).all()
 
     @settings(max_examples=40, deadline=None)

@@ -9,18 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import (
-    bit_gemm,
-    bit_gemm_band,
-    bit_gemm_reference,
-)
+from repro.blis.gemm import bit_gemm_band, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import PackingError
 from repro.observability.tracer import Tracer, set_tracer
+from repro.parallel import bit_gemm_parallel
 
 ops = st.sampled_from(
     [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT, ComparisonOp.AND_PRENEGATED]
 )
+
+
+def blas(a, b, op):
+    """One ``blas`` table through the engine's one-shard path."""
+    return bit_gemm_parallel(a, b, op, workers=1, backend="blas")
 
 
 @st.composite
@@ -56,15 +58,19 @@ class TestDriverAgreement:
     @given(packed_pairs(), ops)
     def test_fast_equals_reference(self, pair, op):
         a, b = pair
-        assert (bit_gemm(a, b, op, backend="blas") == bit_gemm_reference(a, b, op)).all()
+        assert (blas(a, b, op) == bit_gemm_reference(a, b, op)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(packed_pairs(), ops, st.data())
     def test_blocked_equals_reference_any_plan(self, pair, op, data):
         a, b = pair
         plan = data.draw(blocking_plans(a.shape[0], b.shape[0], a.shape[1]))
+        # The engine shards along any blocking's m_r / n_r units.
         assert (
-            bit_gemm(a, b, op, backend="blis", plan=plan)
+            bit_gemm_parallel(
+                a, b, op, workers=2, plan=plan, force_parallel=True,
+                backend="numpy",
+            )
             == bit_gemm_reference(a, b, op)
         ).all()
 
@@ -113,18 +119,18 @@ class TestAlgebraicProperties:
     @given(packed_pairs())
     def test_and_symmetric(self, pair):
         a, b = pair
-        c_ab = bit_gemm(a, b, ComparisonOp.AND, backend="blas")
-        c_ba = bit_gemm(b, a, ComparisonOp.AND, backend="blas")
+        c_ab = blas(a, b, ComparisonOp.AND)
+        c_ba = blas(b, a, ComparisonOp.AND)
         assert (c_ab == c_ba.T).all()
 
     @settings(max_examples=40, deadline=None)
     @given(packed_pairs())
     def test_xor_distance_axioms(self, pair):
         a, b = pair
-        d = bit_gemm(a, b, ComparisonOp.XOR, backend="blas")
+        d = blas(a, b, ComparisonOp.XOR)
         assert (d >= 0).all()
         # Self-distance along matching rows is zero.
-        d_self = bit_gemm(a, a, ComparisonOp.XOR, backend="blas")
+        d_self = blas(a, a, ComparisonOp.XOR)
         assert (np.diag(d_self) == 0).all()
         # Symmetry.
         assert (d_self == d_self.T).all()
@@ -134,7 +140,7 @@ class TestAlgebraicProperties:
     def test_mixture_simplification_identity(self, pair):
         """popc((r^m) & r) == popc(r & ~m), the Section II-C identity."""
         r, m = pair
-        fused = bit_gemm(r, m, ComparisonOp.ANDNOT, backend="blas")
+        fused = blas(r, m, ComparisonOp.ANDNOT)
         # Direct evaluation of the unsimplified form.
         from repro.util.bitops import popcount
 
@@ -150,8 +156,8 @@ class TestAlgebraicProperties:
         """AND against ~m equals ANDNOT against m (Section II-C)."""
         r, m = pair
         assert (
-            bit_gemm(r, np.bitwise_not(m), ComparisonOp.AND_PRENEGATED, backend="blas")
-            == bit_gemm(r, m, ComparisonOp.ANDNOT, backend="blas")
+            blas(r, np.bitwise_not(m), ComparisonOp.AND_PRENEGATED)
+            == blas(r, m, ComparisonOp.ANDNOT)
         ).all()
 
     @settings(max_examples=40, deadline=None)
@@ -161,9 +167,9 @@ class TestAlgebraicProperties:
         if a.shape[0] < 2:
             return
         x, y = a[0:1], a[1:2]
-        d_xy = bit_gemm(x, y, ComparisonOp.XOR, backend="blas")[0, 0]
+        d_xy = blas(x, y, ComparisonOp.XOR)[0, 0]
         for j in range(b.shape[0]):
             z = b[j : j + 1]
-            d_xz = bit_gemm(x, z, ComparisonOp.XOR, backend="blas")[0, 0]
-            d_zy = bit_gemm(z, y, ComparisonOp.XOR, backend="blas")[0, 0]
+            d_xz = blas(x, z, ComparisonOp.XOR)[0, 0]
+            d_zy = blas(z, y, ComparisonOp.XOR)[0, 0]
             assert d_xy <= d_xz + d_zy

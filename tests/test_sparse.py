@@ -219,3 +219,16 @@ class TestAutoSelection:
             choose_representation(
                 np.zeros((2, 5), dtype=np.uint8), np.zeros((2, 6), dtype=np.uint8)
             )
+
+    @pytest.mark.parametrize("density", [0.01, 0.4])
+    @pytest.mark.parametrize("side", ["a", "b", "self"])
+    def test_non_binary_input_raises_one_dataset_error(self, density, side):
+        # Whichever representation would win, a 2 fails the one binary
+        # check before the cost model reads the density.
+        a = random_bits((8, 300), density, 11)
+        b = random_bits((6, 300), density, 12)
+        bad = (b if side == "b" else a).copy()
+        bad[3, 5] = 2
+        args = {"a": (bad, b), "b": (a, bad), "self": (bad, None)}[side]
+        with pytest.raises(DatasetError, match="non-binary"):
+            auto_comparison(*args)
