@@ -15,7 +15,13 @@ demonstrates, for both operators:
 * **bounded residency** -- ``ldops.window_peak_sites`` never exceeds
   the window, the O(window^2) resident-state claim CI gates exactly;
 * **determinism** -- the ``ldops.*`` counters are exact functions of
-  the pinned problem and are regression-gated.
+  the pinned problem and are regression-gated;
+* **one answer on both band paths** -- the chunked passes run on a
+  ``numpy`` framework (the NumPy band and the Python scans) and on a
+  ``cnative`` one (the library's fused prune scan and band-hits pass),
+  and must agree bit for bit: every result field and every
+  deterministic counter.  Each arm's pass times are reported; without
+  a C compiler the ``cnative`` arm reads as unavailable.
 
 Runs two ways:
 
@@ -35,8 +41,18 @@ import time
 
 import numpy as np
 
+from repro.core.config import Algorithm
+from repro.core.framework import SNPComparisonFramework
 from repro.core.ldops import ld_clump, ld_prune, r2_exceeds
+from repro.kernels import get_backend
 from repro.observability.regress import metric, run_counted, write_metrics
+
+#: The raced band paths: the NumPy band with the Python scans, and the
+#: native library's fused prune scan and band-hits pass.
+BAND_BACKENDS = ("numpy", "cnative")
+
+#: Timed passes per arm (the best one is reported).
+RACE_REPEATS = 3
 
 #: Full problem: a chromosome-arm-sized scan (window in sites).
 FULL_PROBLEM = dict(
@@ -136,8 +152,61 @@ def collect_counters(problem, sites, scores):
     return counters
 
 
+def _outcome(pruned, clumped):
+    """Every decision and statistic of one prune + clump pass."""
+    return (
+        pruned.kept.tolist(), pruned.pruned.tolist(), pruned.blocker.tolist(),
+        pruned.pairs_tested, pruned.peak_window_sites, pruned.simulated_seconds,
+        clumped.assignment.tolist(), clumped.clumps, clumped.pairs_tested,
+        clumped.peak_window_sites, clumped.simulated_seconds,
+    )
+
+
+def race_band_paths(problem, sites, scores):
+    """The chunked prune and clump on each band path of
+    :data:`BAND_BACKENDS`: per arm its availability and best pass
+    times, plus whether every available arm gave the same outcome and
+    the same deterministic counters."""
+    arms, answers = {}, []
+    for backend in BAND_BACKENDS:
+        info = get_backend(backend).info
+        if not info.available:
+            arms[backend] = {"available": False, "reason": info.unavailable_reason}
+            continue
+        framework = SNPComparisonFramework("Titan V", Algorithm.LD, backend=backend)
+
+        def prune():
+            return ld_prune(
+                sites, problem["window"], problem["prune_r2"],
+                chunk_rows=problem["chunk_rows"], framework=framework,
+            )
+
+        def clump():
+            return ld_clump(
+                sites, scores, problem["window"], problem["clump_r2"],
+                chunk_rows=problem["chunk_rows"], framework=framework,
+            )
+
+        pruned, prune_counters = run_counted(prune)
+        clumped, clump_counters = run_counted(clump)
+        answers.append(
+            (_outcome(pruned, clumped), prune_counters + clump_counters)
+        )
+        arm = {"available": True}
+        for op, run in (("prune", prune), ("clump", clump)):
+            times = []
+            for _ in range(RACE_REPEATS):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            arm[f"{op}_s"] = min(times)
+        arms[backend] = arm
+    return arms, all(answer == answers[0] for answer in answers)
+
+
 def run_bench(problem):
-    """Chunked vs in-memory vs dense reference; returns a JSON-ready dict."""
+    """Chunked vs in-memory vs dense reference, and the band paths
+    raced; returns a JSON-ready dict."""
     sites, scores = make_panel(problem)
     window = problem["window"]
     in_memory_rows = problem["n_sites"] + 1  # single chunk
@@ -181,6 +250,7 @@ def run_bench(problem):
     peak = max(
         prune_chunked.peak_window_sites, clump_chunked.peak_window_sites
     )
+    arms, band_paths_agree = race_band_paths(problem, sites, scores)
 
     return {
         "problem": dict(problem),
@@ -196,7 +266,9 @@ def run_bench(problem):
             "chunked_matches_inmemory": bool(chunked_matches_inmemory),
             "matches_dense_reference": bool(matches_dense_reference),
             "window_bound_ok": bool(peak <= window),
+            "band_paths_agree": bool(band_paths_agree),
         },
+        "band_paths": arms,
         "prune_wall_s": prune_wall,
         "clump_wall_s": clump_wall,
         "prune_pairs_tested": prune_chunked.pairs_tested,
@@ -227,6 +299,17 @@ def render(result):
         f"{'yes' if ld['chunked_matches_inmemory'] else 'NO'}",
         f"  matches dense ref   "
         f"{'yes' if ld['matches_dense_reference'] else 'NO'}",
+        *(
+            f"  {backend:<8} band     "
+            + (
+                f"prune {arm['prune_s']:.4f}s, clump {arm['clump_s']:.4f}s"
+                if arm["available"]
+                else f"unavailable ({arm['reason']})"
+            )
+            for backend, arm in result["band_paths"].items()
+        ),
+        f"  band paths agree    "
+        f"{'yes' if ld['band_paths_agree'] else 'NO'}",
     ])
 
 
@@ -249,6 +332,7 @@ if pytest is not None:
         assert result["ldops"]["chunked_matches_inmemory"]
         assert result["ldops"]["matches_dense_reference"]
         assert result["ldops"]["window_bound_ok"]
+        assert result["ldops"]["band_paths_agree"]
 
     @pytest.mark.artifact("ldops")
     def bench_ldops_prune_pass(benchmark):
@@ -280,7 +364,7 @@ def main(argv=None):
 
     if args.json:
         # The exact outcome and gates, the deterministic counters of an
-        # untimed pass, and the two pass timings.
+        # untimed pass, the two pass timings and each band arm's.
         sites, scores = make_panel(problem)
         write_metrics(
             args.json,
@@ -288,6 +372,12 @@ def main(argv=None):
             + collect_counters(problem, sites, scores)
             + [
                 metric(f"span.ldops.{op}_pass.total_s", result[f"{op}_wall_s"], "timing")
+                for op in ("prune", "clump")
+            ]
+            + [
+                metric(f"span.ldops.{op}_pass.{backend}.total_s", arm[f"{op}_s"], "timing")
+                for backend, arm in result["band_paths"].items()
+                if arm["available"]
                 for op in ("prune", "clump")
             ],
         )
@@ -299,6 +389,7 @@ def main(argv=None):
             "chunked_matches_inmemory",
             "matches_dense_reference",
             "window_bound_ok",
+            "band_paths_agree",
         )
         if not result["ldops"][gate]
     ]

@@ -5,8 +5,10 @@
   popcounts with a bounded broadcast temporary; used by tests.
 * :func:`bit_gemm_band` -- the counted band driver for windowed LD: only
   the ``width`` sub-diagonals of a self-comparison, walked diagonal by
-  diagonal over the packed words (no backend axis; see
-  ``docs/KERNELS.md``).
+  diagonal over the packed words.  It is the NumPy path of the LD band;
+  once the one shape rule names ``cnative``, :mod:`repro.core.ldops`
+  counts and decides the band in the native library instead (see
+  ``docs/LDOPS.md``).  Either way :func:`counted_band` counts it.
 
 Every other table is counted and computed by the parallel engine
 (:func:`repro.parallel.bit_gemm_parallel`; ``workers=1`` is one shard
@@ -26,6 +28,9 @@ shard plan (:mod:`repro.parallel`), without changing the count.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.errors import PackingError
@@ -39,6 +44,7 @@ __all__ = [
     "HOST_BLOCKING",
     "bit_gemm_band",
     "bit_gemm_reference",
+    "counted_band",
     "host_plan",
     "same_operand",
 ]
@@ -92,6 +98,27 @@ def bit_gemm_reference(
     return reference_panel(a, b, get_microkernel(op))
 
 
+@contextmanager
+def counted_band(
+    m: int, width: int, start: int, k: int, backend: str
+) -> Iterator[None]:
+    """Count one LD band and time the work under ``gemm.backend``.
+
+    The band of rows ``start .. m-1`` over sub-diagonals ``1 .. width``
+    of an ``m``-row self-comparison is one :data:`GEMM_CALLS` and its
+    partnered cells times ``k`` :data:`GEMM_WORD_OPS`, whichever backend
+    counts it (``backend`` names it on the span).
+    """
+    obs = get_tracer()
+    obs.counters.add(GEMM_CALLS)
+    obs.counters.add(
+        GEMM_WORD_OPS,
+        sum(max(0, m - max(start, d)) for d in range(1, min(width, m - 1) + 1)) * k,
+    )
+    with obs.span("gemm.backend", backend=backend, m=m - start, n=width, k=k):
+        yield
+
+
 def bit_gemm_band(
     a: np.ndarray,
     width: int,
@@ -120,18 +147,12 @@ def bit_gemm_band(
         raise PackingError(
             f"bit_gemm_band: start must be in [0, {m}], got {start}"
         )
-    diagonals = range(1, min(width, m - 1) + 1)
-    obs = get_tracer()
-    obs.counters.add(GEMM_CALLS)
-    obs.counters.add(
-        GEMM_WORD_OPS, sum(max(0, m - max(start, d)) for d in diagonals) * k
-    )
     combine = get_microkernel(op).combine
     band = np.zeros((m - start, width), dtype=np.int64)
-    with obs.span("gemm.backend", backend="band", m=m - start, n=width, k=k):
+    with counted_band(m, width, start, k, backend="band"):
         # Whole uint64 words popcount the same bits in fewer steps.
         words = canonicalize_words(a)
-        for d in diagonals:
+        for d in range(1, min(width, m - 1) + 1):
             lo = max(start, d)
             band[lo - start :, d - 1] = popcount(
                 combine(words[lo:], words[lo - d : m - d])

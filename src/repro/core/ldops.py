@@ -22,26 +22,36 @@ matrix.  Each consumes the streamed site-major input chunk by chunk
 uses) as packed words -- a ``.snpbin``'s own words, any other source
 checked and packed once per chunk on the prefetch thread -- stacks the
 chunk's words under the buffered window rows (kept packed) and counts
-only the *window band* of the stack's self-comparison with
-:func:`~repro.blis.gemm.bit_gemm_band`: the joint counts of every
-chunk row with the (at most ``window - 1``) stack rows above it.
-Resident LD state is therefore ``O(chunk * window)`` counts plus at most
-``window - 1`` buffered site vectors, regardless of panel size (see
-``docs/LDOPS.md`` for the precise bound and the clump bookkeeping
+only the *window band* of the stack's self-comparison: the joint counts
+of every chunk row with the (at most ``window - 1``) stack rows above
+it.  Resident LD state is therefore ``O(chunk * window)`` counts plus
+at most ``window - 1`` buffered site vectors, regardless of panel size
+(see ``docs/LDOPS.md`` for the precise bound and the clump bookkeeping
 caveat).
 
-Decisions are made from *exact integer joint counts* (the band
-output), via the shared predicate :func:`r2_exceeds`:
+Decisions are made from *exact integer joint counts* via the shared
+predicate :func:`r2_exceeds`:
 
     r^2 = (n c_ab - c_a c_b)^2 / (c_a (n - c_a) c_b (n - c_b))
 
-evaluated as an exact integer numerator/denominator pair (a whole band
-at a time by :func:`r2_exceeds_array`), so results are bit-identical
-between chunked streaming and in-memory execution for every chunk size
--- a property the tests pin down against a naive dense reference.  A
-site with zero variance (monomorphic) has an undefined r^2; it is
-treated as 0 (never prunes, never absorbs, never is absorbed), matching
-:attr:`~repro.core.ld.LDResult.r_squared`.
+evaluated as an exact integer numerator/denominator pair, so results
+are bit-identical between chunked streaming and in-memory execution for
+every chunk size -- a property the tests pin down against a naive dense
+reference.  A site with zero variance (monomorphic) has an undefined
+r^2; it is treated as 0 (never prunes, never absorbs, never is
+absorbed), matching :attr:`~repro.core.ld.LDResult.r_squared`.
+
+Each band runs where the one shape rule,
+:func:`~repro.kernels.pick_backend` on ``(chunk rows, band width,
+words)`` and the framework's backend, sends it.  On ``cnative`` the
+native library decides it in C: the pruner's greedy scan counts each
+pair it tests on demand and stops at a site's first blocker
+(:meth:`~repro.kernels.cnative_backend.CNativeBackend.prune_scan`), and
+the clumper gets the band's hits bitmap
+(:meth:`~repro.kernels.cnative_backend.CNativeBackend.band_hits`).  On
+any other backend :func:`~repro.blis.gemm.bit_gemm_band` counts the
+band, :func:`r2_exceeds_array` decides it and the scans run in Python.
+Both paths give the same decisions, counters and simulated time.
 
 Rows of the streamed source are the *sites* being pruned/clumped
 (columns are samples/observations) -- the transpose of a sample-major
@@ -53,12 +63,13 @@ reads its entities.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.blis.gemm import bit_gemm_band
+from repro.blis.gemm import bit_gemm_band, counted_band
 from repro.core.framework import SNPComparisonFramework
 from repro.core.ld import ld_framework
 from repro.core.packing import PackedOperand, pack_operand
@@ -68,6 +79,8 @@ from repro.gpu.executor import price_kernel
 from repro.gpu.kernel import KernelArgs
 from repro.io_stream.prefetch import StreamStats
 from repro.io_stream.sources import ChunkSource, as_chunk_source
+from repro.kernels import get_backend, pick_backend
+from repro.kernels.cnative_backend import CNativeBackend
 from repro.observability.counters import (
     LDOPS_CLUMPS_FORMED,
     LDOPS_PAIRS_TESTED,
@@ -163,6 +176,11 @@ def r2_exceeds_array(
     return np.asarray(exceeds, dtype=bool) & (den != 0)
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-chunk site arrays as one int64 array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+
+
 def _check_params(name: str, window: int, r2: float) -> None:
     if window < 1:
         raise DatasetError(f"{name}: window must be >= 1, got {window}")
@@ -172,7 +190,7 @@ def _check_params(name: str, window: int, r2: float) -> None:
 
 @dataclass
 class _Stack:
-    """One chunk stacked under the buffered window rows, plus its band."""
+    """One chunk stacked under the buffered window rows."""
 
     #: Buffered rows, then the chunk's rows (packed site vectors).
     rows: np.ndarray
@@ -183,10 +201,14 @@ class _Stack:
     #: How many buffered rows sit above the chunk: chunk row ``local``
     #: is stack row ``buffered + local``.
     buffered: int
-    #: ``hits[local, d-1]``: the r^2 test passes between chunk row
-    #: ``local`` and the stack row ``d`` positions above it (False
-    #: where there is no such row).
-    hits: np.ndarray
+    #: Band columns: each chunk row pairs with at most this many rows
+    #: above it.
+    width: int
+    #: Observation columns of every row.
+    n_obs: int
+    #: The library that decides this band, or ``None`` for the NumPy
+    #: band and the Python scans.
+    native: CNativeBackend | None
 
 
 class _WindowBand:
@@ -194,13 +216,20 @@ class _WindowBand:
 
     Keeps the packed site vectors later sites may still pair with (the
     only input ever re-touched) and their global indices and allele
-    counts.  Each new packed chunk is stacked under them, and the chunk
-    rows' first ``min(window, stack rows) - 1`` sub-diagonals are
-    counted by :func:`~repro.blis.gemm.bit_gemm_band`.  Buffered rows
-    are in ascending site order and no two rows are further apart in
-    the stack than in sites, so the band holds every in-window pair of
-    a chunk row; callers still filter by global site index.  Eviction
-    keeps the buffer at most ``window - 1`` rows between chunks.
+    counts.  Each new packed chunk is stacked under them; the band is
+    the chunk rows' first ``min(window, stack rows) - 1`` sub-diagonals.
+    Buffered rows are in ascending site order and no two rows are
+    further apart in the stack than in sites, so the band holds every
+    in-window pair of a chunk row; callers still filter by global site
+    index.  Eviction keeps the buffer at most ``window - 1`` rows
+    between chunks.
+
+    :meth:`stack` asks the one shape rule where the band runs: on
+    ``cnative`` (loaded, and its exact r^2 test covering the chunk's
+    observation count) the library decides it, counted by
+    :meth:`native_call`; otherwise :meth:`hits` counts it with
+    :func:`~repro.blis.gemm.bit_gemm_band` and decides it with
+    :func:`r2_exceeds_array`.
     """
 
     def __init__(self, window: int, framework: SNPComparisonFramework) -> None:
@@ -238,8 +267,8 @@ class _WindowBand:
                 f"r^2 is undefined on zero observations"
             )
 
-    def stack(self, chunk: PackedOperand, r2: float, strict: bool) -> _Stack:
-        """Stack and band one admitted chunk; decide r^2 on its band."""
+    def stack(self, chunk: PackedOperand) -> _Stack:
+        """Stack one admitted chunk, price its band and pick its path."""
         self.n_obs = chunk.n_bits
         words = chunk.words[: chunk.n_rows]
         buffered = len(self._indices)
@@ -252,21 +281,48 @@ class _WindowBand:
             [self._indices, np.arange(self.next_site, self.next_site + len(words))]
         )
         stack_counts = np.concatenate([self._counts, counts])
-        band = bit_gemm_band(rows, width, start=buffered)
-        partner = np.arange(buffered, len(rows))[:, None] - np.arange(1, width + 1)
-        has_partner = partner >= 0
-        hits = has_partner & r2_exceeds_array(
-            band,
-            stack_counts[np.where(has_partner, partner, 0)],
-            counts[:, None],
-            self.n_obs,
-            r2,
-            strict,
-        )
         if width:
             args = KernelArgs(m=len(words), n=width, k=chunk.k_words)
             self.simulated_seconds += price_kernel(self.framework.kernel, args).seconds
-        return _Stack(rows, indices, stack_counts, buffered, hits)
+        native = None
+        name = pick_backend(len(words), width, chunk.k_words, self.framework.backend)
+        if name == CNativeBackend.name:
+            backend = get_backend(name)
+            if isinstance(backend, CNativeBackend) and chunk.n_bits <= backend.ld_max_obs:
+                native = backend
+        return _Stack(rows, indices, stack_counts, buffered, width, chunk.n_bits, native)
+
+    def native_call(self, stack: _Stack) -> AbstractContextManager[None]:
+        """Count the band the library decides, timed under ``gemm.backend``."""
+        return counted_band(
+            len(stack.rows), stack.width, stack.buffered, stack.rows.shape[1],
+            backend=CNativeBackend.name,
+        )
+
+    def hits(self, stack: _Stack, r2: float, strict: bool) -> np.ndarray:
+        """The decided band: ``hits[local, d-1]`` is whether the r^2 test
+        passes between chunk row ``local`` and the stack row ``d``
+        positions above it (False where there is no such row)."""
+        if stack.native is not None:
+            with self.native_call(stack):
+                return stack.native.band_hits(
+                    stack.rows, stack.counts, stack.buffered, stack.width,
+                    stack.n_obs, r2, strict,
+                )
+        band = bit_gemm_band(stack.rows, stack.width, start=stack.buffered)
+        partner = (
+            np.arange(stack.buffered, len(stack.rows))[:, None]
+            - np.arange(1, stack.width + 1)
+        )
+        has_partner = partner >= 0
+        return has_partner & r2_exceeds_array(
+            band,
+            stack.counts[np.where(has_partner, partner, 0)],
+            stack.counts[stack.buffered :, None],
+            stack.n_obs,
+            r2,
+            strict,
+        )
 
     def retain(self, stack: _Stack, keep: np.ndarray) -> None:
         """Buffer the ``keep``-masked stack rows still inside a window.
@@ -300,7 +356,8 @@ class PruneResult:
     pairs_tested:
         Exact number of (new site, kept window site) pairs the greedy
         scan examined, stopping at the first blocker -- invariant under
-        chunking.  The band decides r^2 for more cells than this.
+        chunking.  The NumPy band decides r^2 for more cells than this;
+        the native fused scan evaluates exactly these pairs.
     peak_window_sites:
         Largest number of kept sites simultaneously inside one window
         (including the site being decided), at most ``window``; it
@@ -350,9 +407,10 @@ class LDPruner:
         self.r2 = float(r2)
         self.framework = ld_framework("LDPruner", framework, device)
         self._band = _WindowBand(window, self.framework)
-        self._kept: list[int] = []
-        self._pruned: list[int] = []
-        self._blocker: list[int] = []
+        # One array per chunk, joined at finalize.
+        self._kept: list[np.ndarray] = []
+        self._pruned: list[np.ndarray] = []
+        self._blocker: list[np.ndarray] = []
         self.pairs_tested = 0
         self.peak_window_sites = 0
         self._finalized = False
@@ -372,8 +430,37 @@ class LDPruner:
     def _add_packed(self, chunk: PackedOperand) -> None:
         """Scan one packed block of site rows."""
         self._band.admit("LDPruner.add_chunk", chunk)
-        base = self._band.next_site
-        stack = self._band.stack(chunk, self.r2, strict=True)
+        stack = self._band.stack(chunk)
+        if stack.native is None:
+            keep, blocker, tested, peak = self._scan(
+                stack, self._band.hits(stack, self.r2, strict=True)
+            )
+        else:
+            with self._band.native_call(stack):
+                keep, blocker, tested, peak = stack.native.prune_scan(
+                    stack.rows, stack.indices, stack.counts, stack.buffered,
+                    self.window, stack.n_obs, self.r2,
+                )
+        sites = stack.indices[stack.buffered :]
+        kept = keep[stack.buffered :]
+        self._kept.append(sites[kept])
+        self._pruned.append(sites[~kept])
+        self._blocker.append(blocker[~kept])
+        self.pairs_tested += tested
+        self.peak_window_sites = max(self.peak_window_sites, peak)
+        self._band.next_site += chunk.n_rows
+        self._band.retain(stack, keep)
+
+    def _scan(
+        self, stack: _Stack, hits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """The greedy scan over a decided band, in Python.
+
+        Returns what
+        :meth:`~repro.kernels.cnative_backend.CNativeBackend.prune_scan`
+        returns: the keep mask per stack row, the blocking site per
+        chunk row (-1 where kept), the pairs tested and the peak window.
+        """
         # Kept sites of the trailing window, oldest first: (global
         # index, stack row).  Only kept rows are buffered.
         window_kept = deque(
@@ -381,29 +468,23 @@ class LDPruner:
         )
         keep = np.zeros(len(stack.indices), dtype=bool)
         keep[: stack.buffered] = True
-        tested = 0
-        for local, hits in enumerate(stack.hits.tolist()):
-            g = base + local
+        blocker = np.full(len(stack.indices) - stack.buffered, -1, dtype=np.int64)
+        tested = peak = 0
+        sites = stack.indices[stack.buffered :].tolist()
+        for local, (g, row_hits) in enumerate(zip(sites, hits.tolist())):
             q = stack.buffered + local
             while window_kept and window_kept[0][0] <= g - self.window:
                 window_kept.popleft()
-            blocked_by = -1
             for other_g, p in window_kept:
                 tested += 1
-                if hits[q - p - 1]:
-                    blocked_by = other_g
+                if row_hits[q - p - 1]:
+                    blocker[local] = other_g
                     break
-            if blocked_by >= 0:
-                self._pruned.append(g)
-                self._blocker.append(blocked_by)
             else:
-                self._kept.append(g)
                 keep[q] = True
                 window_kept.append((g, q))
-            self.peak_window_sites = max(self.peak_window_sites, len(window_kept))
-        self.pairs_tested += tested
-        self._band.next_site = base + chunk.n_rows
-        self._band.retain(stack, keep)
+            peak = max(peak, len(window_kept))
+        return keep, blocker, tested, peak
 
     def finalize(self) -> PruneResult:
         """Close the stream and return the result (idempotent counters)."""
@@ -411,14 +492,14 @@ class LDPruner:
             self._finalized = True
             counters = get_tracer().counters
             counters.add(LDOPS_SITES_SEEN, self.sites_seen)
-            counters.add(LDOPS_SITES_KEPT, len(self._kept))
-            counters.add(LDOPS_SITES_PRUNED, len(self._pruned))
+            counters.add(LDOPS_SITES_KEPT, sum(map(len, self._kept)))
+            counters.add(LDOPS_SITES_PRUNED, sum(map(len, self._pruned)))
             counters.add(LDOPS_PAIRS_TESTED, self.pairs_tested)
             counters.add(LDOPS_WINDOW_PEAK_SITES, self.peak_window_sites)
         return PruneResult(
-            kept=np.array(self._kept, dtype=np.int64),
-            pruned=np.array(self._pruned, dtype=np.int64),
-            blocker=np.array(self._blocker, dtype=np.int64),
+            kept=_joined(self._kept),
+            pruned=_joined(self._pruned),
+            blocker=_joined(self._blocker),
             n_sites=self.sites_seen,
             window=self.window,
             r2=self.r2,
@@ -546,13 +627,14 @@ class LDClumper:
                 f"{self.scores.shape[0]} supplied scores "
                 f"(chunk covers sites {base}..{base + n_new - 1})"
             )
-        stack = self._band.stack(chunk, self.r2, strict=False)
+        stack = self._band.stack(chunk)
+        hits = self._band.hits(stack, self.r2, strict=False)
         # Every row is buffered, so the stack is contiguous in sites:
         # hits[local, d-1] pairs site base + local with the site d
         # earlier.  Edges are listed oldest neighbor first.
-        width = stack.hits.shape[1]
+        width = stack.width
         edges: list[list[int]] = [[] for _ in range(n_new)]
-        rows, cols = np.nonzero(stack.hits[:, ::-1])
+        rows, cols = np.nonzero(hits[:, ::-1])
         for local, col in zip(rows.tolist(), cols.tolist()):
             edges[local].append(base + local - (width - col))
         for local in range(n_new):
@@ -578,30 +660,22 @@ class LDClumper:
         is below ``complete_before``).  A complete site settles when
         every better-ranked above-threshold neighbor is settled: it is
         absorbed by the best-ranked settled *index* neighbor, or
-        becomes an index variant itself.
+        becomes an index variant itself.  Only a complete site settles,
+        so visiting the complete sites once in rank order visits every
+        better-ranked neighbor that can settle now before the site
+        itself: one pass settles all that can.
         """
-        progressed = True
-        while progressed:
-            progressed = False
-            for g in sorted(self._pending):
-                if g >= complete_before:
-                    continue
-                pending = self._pending[g]
-                my_rank = self._rank(g)
-                better = [
-                    e for e in pending.edges if self._rank(e) < my_rank
-                ]
-                if any(e not in self._assignment for e in better):
-                    continue
-                absorbers = [
-                    e for e in better if self._assignment[e] == e
-                ]
-                if absorbers:
-                    self._assignment[g] = min(absorbers, key=self._rank)
-                else:
-                    self._assignment[g] = g
-                del self._pending[g]
-                progressed = True
+        complete = sorted(
+            (g for g in self._pending if g < complete_before), key=self._rank
+        )
+        for g in complete:
+            my_rank = self._rank(g)
+            better = [e for e in self._pending[g].edges if self._rank(e) < my_rank]
+            if any(e not in self._assignment for e in better):
+                continue
+            absorbers = [e for e in better if self._assignment[e] == e]
+            self._assignment[g] = min(absorbers, key=self._rank) if absorbers else g
+            del self._pending[g]
 
     def finalize(self) -> ClumpResult:
         """Close the stream, settle every site, return the result."""

@@ -13,8 +13,11 @@ can misname a virtualised CPU (a KVM host that exposes VPOPCNTDQ reads
 as ``cooperlake``), and ``target_clones`` then runs the plain
 ``popcnt`` clone.  The same library computes
 :attr:`~repro.core.ld.LDResult.r_squared` in one pass
-(:meth:`CNativeBackend.r_squared`); ``-ffp-contract=off`` keeps that
-pass bit-identical to the NumPy code.
+(:meth:`CNativeBackend.r_squared`) and decides the windowed LD band of
+:mod:`repro.core.ldops` (:meth:`CNativeBackend.prune_scan`,
+:meth:`CNativeBackend.band_hits`: scalar loops compiled per body, with
+an exact integer r^2 test); ``-ffp-contract=off`` keeps both
+bit-identical to the NumPy code.
 
 The library is cached per user, keyed by a hash of the source, the
 compiler, the flags and ``platform.machine()``; the body is picked at
@@ -56,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.blis.microkernel import ComparisonOp
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PackingError
 from repro.kernels.abi import (
     OPCODES,
     BackendInfo,
@@ -92,7 +95,10 @@ DEFAULT_KERNEL_CACHE = "~/.cache/repro/kernels"
 #: the 4,096^2 x 32 ld-gram Gram), so the trigger is 0.4-0.6 s of
 #: reference work or about 0.1 s of BLAS work, and a process that does
 #: little GEMM work never starts a compiler.  A served search (~6.4M
-#: word-ops) stays far below.
+#: word-ops) stays far below.  LD bands count too: each adds its chunk
+#: rows x band width x words (a 16,384-site x 1,024-sample prune pass
+#: at window 50 adds about 25.7M, so the sixth such pass starts the
+#: build).
 COMPILE_TRIGGER_OPS = 1 << 27
 
 #: Bodies that use a popcount instruction.  ``"auto"`` takes
@@ -398,6 +404,197 @@ int32_t repro_bit_gemm_panel(int32_t body, const uint64_t *a,
     return BODIES[body](a, b, c, m, n, k, opcode);
 }
 
+/* -- The windowed LD band of repro.core.ldops ----------------------------
+
+   r2_hit is ldops.r2_exceeds on one pair: the joint count c_ab and the
+   allele counts c_a, c_b over n observations, (n c_ab - c_a c_b)^2
+   against threshold * c_a (n - c_a) c_b (n - c_b), strict (>) or
+   inclusive (>=), false where that denominator is 0.  Up to
+   INT64_EXACT_MAX_OBS the numerator and the denominator are exact int64
+   values below 2^53 and the comparison is r2_exceeds_array's float64
+   one.  Above it they are exact __int128 values (at most n^4 / 16, below
+   2^121 up to LD_MAX_OBS), the bound is the double product Python forms
+   (the correctly rounded double of the denominator times threshold),
+   and the numerator is compared with it exactly, as Python compares an
+   int with a float. */
+#define INT64_EXACT_MAX_OBS 19000
+#ifdef __SIZEOF_INT128__
+#define LD_MAX_OBS ((int64_t)1 << 31)
+#else
+#define LD_MAX_OBS ((int64_t)INT64_EXACT_MAX_OBS)
+#endif
+
+#if defined(__GNUC__) || defined(__clang__)
+#define LD_INLINE static inline __attribute__((always_inline))
+#else
+#define LD_INLINE static inline
+#endif
+
+LD_INLINE int r2_hit(int64_t c_ab, int64_t c_a, int64_t c_b, int64_t n,
+                     double threshold, int strict) {
+    if (n <= INT64_EXACT_MAX_OBS) {
+        const int64_t root = n * c_ab - c_a * c_b;
+        const int64_t den = c_a * (n - c_a) * c_b * (n - c_b);
+        if (den == 0) return 0;
+        const double num = (double)(root * root);
+        const double bound = threshold * (double)den;
+        return strict ? num > bound : num >= bound;
+    }
+#ifdef __SIZEOF_INT128__
+    {
+        const __int128 root = (__int128)n * c_ab - (__int128)c_a * c_b;
+        const __int128 den = (__int128)(c_a * (n - c_a)) * (c_b * (n - c_b));
+        if (den == 0) return 0;
+        const __int128 num = root * root;
+        const double bound = threshold * (double)den;
+        /* 0 <= bound < 2^121: its integer part converts exactly.  An
+           integer exceeds bound iff it exceeds that part, and meets it
+           also when it equals an integral bound. */
+        const __int128 whole = (__int128)bound;
+        return num > whole || (!strict && num == whole && (double)whole == bound);
+    }
+#else
+    return 0; /* callers stop at repro_ld_max_obs() */
+#endif
+}
+
+/* The joint popcount of two stack rows of k words. */
+LD_INLINE int64_t joint_count(const uint64_t *x, const uint64_t *y, int64_t k) {
+    int64_t acc = 0;
+    for (int64_t t = 0; t < k; ++t) acc += POPC64(x[t] & y[t]);
+    return acc;
+}
+
+/* LDPruner's greedy scan of one stack in one pass.  Stack rows [0,
+   buffered) are kept rows of earlier chunks, rows [buffered, s) the
+   chunk's sites; site[] is each row's global index (ascending) and
+   count[] its allele count.  Each chunk row walks the kept rows inside
+   its window oldest first (queue[head, tail)), counts each joint
+   popcount on demand, and stops at the first pair whose r^2 exceeds the
+   threshold.  Writes keep[] per stack row, blocker[] per chunk row (the
+   blocking site, or -1) and the largest window of kept sites; returns
+   the pairs tested. */
+LD_INLINE int64_t prune_scan(const uint64_t *rows, int64_t s, int64_t k,
+                             const int64_t *site, const int64_t *count,
+                             int64_t buffered, int64_t window, int64_t n,
+                             double threshold, int64_t *queue, uint8_t *keep,
+                             int64_t *blocker, int64_t *peak) {
+    int64_t head = 0, tail = 0, tested = 0, top = 0;
+    for (int64_t p = 0; p < buffered; ++p) {
+        keep[p] = 1;
+        queue[tail++] = p;
+    }
+    for (int64_t q = buffered; q < s; ++q) {
+        const int64_t g = site[q];
+        const uint64_t *row = rows + q * k;
+        while (head < tail && site[queue[head]] <= g - window) ++head;
+        int64_t by = -1;
+        for (int64_t j = head; j < tail; ++j) {
+            const int64_t p = queue[j];
+            ++tested;
+            if (r2_hit(joint_count(row, rows + p * k, k), count[p], count[q], n,
+                       threshold, 1)) {
+                by = site[p];
+                break;
+            }
+        }
+        blocker[q - buffered] = by;
+        keep[q] = by < 0;
+        if (by < 0) queue[tail++] = q;
+        if (tail - head > top) top = tail - head;
+    }
+    *peak = top;
+    return tested;
+}
+
+/* The decided band of stack rows [start, s): hits[(q - start) * width +
+   d - 1] is whether the pair (q, q - d) passes the r^2 test, 0 where q <
+   d -- the cells repro.blis.gemm.bit_gemm_band counts. */
+LD_INLINE void band_hits(const uint64_t *rows, int64_t s, int64_t k,
+                         const int64_t *count, int64_t start, int64_t width,
+                         int64_t n, double threshold, int32_t strict,
+                         uint8_t *hits) {
+    for (int64_t q = start; q < s; ++q) {
+        const uint64_t *row = rows + q * k;
+        uint8_t *h = hits + (q - start) * width;
+        for (int64_t d = 1; d <= width; ++d)
+            h[d - 1] = d <= q && r2_hit(joint_count(row, rows + (q - d) * k, k),
+                                        count[q - d], count[q], n, threshold,
+                                        strict);
+    }
+}
+
+typedef int64_t (*prune_fn)(const uint64_t *, int64_t, int64_t, const int64_t *,
+                            const int64_t *, int64_t, int64_t, int64_t, double,
+                            int64_t *, uint8_t *, int64_t *, int64_t *);
+typedef void (*hits_fn)(const uint64_t *, int64_t, int64_t, const int64_t *,
+                        int64_t, int64_t, int64_t, double, int32_t, uint8_t *);
+
+/* The two band entries of one body: the scalar loops above, inlined
+   into the body's target so its popcount instruction counts the pairs. */
+#define LD_BAND(NAME, ATTR)                                                  \\
+    ATTR static int64_t prune_##NAME(                                        \\
+        const uint64_t *rows, int64_t s, int64_t k, const int64_t *site,     \\
+        const int64_t *count, int64_t buffered, int64_t window, int64_t n,   \\
+        double threshold, int64_t *queue, uint8_t *keep, int64_t *blocker,   \\
+        int64_t *peak) {                                                     \\
+        return prune_scan(rows, s, k, site, count, buffered, window, n,      \\
+                          threshold, queue, keep, blocker, peak);            \\
+    }                                                                        \\
+    ATTR static void hits_##NAME(                                            \\
+        const uint64_t *rows, int64_t s, int64_t k, const int64_t *count,    \\
+        int64_t start, int64_t width, int64_t n, double threshold,           \\
+        int32_t strict, uint8_t *hits) {                                     \\
+        band_hits(rows, s, k, count, start, width, n, threshold, strict,     \\
+                  hits);                                                     \\
+    }
+
+LD_BAND(portable, )
+#ifdef HAVE_X86_BODIES
+LD_BAND(popcnt, __attribute__((target("popcnt"))))
+#endif
+#ifdef HAVE_VPOPCNTDQ
+LD_BAND(vpopcntdq, __attribute__((target("popcnt,avx512f,avx512vpopcntdq"))))
+#endif
+
+static const prune_fn PRUNE_SCANS[] = {
+    prune_portable,
+#ifdef HAVE_X86_BODIES
+    prune_popcnt,
+#endif
+#ifdef HAVE_VPOPCNTDQ
+    prune_vpopcntdq,
+#endif
+};
+static const hits_fn BAND_HITS[] = {
+    hits_portable,
+#ifdef HAVE_X86_BODIES
+    hits_popcnt,
+#endif
+#ifdef HAVE_VPOPCNTDQ
+    hits_vpopcntdq,
+#endif
+};
+
+int64_t repro_ld_max_obs(void) { return LD_MAX_OBS; }
+
+int64_t repro_ld_prune_scan(int32_t body, const uint64_t *rows, int64_t s,
+                            int64_t k, const int64_t *site,
+                            const int64_t *count, int64_t buffered,
+                            int64_t window, int64_t n, double threshold,
+                            int64_t *queue, uint8_t *keep, int64_t *blocker,
+                            int64_t *peak) {
+    return PRUNE_SCANS[body](rows, s, k, site, count, buffered, window, n,
+                             threshold, queue, keep, blocker, peak);
+}
+
+void repro_ld_band_hits(int32_t body, const uint64_t *rows, int64_t s,
+                        int64_t k, const int64_t *count, int64_t start,
+                        int64_t width, int64_t n, double threshold,
+                        int32_t strict, uint8_t *hits) {
+    BAND_HITS[body](rows, s, k, count, start, width, n, threshold, strict, hits);
+}
+
 /* LDResult.r_squared over a rows x cols count table: NumPy's
    ((c / n_obs - p_i * p_j) ** 2) / (var_i * var_j), 0 unless the
    denominator is > 0, with the same operations in the same order
@@ -544,6 +741,39 @@ class CNativeBackend(KernelBackend):
             ctypes.c_int64,
         ]
         lib.repro_r_squared.restype = None
+        lib.repro_ld_max_obs.argtypes = []
+        lib.repro_ld_max_obs.restype = ctypes.c_int64
+        lib.repro_ld_prune_scan.argtypes = [
+            ctypes.c_int32,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+        ]
+        lib.repro_ld_prune_scan.restype = ctypes.c_int64
+        lib.repro_ld_band_hits.argtypes = [
+            ctypes.c_int32,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_int32,
+            ctypes.c_void_p,
+        ]
+        lib.repro_ld_band_hits.restype = None
         self._bodies = {
             lib.repro_body_name(i).decode(): i
             for i in range(lib.repro_body_count())
@@ -785,3 +1015,157 @@ class CNativeBackend(KernelBackend):
             quotient.size,
         )
         return out
+
+    # -- the windowed LD band ------------------------------------------------------
+
+    @property
+    def ld_max_obs(self) -> int:
+        """Largest observation count the band's r^2 test decides exactly.
+
+        2^31 where the compiler has ``__int128``, else the int64 bound of
+        :data:`repro.core.ldops.INT64_EXACT_MAX_OBS`; 0 until the
+        library loads.
+        """
+        lib = self._lib
+        return int(lib.repro_ld_max_obs()) if lib is not None else 0
+
+    def _band_operands(
+        self,
+        name: str,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        n_obs: int,
+        threshold: float,
+    ) -> tuple[ctypes.CDLL, int, np.ndarray, np.ndarray]:
+        """The library, body index, uint64 rows and int64 counts of one
+        band call, after checking what the C loops rely on."""
+        lib = self._ensure()
+        if lib is None:
+            raise ConfigurationError(f"cnative backend unavailable: {self._error}")
+        words = canonicalize_words(rows)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        if not 1 <= n_obs <= self.ld_max_obs:
+            raise ConfigurationError(
+                f"cnative.{name}: {n_obs} observations; the exact r^2 test "
+                f"covers 1..{self.ld_max_obs}"
+            )
+        if counts.shape != (words.shape[0],):
+            raise PackingError(
+                f"cnative.{name}: {counts.shape} counts for {words.shape[0]} rows"
+            )
+        # Joint counts then stay below n_obs + 64, which keeps every
+        # product of the C test inside its integer type.
+        if words.shape[1] != -(-n_obs // 64):
+            raise PackingError(
+                f"cnative.{name}: {n_obs} observations need "
+                f"{-(-n_obs // 64)} uint64 words per row, got {words.shape[1]}"
+            )
+        if counts.size and not 0 <= counts.min() <= counts.max() <= n_obs:
+            raise PackingError(
+                f"cnative.{name}: allele counts must lie in [0, {n_obs}]"
+            )
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigurationError(
+                f"cnative.{name}: threshold must be in [0, 1], got {threshold}"
+            )
+        return lib, self._bodies[self.body or ""], words, counts
+
+    def prune_scan(
+        self,
+        rows: np.ndarray,
+        sites: np.ndarray,
+        counts: np.ndarray,
+        buffered: int,
+        window: int,
+        n_obs: int,
+        threshold: float,
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """:class:`~repro.core.ldops.LDPruner`'s greedy scan of one stack.
+
+        ``rows`` are the stack's packed rows: ``buffered`` kept rows of
+        earlier chunks, then the chunk's sites.  ``sites`` holds each
+        row's global index (ascending) and ``counts`` its allele count.
+        One C pass walks each chunk row against the kept rows within
+        ``window`` sites, oldest first, counting each joint popcount on
+        demand, and stops at the first pair whose r^2 exceeds
+        ``threshold`` (decided as
+        :func:`~repro.core.ldops.r2_exceeds` decides it).  Returns the
+        keep mask per stack row, the blocking site per chunk row (-1
+        where kept), the pairs tested and the largest number of kept
+        sites in one window.
+        """
+        lib, body, words, counts = self._band_operands(
+            "prune_scan", rows, counts, n_obs, threshold
+        )
+        s = words.shape[0]
+        sites = np.ascontiguousarray(sites, dtype=np.int64)
+        if sites.shape != (s,) or not 0 <= buffered <= s or window < 1:
+            raise PackingError(
+                f"cnative.prune_scan: {sites.shape} sites, {buffered} "
+                f"buffered rows and window {window} for {s} rows"
+            )
+        keep = np.empty(s, dtype=bool)
+        blocker = np.empty(s - buffered, dtype=np.int64)
+        queue = np.empty(s, dtype=np.int64)
+        peak = ctypes.c_int64(0)
+        tested = lib.repro_ld_prune_scan(
+            body,
+            words.ctypes.data,
+            s,
+            words.shape[1],
+            sites.ctypes.data,
+            counts.ctypes.data,
+            buffered,
+            # Wider than any site distance: the C loop keeps int64.
+            min(window, 1 << 62),
+            n_obs,
+            threshold,
+            queue.ctypes.data,
+            keep.ctypes.data,
+            blocker.ctypes.data,
+            ctypes.byref(peak),
+        )
+        return keep, blocker, int(tested), int(peak.value)
+
+    def band_hits(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        start: int,
+        width: int,
+        n_obs: int,
+        threshold: float,
+        strict: bool,
+    ) -> np.ndarray:
+        """The decided window band of ``rows[start:]``, in one C pass.
+
+        ``hits[q - start, d - 1]`` is whether stack rows ``q`` and
+        ``q - d`` pass the r^2 test (``>`` when ``strict``, else ``>=``;
+        decided as :func:`~repro.core.ldops.r2_exceeds` decides it), and
+        False where ``q < d``: the cells
+        :func:`~repro.blis.gemm.bit_gemm_band` counts, with the answers
+        :func:`~repro.core.ldops.r2_exceeds_array` gives on them.
+        """
+        lib, body, words, counts = self._band_operands(
+            "band_hits", rows, counts, n_obs, threshold
+        )
+        s = words.shape[0]
+        if not 0 <= start <= s or width < 0:
+            raise PackingError(
+                f"cnative.band_hits: start {start} and width {width} for {s} rows"
+            )
+        hits = np.empty((s - start, width), dtype=bool)
+        lib.repro_ld_band_hits(
+            body,
+            words.ctypes.data,
+            s,
+            words.shape[1],
+            counts.ctypes.data,
+            start,
+            width,
+            n_obs,
+            threshold,
+            int(strict),
+            hits.ctypes.data,
+        )
+        return hits

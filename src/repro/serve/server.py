@@ -44,7 +44,8 @@ stays usable.
 :class:`BackgroundServer` runs the server on a daemon thread for tests,
 the chaos harness and the serving bench's TCP gates;
 :class:`ServiceClient` is the matching blocking client.
-``repro.cli serve`` drives :func:`run_server` in the foreground.
+``repro.cli serve`` drives :func:`run_server` in the foreground, where
+SIGINT and SIGTERM request the same drain.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import signal
 import socket
 import threading
 from queue import Empty, Queue
@@ -357,12 +359,23 @@ def run_server(
 
     ``on_start(host, port)`` fires once the socket is bound -- the CLI
     prints the listening line there, after ephemeral-port resolution.
+    SIGINT and SIGTERM request the drain (:meth:`IdentityServer.request_stop`)
+    through event-loop handlers, which take effect even where SIGINT
+    was inherited ignored (a ``cmd &`` from a non-interactive shell).
+    Where the loop cannot install them (another thread, Windows),
+    SIGINT still stops the server through ``KeyboardInterrupt``.
     """
 
     async def _main() -> None:
         server = IdentityServer(
             service, host=host, port=port, max_requests=max_requests
         )
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, server.request_stop)
+            except (NotImplementedError, RuntimeError):
+                pass
         bound_host, bound_port = await server.start()
         if on_start is not None:
             on_start(bound_host, bound_port)

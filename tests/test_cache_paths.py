@@ -88,3 +88,35 @@ class TestAutoRunsProbeNothing:
             [sys.executable, "-c", script], env=env, check=True, timeout=120
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_auto_ld_prune_leaves_cache_root_empty(self, tmp_path):
+        # The same for the LD band: each band asks the shape rule with
+        # (chunk rows, band width, words), which adds chunk rows x width
+        # x words to the fallback's trigger count -- below the trigger a
+        # small prune runs on the NumPy band and leaves no cache behind.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro.core.ldops import ld_prune\n"
+            "from repro.kernels import get_backend\n"
+            "sites = np.random.default_rng(0).integers(\n"
+            "    0, 2, size=(300, 256), dtype=np.uint8)\n"
+            "# r2 = 1 never prunes: every band is 19 wide over 8 words.\n"
+            "ld_prune(sites, window=20, r2=1.0, chunk_rows=64)\n"
+            "native = get_backend('cnative')\n"
+            "assert native._fallback_ops == 300 * 19 * 8, native._fallback_ops\n"
+            "assert native._builder is None\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["XDG_CACHE_HOME"] = str(tmp_path)
+        src = Path(cnative_backend.__file__).resolve().parents[2]
+        env["PYTHONPATH"] = str(src)
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120
+        )
+        assert list(tmp_path.iterdir()) == []

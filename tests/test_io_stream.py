@@ -50,7 +50,12 @@ from repro.snp.dataset import SNPDataset
 from repro.snp.forensic import ForensicDatabase
 from repro.snp.io import save_database_npz, save_dataset_npz
 from repro.util.bitops import pack_bits
-from tests.test_ldops import _correlated_panel, _dense_clump, _dense_prune
+from tests.test_ldops import (
+    _correlated_panel,
+    _dense_clump,
+    _dense_prune,
+    _same_on_both_paths,
+)
 
 
 def _random_bits(rows, sites, seed=0):
@@ -511,6 +516,9 @@ CONFORMANCE_FACTORS = {
     "device": ["Titan V", "Vega 64"],
 }
 CONFORMANCE_CASES = _pairwise_cases(CONFORMANCE_FACTORS)
+LD_CONFORMANCE_CASES = [
+    case for case in CONFORMANCE_CASES if case["workload"] in ("prune", "clump")
+]
 N_ROWS = 23
 
 
@@ -607,6 +615,46 @@ class TestPackedConformance:
             assert np.array_equal(result.assignment, assignment)
         if isinstance(source, SnpbinSource):
             source.close()
+
+    @pytest.mark.parametrize(
+        "case",
+        LD_CONFORMANCE_CASES,
+        ids=["-".join(str(v) for v in c.values()) for c in LD_CONFORMANCE_CASES],
+    )
+    def test_ld_cases_on_both_band_paths(self, case, tmp_path, pin_native):
+        # The prune and clump cases on the NumPy band and on the
+        # library's (pinned loaded): the same fields and counters, and
+        # the dense oracles' answers.
+        pin_native(True)
+        workload, n_bits = case["workload"], case["n_bits"]
+        rows = _conformance_rows(workload, n_bits, seed=n_bits)
+        scores = np.random.default_rng(n_bits).random(N_ROWS)
+
+        def run(framework):
+            source = _conformance_source(case["source"], rows, tmp_path)
+            try:
+                if workload == "prune":
+                    return ld_prune(
+                        source, window=4, r2=0.2, chunk_rows=case["chunk_rows"],
+                        framework=framework,
+                    )
+                return ld_clump(
+                    source, scores, window=4, r2=0.5, chunk_rows=case["chunk_rows"],
+                    framework=framework,
+                )
+            finally:
+                if isinstance(source, SnpbinSource):
+                    source.close()
+
+        result = _same_on_both_paths(run, case["device"])
+        if workload == "prune":
+            kept, pruned, blocker = _dense_prune(rows, 4, 0.2)
+            assert result.kept.tolist() == kept
+            assert result.pruned.tolist() == pruned
+            assert result.blocker.tolist() == blocker
+        else:
+            assignment, _ = _dense_clump(rows, scores, 4, 0.5)
+            assert np.array_equal(result.assignment, assignment)
 
     @pytest.mark.parametrize("word_bits", [32, 64])
     def test_snpbin_scan_packs_only_the_mixtures(self, tmp_path, tracer, word_bits):

@@ -7,6 +7,11 @@ against the scalar one, tie-breaking by site order, the O(window)
 resident-state bound and its exact counters, input validation, and the
 CLI subcommands.  Also carries the regression tests for the satellite
 fixes in the LD/mixture stats layer.
+
+The dense-oracle tests take the ``band_backend`` fixture: here it is
+``numpy`` (the NumPy band and the Python scans);
+``tests/test_ldops_native.py`` re-collects them on ``cnative`` (the
+library's fused prune scan and band-hits pass).
 """
 
 import itertools
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ld import LDResult, linkage_disequilibrium
@@ -48,6 +53,25 @@ def tracer():
     set_tracer(previous)
 
 
+@pytest.fixture
+def band_backend():
+    """The framework backend the dense-oracle tests run the band on."""
+    return "numpy"
+
+
+def _framework(backend, device="Titan V"):
+    """An LD framework whose bands take ``backend``'s path."""
+    return SNPComparisonFramework(device, Algorithm.LD, backend=backend)
+
+
+#: Hypothesis settings of the dense-oracle tests: ``band_backend`` is
+#: the same for every example, so a function-scoped fixture is safe.
+ORACLE_SETTINGS = {
+    "deadline": None,
+    "suppress_health_check": [HealthCheck.function_scoped_fixture],
+}
+
+
 def _correlated_panel(n_sites, n_obs, seed=0, copy_every=3):
     """A binary site-major panel with deliberate near-duplicate rows."""
     rng = np.random.default_rng(seed)
@@ -61,8 +85,10 @@ def _correlated_panel(n_sites, n_obs, seed=0, copy_every=3):
 
 
 def _dense_counts(sites):
+    # Allele counts as Python ints: the predicate's products must not
+    # wrap at 2^63 on wide panels.
     wide = sites.astype(np.int64)
-    return wide @ wide.T, sites.sum(axis=1).astype(int), int(sites.shape[1])
+    return wide @ wide.T, sites.sum(axis=1).tolist(), int(sites.shape[1])
 
 
 def _dense_prune(sites, window, r2):
@@ -109,6 +135,50 @@ def _dense_clump(sites, scores, window, r2):
             assignment[s] = s
             index_sites.append(s)
     return assignment, index_sites
+
+
+def _run(backend, op, device):
+    """``op(framework=...)`` on ``backend``'s band under a fresh tracer:
+    the result, its ``gemm.*`` / ``ldops.*`` counters and the backends
+    its ``gemm.backend`` spans name."""
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        result = op(framework=_framework(backend, device))
+    finally:
+        set_tracer(previous)
+    counters = {
+        name: value
+        for name, value in tracer.counters.snapshot().items()
+        if name.startswith(("gemm.", "ldops."))
+    }
+    spans = {
+        record.attrs["backend"]
+        for record in tracer.spans()
+        if record.name == "gemm.backend"
+    }
+    return result, counters, spans
+
+
+def _same_on_both_paths(op, device="Titan V"):
+    """``op`` on the NumPy band and on the C band (which needs a loaded
+    ``cnative``): every result field and every ``gemm.*`` / ``ldops.*``
+    counter must agree.  Returns the C band's result."""
+    numpy_result, numpy_counters, numpy_spans = _run("numpy", op, device)
+    native_result, native_counters, native_spans = _run("cnative", op, device)
+    assert _fields(native_result) == _fields(numpy_result)
+    assert native_counters == numpy_counters
+    assert numpy_spans == {"band"} and native_spans == {"cnative"}
+    return native_result
+
+
+def _fields(result):
+    """Every result field but the I/O timings."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()
+        if name != "stream_stats"
+    }
 
 
 def _chunks(sites, chunk_rows):
@@ -214,7 +284,7 @@ def test_r2_exceeds_array_extreme_counts(n):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, **ORACLE_SETTINGS)
 @given(
     seed=st.integers(0, 10_000),
     n_sites=st.integers(1, 28),
@@ -224,10 +294,13 @@ def test_r2_exceeds_array_extreme_counts(n):
     chunk_rows=st.integers(1, 32),
 )
 def test_prune_chunked_matches_dense_reference(
-    seed, n_sites, n_obs, window, r2, chunk_rows
+    band_backend, seed, n_sites, n_obs, window, r2, chunk_rows
 ):
     sites = _correlated_panel(n_sites, n_obs, seed=seed)
-    result = ld_prune(sites, window, r2, chunk_rows=chunk_rows)
+    result = ld_prune(
+        sites, window, r2, chunk_rows=chunk_rows,
+        framework=_framework(band_backend),
+    )
     kept, pruned, blocker = _dense_prune(sites, window, r2)
     assert result.kept.tolist() == kept
     assert result.pruned.tolist() == pruned
@@ -270,7 +343,7 @@ def test_prune_incremental_operator_matches_driver(tracer):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, **ORACLE_SETTINGS)
 @given(
     seed=st.integers(0, 10_000),
     n_sites=st.integers(1, 24),
@@ -280,13 +353,14 @@ def test_prune_incremental_operator_matches_driver(tracer):
     chunk_rows=st.integers(1, 28),
 )
 def test_clump_chunked_matches_dense_reference(
-    seed, n_sites, n_obs, window, r2, chunk_rows
+    band_backend, seed, n_sites, n_obs, window, r2, chunk_rows
 ):
     rng = np.random.default_rng(seed + 1)
     sites = _correlated_panel(n_sites, n_obs, seed=seed)
     scores = rng.random(n_sites)
     result = ld_clump(
-        sites, scores, window, r2, chunk_rows=chunk_rows
+        sites, scores, window, r2, chunk_rows=chunk_rows,
+        framework=_framework(band_backend),
     )
     assignment, index_sites = _dense_clump(sites, scores, window, r2)
     assert result.assignment.tolist() == assignment.tolist()
@@ -298,15 +372,16 @@ def test_clump_chunked_matches_dense_reference(
     assert result.peak_window_sites <= window
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, **ORACLE_SETTINGS)
 @given(chunk_rows=st.integers(1, 30))
-def test_clump_tie_break_by_site_order_chunk_invariant(chunk_rows):
+def test_clump_tie_break_by_site_order_chunk_invariant(band_backend, chunk_rows):
     # All scores equal: every tie must break toward the earlier site,
     # whatever the batching.
     sites = _correlated_panel(22, 24, seed=11, copy_every=2)
     scores = np.full(22, 3.5)
     result = ld_clump(
-        sites, scores, window=6, r2=0.2, chunk_rows=chunk_rows
+        sites, scores, window=6, r2=0.2, chunk_rows=chunk_rows,
+        framework=_framework(band_backend),
     )
     assignment, index_sites = _dense_clump(sites, scores, window=6, r2=0.2)
     assert result.assignment.tolist() == assignment.tolist()
@@ -330,19 +405,24 @@ def test_clump_members_are_exhaustive():
 
 @pytest.mark.parametrize("window", [45, 2**60])
 @pytest.mark.parametrize("chunk_rows", [7, 64])
-def test_prune_and_clump_window_far_above_sites(window, chunk_rows, tracer):
+def test_prune_and_clump_window_far_above_sites(
+    window, chunk_rows, tracer, band_backend
+):
     # A window wider than the panel: the band is as wide as the stack,
     # not the window (2**60 columns could never be allocated), and the
     # decisions still equal the dense references.
     sites = _correlated_panel(30, 24, seed=13)
-    result = ld_prune(sites, window, 0.3, chunk_rows=chunk_rows)
+    framework = _framework(band_backend)
+    result = ld_prune(sites, window, 0.3, chunk_rows=chunk_rows, framework=framework)
     kept, pruned, blocker = _dense_prune(sites, window, 0.3)
     assert result.kept.tolist() == kept
     assert result.pruned.tolist() == pruned
     assert result.blocker.tolist() == blocker
     prune_word_ops = tracer.counters.snapshot()["gemm.popc_word_ops"]
     scores = np.random.default_rng(13).random(30)
-    clumped = ld_clump(sites, scores, window, 0.3, chunk_rows=chunk_rows)
+    clumped = ld_clump(
+        sites, scores, window, 0.3, chunk_rows=chunk_rows, framework=framework
+    )
     assignment, index_sites = _dense_clump(sites, scores, window, 0.3)
     assert clumped.assignment.tolist() == assignment.tolist()
     assert clumped.index_sites.tolist() == index_sites
@@ -357,24 +437,38 @@ def test_prune_and_clump_window_far_above_sites(window, chunk_rows, tracer):
     assert prune_word_ops <= pairs
 
 
-def test_prune_and_clump_above_int64_bound_match_dense_reference():
-    # More observations than the int64 predicate path covers: the band
-    # is decided on Python integers and must still equal the dense
-    # reference.
-    n_obs = INT64_EXACT_MAX_OBS + 100
-    sites = _correlated_panel(14, n_obs, seed=21)
-    result = ld_prune(sites, window=5, r2=0.3, chunk_rows=4)
+def _check_prune_and_clump_dense(sites, framework, seed):
+    """Prune and clump ``sites`` (window 5, chunks of 4) and compare
+    both with the dense references."""
+    result = ld_prune(sites, window=5, r2=0.3, chunk_rows=4, framework=framework)
     kept, pruned, blocker = _dense_prune(sites, 5, 0.3)
     assert result.kept.tolist() == kept
     assert result.pruned.tolist() == pruned
     assert result.blocker.tolist() == blocker
     assert pruned, "panel should prune something"
-    scores = np.random.default_rng(21).random(14)
-    clumped = ld_clump(sites, scores, window=5, r2=0.5, chunk_rows=4)
+    scores = np.random.default_rng(seed).random(sites.shape[0])
+    clumped = ld_clump(
+        sites, scores, window=5, r2=0.5, chunk_rows=4, framework=framework
+    )
     assignment, index_sites = _dense_clump(sites, scores, 5, 0.5)
     assert clumped.assignment.tolist() == assignment.tolist()
     assert clumped.index_sites.tolist() == index_sites
-    assert len(index_sites) < 14, "panel should absorb something"
+    assert len(index_sites) < sites.shape[0], "panel should absorb something"
+
+
+def test_prune_and_clump_above_int64_bound_match_dense_reference(band_backend):
+    # More observations than the int64 predicate path covers: the NumPy
+    # band is decided on Python integers, the library's in __int128, and
+    # both must still equal the dense reference.
+    sites = _correlated_panel(14, INT64_EXACT_MAX_OBS + 100, seed=21)
+    _check_prune_and_clump_dense(sites, _framework(band_backend), seed=21)
+
+
+def test_prune_and_clump_past_int64_products_match_dense_reference(band_backend):
+    # 2^17 observations: n^4 / 16 is 2^64, so a numerator or denominator
+    # can pass 2^63 and no int64 holds the exact decision.
+    sites = _correlated_panel(12, 1 << 17, seed=22, copy_every=2)
+    _check_prune_and_clump_dense(sites, _framework(band_backend), seed=22)
 
 
 @pytest.mark.parametrize(

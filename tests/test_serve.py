@@ -10,8 +10,13 @@ coalescer exists for (exact counters), the solo-fallback isolation
 ladder, tenant accounting, and the JSON-lines TCP front end.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,6 +602,47 @@ class TestServer:
         # split timing-dependent, so gate the row total, not the cut.
         assert tracer.counters.get(SERVE_BATCH_ROWS) == len(query_sets)
         assert tracer.counters.get(SERVE_BATCHES) >= 1
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_cli_serve_drains_on_signal_with_sigint_ignored(
+        self, tmp_path, signum
+    ):
+        # A server started as a background job of a non-interactive
+        # shell inherits SIGINT ignored; SIGINT and SIGTERM must still
+        # drain it to a clean exit.
+        from repro.snp.dataset import SNPDataset
+        from repro.snp.io import save_dataset_npz
+
+        database = tmp_path / "db.npz"
+        save_dataset_npz(str(database), SNPDataset(matrix=make_db(20)))
+        launcher = (
+            "import os, signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'repro.cli', *sys.argv[1:]])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", launcher, "serve", "--database", str(database),
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            for line in proc.stdout:
+                if line.startswith("listening on"):
+                    break
+            proc.send_signal(signum)
+            proc.communicate(timeout=10)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
 
 
 # -- live window behaviour -------------------------------------------------------
