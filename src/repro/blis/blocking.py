@@ -12,8 +12,13 @@ The BLIS algorithm (paper Fig. 3) wraps a micro-kernel in five loops:
   (Section IV-C of the paper).
 * micro-kernel: ``m_r x n_r`` rank-``k_c`` update.
 
-This module provides the index arithmetic for those partitions and the
-assignment of ``m_c x n_r`` C-tiles to a 2-D grid of compute cores.
+This module provides the index arithmetic for those partitions: the
+core grid splits M across grid rows at micro-panel (``m_r``)
+granularity -- the finest unit that keeps register tiles whole, which
+is what lets strongly skewed grids (the Titan V's 80x1) stay balanced
+on row counts that no ``m_c`` multiple divides -- and N across grid
+columns in units of ``n_r`` (:func:`split_in_units`), mirroring the
+hierarchical partition of Smith et al. [23] the paper adopts.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "split_evenly",
     "split_in_units",
     "BlockingPlan",
-    "CoreAssignment",
 ]
 
 
@@ -61,28 +65,6 @@ def split_evenly(extent: int, parts: int) -> list[tuple[int, int]]:
         ranges.append((start, start + size))
         start += size
     return ranges
-
-
-@dataclass(frozen=True)
-class CoreAssignment:
-    """One core's share of the output: a C sub-block and its A/B panels."""
-
-    core_row: int
-    core_col: int
-    m_range: tuple[int, int]
-    n_range: tuple[int, int]
-
-    @property
-    def m_size(self) -> int:
-        return self.m_range[1] - self.m_range[0]
-
-    @property
-    def n_size(self) -> int:
-        return self.n_range[1] - self.n_range[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.m_size == 0 or self.n_size == 0
 
 
 @dataclass(frozen=True)
@@ -135,40 +117,6 @@ class BlockingPlan:
         """Loop-4 partition of the reduction dimension."""
         return tile_ranges(self.k, self.k_c)
 
-    def core_assignments(self) -> list[CoreAssignment]:
-        """Partition C across the core grid (loops 3 and 2).
-
-        M is split across grid rows at micro-panel (``m_r``) granularity
-        -- the finest unit that keeps register tiles whole -- which is
-        what lets strongly skewed grids (the Titan V's 80x1) stay
-        balanced on row counts that no ``m_c`` multiple divides.  N is
-        split across grid columns in units of ``n_r``.  Mirrors the
-        hierarchical partition of Smith et al. [23] the paper adopts.
-        """
-        m_splits = split_in_units(self.m, self.grid_rows, self.m_r)
-        n_splits = split_in_units(self.n, self.grid_cols, self.n_r)
-        out = []
-        for r, m_range in enumerate(m_splits):
-            for c, n_range in enumerate(n_splits):
-                out.append(
-                    CoreAssignment(
-                        core_row=r, core_col=c, m_range=m_range, n_range=n_range
-                    )
-                )
-        return out
-
-    def micro_tiles(
-        self, m_range: tuple[int, int], n_range: tuple[int, int]
-    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """All (m_r x n_r) micro-tile ranges inside a core's C block."""
-        m0, m1 = m_range
-        n0, n1 = n_range
-        tiles = []
-        for mr0, mr1 in tile_ranges(m1 - m0, self.m_r):
-            for nr0, nr1 in tile_ranges(n1 - n0, self.n_r):
-                tiles.append(((m0 + mr0, m0 + mr1), (n0 + nr0, n0 + nr1)))
-        return tiles
-
     def total_ops(self) -> int:
         """Packed-word comparison operations in the full problem (m*n*k)."""
         return self.m * self.n * self.k
@@ -181,9 +129,10 @@ def split_in_units(extent: int, parts: int, unit: int) -> list[tuple[int, int]]:
     final stop at ``extent``; remainder units are distributed to the
     leading parts.  Degenerates gracefully when ``extent`` has fewer
     than ``parts`` units (trailing parts get empty ranges).  Shared by
-    the core-grid partition above and the host-side shard partition
-    (:mod:`repro.parallel.plan`), so device tiling and host sharding
-    cannot drift apart.
+    the core-grid partition (the load balance of
+    :func:`repro.gpu.cycles.kernel_cycles`) and the host-side shard
+    partition (:mod:`repro.parallel.plan`), so device tiling and host
+    sharding cannot drift apart.
     """
     n_units = (extent + unit - 1) // unit if extent else 0
     unit_splits = split_evenly(n_units, parts)

@@ -73,7 +73,7 @@ from repro.core.streaming import (
 )
 from repro.errors import ReproError
 from repro.gpu.arch import ALL_GPUS, get_gpu
-from repro.io_stream import PackedDatasetReader, StreamStats, open_source
+from repro.io_stream import StreamStats, open_source
 from repro.kernels import backend_names
 from repro.observability.report import MetricsReport
 from repro.observability.trace_export import write_merged_trace
@@ -81,11 +81,6 @@ from repro.observability.tracer import Tracer, set_tracer
 from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import ResilienceContext, resilient
-from repro.snp.io import (
-    load_database_npz,
-    load_dataset_npz,
-    read_snptxt,
-)
 from repro.util.tables import render_kv, render_table
 from repro.util.validation import check_workers
 
@@ -93,21 +88,11 @@ __all__ = ["main", "build_parser"]
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    """Load a binary matrix from .snptxt, dataset/database .npz or .snpbin."""
-    p = Path(path)
-    if p.suffix == ".snptxt":
-        return read_snptxt(p).matrix
-    if p.suffix == ".npz":
-        try:
-            return load_dataset_npz(p).matrix
-        except ReproError:
-            return load_database_npz(p).profiles
-    if p.suffix == ".snpbin":
-        with PackedDatasetReader(p) as reader:
-            return reader.read_bits(0, reader.n_rows)
-    raise ReproError(
-        f"unsupported input format: {path} (use .snptxt, .npz or .snpbin)"
-    )
+    """Load a whole binary matrix from any file :func:`open_source` reads."""
+    with open_source(path) as source:
+        n_rows = source.n_rows
+        assert n_rows is not None  # file sources know their size
+        return source.read(0, n_rows)
 
 
 def _save_table(path: str | None, **arrays: np.ndarray) -> None:
@@ -957,8 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-rows", type=int, default=4096, metavar="N",
-        help="appended rows accumulated before sealing a new .snpbin "
-        "shard (--index mode)",
+        help="appended rows accumulated before sealing them into one "
+        "segment (a new .snpbin shard in --index mode)",
     )
     serve.add_argument(
         "--max-requests", type=int, default=None, metavar="N",

@@ -88,15 +88,12 @@ def _run_chunk(fn: Callable[[], Any]) -> Any:
     workloads only mutate their state *after* the framework run
     returns, so a retried chunk is folded exactly once.
     """
-    policy = get_resilience().policy
-    if policy.max_attempts <= 1:
-        return fn()
     obs = get_tracer()
 
     def _count_retry(retry_index: int, exc: BaseException) -> None:
         obs.counters.add(STREAM_CHUNK_RETRIES)
 
-    return call_with_retry(fn, policy, on_retry=_count_retry)
+    return call_with_retry(fn, get_resilience().policy, on_retry=_count_retry)
 
 
 def _merged_report(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.blis.blocking import BlockingPlan
+from repro.blis.blocking import BlockingPlan, split_in_units
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ModelError
 from repro.gpu.arch import GPUArchitecture
@@ -191,24 +191,27 @@ def spill_stall_factor(arch: GPUArchitecture, plan: BlockingPlan) -> float:
     return 1.0 + 3.0 * spilled_fraction
 
 
+def _max_extent(extent: int, parts: int, unit: int) -> int:
+    """The largest of :func:`split_in_units`'s ``parts`` ranges."""
+    return max(stop - start for start, stop in split_in_units(extent, parts, unit))
+
+
 def _grid_load(plan: BlockingPlan) -> tuple[float, int]:
     """(load balance, busiest core's column extent).
 
-    Balance is total_ops / (n_cores * max_core_ops); the column extent
-    of the most-loaded core drives the reuse ramp (it determines the
-    makespan, so averaging over idle cores would double-count skew).
+    Core ``(r, c)`` of the grid computes ``rows[r] * cols[c] * k``
+    word-ops, where ``rows`` and ``cols`` are the core grid's M and N
+    splits, so the busiest core computes ``max(rows) * max(cols) * k``
+    of the ``m * n * k`` total.  Balance is total / (n_cores *
+    busiest); the busiest core's column extent drives the reuse ramp
+    (it determines the makespan, so averaging over idle cores would
+    double-count skew).
     """
-    assignments = plan.core_assignments()
-    per_core = [a.m_size * a.n_size * plan.k for a in assignments]
-    busiest = max(per_core, default=0)
+    max_cols = _max_extent(plan.n, plan.grid_cols, plan.n_r)
+    busiest = _max_extent(plan.m, plan.grid_rows, plan.m_r) * max_cols * plan.k
     if busiest == 0:
         return 1.0, plan.n
-    total = sum(per_core)
-    balance = total / (len(per_core) * busiest)
-    max_cols = max(
-        (a.n_size for a in assignments if not a.is_empty), default=plan.n
-    )
-    return balance, max_cols
+    return plan.total_ops() / (plan.n_cores * busiest), max_cols
 
 
 @dataclass(frozen=True)

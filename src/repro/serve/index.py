@@ -1,23 +1,30 @@
-"""Resident profile index: mmap'd ``.snpbin`` shards + an append tail.
+"""Resident profile index: sealed segments plus an append tail.
 
 The serving problem (ROADMAP item 1, PAPER.md's NDIS-scale FastID
 scenario) keeps the packed database *resident* across requests instead
 of re-reading and re-packing it per query set.  :class:`ProfileIndex`
-holds the database as a sequence of immutable :class:`Segment` runs:
+holds the database as a sequence of immutable :class:`Segment` runs,
+each backed by a :class:`~repro.io_stream.sources.ChunkSource`:
 
 * **sealed segments** -- ``.snpbin`` shard files memory-mapped through
-  :class:`repro.io_stream.format.PackedDatasetReader` (the OS pages
-  them in on first touch and keeps hot shards cached);
+  :class:`~repro.io_stream.sources.SnpbinSource` (the OS pages them in
+  on first touch and keeps hot shards cached), or, in a memory-only
+  index, one in-memory :class:`~repro.io_stream.sources.ArraySource`
+  block per seal;
 * **tail segments** -- profiles appended online, frozen in memory one
-  append at a time, sealed to a new shard file once ``shard_rows``
-  accumulate (directory-backed indexes only).
+  append at a time as an :class:`~repro.io_stream.sources.ArraySource`.
+
+One seal rule holds for every index: once ``shard_rows`` rows
+accumulate in the tail it becomes one sealed segment, a new shard file
+when the index has a directory and one in-memory block otherwise, so
+a search walks at most rows / ``shard_rows`` segments plus the tail.
 
 Appends never repack existing shards: a new profile lands in the tail,
-the tail eventually becomes one more shard file, and every previously
-issued global row index stays valid -- rows are numbered in arrival
-order, exactly like :meth:`StreamingIdentitySearch.add_batch` numbers
-streamed batches, which is what keeps served top-k results bit-exact
-against the offline path.
+the tail eventually becomes one more sealed segment, and every
+previously issued global row index stays valid -- rows are numbered in
+arrival order, exactly like :meth:`StreamingIdentitySearch.add_batch`
+numbers streamed batches, which is what keeps served top-k results
+bit-exact against the offline path.
 
 **Append barrier**: :meth:`ProfileIndex.append` returns only after the
 new rows are visible to every later :meth:`snapshot`.  A query admitted
@@ -34,96 +41,57 @@ than mixing foreign files into it.
 
 from __future__ import annotations
 
+import re
 import threading
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.io_stream.format import PackedDatasetReader, write_snpbin
+from repro.io_stream.format import write_snpbin
+from repro.io_stream.sources import ArraySource, ChunkSource, SnpbinSource
 from repro.util.validation import check_binary_matrix
 
 __all__ = ["Segment", "ProfileIndex"]
+
+#: Names of the shards :meth:`ProfileIndex.build` and seals write.
+_SHARD_NAME = re.compile(r"shard-(\d+)\.snpbin")
 
 
 class Segment:
     """One immutable run of profile rows with a stable global base index.
 
+    ``source`` holds the rows (:mod:`repro.io_stream.sources`): a
+    ``SnpbinSource`` for a shard file, an ``ArraySource`` for an
+    in-memory block.  Read them as device operands through
+    ``source.packed(word_bits, m_r)``.
+
     ``sid`` uniquely identifies the segment's *contents* within its
     index for the index's lifetime (sealing replaces tail segments with
-    one shard segment under a fresh sid), so callers may cache derived
+    one sealed segment under a fresh sid), so callers may cache derived
     artifacts -- packed operands, most importantly -- keyed by sid.
     """
 
-    __slots__ = ("sid", "base", "n_rows", "n_bits", "_bits", "_words")
+    __slots__ = ("sid", "base", "n_rows", "source")
 
-    def __init__(
-        self,
-        sid: int,
-        base: int,
-        n_rows: int,
-        n_bits: int,
-        bits: Callable[[], np.ndarray],
-        words: Callable[[int], "np.ndarray | None"] | None = None,
-    ) -> None:
+    def __init__(self, sid: int, base: int, source: ChunkSource) -> None:
         self.sid = sid
         self.base = base
+        self.source = source
+        n_rows = source.n_rows
+        assert n_rows is not None  # segment sources are seekable
         self.n_rows = n_rows
-        self.n_bits = n_bits
-        self._bits = bits
-        self._words = words
-
-    def bits(self) -> np.ndarray:
-        """The segment's rows as an unpacked 0/1 ``uint8`` matrix."""
-        return self._bits()
-
-    def packed_words(self, word_bits: int) -> np.ndarray | None:
-        """Packed words in ``pack_bits`` layout, or ``None``.
-
-        Non-``None`` only when the backing store already holds words of
-        the requested width (a ``.snpbin`` shard written with the
-        serving device's word size) -- the zero-repack residency path.
-        """
-        if self._words is None:
-            return None
-        return self._words(word_bits)
 
     def __repr__(self) -> str:
         return (
             f"Segment(sid={self.sid}, base={self.base}, "
-            f"n_rows={self.n_rows}, n_bits={self.n_bits})"
+            f"n_rows={self.n_rows}, n_bits={self.source.n_sites})"
         )
 
 
-def _shard_segment(sid: int, base: int, reader: PackedDatasetReader) -> Segment:
-    def words(word_bits: int) -> np.ndarray | None:
-        if reader.word_bits != word_bits:
-            return None
-        return reader.read_words(0, reader.n_rows)
-
-    return Segment(
-        sid=sid,
-        base=base,
-        n_rows=reader.n_rows,
-        n_bits=reader.n_bits,
-        bits=lambda: reader.read_bits(0, reader.n_rows),
-        words=words,
-    )
-
-
-def _tail_segment(sid: int, base: int, block: np.ndarray) -> Segment:
-    return Segment(
-        sid=sid,
-        base=base,
-        n_rows=int(block.shape[0]),
-        n_bits=int(block.shape[1]),
-        bits=lambda: block,
-    )
-
-
 class ProfileIndex:
-    """Thread-safe resident database: sealed shards plus an append tail.
+    """Thread-safe resident database: sealed segments plus an append tail.
 
     Parameters
     ----------
@@ -136,12 +104,13 @@ class ProfileIndex:
         Site count; required when the index starts empty, validated
         against the shards otherwise.
     shard_rows:
-        Tail size that triggers an automatic :meth:`seal` (directory
-        indexes only).
+        Tail size that triggers an automatic :meth:`seal`.
     word_bits:
         Word width for shards this index writes.  Match the serving
-        device's word size (32 for the modeled GPUs) and the packed
-        file bytes double as the resident operand without repacking.
+        device's word size (32 for the modeled GPUs) and the mapped
+        shard words are the resident operand as they are; any other
+        width costs one byte-order pass when the shard is first read,
+        never a repack.
     """
 
     def __init__(
@@ -159,7 +128,6 @@ class ProfileIndex:
         self.shard_rows = shard_rows
         self.word_bits = word_bits
         self._lock = threading.Lock()
-        self._readers: list[PackedDatasetReader] = []
         self._sealed: list[Segment] = []
         self._tail: list[Segment] = []
         self._tail_rows = 0
@@ -169,25 +137,27 @@ class ProfileIndex:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             base = 0
-            for path in sorted(self.directory.glob("*.snpbin")):
-                reader = PackedDatasetReader(path)
+            paths = sorted(self.directory.glob("*.snpbin"))
+            for path in paths:
+                source = SnpbinSource(path)
                 if self._n_bits is None:
-                    self._n_bits = reader.n_bits
-                elif reader.n_bits != self._n_bits:
+                    self._n_bits = source.n_sites
+                elif source.n_sites != self._n_bits:
                     raise DatasetError(
-                        f"ProfileIndex: shard {path} covers {reader.n_bits} "
+                        f"ProfileIndex: shard {path} covers {source.n_sites} "
                         f"sites, index is {self._n_bits} sites wide"
                     )
-                if reader.n_rows == 0:
-                    reader.close()
+                if source.n_rows == 0:
+                    source.close()
                     continue
-                self._readers.append(reader)
-                self._sealed.append(
-                    _shard_segment(self._next_sid, base, reader)
-                )
+                self._sealed.append(Segment(self._next_sid, base, source))
                 self._next_sid += 1
-                base += reader.n_rows
-            self._next_shard_seq = len(self._sealed)
+                base += source.n_rows
+            # One past the highest shard number on disk: a seal must not
+            # reuse the name of a shard that is still there (after a
+            # quarantined shard left a gap, say) nor sort before it.
+            numbers = [int(m[1]) for p in paths if (m := _SHARD_NAME.fullmatch(p.name))]
+            self._next_shard_seq = max(numbers, default=-1) + 1
         if self._n_bits is None:
             raise DatasetError(
                 "ProfileIndex: n_bits is required for an empty index "
@@ -269,35 +239,40 @@ class ProfileIndex:
         block.setflags(write=False)
         with self._lock:
             start = self._row_count()
-            self._tail.append(_tail_segment(self._next_sid, start, block))
+            self._tail.append(Segment(self._next_sid, start, ArraySource(block)))
             self._next_sid += 1
             self._tail_rows += int(block.shape[0])
-            if self.directory is not None and self._tail_rows >= self.shard_rows:
+            if self._tail_rows >= self.shard_rows:
                 self._seal_locked()
             return start, start + int(block.shape[0])
 
     def seal(self) -> "Path | None":
-        """Flush the tail to a new shard file (directory indexes only).
+        """Seal the tail into one segment.
 
-        Returns the new shard's path, or ``None`` when there is nothing
-        to seal or the index is memory-only.  Global row indices are
-        unaffected; only segment identities (sids) change, so cached
-        per-segment artifacts are rebuilt once.
+        A directory index writes the tail to a new shard file and
+        returns its path; a memory-only index folds it into one
+        in-memory block and returns ``None``, as it does when there is
+        nothing to seal.  Global row indices are unaffected; only
+        segment identities (sids) change, so cached per-segment
+        artifacts are rebuilt once.
         """
         with self._lock:
             return self._seal_locked()
 
     def _seal_locked(self) -> "Path | None":
-        if self.directory is None or not self._tail:
+        if not self._tail:
             return None
         base = self._tail[0].base
-        block = np.vstack([seg.bits() for seg in self._tail])
-        path = self.directory / f"shard-{self._next_shard_seq:06d}.snpbin"
-        self._next_shard_seq += 1
-        write_snpbin(path, block, word_bits=self.word_bits)
-        reader = PackedDatasetReader(path)
-        self._readers.append(reader)
-        self._sealed.append(_shard_segment(self._next_sid, base, reader))
+        blocks = [seg.source.read(0, seg.n_rows) for seg in self._tail]
+        block = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        path: Path | None = None
+        source: ChunkSource = ArraySource(block)
+        if self.directory is not None:
+            path = self.directory / f"shard-{self._next_shard_seq:06d}.snpbin"
+            self._next_shard_seq += 1
+            write_snpbin(path, block, word_bits=self.word_bits)
+            source = SnpbinSource(path)
+        self._sealed.append(Segment(self._next_sid, base, source))
         self._next_sid += 1
         self._tail = []
         self._tail_rows = 0
@@ -322,16 +297,13 @@ class ProfileIndex:
                 f"got {chunk_rows}"
             )
         for seg in self.snapshot():
-            bits = seg.bits()
-            for start in range(0, seg.n_rows, chunk_rows):
-                yield bits[start : start + chunk_rows]
+            yield from seg.source.chunks(chunk_rows)
 
     def close(self) -> None:
         """Release shard mappings (the index is unusable afterwards)."""
         with self._lock:
-            for reader in self._readers:
-                reader.close()
-            self._readers = []
+            for seg in self._sealed:
+                seg.source.close()
             self._sealed = []
             self._tail = []
             self._tail_rows = 0

@@ -36,10 +36,10 @@ connections -- accepted work is completed, not dropped.
 The server is a thin asyncio shim: each ``search`` awaits the future
 returned by :meth:`IdentityService.submit` via ``asyncio.wrap_future``,
 so queries from *different connections* land in the same coalescing
-window -- the event loop never blocks on the GEMM, which runs on the
-batcher's executor thread.  Errors are per-request: a malformed line or
-a failed query answers ``ok: false`` on that line and the connection
-stays usable.
+window -- the event loop never blocks on the GEMM, which runs with the
+rest of the batch on the batcher's one dispatcher thread.  Errors are
+per-request: a malformed line or a failed query answers ``ok: false``
+on that line and the connection stays usable.
 
 :class:`BackgroundServer` runs the server on a daemon thread for tests,
 the chaos harness and the serving bench's TCP gates;

@@ -16,10 +16,12 @@ search.
 
 What serving adds over the offline path:
 
-* **residency** -- each index segment is packed for the device once
-  and cached by segment id while it is in the latest snapshot;
-  ``.snpbin`` shards written in the device's word width skip even that
-  (their mmap'd bytes *are* the operand);
+* **residency** -- each index segment is read as a device operand
+  once, through its source's
+  :class:`~repro.io_stream.sources.PackedSource`, and cached by
+  segment id while it is in the latest snapshot: a ``.snpbin`` shard
+  in the device's word width is a view of its map, one in another
+  width is converted without unpacking, an in-memory block is packed;
 * **coalescing** -- concurrent requests share one query panel through
   :class:`repro.serve.batcher.CoalescingBatcher`, amortizing the
   ``m_r`` row padding and the per-batch database feed;
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
-from repro.core.packing import PackedOperand, wrap_words
+from repro.core.packing import PackedOperand
 from repro.core.streaming import Match, TopK
 from repro.errors import (
     ConfigurationError,
@@ -100,17 +102,6 @@ class QueryRequest:
     @property
     def n_queries(self) -> int:
         return int(self.queries.shape[0])
-
-
-_T = TypeVar("_T")
-
-
-def _with_retry(fn: "Callable[[], _T]") -> _T:
-    """Run ``fn`` under the active resilience retry policy."""
-    policy = get_resilience().policy
-    if policy.max_attempts <= 1:
-        return fn()
-    return call_with_retry(fn, policy)
 
 
 class IdentityService:
@@ -305,18 +296,14 @@ class IdentityService:
     # -- execution -------------------------------------------------------------
 
     def _resident(self, segment: Segment) -> PackedOperand:
-        """This segment's device operand, packed at most once per sid."""
-        cached = self._packed.get(segment.sid)
-        if cached is not None:
-            return cached
-        words = segment.packed_words(self.framework.arch.word_bits)
-        if words is not None:
-            # Zero-repack residency: the shard's bytes already are
-            # pack_bits layout in the device word width.
-            operand = wrap_words(words, segment.n_bits, self.framework.config.m_r)
-        else:
-            operand = self.framework.pack(segment.bits())
-        self._packed[segment.sid] = operand
+        """This segment's device operand, read at most once per sid."""
+        operand = self._packed.get(segment.sid)
+        if operand is None:
+            packed = segment.source.packed(
+                self.framework.arch.word_bits, self.framework.config.m_r
+            )
+            operand = packed.read(0, segment.n_rows)
+            self._packed[segment.sid] = operand
         return operand
 
     def _run_panel(
@@ -416,9 +403,12 @@ class IdentityService:
                 "serve.batch", requests=len(live), rows=total_rows,
                 segments=len(snapshot),
             ):
+                policy = get_resilience().policy
                 try:
                     live_outcomes = list(
-                        _with_retry(lambda: self._run_panel(live, snapshot))
+                        call_with_retry(
+                            lambda: self._run_panel(live, snapshot), policy
+                        )
                     )
                 except Exception:
                     # Isolation rung: the coalesced panel failed after
@@ -428,10 +418,11 @@ class IdentityService:
                     for request in live:
                         obs.counters.add(SERVE_SOLO_FALLBACKS)
                         try:
-                            solo = _with_retry(
+                            solo = call_with_retry(
                                 lambda req=request: self._run_panel(
                                     [req], snapshot
-                                )[0]
+                                )[0],
+                                policy,
                             )
                             live_outcomes.append(solo)
                         except Exception as exc:

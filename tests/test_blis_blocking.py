@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.blis.blocking import BlockingPlan, split_evenly, tile_ranges
+from repro.blis.blocking import (
+    BlockingPlan,
+    split_evenly,
+    split_in_units,
+    tile_ranges,
+)
 from repro.errors import ConfigurationError
 
 
@@ -70,16 +75,26 @@ class TestBlockingPlan:
     def test_total_ops(self):
         assert self.make().total_ops() == 64 * 128 * 10
 
+    def grid(self, plan):
+        """The core grid's (M, N) ranges: M in m_r units, N in n_r units."""
+        return (
+            split_in_units(plan.m, plan.grid_rows, plan.m_r),
+            split_in_units(plan.n, plan.grid_cols, plan.n_r),
+        )
+
     def test_core_assignments_cover_output(self):
         plan = self.make(grid_rows=2, grid_cols=3)
+        m_splits, n_splits = self.grid(plan)
         cover = np.zeros((plan.m, plan.n), dtype=int)
-        for a in plan.core_assignments():
-            cover[a.m_range[0] : a.m_range[1], a.n_range[0] : a.n_range[1]] += 1
+        for m0, m1 in m_splits:
+            for n0, n1 in n_splits:
+                cover[m0:m1, n0:n1] += 1
         assert (cover == 1).all()
 
     def test_core_assignment_count(self):
         plan = self.make(grid_rows=2, grid_cols=3)
-        assert len(plan.core_assignments()) == 6
+        m_splits, n_splits = self.grid(plan)
+        assert len(m_splits) * len(n_splits) == 6
         assert plan.n_cores == 6
 
     def test_skewed_grid_balances_m(self):
@@ -89,28 +104,19 @@ class TestBlockingPlan:
             m=12256, n=12256, k=100, m_c=32, k_c=50, m_r=4, n_r=1024,
             grid_rows=80, grid_cols=1,
         )
-        sizes = [a.m_size for a in plan.core_assignments()]
+        m_splits, _ = self.grid(plan)
+        sizes = [stop - start for start, stop in m_splits]
         assert max(sizes) - min(sizes) <= plan.m_r
         assert sum(sizes) == plan.m
 
-    def test_micro_tiles_cover_core_block(self):
-        plan = self.make()
-        m_range, n_range = (0, 10), (0, 33)
-        tiles = plan.micro_tiles(m_range, n_range)
-        cover = np.zeros((10, 33), dtype=int)
-        for (m0, m1), (n0, n1) in tiles:
-            cover[m0:m1, n0:n1] += 1
-        assert (cover == 1).all()
-
-    def test_micro_tile_sizes_bounded(self):
-        plan = self.make()
-        for (m0, m1), (n0, n1) in plan.micro_tiles((0, 64), (0, 128)):
-            assert m1 - m0 <= plan.m_r
-            assert n1 - n0 <= plan.n_r
-
     def test_empty_assignments_for_tiny_extent(self):
         plan = self.make(m=4, grid_rows=4)
-        assignments = plan.core_assignments()
+        m_splits, n_splits = self.grid(plan)
         # Only one micro-panel unit exists: three grid rows are empty.
-        non_empty = [a for a in assignments if not a.is_empty]
+        non_empty = [
+            (m_range, n_range)
+            for m_range in m_splits
+            for n_range in n_splits
+            if m_range[1] > m_range[0] and n_range[1] > n_range[0]
+        ]
         assert len(non_empty) == 1 * 1

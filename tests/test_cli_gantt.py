@@ -90,6 +90,25 @@ class TestCli:
         bad.write_text("1,2,3")
         assert main(["ld", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ld", "--input", "{bad}"],
+            ["identity", "--queries", "{bad}", "--database", "{db}"],
+            ["mixture", "--references", "{db}", "--mixture", "{bad}"],
+        ],
+        ids=["ld", "identity", "mixture"],
+    )
+    def test_unknown_suffix_names_the_format(
+        self, database_files, tmp_path, capsys, argv
+    ):
+        bad = tmp_path / "data.csv"
+        bad.write_text("1,2,3")
+        _, db_path = database_files
+        args = [a.format(bad=bad, db=db_path) for a in argv]
+        assert main(args) == 2
+        assert "unsupported input format" in capsys.readouterr().err
+
 
 class TestGantt:
     def _tiled_queue(self):

@@ -5,13 +5,18 @@ bottleneck pipes, the Fig. 5 kernel efficiencies, and the stall-factor
 behaviour of bad configurations.
 """
 
+import itertools
+
 import pytest
 
-from repro.blis.blocking import BlockingPlan
+from repro.blis.blocking import BlockingPlan, split_in_units
 from repro.blis.microkernel import ComparisonOp
+from repro.core.config import Algorithm
+from repro.core.planner import derive_config
 from repro.errors import ModelError
 from repro.gpu.arch import ALL_GPUS, GTX_980, TITAN_V, VEGA_64
 from repro.gpu.cycles import (
+    _grid_load,
     bottleneck_pipe,
     conflict_stall_factor,
     effective_frequency_hz,
@@ -191,3 +196,41 @@ class TestFig5Efficiencies:
         plan = plan_for(GTX_980, 64, 64, 4, grid_rows=4, grid_cols=8)
         with pytest.raises(ModelError):
             kernel_cycles(GTX_980, plan)
+
+
+def _enumerated_grid_load(plan):
+    """(balance, busiest core's columns), one core at a time."""
+    cores = [
+        (m1 - m0, n1 - n0)
+        for m0, m1 in split_in_units(plan.m, plan.grid_rows, plan.m_r)
+        for n0, n1 in split_in_units(plan.n, plan.grid_cols, plan.n_r)
+    ]
+    per_core = [rows * cols * plan.k for rows, cols in cores]
+    busiest = max(per_core)
+    if busiest == 0:
+        return 1.0, plan.n
+    balance = sum(per_core) / (len(per_core) * busiest)
+    return balance, max(cols for rows, cols in cores if rows and cols)
+
+
+class TestGridLoad:
+    """The closed-form grid load equals enumerating every core."""
+
+    EXTENTS = (0, 1, 5, 37, 320, 4_096, 12_256, 20_011)
+
+    @pytest.mark.parametrize("published", [True, False])
+    @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+    @pytest.mark.parametrize("arch", ALL_GPUS, ids=lambda a: a.name)
+    def test_closed_form_matches_enumeration(self, arch, algorithm, published):
+        cfg = derive_config(arch, algorithm, use_published=published)
+        for m, n, k in itertools.product(self.EXTENTS, self.EXTENTS, (0, 1, 25, 800)):
+            plan = BlockingPlan(
+                m=m, n=n, k=k, m_c=cfg.m_c, k_c=cfg.k_c, m_r=cfg.m_r,
+                n_r=cfg.n_r, grid_rows=cfg.grid_rows, grid_cols=cfg.grid_cols,
+            )
+            balance, cols = _enumerated_grid_load(plan)
+            assert _grid_load(plan) == (balance, cols), (m, n, k)
+            if min(m, n, k) > 0:  # launches have positive extents
+                breakdown = kernel_cycles(arch, plan, cfg.op)
+                assert breakdown.balance == balance
+                assert breakdown.ramp == ramp_efficiency(arch, cols)

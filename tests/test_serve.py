@@ -26,6 +26,7 @@ from repro.core.streaming import Match, StreamingIdentitySearch
 from repro.errors import ConfigurationError, DatasetError, ReproError
 from repro.observability.counters import (
     GEMM_WORD_OPS,
+    IO_CHUNKS_VERIFIED,
     PACK_OPERANDS,
     SERVE_BATCH_ROWS,
     SERVE_BATCHES,
@@ -126,13 +127,34 @@ class TestProfileIndex:
             after = np.vstack(list(index.iter_bits()))
             assert np.array_equal(before, after)
 
+    def test_seal_after_a_gap_keeps_every_shard(self, tmp_path):
+        db = make_db(12)
+        ProfileIndex.build(tmp_path, db, shard_rows=4).close()
+        # A shard moved out of the glob (as fsck --quarantine does)
+        # leaves shard-000001 and shard-000002; the next seal must not
+        # overwrite the latter.
+        (tmp_path / "shard-000000.snpbin").unlink()
+        extra = make_db(4, seed=13)
+        with ProfileIndex(tmp_path, shard_rows=4) as index:
+            index.append(extra)
+        with ProfileIndex(tmp_path) as reopened:
+            whole = np.vstack(list(reopened.iter_bits()))
+        assert sorted(p.name for p in tmp_path.glob("*.snpbin")) == [
+            "shard-000001.snpbin", "shard-000002.snpbin", "shard-000003.snpbin"
+        ]
+        assert np.array_equal(whole, np.vstack([db[4:], extra]))
+
     def test_memory_index_requires_n_bits(self):
         with pytest.raises(DatasetError, match="n_bits is required"):
             ProfileIndex()
         index = ProfileIndex(n_bits=SITES)
         index.append(make_db(5))
         assert index.n_rows == 5
-        assert index.seal() is None  # memory-only: seal is a no-op
+        index.append(make_db(3, seed=1))
+        # Memory-only: the tail seals into one in-memory block, no file.
+        assert index.seal() is None
+        assert index.n_segments == 1
+        assert index.n_rows == 8
 
     def test_rejects_mismatched_sites_and_non_binary(self):
         index = ProfileIndex(n_bits=SITES)
@@ -330,13 +352,24 @@ class TestIdentityServiceExactness:
                 before = tracer.counters.get(PACK_OPERANDS)
                 assert service.search(queries) == expected
                 packs = tracer.counters.get(PACK_OPERANDS) - before
-        n_segments = -(-40 // 24)
-        if word_bits == 32:
-            # Zero-repack residency: shard words are the operand; only
-            # the query panel is packed.
-            assert packs == 1
-        else:
-            assert packs == 1 + n_segments
+        # Shard words are the operand: a view of the map in the device
+        # width (32), converted without unpacking in any other (64).
+        # Only the query panel is packed; each shard's one CRC chunk is
+        # verified as it is read.
+        assert packs == 1
+        assert tracer.counters.get(IO_CHUNKS_VERIFIED) == -(-40 // 24)
+
+    def test_memory_index_seals_every_shard_rows(self, tracer):
+        db = make_db(40, sites=40, duplicates=3)
+        index = ProfileIndex(n_bits=40, shard_rows=8)
+        for start in range(0, 40, 4):
+            index.append(db[start : start + 4])
+        # Every second append seals the tail into one in-memory block.
+        assert index.n_segments == 5
+        assert np.array_equal(np.vstack(list(index.iter_bits())), db)
+        queries = make_db(3, sites=40, seed=34)
+        with IdentityService(index, k=6) as service:
+            assert service.search(queries) == dense_oracle(queries, db, 6)
 
     def test_append_barrier_visible_to_later_queries(self, tmp_path, tracer):
         db = make_db(30)
