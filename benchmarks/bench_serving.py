@@ -14,11 +14,12 @@ any runner.  The bench also demonstrates:
   database (first-seen tie-breaking included);
 * **occupancy** -- the coalesced batch carries exactly ``clients`` rows
   (``serve.batch_rows`` / ``serve.batches`` deltas);
-* **overload** -- a flood at ``FLOOD_FACTOR`` x admission capacity
+* **overload** -- a flood at ``FLOOD_FACTOR`` x admission capacity,
+  submitted while a one-shot ``latency`` fault holds the dispatcher,
   admits and sheds exact counts, and a doomed deadline overruns by at
-  most one window plus slack;
-* **latency** -- p50/p99 and QPS through the *live* coalescing window
-  (in-process submits, tenant-ledger percentiles).  These are the only
+  most the hold plus slack;
+* **latency** -- p50/p99 and QPS through the *live* batcher (in-process
+  submits, tenant-ledger percentiles).  These are the only
   nondeterministic metrics here; the baseline pins wide per-metric
   tolerances for them (docs/PERF.md);
 * **the live TCP gates** -- one client per query set bursts through the
@@ -61,6 +62,7 @@ from repro.observability.counters import (
 )
 from repro.observability.regress import metric, run_counted, write_metrics
 from repro.observability.tracer import get_tracer
+from repro.resilience import FaultPlan, resilient
 from repro.serve.index import ProfileIndex
 from repro.serve.server import BackgroundServer, ServiceClient
 from repro.serve.service import IdentityService
@@ -81,30 +83,33 @@ SMOKE_PROBLEM = dict(
 OPS_RATIO_CEILING = 0.6
 
 #: Overload flood: submissions per admission slot.  The flood submits
-#: ``FLOOD_FACTOR * clients`` requests against ``max_queue=clients``
-#: inside one coalescing window, so exactly ``clients`` are admitted and
-#: the rest shed -- deterministic counts the baseline gates exactly.
+#: ``FLOOD_FACTOR * clients`` requests: the first is dispatched and
+#: held, the rest queue behind it against ``max_queue=clients - 1``, so
+#: exactly ``clients`` are admitted and the rest shed -- deterministic
+#: counts the baseline gates exactly.
 FLOOD_FACTOR = 4
 
-#: Coalescing window for the flood.  Wide enough that every submission
-#: of the burst lands inside it on any runner (they are in-process
+#: How long a one-shot ``latency`` fault holds the dispatcher on the
+#: flood's first request.  Long enough that every later submission of
+#: the burst lands behind it on any runner (they are in-process
 #: enqueues, microseconds each), which is what makes the admitted/shed
 #: split exact rather than timing-dependent.
-OVERLOAD_WINDOW_S = 1.0
+FLOOD_HOLD_S = 1.0
 
-#: Budget of the flood's deadline-carrying request: expires inside the
-#: window, so it is rejected at the batch cut -- at most one batch
-#: window past its budget (the propagation guarantee under load).
+#: Budget of the flood's first, deadline-carrying request: expires
+#: during the hold, so the service rejects it before packing -- at most
+#: one hold past its budget (the propagation guarantee under load).
 DOOMED_BUDGET_S = 0.2
 
-#: CI slack on the overrun bound: the cut can run late on a loaded
-#: shared runner, but an overrun beyond window + slack means the
+#: CI slack on the overrun bound: the rejection can run late on a
+#: loaded shared runner, but an overrun beyond hold + slack means the
 #: dispatcher sat on an expired request.
 OVERRUN_SLACK_S = 2.0
 
-#: TCP burst rounds allowed to observe one coalesced batch.  Window
-#: timing on a loaded runner is not deterministic, so the answers are
-#: gated every round and the counter needs only one coalesced round.
+#: TCP burst rounds allowed to observe one coalesced batch.  Which
+#: requests queue behind a running batch depends on timing on a loaded
+#: runner, so the answers are gated every round and the counter needs
+#: only one coalesced round.
 BURST_ROUNDS = 5
 
 #: Ceiling on the served p99 latency of every tenant, seconds.
@@ -150,7 +155,7 @@ def measure_forced(service, query_sets):
 
 
 def measure_latency(service, query_sets, rounds, tenant="bench"):
-    """Live-window submits: p50/p99 from the tenant ledger, wall QPS."""
+    """Live submits: p50/p99 from the tenant ledger, wall QPS."""
     start = time.perf_counter()
     for _ in range(rounds):
         futures = [
@@ -171,29 +176,32 @@ def measure_latency(service, query_sets, rounds, tenant="bench"):
 def measure_overload(index, problem, query_sets, oracles):
     """Flood a bounded service at ``FLOOD_FACTOR``x admission capacity.
 
-    A dedicated service over the same index, with ``max_queue`` set to
-    the client count and a wide coalescing window: the whole burst is
-    submitted while the first batch is still collecting, so the
-    admitted/shed split is exact.  Returns deterministic gate booleans
-    plus the deadline-overrun measurement.
+    A dedicated service over the same index, with ``max_queue`` one
+    below the client count.  A one-shot ``latency`` fault holds the
+    dispatcher on the first request for ``FLOOD_HOLD_S``, and the rest
+    of the burst is submitted behind it, so the admitted/shed split is
+    exact.  Returns deterministic gate booleans plus the
+    deadline-overrun measurement.
     """
     clients = len(query_sets)
     submitted = FLOOD_FACTOR * clients
     service = IdentityService(
-        index,
-        k=problem["k"],
-        window_s=OVERLOAD_WINDOW_S,
-        max_batch_rows=1024,
-        max_queue=clients,
+        index, k=problem["k"], max_batch_rows=1024, max_queue=clients - 1
     )
     admitted = []  # (query index, future) in admission order
     shed = []
-    with service:
-        # The first request carries a budget that lapses inside the
-        # window: it must be rejected at the cut, never computed.
+    hold = FaultPlan.from_spec("latency:1", slow_delay_s=FLOOD_HOLD_S)
+    with resilient(plan=hold), service:
+        # The first request carries a budget that lapses during the
+        # hold: the service must reject it before packing, never
+        # compute it.
         doomed = service.submit(
             query_sets[0], tenant="flood", deadline=DOOMED_BUDGET_S
         )
+        # The idle dispatcher cuts it at once; flood only behind it.
+        cut_by = time.perf_counter() + FLOOD_HOLD_S
+        while service.health()["queued_requests"] and time.perf_counter() < cut_by:
+            time.sleep(1e-3)
         for i in range(1, submitted):
             try:
                 future = service.submit(query_sets[i % clients], tenant="flood")
@@ -223,7 +231,7 @@ def measure_overload(index, problem, query_sets, oracles):
         "deadline_rejections": 1 if overrun_s >= 0 else 0,
         "deadline_overrun_s": overrun_s,
         "deadline_overrun_bounded": bool(
-            0 <= overrun_s <= OVERLOAD_WINDOW_S + OVERRUN_SLACK_S
+            0 <= overrun_s <= FLOOD_HOLD_S + OVERRUN_SLACK_S
         ),
     }
 
@@ -275,10 +283,7 @@ def run_bench(problem, workdir):
         workdir, database, shard_rows=problem["shard_rows"], word_bits=32
     )
     service = IdentityService(
-        index,
-        k=problem["k"],
-        window_s=0.02,
-        max_batch_rows=max(64, problem["clients"]),
+        index, k=problem["k"], max_batch_rows=max(64, problem["clients"])
     )
     with service, index:
         (forced, overload), counters = run_counted(

@@ -618,7 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             device=args.device,
             workers=_resolve_workers(args),
             backend=args.backend,
-            window_s=args.window_ms / 1e3,
             max_batch_rows=args.max_batch_rows,
         )
         with service, index:
@@ -627,7 +626,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ("sites", index.n_bits),
                 ("segments", index.n_segments),
                 ("device", args.device),
-                ("coalescing window", f"{args.window_ms:.1f} ms"),
                 ("max batch rows", args.max_batch_rows),
             ], title="identity service"))
             run_server(
@@ -932,13 +930,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(requests may override per call)",
     )
     serve.add_argument(
-        "--window-ms", type=float, default=5.0, metavar="MS",
-        help="coalescing window: concurrent queries admitted within "
-        "this span of the first arrival share one GEMM panel",
-    )
-    serve.add_argument(
         "--max-batch-rows", type=int, default=512, metavar="N",
-        help="query-row budget per coalesced batch (cut early at N)",
+        help="query-row budget per batch; queries that queue behind a "
+        "running batch share the next GEMM panel up to N rows, and a "
+        "search with more than N queries is refused",
     )
     serve.add_argument(
         "--shard-rows", type=int, default=4096, metavar="N",

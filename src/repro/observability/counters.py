@@ -133,10 +133,12 @@ SERVE_QUERIES = "serve.queries"
 #: Micro-batches executed by the serving batcher (coalesced or solo).
 SERVE_BATCHES = "serve.batches"
 #: Micro-batches that merged >= 2 requests into one bit-GEMM panel --
-#: the amortization the coalescing window exists to create.
+#: the amortization coalescing exists to create.
 SERVE_COALESCED_BATCHES = "serve.coalesced_batches"
 #: Query rows admitted into micro-batches (occupancy numerator:
-#: ``serve.batch_rows / serve.batches`` is mean rows per panel).
+#: ``serve.batch_rows / serve.batches`` is mean rows per panel).  A
+#: batch is whatever queued behind the previous one, so occupancy rises
+#: with concurrent load; a lone client's batches carry only its rows.
 SERVE_BATCH_ROWS = "serve.batch_rows"
 #: Requests re-run alone after their batch failed post-retry (the
 #: isolation rung: one poisoned query cannot fail its batch peers).

@@ -87,7 +87,7 @@ DETERMINISTIC_COUNTERS = (
     "stream.chunks",
     "stream.bytes_read",
     # Serving counters are deterministic under *forced* batches (the
-    # bench/smoke mode); live-window counts depend on arrival timing.
+    # bench/smoke mode); live batches' counts depend on arrival timing.
     "serve.queries",
     "serve.batches",
     "serve.coalesced_batches",

@@ -269,7 +269,6 @@ def _service(index: ProfileIndex, **kwargs: object) -> IdentityService:
         index,
         k=3,
         device=_DEVICE,
-        window_s=0.001,
         max_batch_rows=1024,
         **kwargs,  # type: ignore[arg-type]
     )

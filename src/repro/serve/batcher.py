@@ -13,19 +13,20 @@ overlapped feeds (PAPERS.md).
 
 Mechanics: ``submit`` enqueues a request and returns a
 :class:`concurrent.futures.Future` immediately (the asyncio front end
-in :mod:`repro.serve.server` awaits it via ``asyncio.wrap_future``).  A
-dispatcher thread opens a **coalescing window** when the first request
-of a batch arrives: every request admitted within ``window_s`` of that
-first arrival joins the batch, which is cut early once ``max_rows``
-query rows accumulate.  The same thread then runs the batch it cut;
-requests that arrive meanwhile wait in the bounded queue for the next
-one.  A request cancelled while queued is dropped at the cut.
+in :mod:`repro.serve.server` awaits it via ``asyncio.wrap_future``).
+One dispatcher thread waits for work, cuts whatever is queued (in
+admission order, up to ``max_rows`` query rows), runs that batch and
+repeats.  An idle service therefore dispatches a lone request at once;
+requests that arrive while a batch runs wait in the bounded queue and
+are cut together as the next one.  A request cancelled while queued is
+dropped at the cut.
 
 Overload protection: admission is *bounded*.  ``max_queue`` caps queued
 requests and ``max_inflight_rows`` caps query rows that are queued or
 executing; past either bound :meth:`submit` sheds with
-:class:`~repro.errors.OverloadedError` carrying a ``retry_after_ms``
-hint (counted in ``serve.shed``) instead of queueing unboundedly.
+:class:`~repro.errors.OverloadedError` (counted in ``serve.shed``)
+instead of queueing unboundedly.  Its ``retry_after_ms`` hint is the
+batches ahead of the request times the last batch's wall time.
 Requests may carry a :class:`~repro.resilience.deadline.Deadline`;
 expired requests are rejected at admission and again when their batch
 is cut -- *before* packing or compute -- so a request never occupies a
@@ -65,12 +66,11 @@ class _Pending:
     payload: Any
     rows: int
     future: "Future[Any]"
-    admitted_at: float
     deadline: Deadline | None = None
 
 
 class CoalescingBatcher:
-    """Window-based micro-batcher with one dispatcher thread.
+    """Micro-batcher with one dispatcher thread that waits for work.
 
     Parameters
     ----------
@@ -78,12 +78,9 @@ class CoalescingBatcher:
         Callback receiving the batch's payloads (admission order) and
         returning one outcome per payload; an outcome that is an
         ``Exception`` instance fails that payload's future only.
-    window_s:
-        Coalescing window, measured from the first admission of the
-        batch.  ``0`` still coalesces requests that are already queued
-        when the dispatcher wakes (a burst), but never waits for more.
     max_rows:
-        Row budget per batch; a batch is cut early when reached.
+        Row budget per batch.  A cut stops before the request that
+        would overrun it, but always takes the first queued request.
     max_queue:
         Admission bound: maximum *queued* requests, including those
         that wait while a batch runs.  ``None`` (default) keeps the
@@ -96,13 +93,10 @@ class CoalescingBatcher:
     def __init__(
         self,
         execute: Callable[[Sequence[Any]], Sequence[Any]],
-        window_s: float = 0.005,
         max_rows: int = 1024,
         max_queue: int | None = None,
         max_inflight_rows: int | None = None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"CoalescingBatcher: window_s must be >= 0, got {window_s}")
         if max_rows <= 0:
             raise ValueError(
                 f"CoalescingBatcher: max_rows must be positive, got {max_rows}"
@@ -117,13 +111,13 @@ class CoalescingBatcher:
                 f"got {max_inflight_rows}"
             )
         self._execute = execute
-        self.window_s = window_s
         self.max_rows = max_rows
         self.max_queue = max_queue
         self.max_inflight_rows = max_inflight_rows
         self._cv = threading.Condition()
         self._queue: list[_Pending] = []
         self._inflight_rows = 0
+        self._last_batch_s = 0.0
         self._closed = False
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-batcher", daemon=True
@@ -133,10 +127,11 @@ class CoalescingBatcher:
     # -- client side -----------------------------------------------------------
 
     def _retry_after_ms_locked(self, rows: int) -> int:
-        """Shed hint: when the backlog ahead should have drained."""
+        """Shed hint: the last batch's wall time (1 ms at least) per
+        batch of backlog ahead, when that backlog should have drained."""
         backlog = sum(p.rows for p in self._queue) + self._inflight_rows + rows
         batches_ahead = max(1, -(-backlog // self.max_rows))
-        return max(1, int(1e3 * max(self.window_s, 1e-3) * batches_ahead))
+        return max(1, int(1e3 * max(self._last_batch_s, 1e-3) * batches_ahead))
 
     def submit(
         self,
@@ -152,11 +147,7 @@ class CoalescingBatcher:
         """
         future: "Future[Any]" = Future()
         pending = _Pending(
-            payload=payload,
-            rows=max(1, rows),
-            future=future,
-            admitted_at=time.perf_counter(),
-            deadline=deadline,
+            payload=payload, rows=max(1, rows), future=future, deadline=deadline
         )
         with self._cv:
             if self._closed:
@@ -282,18 +273,8 @@ class CoalescingBatcher:
             with self._cv:
                 while not self._queue and not self._closed:
                     self._cv.wait()
-                if not self._queue and self._closed:
+                if not self._queue:  # closed and drained
                     return
-                # The window opens at the *first* admission of the
-                # batch; later arrivals do not extend it (bounded added
-                # latency for the request that opened it).
-                deadline = self._queue[0].admitted_at + self.window_s
-                while not self._closed:
-                    queued_rows = sum(p.rows for p in self._queue)
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or queued_rows >= self.max_rows:
-                        break
-                    self._cv.wait(timeout=remaining)
                 batch = self._cut_batch_locked()
                 if not batch:  # every request cut was cancelled
                     self._cv.notify_all()
@@ -303,8 +284,8 @@ class CoalescingBatcher:
     def _run_batch(self, batch: list[_Pending]) -> None:
         try:
             # Expired deadlines are rejected here, before the executor
-            # ever packs or computes: the window has closed, so this is
-            # at most one batch window past the client's budget.
+            # ever packs or computes: a budget that lapsed while the
+            # request queued behind a running batch costs no compute.
             live: list[_Pending] = []
             for pending in batch:
                 if pending.deadline is not None and pending.deadline.expired:
@@ -320,6 +301,7 @@ class CoalescingBatcher:
                 else:
                     live.append(pending)
             if live:
+                started = time.perf_counter()
                 try:
                     outcomes = list(
                         self._execute([p.payload for p in live])
@@ -334,6 +316,8 @@ class CoalescingBatcher:
                     for pending in live:
                         pending.future.set_exception(exc)
                     return
+                finally:
+                    self._last_batch_s = time.perf_counter() - started
                 for pending, outcome in zip(live, outcomes):
                     if isinstance(outcome, BaseException):
                         pending.future.set_exception(outcome)

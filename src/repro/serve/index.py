@@ -235,7 +235,9 @@ class ProfileIndex:
             with self._lock:
                 rows = self._row_count()
             return rows, rows
-        block = np.ascontiguousarray(arr, dtype=np.uint8)
+        # A copy: the block is frozen and kept, so it must not be (or
+        # view) the caller's matrix.
+        block = np.array(arr, dtype=np.uint8, order="C")
         block.setflags(write=False)
         with self._lock:
             start = self._row_count()

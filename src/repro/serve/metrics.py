@@ -4,7 +4,9 @@ Counters (:mod:`repro.observability.counters`) answer "how much work
 did the service do" exactly; this module answers the per-tenant SLO
 questions -- p50/p99 latency and sustained QPS -- which are inherently
 windowed and approximate.  A bounded ring of recent observations keeps
-memory ``O(window)`` per tenant however long the service lives.
+memory ``O(window)`` per tenant however long the service lives, and a
+ledger opens at most :data:`MAX_TENANTS` accounts, so a client cannot
+grow the service by inventing tenant names.
 """
 
 from __future__ import annotations
@@ -15,7 +17,21 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LatencyWindow", "TenantAccount", "TenantLedger"]
+__all__ = [
+    "MAX_TENANTS",
+    "MAX_TENANT_CHARS",
+    "LatencyWindow",
+    "TenantAccount",
+    "TenantLedger",
+]
+
+#: Distinct tenants one ledger accounts for.  Each account keeps a
+#: latency window (32 KiB at the default 4,096 samples) for the life of
+#: the service.
+MAX_TENANTS = 256
+
+#: Longest tenant name the service accepts, in characters.
+MAX_TENANT_CHARS = 128
 
 
 class LatencyWindow:
@@ -89,7 +105,8 @@ class TenantAccount:
 
 
 class TenantLedger:
-    """Thread-safe map of tenant name to :class:`TenantAccount`."""
+    """Thread-safe map of tenant name to :class:`TenantAccount`, holding
+    at most :data:`MAX_TENANTS` accounts."""
 
     def __init__(
         self,
@@ -101,16 +118,27 @@ class TenantLedger:
         self._lock = threading.Lock()
         self._accounts: dict[str, TenantAccount] = {}
 
+    def _account_locked(self, tenant: str) -> TenantAccount | None:
+        account = self._accounts.get(tenant)
+        if account is None and len(self._accounts) < MAX_TENANTS:
+            account = self._accounts[tenant] = TenantAccount(self._window)
+        return account
+
+    def admit(self, tenant: str) -> bool:
+        """Open ``tenant``'s account if it has none; ``False`` when that
+        would pass :data:`MAX_TENANTS` accounts."""
+        with self._lock:
+            return self._account_locked(tenant) is not None
+
     def record(
         self, tenant: str, rows: int, seconds: float, failed: bool = False
     ) -> None:
+        """Account one request; a tenant past the cap is not recorded."""
         now = self._clock()
         with self._lock:
-            account = self._accounts.get(tenant)
-            if account is None:
-                account = TenantAccount(self._window)
-                self._accounts[tenant] = account
-            account.record(rows, seconds, failed, now)
+            account = self._account_locked(tenant)
+            if account is not None:
+                account.record(rows, seconds, failed, now)
 
     def tenants(self) -> list[str]:
         with self._lock:

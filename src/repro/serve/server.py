@@ -17,7 +17,11 @@ Responses echo the request's ``id`` (when given) and carry ``ok``::
 Matrices must hold 0/1 integers or booleans; a fraction, an
 out-of-range or oversized integer, a string or a ragged row answers
 ``kind: "DatasetError"`` -- never a silently cast answer.  ``k`` must
-be a positive integer and ``deadline_ms`` a finite positive number.
+be a positive integer, ``deadline_ms`` a finite positive number and
+``tenant`` a string.  A search may carry at most the service's
+``max_batch_rows`` queries, and the service accounts for at most
+:data:`~repro.serve.metrics.MAX_TENANTS` tenants; past either cap the
+request answers ``kind: "DatasetError"``.
 
 ``deadline_ms`` starts the request's :class:`~repro.resilience.deadline.
 Deadline` at decode time, so the budget covers queueing *and* compute;
@@ -35,11 +39,12 @@ connections -- accepted work is completed, not dropped.
 
 The server is a thin asyncio shim: each ``search`` awaits the future
 returned by :meth:`IdentityService.submit` via ``asyncio.wrap_future``,
-so queries from *different connections* land in the same coalescing
-window -- the event loop never blocks on the GEMM, which runs with the
-rest of the batch on the batcher's one dispatcher thread.  Errors are
-per-request: a malformed line or a failed query answers ``ok: false``
-on that line and the connection stays usable.
+so queries from *different connections* that queue behind a running
+batch are cut into the same next batch -- the event loop never blocks
+on the GEMM, which runs with the rest of the batch on the batcher's one
+dispatcher thread.  Errors are per-request: a malformed line or a
+failed query answers ``ok: false`` on that line and the connection
+stays usable.
 
 :class:`BackgroundServer` runs the server on a daemon thread for tests,
 the chaos harness and the serving bench's TCP gates;
@@ -108,8 +113,8 @@ def _deadline_from_json(payload: Any) -> "Deadline | None":
     """Decode an optional ``deadline_ms`` field into a started deadline.
 
     The clock starts *here*, at decode time, so the budget covers the
-    request's whole server-side life: coalescing-queue wait included.
-    Python's ``json`` parses ``NaN`` and ``Infinity``, budgets that
+    request's whole server-side life, the wait in the batch queue
+    included.  Python's ``json`` parses ``NaN`` and ``Infinity``, budgets that
     would never expire, and ``true``, which would read as 1 ms; all
     three are rejected.
     """
@@ -310,7 +315,7 @@ class IdentityServer:
                 future = self.service.submit(
                     queries,
                     k=message.get("k"),
-                    tenant=str(message.get("tenant", "default")),
+                    tenant=message.get("tenant", "default"),
                     deadline=deadline,
                 )
                 self._inflight += 1

@@ -22,19 +22,21 @@ What serving adds over the offline path:
   segment id while it is in the latest snapshot: a ``.snpbin`` shard
   in the device's word width is a view of its map, one in another
   width is converted without unpacking, an in-memory block is packed;
-* **coalescing** -- concurrent requests share one query panel through
+* **coalescing** -- requests that queue behind a running batch share
+  the next query panel through
   :class:`repro.serve.batcher.CoalescingBatcher`, amortizing the
   ``m_r`` row padding and the per-batch database feed;
 * **isolation** -- a batch that fails after the active retry policy is
   re-run one request at a time (``serve.solo_fallbacks``), so a
   poisoned query takes down itself, not its batch peers;
 * **accounting** -- exact ``serve.*`` counters plus per-tenant
-  p50/p99/QPS through :class:`repro.serve.metrics.TenantLedger`.
+  p50/p99/QPS through :class:`repro.serve.metrics.TenantLedger`, for
+  at most :data:`~repro.serve.metrics.MAX_TENANTS` tenants.
 
 Batch snapshot semantics: the index snapshot is taken when the batch
-*executes*, after the coalescing window closed over every member.  An
-:meth:`append` that returned before a request was submitted is
-therefore always visible to that request (the append barrier).
+*executes*, after every member was admitted.  An :meth:`append` that
+returned before a request was submitted is therefore always visible to
+that request (the append barrier).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from repro.resilience.retry import call_with_retry
 from repro.resilience.runtime import get_resilience
 from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
-from repro.serve.metrics import TenantLedger
+from repro.serve.metrics import MAX_TENANT_CHARS, MAX_TENANTS, TenantLedger
 from repro.serve.overload import CircuitBreaker
 from repro.util.validation import check_binary_matrix, check_k
 
@@ -108,10 +110,11 @@ class IdentityService:
     """Long-lived top-k identity search over a :class:`ProfileIndex`.
 
     Parameters mirror :class:`StreamingIdentitySearch` where they
-    overlap; ``window_s``/``max_batch_rows`` shape the coalescing
-    window and ``max_queue``/``max_inflight_rows`` bound admission (see
-    :mod:`repro.serve.batcher`, whose one dispatcher thread runs every
-    batch it cuts).  :meth:`search_many` runs on the caller's thread.
+    overlap; ``max_batch_rows`` caps the query rows of one batch, and
+    so of one request, and ``max_queue``/``max_inflight_rows`` bound
+    admission (see :mod:`repro.serve.batcher`, whose one dispatcher
+    thread runs every batch it cuts).  :meth:`search_many` runs on the
+    caller's thread.
     """
 
     #: Upper bound on per-request ``k`` (matches the streaming bound).
@@ -124,7 +127,6 @@ class IdentityService:
         device: "str | GPUArchitecture" = "Titan V",
         workers: int | None = None,
         backend: str = "auto",
-        window_s: float = 0.005,
         max_batch_rows: int = 512,
         framework: SNPComparisonFramework | None = None,
         max_queue: int | None = None,
@@ -152,7 +154,6 @@ class IdentityService:
         )
         self._batcher = CoalescingBatcher(
             self._execute_batch,
-            window_s=window_s,
             max_rows=max_batch_rows,
             max_queue=max_queue,
             max_inflight_rows=max_inflight_rows,
@@ -209,9 +210,27 @@ class IdentityService:
                 f"IdentityService: queries cover {q.shape[1]} sites, "
                 f"index is {self.index.n_bits} sites wide"
             )
+        if q.shape[0] > self._batcher.max_rows:
+            raise DatasetError(
+                f"IdentityService: {q.shape[0]} query rows exceed the "
+                f"batch budget of {self._batcher.max_rows} rows"
+            )
         kk = self.default_k if k is None else check_k("IdentityService: k", k, self.MAX_K)
-        if not tenant:
-            raise DatasetError("IdentityService: tenant must be non-empty")
+        if not isinstance(tenant, str) or not tenant:
+            raise DatasetError(
+                f"IdentityService: tenant must be a non-empty string, "
+                f"got {tenant!r}"
+            )
+        if len(tenant) > MAX_TENANT_CHARS:
+            raise DatasetError(
+                f"IdentityService: tenant name is {len(tenant)} characters, "
+                f"at most {MAX_TENANT_CHARS} are accepted"
+            )
+        if not self.ledger.admit(tenant):
+            raise DatasetError(
+                f"IdentityService: tenant {tenant!r} is new and the service "
+                f"already accounts for {MAX_TENANTS} tenants"
+            )
         return QueryRequest(
             queries=np.ascontiguousarray(q, dtype=np.uint8),
             k=kk,
@@ -253,7 +272,8 @@ class IdentityService:
         tenant: str = "default",
         deadline: "Deadline | float | None" = None,
     ) -> list[list[Match]]:
-        """Blocking :meth:`submit` (waits through the coalescing window)."""
+        """Blocking :meth:`submit`: returns once the batch carrying the
+        request has run."""
         return self.submit(
             queries, k=k, tenant=tenant, deadline=deadline
         ).result()
@@ -266,10 +286,10 @@ class IdentityService:
     ) -> list[list[list[Match]]]:
         """Serve several query sets as **one forced batch**.
 
-        Deterministic coalescing -- no timing window involved -- for
-        tests, the serving bench's exact counters, and callers that
-        already hold a burst.  Semantically identical to submitting them
-        concurrently and having the window coalesce them.
+        Deterministic coalescing on the caller's thread, for tests, the
+        serving bench's exact counters, and callers that already hold a
+        burst.  Semantically identical to submitting them while a batch
+        runs, so that they queue and are cut together.
         """
         self._check_admission()
         requests = [self._validate(q, k, tenant) for q in query_sets]

@@ -2,7 +2,8 @@
 
 Covers the :class:`Deadline` primitive, bounded admission on
 :class:`CoalescingBatcher` (queue and row budgets, ``retry_after_ms``
-hints, deadline rejection at admission and at batch cut), the
+hints priced at the last batch's wall time, deadline rejection at
+admission and at batch cut), the
 :class:`CircuitBreaker` state machine (trip, cooldown, half-open probe,
 re-trip), service-level drain/health/shed flows, end-to-end deadline
 and overload replies over the JSON-lines wire protocol, the thread-leak
@@ -61,7 +62,6 @@ def make_service(db, **kw):
     index = ProfileIndex(n_bits=db.shape[1])
     index.append(db)
     kw.setdefault("device", "GTX 980")
-    kw.setdefault("window_s", 0.001)
     return IdentityService(index, k=3, **kw)
 
 
@@ -110,34 +110,67 @@ class TestDeadline:
 
 
 class TestBoundedAdmission:
-    def _blocked_batcher(self, **kw):
-        """A batcher whose executor blocks until ``release`` is set."""
+    def _blocked_batcher(self, executed=None, **kw):
+        """A batcher whose executor blocks until ``release`` is set,
+        appending each payload it runs to ``executed`` when given."""
         release = threading.Event()
         entered = threading.Event()
 
         def execute(payloads):
+            if executed is not None:
+                executed.extend(payloads)
             entered.set()
             release.wait(timeout=30)
             return [None] * len(payloads)
 
-        batcher = CoalescingBatcher(execute, window_s=0.0, **kw)
+        batcher = CoalescingBatcher(execute, **kw)
         return batcher, release, entered
 
     def test_queue_full_sheds_with_retry_hint(self, tracer):
-        # A wide-open window keeps the first request *queued* (not yet
-        # cut), so the admission bound is hit deterministically.
-        with CoalescingBatcher(
-            lambda p: [None] * len(p), window_s=30.0, max_queue=1
-        ) as batcher:
-            future = batcher.submit("a")
+        # "running" holds the dispatcher, so "queued" takes the one
+        # queue slot and the admission bound is hit deterministically.
+        batcher, release, entered = self._blocked_batcher(max_queue=1)
+        try:
+            batcher.submit("running")
+            assert entered.wait(timeout=10)
+            queued = batcher.submit("queued")
             with pytest.raises(OverloadedError) as exc_info:
-                batcher.submit("b")
+                batcher.submit("shed")
             assert exc_info.value.reason == "queue_full"
             assert exc_info.value.retry_after_ms >= 1
-        # close() cuts the pending window; the admitted request still
-        # completes (graceful drain, not drop).
-        assert future.result(timeout=10) is None
+        finally:
+            release.set()
+            batcher.close()
+        # The admitted request still completes (graceful drain, not drop).
+        assert queued.result(timeout=10) is None
         assert tracer.counters.get(SERVE_SHED) == 1
+
+    def test_retry_hint_prices_the_last_batch(self, tracer):
+        release = threading.Event()
+        entered = threading.Event()
+
+        def execute(payloads):
+            if payloads == ["slow"]:
+                time.sleep(0.05)  # a measured batch of at least 50 ms
+            else:
+                entered.set()
+                release.wait(timeout=30)
+            return [None] * len(payloads)
+
+        batcher = CoalescingBatcher(execute, max_rows=1, max_queue=1)
+        try:
+            batcher.submit("slow").result(timeout=10)
+            batcher.submit("running")
+            assert entered.wait(timeout=10)
+            batcher.submit("queued")
+            with pytest.raises(OverloadedError) as exc_info:
+                batcher.submit("shed")
+        finally:
+            release.set()
+            batcher.close()
+        # 1 running + 1 queued + 1 new row at 1 row per batch: three
+        # batches ahead, each priced at the last batch's >= 50 ms.
+        assert exc_info.value.retry_after_ms >= 150
 
     def test_inflight_row_budget_sheds(self, tracer):
         batcher, release, entered = self._blocked_batcher(max_inflight_rows=8)
@@ -185,16 +218,23 @@ class TestBoundedAdmission:
         assert tracer.counters.get(SERVE_DEADLINE_EXCEEDED) == 1
 
     def test_deadline_expiring_in_queue_fails_at_cut(self, tracer):
-        """A budget that lapses inside the window never reaches compute."""
+        """A budget that lapses while queued never reaches compute."""
         executed = []
-        with CoalescingBatcher(
-            lambda p: executed.extend(p) or [None] * len(p), window_s=0.2
-        ) as batcher:
-            # 10 ms budget vs a 200 ms window: expired by the cut.
-            future = batcher.submit("doomed", deadline=Deadline.after(0.01))
-            with pytest.raises(DeadlineExceededError):
-                future.result(timeout=10)
-        assert executed == []  # the executor never saw the payload
+        batcher, release, entered = self._blocked_batcher(executed)
+        clock = FakeClock()
+        try:
+            batcher.submit("running")
+            assert entered.wait(timeout=10)
+            future = batcher.submit(
+                "doomed", deadline=Deadline.after(1.0, clock=clock)
+            )
+            clock.now = 2.0  # the budget lapses behind the running batch
+        finally:
+            release.set()
+            batcher.close()
+        with pytest.raises(DeadlineExceededError):
+            future.result(timeout=10)
+        assert executed == ["running"]  # the executor never saw "doomed"
         assert tracer.counters.get(SERVE_DEADLINE_EXCEEDED) == 1
 
     def test_wait_idle_reports_quiescence(self):
@@ -300,7 +340,7 @@ class TestServiceOverload:
 
     def test_drain_stops_admission_and_finishes_inflight(self, tracer):
         db = make_db(40)
-        with make_service(db, window_s=0.05) as service:
+        with make_service(db) as service:
             with service.index:
                 future = service.submit(make_db(1, seed=3))
                 assert service.drain(timeout=30)
@@ -344,12 +384,12 @@ class TestServiceOverload:
 class TestWireHardening:
     def test_deadline_ms_maps_to_typed_error(self, tracer):
         db = make_db(40)
-        with make_service(db, window_s=0.05) as service:
+        with make_service(db) as service:
             with service.index:
                 with BackgroundServer(service) as (host, port):
                     with ServiceClient(host, port) as client:
-                        # A microscopic budget expires inside the 50 ms
-                        # coalescing window, deterministically.
+                        # A 1 us budget has lapsed by admission, before
+                        # any batch could run it.
                         with pytest.raises(DeadlineExceededError) as exc_info:
                             client.search(make_db(1, seed=8), deadline_ms=0.001)
                         assert exc_info.value.overrun_s >= 0

@@ -2,14 +2,18 @@
 
 Covers the :class:`ProfileIndex` shard/tail lifecycle (build, reopen,
 append barrier, sealing, validation), the :class:`CoalescingBatcher`
-contract (burst coalescing, per-payload exception isolation, contract
-violations, close semantics), :class:`IdentityService` bit-exactness
-against :class:`StreamingIdentitySearch` (burst vs trickle, first-seen
+contract (a burst queued behind a running batch is the next batch,
+per-payload exception isolation, contract violations, close
+semantics), :class:`IdentityService` bit-exactness against
+:class:`StreamingIdentitySearch` (burst vs trickle, first-seen
 tie-breaking, both residency paths), the word-ops amortization the
 coalescer exists for (exact counters), the solo-fallback isolation
-ladder, tenant accounting, and the JSON-lines TCP front end.
+ladder, request and tenant caps, tenant accounting, and the JSON-lines
+TCP front end.  Tests that need requests to queue behind a batch hold
+the dispatcher on an event, never on a timer.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -36,6 +40,7 @@ from repro.observability.counters import (
     SERVE_SOLO_FALLBACKS,
 )
 from repro.observability.tracer import Tracer, set_tracer
+from repro.resilience import FaultInjector, FaultPlan, ResilienceContext, set_resilience
 from repro.serve import (
     BackgroundServer,
     CoalescingBatcher,
@@ -43,7 +48,12 @@ from repro.serve import (
     ProfileIndex,
     ServiceClient,
 )
-from repro.serve.metrics import LatencyWindow
+from repro.serve.metrics import (
+    MAX_TENANT_CHARS,
+    MAX_TENANTS,
+    LatencyWindow,
+    TenantLedger,
+)
 
 SITES = 96
 
@@ -70,6 +80,31 @@ def oracle(queries, db_chunks, k):
     for chunk in db_chunks:
         search.add_batch(chunk)
     return search.all_matches()
+
+
+@contextlib.contextmanager
+def held_dispatcher():
+    """Hold the next served batch at its latency hook until released.
+
+    A one-shot ``latency`` fault whose sleep waits on an event: the
+    first batch any service runs blocks before packing, so requests
+    submitted meanwhile queue behind it, deterministically.  Yields
+    ``(held, release)``: ``held`` is set once the batch is held.
+    """
+    held = threading.Event()
+    release = threading.Event()
+
+    def hold(_seconds):
+        held.set()
+        release.wait(timeout=30)
+
+    injector = FaultInjector(FaultPlan.from_spec("latency:1"), sleep=hold)
+    previous = set_resilience(ResilienceContext(injector=injector))
+    try:
+        yield held, release
+    finally:
+        release.set()
+        set_resilience(previous)
 
 
 def dense_oracle(queries, db, k):
@@ -172,6 +207,18 @@ class TestProfileIndex:
         with pytest.raises(DatasetError, match="sites"):
             ProfileIndex(tmp_path / "a")
 
+    def test_append_copies_the_callers_rows(self):
+        base = make_db(8)
+        kept = base.copy()
+        index = ProfileIndex(n_bits=SITES, shard_rows=100)
+        index.append(base[:4])  # a view of the caller's buffer
+        base[0] ^= 1  # which the caller then reuses
+        index.seal()
+        index.append(base)
+        assert base.flags.writeable  # not frozen under its owner
+        whole = np.vstack(list(index.iter_bits()))
+        assert np.array_equal(whole, np.vstack([kept[:4], base]))
+
     def test_snapshot_is_immutable_view(self):
         index = ProfileIndex(n_bits=SITES)
         index.append(make_db(3))
@@ -186,19 +233,29 @@ class TestProfileIndex:
 
 class TestCoalescingBatcher:
     def test_burst_coalesces_into_one_batch(self):
+        release = threading.Event()
+        running = threading.Event()
         batches = []
 
         def execute(payloads):
             batches.append(list(payloads))
+            running.set()
+            release.wait(timeout=10)
             return [p * 10 for p in payloads]
 
-        with CoalescingBatcher(execute, window_s=0.05, max_rows=64) as batcher:
-            futures = [batcher.submit(i) for i in range(5)]
+        with CoalescingBatcher(execute, max_rows=64) as batcher:
+            try:
+                first = batcher.submit(-1)
+                assert running.wait(timeout=10)  # dispatched alone, at once
+                futures = [batcher.submit(i) for i in range(5)]
+            finally:
+                release.set()
+            assert first.result(timeout=10) == -10
             assert [f.result(timeout=10) for f in futures] == [
                 0, 10, 20, 30, 40,
             ]
-        assert len(batches) == 1
-        assert batches[0] == [0, 1, 2, 3, 4]  # admission order
+        # The burst queued behind the running batch is the next batch.
+        assert batches == [[-1], [0, 1, 2, 3, 4]]  # admission order
 
     def test_exception_outcome_fails_only_that_future(self):
         def execute(payloads):
@@ -207,7 +264,7 @@ class TestCoalescingBatcher:
                 for p in payloads
             ]
 
-        with CoalescingBatcher(execute, window_s=0.05) as batcher:
+        with CoalescingBatcher(execute) as batcher:
             good = batcher.submit("ok")
             bad = batcher.submit("poison")
             also_good = batcher.submit("fine")
@@ -220,14 +277,15 @@ class TestCoalescingBatcher:
         def execute(payloads):
             raise RuntimeError("boom")
 
-        with CoalescingBatcher(execute, window_s=0.02) as batcher:
+        with CoalescingBatcher(execute) as batcher:
             futures = [batcher.submit(i) for i in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="boom"):
                     future.result(timeout=10)
 
     def test_wrong_outcome_count_is_contract_violation(self):
-        with CoalescingBatcher(lambda ps: [1], window_s=0.05) as batcher:
+        # One outcome too many, however the two requests are cut.
+        with CoalescingBatcher(lambda ps: [1] * (len(ps) + 1)) as batcher:
             a = batcher.submit("x")
             b = batcher.submit("y")
             with pytest.raises(RuntimeError, match="outcomes"):
@@ -242,7 +300,7 @@ class TestCoalescingBatcher:
             sizes.append(len(payloads))
             return list(payloads)
 
-        with CoalescingBatcher(execute, window_s=0.05, max_rows=2) as batcher:
+        with CoalescingBatcher(execute, max_rows=2) as batcher:
             futures = [batcher.submit(i) for i in range(5)]
             for future in futures:
                 future.result(timeout=10)
@@ -260,7 +318,7 @@ class TestCoalescingBatcher:
             release.wait(timeout=10)
             return [p.upper() for p in payloads]
 
-        with CoalescingBatcher(execute, window_s=0.05) as batcher:
+        with CoalescingBatcher(execute) as batcher:
             first = batcher.submit("a")
             assert entered.wait(timeout=10)  # "a" runs and blocks
             cancelled = batcher.submit("b")
@@ -297,15 +355,13 @@ class TestCoalescingBatcher:
             release.wait(timeout=10)
             return list(payloads)
 
-        batcher = CoalescingBatcher(execute, window_s=0.0)
+        batcher = CoalescingBatcher(execute)
         future = batcher.submit("queued")
         release.set()
         batcher.close()
         assert future.result(timeout=10) == "queued"
 
     def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="window_s"):
-            CoalescingBatcher(lambda ps: ps, window_s=-1)
         with pytest.raises(ValueError, match="max_rows"):
             CoalescingBatcher(lambda ps: ps, max_rows=0)
 
@@ -507,6 +563,23 @@ class TestIdentityServiceValidation:
                 with pytest.raises(DatasetError, match="tenant"):
                     service.search(make_db(1), tenant="")
 
+    def test_rejects_query_set_over_the_batch_budget(self, tmp_path, tracer):
+        db = make_db(20)
+        at_budget = make_db(4, seed=1)
+        with make_service(tmp_path, db, max_batch_rows=4) as service:
+            with service.index:
+                assert service.search(at_budget) == oracle(at_budget, [db], k=5)
+                with pytest.raises(DatasetError, match="5 query rows.* 4 rows"):
+                    service.search(make_db(5, seed=2))
+                with pytest.raises(DatasetError, match="5 query rows.* 4 rows"):
+                    service.search_many([make_db(5, seed=2)])
+                with BackgroundServer(service) as (host, port):
+                    with ServiceClient(host, port) as client:
+                        with pytest.raises(ReproError, match="DatasetError.*5 query rows"):
+                            client.search(make_db(5, seed=2))
+                        assert client.search(at_budget) == oracle(at_budget, [db], k=5)
+        assert tracer.counters.get(SERVE_BATCH_ROWS) == 8  # never batched
+
     def test_rejects_bad_constructor_k(self, tmp_path):
         db = make_db(10)
         index = ProfileIndex.build(tmp_path, db, shard_rows=8)
@@ -550,6 +623,35 @@ class TestAccounting:
         assert tenants["lab-a"]["p99_s"] > 0.0
         assert stats["counters"][SERVE_QUERIES] == 2
 
+    def test_ledger_holds_at_most_max_tenants(self):
+        # Eight threads race 512 new tenants for 256 accounts.
+        ledger = TenantLedger()
+        per_worker = MAX_TENANTS // 4
+        results = [None] * 8
+
+        def admit(w):
+            results[w] = [ledger.admit(f"w{w}-{i}") for i in range(per_worker)]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=admit, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(sum(r) for r in results) == MAX_TENANTS
+        assert len(ledger.tenants()) == MAX_TENANTS
+        ledger.record("late", rows=1, seconds=0.001)  # not accounted
+        assert "late" not in ledger.tenants()
+        known = ledger.tenants()[0]
+        assert ledger.admit(known)  # known tenants keep their account
+
     def test_latency_window_percentiles(self):
         window = LatencyWindow(maxlen=8)
         assert window.percentile(99) == 0.0  # empty window
@@ -567,7 +669,7 @@ class TestServer:
         db = make_db(40, duplicates=2)
         queries = make_db(2, seed=700)
         expected = oracle(queries, [db], k=5)
-        with make_service(tmp_path, db, window_s=0.01) as service:
+        with make_service(tmp_path, db) as service:
             with service.index:
                 with BackgroundServer(service) as (host, port):
                     with ServiceClient(host, port) as client:
@@ -580,7 +682,7 @@ class TestServer:
 
     def test_wire_errors_keep_connection_usable(self, tmp_path, tracer):
         db = make_db(20)
-        with make_service(tmp_path, db, window_s=0.01) as service:
+        with make_service(tmp_path, db) as service:
             with service.index:
                 with BackgroundServer(service) as (host, port):
                     with ServiceClient(host, port) as client:
@@ -605,6 +707,33 @@ class TestServer:
                         assert service.index.n_rows == 20  # nothing appended
                         assert client.ping()  # still alive
 
+    def test_tenant_caps_refuse_over_the_wire(self, tmp_path, tracer):
+        db = make_db(20)
+        query = make_db(1, seed=710)
+        expected = oracle(query, [db], k=5)
+        with make_service(tmp_path, db) as service:
+            with service.index:
+                with BackgroundServer(service) as (host, port):
+                    with ServiceClient(host, port) as client:
+                        for i in range(MAX_TENANTS):
+                            client.search(query, tenant=f"lab-{i}")
+                        with pytest.raises(
+                            ReproError, match=f"DatasetError.*{MAX_TENANTS} tenants"
+                        ):
+                            client.search(query, tenant="one-too-many")
+                        assert client.search(query, tenant="lab-0") == expected
+                        with pytest.raises(ReproError, match="DatasetError.*characters"):
+                            client.search(query, tenant="x" * (MAX_TENANT_CHARS + 1))
+                        # A non-string tenant is refused, not stringified.
+                        for bad in (7, ["lab-1"], None):
+                            with pytest.raises(ReproError, match="DatasetError.*tenant"):
+                                client._call(
+                                    {"op": "search", "queries": query.tolist(),
+                                     "tenant": bad}
+                                )
+                        assert client.ping()
+                assert len(service.ledger.tenants()) == MAX_TENANTS
+
     def test_concurrent_clients_coalesce_and_match_oracle(
         self, tmp_path, tracer
     ):
@@ -612,7 +741,7 @@ class TestServer:
         query_sets = [make_db(1, seed=800 + i) for i in range(6)]
         oracles = [oracle(q, [db], k=5) for q in query_sets]
         results = [None] * len(query_sets)
-        with make_service(tmp_path, db, window_s=0.05) as service:
+        with make_service(tmp_path, db) as service:
             with service.index:
                 with BackgroundServer(service) as (host, port):
                     barrier = threading.Barrier(len(query_sets))
@@ -678,46 +807,58 @@ class TestServer:
         assert proc.returncode == 0
 
 
-# -- live window behaviour -------------------------------------------------------
+# -- live dispatch behaviour ----------------------------------------------------
 
 
-class TestLiveWindow:
-    def test_submits_within_window_share_a_batch(self, tmp_path, tracer):
+class TestLiveDispatch:
+    def test_idle_service_dispatches_at_once(self, tmp_path, tracer):
+        db = make_db(20)
+        query = make_db(1, seed=960)
+        with make_service(tmp_path, db) as service:
+            with service.index, held_dispatcher() as (held, release):
+                future = service.submit(query)
+                # Cut and running with no other request to wait for.
+                assert held.wait(timeout=30)
+                assert service.health()["queued_requests"] == 0
+                release.set()
+                assert future.result(timeout=30) == oracle(query, [db], k=5)
+        assert tracer.counters.get(SERVE_BATCHES) == 1
+        assert tracer.counters.get(SERVE_COALESCED_BATCHES) == 0
+
+    def test_requests_queued_behind_a_batch_share_the_next(
+        self, tmp_path, tracer
+    ):
         db = make_db(30)
+        first = make_db(1, seed=899)
         query_sets = [make_db(1, seed=900 + i) for i in range(4)]
-        with make_service(
-            tmp_path, db, window_s=0.2, max_batch_rows=64
-        ) as service:
-            with service.index:
+        with make_service(tmp_path, db, max_batch_rows=64) as service:
+            with service.index, held_dispatcher() as (held, release):
+                running = service.submit(first)
+                assert held.wait(timeout=30)
                 futures = [service.submit(q) for q in query_sets]
+                assert service.health()["queued_requests"] == 4
+                release.set()
+                assert running.result(timeout=30) == oracle(first, [db], k=5)
                 for future, q in zip(futures, query_sets):
                     assert future.result(timeout=30) == oracle(q, [db], k=5)
-        assert tracer.counters.get(SERVE_BATCHES) == 1
+        assert tracer.counters.get(SERVE_BATCHES) == 2
         assert tracer.counters.get(SERVE_COALESCED_BATCHES) == 1
+        assert tracer.counters.get(SERVE_BATCH_ROWS) == 5
 
     def test_mid_batch_append_visible_after_barrier(self, tmp_path, tracer):
         """A query admitted after append() returned sees the new rows."""
         db = make_db(30)
         probe = make_db(1, seed=950)
-        with make_service(
-            tmp_path, db, k=31, window_s=0.05, shard_rows=16
-        ) as service:
-            with service.index:
+        with make_service(tmp_path, db, k=31, shard_rows=16) as service:
+            with service.index, held_dispatcher() as (held, release):
                 first = service.submit(make_db(1, seed=951))
+                assert held.wait(timeout=30)  # the append lands mid-batch
                 start, _stop = service.append(probe)
                 second = service.submit(probe)
+                release.set()
                 first.result(timeout=30)
                 matches = second.result(timeout=30)[0]
                 assert any(
                     m.database_index == start and m.distance == 0
                     for m in matches
                 )
-
-    def test_window_bounds_added_latency(self, tmp_path, tracer):
-        db = make_db(20)
-        with make_service(tmp_path, db, window_s=0.02) as service:
-            with service.index:
-                begin = time.perf_counter()
-                service.search(make_db(1, seed=960))
-                elapsed = time.perf_counter() - begin
-        assert elapsed < 10.0  # window closes; the request is not stuck
